@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build check lint-determinism test race bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
+.PHONY: all build check lint-determinism test race perfbench-test bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
 
 all: build check
 
@@ -37,6 +37,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench-test runs the tests of the benchmark module (perfbench/, its own
+# go.mod), which the root ./... does not reach. perfbench/program.go is the
+# benchmark's only door into the program, so an API change that breaks it
+# fails here rather than at the next benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
+
 # bench is the regression gate: it runs the registered suite (cmd/bench,
 # internal/benchreg) and exits non-zero if any benchmark's ns/op regressed
 # more than 15% against the newest checked-in BENCH_<n>.json. It is kept
@@ -58,7 +65,7 @@ bench-go:
 # smoke of the same harness already runs under the race detector in
 # `make check` (TestChaosSmoke in internal/chaos).
 chaos:
-	$(GO) run ./cmd/chaos -trials 5000 -maxm 16 -maxn 500 -repro chaos-repros
+	$(GO) run ./cmd/chaos -trials 5000 -maxm 16 -maxn 5000 -repro chaos-repros
 
 # chaos-short is the 200-trial deterministic spot run (same seed as the
 # checked-in smoke test). About a third of the trials churn membership

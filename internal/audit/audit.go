@@ -18,7 +18,9 @@
 //	downtime     no execution interval overlaps a Down segment of the plan
 //	overlap      executions on one machine do not overlap
 //	lower-bound  Fmax ≥ offline.LowerBound — only when no task was dropped
-//	             (the bound assumes all work is done)
+//	             (the bound assumes all work is done); under elastic
+//	             membership only its set-free part,
+//	             offline.UnrestrictedLowerBound
 //	fifo-equiv   FIFO ≡ EFT spot-check (Proposition 1) on unrestricted
 //	             instances: both algorithms must report the same Fmax
 //	disposition  every task is admitted ∨ rejected ∨ shed ∨ dropped exactly
@@ -141,9 +143,10 @@ type Options struct {
 	Overload *OverloadInfo
 	// Membership supplies the membership log of an elastic run
 	// (sim.RunElastic with a config): the static eligibility check is
-	// replaced by the dispatch-time effective-set check (InvMembership), and
-	// the FIFO ≡ EFT spot-check is skipped (the proposition assumes a fixed
-	// machine count). Optional.
+	// replaced by the dispatch-time effective-set check (InvMembership), the
+	// lower bound keeps only its set-free terms (effective sets can lie
+	// outside the static ones), and the FIFO ≡ EFT spot-check is skipped
+	// (the proposition assumes a fixed machine count). Optional.
 	Membership *MembershipInfo
 	// Hedge supplies the per-task hedge record of a hedged run
 	// (sim.RunHedged with a config): speculative-copy eligibility, copy-win
@@ -155,8 +158,10 @@ type Options struct {
 	// and breaker-state dispatch legality are checked (InvResilience).
 	// Optional.
 	Resilience *ResilienceInfo
-	// SkipLowerBound disables the Fmax ≥ offline.LowerBound check
-	// (O(n²·|sets|) — callers auditing very large instances may opt out).
+	// SkipLowerBound disables the Fmax ≥ offline.LowerBound check, one sweep
+	// over the tasks keeping a running minimum per distinct set:
+	// O(n·c + |sets|²·m), c the number of distinct sets containing a task's
+	// set.
 	SkipLowerBound bool
 	// SkipFIFOEquiv disables the Proposition 1 spot-check (it re-runs both
 	// FIFO and EFT over the instance).
@@ -601,9 +606,16 @@ func auditInvariants(inst *core.Instance, s *core.Schedule, opts Options) *Repor
 
 	// Fmax ≥ LB holds for ANY feasible schedule that completes all work —
 	// faults only delay completions — so it is skipped only when tasks were
-	// dropped (work removed) or the schedule is structurally broken.
+	// dropped (work removed) or the schedule is structurally broken. Elastic
+	// runs may place a task outside its static set, which voids the per-set
+	// terms; p_max and the m-machine term still hold on the m slots.
 	if !opts.SkipLowerBound && !anyDropped && !anyBroken && n > 0 {
-		lb := offline.LowerBound(inst)
+		var lb core.Time
+		if ms != nil {
+			lb = offline.UnrestrictedLowerBound(inst)
+		} else {
+			lb = offline.LowerBound(inst)
+		}
 		if fmax < lb-tol(lb) {
 			add(Violation{Invariant: InvLowerBound, Task: -1, Machine: -1,
 				Detail: fmt.Sprintf("Fmax %v below offline lower bound %v", fmax, lb)})

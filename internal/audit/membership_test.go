@@ -7,6 +7,7 @@ import (
 
 	"flowsched/internal/core"
 	"flowsched/internal/elastic"
+	"flowsched/internal/offline"
 )
 
 // membershipFixture: 4 slots, slot 3 drained at t=5. One task dispatched
@@ -130,5 +131,51 @@ func TestAuditMembershipSkipsFIFOEquiv(t *testing.T) {
 	}
 	if !r.Ok() {
 		t.Fatalf("single-member serial schedule flagged: %v", r)
+	}
+}
+
+// TestAuditMembershipLowerBoundSetFree: an elastic run can place two tasks
+// of the static set {M4} on different slots — one before M4 drains, one on
+// the remapped set after — and so beat that set's per-set bound. The audit
+// must hold it only to the set-free part of the bound.
+func TestAuditMembershipLowerBoundSetFree(t *testing.T) {
+	inst := core.NewInstance(4, []core.Task{
+		{Release: 0, Proc: 1, Set: core.NewProcSet(3)},
+		{Release: 0.5, Proc: 1, Set: core.NewProcSet(3)},
+	})
+	ms := &elastic.Membership{Capacity: 4, Initial: 4, Changes: []elastic.Change{
+		{At: 0.25, Machine: 3, Join: false, Members: 3},
+	}}
+	s := core.NewSchedule(inst)
+	s.Assign(0, 3, 0)   // before the drain: on its static set
+	s.Assign(1, 0, 0.5) // after: {M4} walks to M1
+	if lb := offline.LowerBound(inst); s.MaxFlow() >= lb {
+		t.Fatalf("fixture too weak: Fmax %v does not beat the per-set bound %v", s.MaxFlow(), lb)
+	}
+	r := Audit(inst, s, Options{
+		SkipFIFOEquiv: true,
+		Membership:    &MembershipInfo{Membership: ms, Dispatched: []core.Time{0, 0.5}},
+	})
+	if !r.Ok() {
+		t.Fatalf("legal elastic schedule flagged: %v", r)
+	}
+	// The set-free part still binds: five unit tasks started together on
+	// four slots beat the m-machine term 5/4.
+	tasks := make([]core.Task, 5)
+	for i := range tasks {
+		tasks[i] = core.Task{Release: 0, Proc: 1}
+	}
+	crowded := core.NewInstance(4, tasks)
+	cs := core.NewSchedule(crowded)
+	for i := range tasks {
+		cs.Assign(i, i%4, 0)
+	}
+	r = Audit(crowded, cs, Options{
+		SkipFIFOEquiv: true,
+		Membership: &MembershipInfo{Membership: &elastic.Membership{Capacity: 4, Initial: 4},
+			Dispatched: make([]core.Time, 5)},
+	})
+	if !violated(r, InvLowerBound) {
+		t.Fatalf("Fmax 1 below the m-machine bound 5/4 not flagged under membership: %v", r)
 	}
 }

@@ -498,10 +498,11 @@ func benchOutlierEject(b *testing.B) {
 
 // benchAuditSchedule pins the invariant auditor's overhead on a
 // paper-shaped 1000-task schedule (restricted sets, so the FIFO-equivalence
-// spot-check is skipped by shape). The certified lower-bound scan is
-// O(n²·sets) and dominates; n is kept at 1000 — chaos trials audit at most
-// a few hundred tasks — so the suite stays fast while regressions in the
-// per-task invariant checks still register.
+// spot-check is skipped by shape). The certified lower bound is one sweep
+// keeping a running minimum per distinct set, O(n·c + |sets|²·m) with c = 2
+// for these k-rings, so it no longer dominates the per-task invariant
+// checks; a slide back to the O(n²·sets) window scan would multiply this
+// entry's ns/op several hundredfold.
 func benchAuditSchedule(b *testing.B) {
 	inst := restrictedInstance(15, 3, 1000)
 	s, _, err := sim.Run(inst, sim.EFTRouter{})

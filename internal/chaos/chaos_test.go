@@ -484,3 +484,38 @@ func TestRunAttachesFlightEvents(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckedInReprosReplayClean replays the shrunk soak failures kept
+// under testdata/ — two lower-bound failures of elastic runs and two hedge
+// copies counted in more than one resolution — and requires each to audit
+// clean now. Each file still records the violations it used to produce.
+func TestCheckedInReprosReplayClean(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "repro-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no checked-in repros under testdata/")
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadRepro(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(r.Violations) == 0 {
+			t.Errorf("%s records no violation: not a repro", path)
+		}
+		vs, err := r.Replay(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(vs) > 0 {
+			t.Errorf("%s still fails with %d violation(s); first: %s", path, len(vs), vs[0])
+		}
+	}
+}

@@ -2,8 +2,8 @@
 // offline problem P|r_i,M_i|Fmax, used to measure empirical competitive
 // ratios:
 //
-//   - LowerBound: a polynomial certified lower bound on the optimal Fmax
-//     (interval work arguments plus p_max);
+//   - LowerBound: a certified lower bound on the optimal Fmax (interval
+//     work arguments plus p_max), computed in one sweep over the tasks;
 //   - BruteForce: the exact optimum for small instances by exhaustive
 //     assignment search (each machine runs its tasks in FIFO order, which
 //     is optimal per machine);
@@ -14,6 +14,7 @@
 package offline
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -31,47 +32,122 @@ import (
 //	                                                    (per-set bound),
 //
 // where [a,b] ranges over pairs of release times and S over the distinct
-// processing sets of the instance.
+// processing sets of the instance; the interval bound is the per-set bound
+// of the full machine set. With P_S(t) the work of the tasks restricted to S
+// released up to t, the best window of S ending at b is worth
+//
+//	(P_S(b) − |S|·b − min_{a ≤ b} [P_S(a⁻) − |S|·a]) / |S|,
+//
+// so one sweep over the tasks in release order, keeping P_S and that running
+// minimum per set, replaces the scan over all windows. Only release groups
+// holding a task restricted to S can open or close S's best window, so each
+// task updates just the sets containing its own. The cost is O(n·c +
+// |sets|²·m) time, c the number of distinct sets containing a task's set (2
+// for the paper's k-rings), with O(|sets|) allocations.
 func LowerBound(inst *core.Instance) core.Time {
-	lb := inst.MaxProc()
-	n := inst.N()
-	if n == 0 {
+	if inst.N() == 0 {
 		return 0
 	}
-	sets := inst.Sets()
-	full := core.Interval(0, inst.M-1)
-	// For each window start a (a release time), scan windows [a, b].
-	for ai := 0; ai < n; ai++ {
-		a := inst.Tasks[ai].Release
-		if ai > 0 && a == inst.Tasks[ai-1].Release {
-			continue
+	idx, sets := indexSets(inst)
+	return sweep(inst, idx, sets)
+}
+
+// UnrestrictedLowerBound is LowerBound without the per-set terms: p_max and
+// the m-machine interval bound. It holds for every schedule on at most m
+// machines, whichever machine each task ran on, so it still bounds runs that
+// route tasks outside their static processing sets (elastic membership).
+func UnrestrictedLowerBound(inst *core.Instance) core.Time {
+	return sweep(inst, nil, []distinctSet{{size: core.Time(inst.M), min: math.Inf(1), group: -1, supersets: []int32{0}}})
+}
+
+// distinctSet is one distinct processing set S in the LowerBound sweep.
+type distinctSet struct {
+	size      core.Time // |S|
+	work      core.Time // P_S: work of the tasks restricted to S released so far
+	min       core.Time // min of P_S(a⁻) − |S|·a over S's release-group starts a
+	group     int       // first task of the last release group that touched S
+	supersets []int32   // the distinct sets containing S, the full set first
+}
+
+// indexSets maps every task to the index of its distinct processing set —
+// 0 is the full machine set, shared by nil and explicit full sets — and
+// builds the sets with their superset lists. Set 0 heads every list: the
+// m-machine interval bound counts every task.
+func indexSets(inst *core.Instance) ([]int32, []distinctSet) {
+	procSets := []core.ProcSet{core.Interval(0, inst.M-1)}
+	ids := make(map[string]int32)
+	var key []byte
+	encode := func(s core.ProcSet) []byte {
+		key = key[:0]
+		for _, j := range s {
+			key = binary.AppendUvarint(key, uint64(j))
 		}
-		work := core.Time(0)
-		workSet := make([]core.Time, len(sets))
-		for bi := ai; bi < n; bi++ {
-			task := inst.Tasks[bi]
-			work += task.Proc
-			ts := task.Set.Resolve(inst.M)
-			for si, s := range sets {
-				if ts.SubsetOf(s) {
-					workSet[si] += task.Proc
+		return key
+	}
+	ids[string(encode(procSets[0]))] = 0
+	idx := make([]int32, inst.N())
+	for i, t := range inst.Tasks {
+		if t.Set == nil {
+			continue // the full set, index 0
+		}
+		k := encode(t.Set)
+		id, ok := ids[string(k)]
+		if !ok {
+			id = int32(len(procSets))
+			ids[string(k)] = id
+			procSets = append(procSets, t.Set)
+		}
+		idx[i] = id
+	}
+
+	sets := make([]distinctSet, len(procSets))
+	for ti, t := range procSets {
+		supersets := []int32{0}
+		for si := 1; si < len(procSets); si++ {
+			if si == ti || t.SubsetOf(procSets[si]) {
+				supersets = append(supersets, int32(si))
+			}
+		}
+		sets[ti] = distinctSet{size: core.Time(len(t)), min: math.Inf(1), group: -1, supersets: supersets}
+	}
+	return idx, sets
+}
+
+// sweep evaluates the bounds in one pass over the tasks in release order;
+// idx[i] is task i's index into sets (nil puts every task in set 0).
+func sweep(inst *core.Instance, idx []int32, sets []distinctSet) core.Time {
+	var lb core.Time
+	touched := make([]int32, 0, len(sets))
+	tasks := inst.Tasks
+	for i := 0; i < len(tasks); {
+		g, r := i, tasks[i].Release
+		touched = touched[:0]
+		for ; i < len(tasks) && tasks[i].Release == r; i++ {
+			p := tasks[i].Proc
+			if p > lb {
+				lb = p
+			}
+			var t int32
+			if idx != nil {
+				t = idx[i]
+			}
+			for _, s := range sets[t].supersets {
+				d := &sets[s]
+				if d.group != g {
+					// r starts a window of S: P_S(r⁻) is the work before this group.
+					d.group = g
+					if v := d.work - d.size*r; v < d.min {
+						d.min = v
+					}
+					touched = append(touched, s)
 				}
+				d.work += p
 			}
-			b := task.Release
-			// Only evaluate at the end of a release group.
-			if bi+1 < n && inst.Tasks[bi+1].Release == b {
-				continue
-			}
-			if f := work/core.Time(inst.M) - (b - a); f > lb {
+		}
+		for _, s := range touched {
+			d := &sets[s]
+			if f := (d.work - d.size*r - d.min) / d.size; f > lb {
 				lb = f
-			}
-			for si, s := range sets {
-				if s.Equal(full) {
-					continue // already covered by the m-machine bound
-				}
-				if f := workSet[si]/core.Time(s.Len()) - (b - a); f > lb {
-					lb = f
-				}
 			}
 		}
 	}

@@ -1,11 +1,13 @@
 package offline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"flowsched/internal/adversary"
 	"flowsched/internal/core"
 	"flowsched/internal/sched"
 )
@@ -418,5 +420,215 @@ func TestBruteForceLargerUnrestricted(t *testing.T) {
 	}
 	if eft.MaxFlow() < s.MaxFlow()-1e-9 {
 		t.Fatalf("EFT %v below claimed optimum %v", eft.MaxFlow(), s.MaxFlow())
+	}
+}
+
+// quadraticLowerBound is the window scan LowerBound's sweep replaced: for
+// every release-group start a and every release-group end b ≥ a, the
+// m-machine term and the term of every distinct set, with each task's set
+// resolved afresh. O(n²·|sets|); kept as the oracle the sweep is checked
+// against.
+func quadraticLowerBound(inst *core.Instance) core.Time {
+	lb := inst.MaxProc()
+	n := inst.N()
+	if n == 0 {
+		return 0
+	}
+	sets := inst.Sets()
+	full := core.Interval(0, inst.M-1)
+	for ai := 0; ai < n; ai++ {
+		a := inst.Tasks[ai].Release
+		if ai > 0 && a == inst.Tasks[ai-1].Release {
+			continue
+		}
+		work := core.Time(0)
+		workSet := make([]core.Time, len(sets))
+		for bi := ai; bi < n; bi++ {
+			task := inst.Tasks[bi]
+			work += task.Proc
+			ts := task.Set.Resolve(inst.M)
+			for si, s := range sets {
+				if ts.SubsetOf(s) {
+					workSet[si] += task.Proc
+				}
+			}
+			b := task.Release
+			if bi+1 < n && inst.Tasks[bi+1].Release == b {
+				continue
+			}
+			if f := work/core.Time(inst.M) - (b - a); f > lb {
+				lb = f
+			}
+			for si, s := range sets {
+				if s.Equal(full) {
+					continue
+				}
+				if f := workSet[si]/core.Time(s.Len()) - (b - a); f > lb {
+					lb = f
+				}
+			}
+		}
+	}
+	return lb
+}
+
+// checkAgainstOracle fails unless LowerBound matches the quadratic oracle
+// within 1e-12 relative.
+func checkAgainstOracle(t *testing.T, name string, inst *core.Instance) {
+	t.Helper()
+	got, want := LowerBound(inst), quadraticLowerBound(inst)
+	if math.Abs(got-want) > 1e-12*math.Abs(want) {
+		t.Fatalf("%s (m=%d, n=%d): LowerBound = %.17g, quadratic oracle = %.17g", name, inst.M, inst.N(), got, want)
+	}
+}
+
+// randomLBInstance draws an instance mixing the set families the bound must
+// handle — nil, explicit full, k-rings, nested prefixes and random subsets,
+// a random non-empty selection of them per instance — with integer releases
+// (ties common) or real ones, unit or real processing times, and a load
+// around saturation so windows longer than one task carry the bound.
+func randomLBInstance(rng *rand.Rand, m, n int) *core.Instance {
+	families := 1 + rng.Intn(31)
+	intReleases := rng.Intn(2) == 0
+	unit := rng.Intn(2) == 0
+	k := 1 + rng.Intn(m)
+	load := 0.5 + rng.Float64()
+	tasks := make([]core.Task, n)
+	r := 0.0
+	for i := range tasks {
+		p := 1.0
+		if !unit {
+			p = 0.1 + rng.ExpFloat64()
+		}
+		if intReleases {
+			if rng.Float64() < 1/(float64(m)*load) {
+				r += float64(1 + rng.Intn(2))
+			}
+		} else {
+			r += rng.ExpFloat64() / (float64(m) * load)
+		}
+		family := rng.Intn(5)
+		for families&(1<<family) == 0 {
+			family = rng.Intn(5)
+		}
+		var set core.ProcSet
+		switch family {
+		case 1:
+			set = core.Interval(0, m-1)
+		case 2:
+			set = core.MustRingInterval(rng.Intn(m), k, m)
+		case 3:
+			set = core.Interval(0, rng.Intn(m))
+		case 4:
+			var js []int
+			for j := 0; j < m; j++ {
+				if rng.Intn(2) == 0 {
+					js = append(js, j)
+				}
+			}
+			if len(js) == 0 {
+				js = append(js, rng.Intn(m))
+			}
+			set = core.NewProcSet(js...)
+		}
+		tasks[i] = core.Task{Release: r, Proc: p, Set: set}
+	}
+	return core.NewInstance(m, tasks)
+}
+
+// TestLowerBoundMatchesQuadraticOracle pins the one-pass sweep to the window
+// scan it replaced, on random mixed-family instances for m = 1..16, and
+// UnrestrictedLowerBound to the scan over the same tasks with every set
+// dropped.
+func TestLowerBoundMatchesQuadraticOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 400; trial++ {
+		m := 1 + rng.Intn(16)
+		n := rng.Intn(200)
+		inst := randomLBInstance(rng, m, n)
+		checkAgainstOracle(t, fmt.Sprintf("random trial %d", trial), inst)
+
+		free := inst.Clone()
+		for i := range free.Tasks {
+			free.Tasks[i].Set = nil
+		}
+		got, want := UnrestrictedLowerBound(inst), quadraticLowerBound(free)
+		if math.Abs(got-want) > 1e-12*math.Abs(want) {
+			t.Fatalf("random trial %d: UnrestrictedLowerBound = %.17g, oracle without sets = %.17g", trial, got, want)
+		}
+	}
+}
+
+// TestLowerBoundOracleEdgeCases covers the degenerate shapes: no tasks, one
+// machine, and a single release group (every window is [r, r]).
+func TestLowerBoundOracleEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	group := func(m, n int, withSets bool) *core.Instance {
+		tasks := make([]core.Task, n)
+		for i := range tasks {
+			tasks[i] = core.Task{Release: 3, Proc: 0.5 + rng.Float64()}
+			if withSets {
+				tasks[i].Set = core.MustRingInterval(rng.Intn(m), 2, m)
+			}
+		}
+		return core.NewInstance(m, tasks)
+	}
+	cases := map[string]*core.Instance{
+		"empty":                      core.NewInstance(4, nil),
+		"one machine":                randomLBInstance(rng, 1, 120),
+		"one machine, one task":      core.NewInstance(1, []core.Task{{Release: 2.5, Proc: 1.5}}),
+		"single release group":       group(6, 40, false),
+		"single restricted group":    group(6, 40, true),
+		"single task, explicit full": core.NewInstance(3, []core.Task{{Release: 1, Proc: 2, Set: core.Interval(0, 2)}}),
+	}
+	for name, inst := range cases {
+		checkAgainstOracle(t, name, inst)
+	}
+	if lb := LowerBound(core.NewInstance(4, nil)); lb != 0 {
+		t.Fatalf("empty instance: LowerBound = %v, want 0", lb)
+	}
+}
+
+// TestLowerBoundMatchesOracleOnAdversaries runs the oracle check on the
+// instances the paper's lower-bound adversaries build against EFT-Min.
+func TestLowerBoundMatchesOracleOnAdversaries(t *testing.T) {
+	eft := func() sched.Online { return sched.NewEFT(sched.MinTie{}) }
+	var results []*adversary.Result
+	add := func(r *adversary.Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
+	}
+	add(adversary.EFTStream(sched.MinTie{}, 8, 3, 40))
+	add(adversary.EFTStream(sched.MaxTie{}, 12, 4, 30))
+	add(adversary.EFTStreamPadded(sched.MinTie{}, 8, 3, 20))
+	add(adversary.Nested(eft(), 8))
+	add(adversary.Inclusive(eft(), 8, 4))
+	add(adversary.FixedSizeK(eft(), 9, 3, 3))
+	add(adversary.IntervalAnyOnline(eft(), 3))
+	for _, r := range results {
+		checkAgainstOracle(t, r.Name, r.Inst)
+	}
+}
+
+// TestLowerBoundAllocsIndependentOfN pins the sweep's allocations to the set
+// family: ten times the tasks over the same distinct sets must allocate
+// exactly as often.
+func TestLowerBoundAllocsIndependentOfN(t *testing.T) {
+	ringInstance := func(n int) *core.Instance {
+		const m, k = 15, 3
+		tasks := make([]core.Task, n)
+		for i := range tasks {
+			tasks[i] = core.Task{Release: float64(i / 12), Proc: 1, Set: core.MustRingInterval(i%m, k, m)}
+		}
+		return core.NewInstance(m, tasks)
+	}
+	small, large := ringInstance(1000), ringInstance(10000)
+	a3 := testing.AllocsPerRun(10, func() { LowerBound(small) })
+	a4 := testing.AllocsPerRun(10, func() { LowerBound(large) })
+	if a3 != a4 {
+		t.Fatalf("LowerBound allocates %v times at n=10³ but %v at n=10⁴ over the same sets", a3, a4)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sort"
 
 	"flowsched/internal/core"
 	"flowsched/internal/eventq"
@@ -29,7 +30,11 @@ func (f *FIFO) Name() string {
 	return "FIFO-" + f.Tie.Name()
 }
 
-// Run implements Algorithm.
+// Run implements Algorithm. The dispatcher wakes at releases, walked with a
+// cursor over the release-ordered tasks, and at machine completions, kept in
+// a heap holding one pending completion per busy machine (at most m). Each
+// task costs O(log m) heap work plus a shift of the sorted idle-machine
+// slice the tie-break picks from.
 func (f *FIFO) Run(inst *core.Instance) (*core.Schedule, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", f.Name(), err)
@@ -44,57 +49,49 @@ func (f *FIFO) Run(inst *core.Instance) (*core.Schedule, error) {
 		tie = MinTie{}
 	}
 
+	n := inst.N()
 	s := core.NewSchedule(inst)
-	completion := make([]core.Time, inst.M)
-	scratch := make([]int, 0, inst.M) // reused idle-set buffer: the dispatch loop allocates nothing
-
-	// Event times at which the dispatcher wakes up: task releases and
-	// machine completions. At each wake-up it pulls queue heads while some
-	// machine is idle. Reserving 2n up front (n releases + at most n
-	// completions) keeps the inner loop allocation-free.
-	var events eventq.Queue[struct{}]
-	events.Reserve(2 * inst.N())
-	for _, t := range inst.Tasks {
-		events.Push(t.Release, struct{}{})
+	idle := make([]int, inst.M) // sorted machines with no work left: all, at time 0
+	for j := range idle {
+		idle[j] = j
 	}
+	var busy eventq.Queue[int] // completion instant → machine
+	busy.Reserve(inst.M)
 
-	next := 0 // index of the queue head among released tasks
-	released := func(t core.Time) bool {
-		return next < inst.N() && inst.Tasks[next].Release <= t
-	}
-
-	for events.Len() > 0 {
-		now, _ := events.Pop()
-		// Pull as many tasks as idle machines allow at this instant. The
-		// selected machine "runs first", i.e. pulls are sequential.
-		for released(now) {
-			idle := idleMachinesInto(scratch, completion, now)
-			if len(idle) == 0 {
+	next := 0 // queue head: the first task not yet pulled
+	for next < n {
+		// Wake at the head's release, or at the earliest completion when no
+		// machine is idle by then (the head may have waited since earlier).
+		now := inst.Tasks[next].Release
+		if len(idle) == 0 {
+			if c, _ := busy.Peek(); c > now {
+				now = c
+			}
+		}
+		for busy.Len() > 0 {
+			c, j := busy.Peek()
+			if c > now {
 				break
 			}
+			busy.Pop()
+			k := sort.SearchInts(idle, j)
+			idle = append(idle, 0)
+			copy(idle[k+1:], idle[k:])
+			idle[k] = j
+		}
+		// Pull as many tasks as idle machines allow at this instant. The
+		// selected machine "runs first", i.e. pulls are sequential.
+		for next < n && inst.Tasks[next].Release <= now && len(idle) > 0 {
 			j := tie.Pick(idle)
 			task := inst.Tasks[next]
 			s.Assign(task.ID, j, now)
-			completion[j] = now + task.Proc
-			events.Push(completion[j], struct{}{})
+			if end := now + task.Proc; end > now {
+				k := sort.SearchInts(idle, j)
+				idle = append(idle[:k], idle[k+1:]...)
+				busy.Push(end, j)
+			}
 			next++
 		}
 	}
-	if next != inst.N() {
-		return nil, fmt.Errorf("%s: internal error, %d tasks left unscheduled", f.Name(), inst.N()-next)
-	}
 	return s, nil
-}
-
-// idleMachinesInto appends the sorted indices of machines with no remaining
-// work at time t into dst[:0] and returns the result. dst must have capacity
-// for every machine so the append never reallocates.
-func idleMachinesInto(dst []int, completion []core.Time, t core.Time) []int {
-	idle := dst[:0]
-	for j, c := range completion {
-		if c <= t {
-			idle = append(idle, j)
-		}
-	}
-	return idle
 }

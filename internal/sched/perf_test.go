@@ -9,9 +9,10 @@ import (
 	"flowsched/internal/eventq"
 )
 
-// seedFIFORun is the pre-optimization FIFO dispatch loop: a fresh idle
-// slice per pull and an unreserved event queue. It is the oracle for the
-// equivalence tests — the optimized Run must schedule byte-identically.
+// seedFIFORun is the original FIFO event loop: every release and every
+// completion pushed into one event heap of up to 2n entries, and a fresh
+// scan of all machines for the idle set at each pull. It is the oracle for
+// the equivalence tests — the optimized Run must schedule byte-identically.
 func seedFIFORun(tie TieBreak, inst *core.Instance) (*core.Schedule, error) {
 	s := core.NewSchedule(inst)
 	completion := make([]core.Time, inst.M)
@@ -59,12 +60,33 @@ func fifoInstance(m, n int, rng *rand.Rand) *core.Instance {
 	return core.NewInstance(m, tasks)
 }
 
-// TestFIFOEquivalenceWithSeed pins the scratch-buffer FIFO loop to the
-// seed implementation across tie-break policies.
+// fifoTiedInstance draws integer releases with many simultaneous arrivals
+// and integral processing times, so completions coincide with releases and
+// with each other; some tasks carry the explicit full set.
+func fifoTiedInstance(m, n int, rng *rand.Rand) *core.Instance {
+	tasks := make([]core.Task, n)
+	for i := range tasks {
+		tasks[i] = core.Task{Release: float64(rng.Intn(n / m)), Proc: float64(1 + rng.Intn(3))}
+		if rng.Intn(4) == 0 {
+			tasks[i].Set = core.Interval(0, m-1)
+		}
+	}
+	return core.NewInstance(m, tasks)
+}
+
+// TestFIFOEquivalenceWithSeed pins the release-cursor FIFO loop to the
+// original event loop across tie-break policies, on real and integer
+// releases.
 func TestFIFOEquivalenceWithSeed(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
+	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		inst := fifoInstance(1+rng.Intn(8), 300, rng)
+		m := 1 + rng.Intn(8)
+		var inst *core.Instance
+		if seed%2 == 0 {
+			inst = fifoInstance(m, 300, rng)
+		} else {
+			inst = fifoTiedInstance(m, 300, rng)
+		}
 		for _, tie := range []TieBreak{MinTie{}, MaxTie{}} {
 			got, err := (&FIFO{Tie: tie}).Run(inst)
 			if err != nil {

@@ -371,6 +371,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			done:       resliceZero(a.hd.done, n),
 			hedged:     resliceZero(a.hd.hedged, n),
 			copyLive:   resliceZero(a.hd.copyLive, n),
+			resolved:   resliceZero(a.hd.resolved, n),
 			priIn:      resliceZero(a.hd.priIn, n),
 			priDropped: resliceZero(a.hd.priDropped, n),
 			priRevoked: resliceZero(a.hd.priRevoked, n),
@@ -530,7 +531,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					}
 					hd.copyLive[rid] = false
 					hd.wonByCopy[rid] = true
-					metrics.HedgeWinsCopy++
+					if hd.resolveCopy(rid) {
+						metrics.HedgeWinsCopy++
+					}
 					metrics.Flows[rid] = when - t.Release
 					metrics.Stretches[rid] = stretchOf(when-t.Release, t.Proc)
 					sched.Assign(rid, c.server, curStart[c.task])
@@ -980,7 +983,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		// killCopy cancels task rid's live copy at instant now (first-win, or
 		// an exclusion decision on the primary). A started copy without
 		// cancel-mid-service cannot be removed and runs to completion as
-		// duplicate work; either way the attempt resolves as cancelled.
+		// duplicate work, still live; either way the attempt resolves as
+		// cancelled, once.
 		killCopy = func(rid int, now core.Time) {
 			cs := hd.copySrv[rid]
 			cid := n + rid
@@ -988,9 +992,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			if a.cancelAttempt(inst, slow, cid, cs, now, hd.cfg.CancelRunning) {
 				hd.copyLive[rid] = false
 			}
-			metrics.HedgesCancelled++
-			if hd.ho != nil {
-				hd.ho.OnHedgeCancel(rid, cs, now, started)
+			if hd.resolveCopy(rid) {
+				metrics.HedgesCancelled++
+				if hd.ho != nil {
+					hd.ho.OnHedgeCancel(rid, cs, now, started)
+				}
 			}
 		}
 		// hedgeIssue dispatches a speculative copy of task id to the best
@@ -1131,9 +1137,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				started := curStart[cid] < when
 				if a.cancelAttempt(inst, slow, cid, cs, when, hd.cfg.CancelRunning) {
 					hd.copyLive[id] = false
-					metrics.HedgesRevoked++
-					if hd.ho != nil {
-						hd.ho.OnHedgeCancel(id, cs, when, started)
+					if hd.resolveCopy(id) {
+						metrics.HedgesRevoked++
+						if hd.ho != nil {
+							hd.ho.OnHedgeCancel(id, cs, when, started)
+						}
 					}
 				}
 				return
@@ -1206,9 +1214,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					metrics.DuplicateWork += executed
 					hd.copyLive[rid] = false
 					if !hd.done[rid] {
-						metrics.HedgesCancelled++
-						if hd.ho != nil {
-							hd.ho.OnHedgeCancel(rid, j, now, curStart[id] < now)
+						if hd.resolveCopy(rid) {
+							metrics.HedgesCancelled++
+							if hd.ho != nil {
+								hd.ho.OnHedgeCancel(rid, j, now, curStart[id] < now)
+							}
 						}
 						copyGone(rid, now)
 					}
@@ -1413,9 +1423,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 						hd.copyLive[rid] = false
 						metrics.CancelledWork += busyAdd[id]
 						if !hd.done[rid] {
-							metrics.HedgesCancelled++
-							if hd.ho != nil {
-								hd.ho.OnHedgeCancel(rid, victim, now, false)
+							if hd.resolveCopy(rid) {
+								metrics.HedgesCancelled++
+								if hd.ho != nil {
+									hd.ho.OnHedgeCancel(rid, victim, now, false)
+								}
 							}
 							copyGone(rid, now)
 						}
@@ -1514,9 +1526,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				hd.copyLive[rid] = false
 				metrics.CancelledWork += busyAdd[c.ID]
 				if !hd.done[rid] {
-					metrics.HedgesCancelled++
-					if hd.ho != nil {
-						hd.ho.OnHedgeCancel(rid, j, now, false)
+					if hd.resolveCopy(rid) {
+						metrics.HedgesCancelled++
+						if hd.ho != nil {
+							hd.ho.OnHedgeCancel(rid, j, now, false)
+						}
 					}
 					copyGone(rid, now)
 				}

@@ -30,6 +30,7 @@ type hdRun struct {
 	done       []bool // effective completion recorded (first win)
 	hedged     []bool // a copy was issued (at most one hedge per task)
 	copyLive   []bool // the copy occupies a server queue right now
+	resolved   []bool // the copy's outcome (win, cancel or revoke) is counted
 	priIn      []bool // the primary attempt occupies a server queue right now
 	priDropped []bool // primary hit a drop decision while the copy was live (deferred)
 	priRevoked []bool // tied mode revoked the primary; the copy is the sole attempt
@@ -38,6 +39,19 @@ type hdRun struct {
 	copyAt     core.Times
 	effBuf     core.ProcSet // alternate-server candidate scratch
 	kills      []int        // copies to cancel after a trim's queue surgery
+}
+
+// resolveCopy marks task rid's copy resolved and reports whether it was
+// not already: each issued copy counts once, in exactly one of
+// HedgeWinsCopy, HedgesCancelled and HedgesRevoked, even though a started
+// copy that cannot be cancelled stays queued, where a later crash, drain
+// or trim reaches it again.
+func (hd *hdRun) resolveCopy(rid int) bool {
+	if hd.resolved[rid] {
+		return false
+	}
+	hd.resolved[rid] = true
+	return true
 }
 
 // RunHedged is RunElastic with hedged execution attached: when a dispatched
