@@ -2,18 +2,28 @@
 
 GO ?= go
 
-.PHONY: all build check lint-determinism test race perfbench-test bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
+.PHONY: all build check lint-gofmt lint-determinism test race perfbench-test bench bench-update bench-go chaos chaos-short experiments quick profile fuzz cover clean
 
 all: build check
 
 build:
 	$(GO) build ./...
 
-# check is the default verify path: static analysis, the determinism lint,
-# and the full test suite under the race detector.
-check: lint-determinism
+# check is the default verify path: formatting, static analysis, the
+# determinism lint, and the full test suite under the race detector.
+check: lint-gofmt lint-determinism
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# lint-gofmt fails when any Go file outside the benchmark's build directory
+# is not gofmt-formatted, listing the offenders (fix with gofmt -w).
+lint-gofmt:
+	@bad=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -name '*.go' -print)); \
+	if [ -n "$$bad" ]; then \
+		echo "gofmt: files need formatting:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "gofmt: ok"
 
 # lint-determinism guards the replayable core: non-test files in
 # internal/sim, internal/obs, internal/overload and internal/elastic must

@@ -328,9 +328,9 @@ func benchSimRunHedgedOff(b *testing.B) {
 // the copy-id bookkeeping, cancellation and duplicate-work accounting all
 // on the hot path. The queue-bound admission mirrors the headline hedge
 // experiment and keeps the cancellation re-time cost bounded: cancelling a
-// queue entry re-times the suffix behind it (DESIGN.md §13), so hedging
-// against unbounded queues scales with their length, not with this
-// machinery.
+// queue entry walks the suffix behind it to re-time it, pushing nothing
+// onto any heap (DESIGN.md §13), so hedging against unbounded queues scales
+// with their length, not with this machinery.
 func benchSimRunHedgedGray(b *testing.B) {
 	inst := restrictedInstance(15, 3, 5000)
 	plan := faults.Empty(15)

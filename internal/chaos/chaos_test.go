@@ -177,6 +177,66 @@ func TestSetIgnoringRouterCaughtAndShrunk(t *testing.T) {
 	}
 }
 
+// TestShrinkKeepsOriginalInvariant: a guarded trial whose SLO guard is an
+// estimator built for the trial's 4 machines fails with overlaps under the
+// corrupting router. Halving the cluster would make the run fail validation
+// instead (a sim-error: the estimator no longer fits the cluster) — a
+// different failure the shrinker must not follow, or the repro replays that
+// instead of the overlap.
+func TestShrinkKeepsOriginalInvariant(t *testing.T) {
+	cfg := Config{Routers: brokenRouters()}
+	p := Params{
+		Trial: 2, Seed: 99,
+		M: 4, N: 60, K: 2,
+		Load: 2, Dist: "constant", Strategy: "overlapping",
+		Router: "corrupting", FaultMode: "none",
+		Overload: &OverloadParams{Mode: "slo"},
+	}
+	inst, plan, err := p.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := p.routerSpec(cfg.Routers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := Check(inst, plan, spec, p)
+	if len(vs) == 0 || vs[0].Invariant != "overlap" {
+		t.Fatalf("want the trial to fail with overlap first, got %v", vs)
+	}
+	var fit []core.Task
+	for _, task := range inst.Tasks {
+		if task.Set == nil || task.Set.Max() < 2 {
+			fit = append(fit, task)
+		}
+	}
+	halved := core.NewInstance(2, fit)
+	if hv := Check(halved, clipPlan(plan, 2), spec, p); len(hv) == 0 || hv[0].Invariant != InvSimError {
+		t.Fatalf("halving the cluster should fail differently (sim-error), got %v", hv)
+	}
+	repro, err := ShrinkFailure(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := repro.Violations[0].Invariant; got != "overlap" {
+		t.Fatalf("shrunk repro fails with %s (%s), want the original overlap", got, repro.Violations[0])
+	}
+	ri, err := repro.Inst()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri.M != 4 || ri.N() == 0 {
+		t.Fatalf("shrunk repro has m=%d n=%d; the overlap needs the estimator's 4 machines and some tasks", ri.M, ri.N())
+	}
+	vs2, err := repro.Replay(cfg.Routers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs2) == 0 || vs2[0].Invariant != "overlap" {
+		t.Fatalf("repro replays %v, want overlap first", vs2)
+	}
+}
+
 // TestSampleParamsElasticCoverage: a healthy fraction of trials sample
 // membership churn, and every sampled elastic config is valid for its own
 // cluster and for any halved cluster the shrinker may hand it.
@@ -486,9 +546,11 @@ func TestRunAttachesFlightEvents(t *testing.T) {
 }
 
 // TestCheckedInReprosReplayClean replays the shrunk soak failures kept
-// under testdata/ — two lower-bound failures of elastic runs and two hedge
-// copies counted in more than one resolution — and requires each to audit
-// clean now. Each file still records the violations it used to produce.
+// under testdata/ — two lower-bound failures of elastic runs, two hedge
+// copies counted in more than one resolution, and a trim that shed a hedged
+// primary and its copy together and reclaimed the copy's busy time twice
+// (trial 2180) — and requires each to audit clean now. Each file still
+// records the violations it used to produce.
 func TestCheckedInReprosReplayClean(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "repro-*.json"))
 	if err != nil {

@@ -156,17 +156,10 @@ func clipPlan(plan *faults.Plan, m2 int) *faults.Plan {
 // shrinkScript drops scale events from the params' membership script,
 // chunked like shrinkTasks, keeping every removal that preserves the
 // failure. It returns the (possibly) reduced params and whether anything was
-// dropped; the candidate simulations count against the shared budget.
-func shrinkScript(p Params, inst *core.Instance, plan *faults.Plan, spec RouterSpec, budget *int) (Params, bool) {
+// dropped.
+func shrinkScript(p Params, failing func(Params) bool) (Params, bool) {
 	if p.Elastic == nil || len(p.Elastic.Script) == 0 {
 		return p, false
-	}
-	failing := func(cand Params) bool {
-		if *budget <= 0 {
-			return false
-		}
-		*budget--
-		return len(Check(inst, plan, spec, cand)) > 0
 	}
 	events := p.Elastic.Script
 	shrunk := false
@@ -202,18 +195,10 @@ func shrinkScript(p Params, inst *core.Instance, plan *faults.Plan, spec RouterS
 // drop hedging entirely (proving the failure is not hedge-related), then
 // peel individual knobs — the MaxHedges cap, cancel-mid-service, the
 // quantile trigger (replaced by a plain delay), tied mode — keeping every
-// simplification under which the trial still fails. The candidate
-// simulations count against the shared budget.
-func shrinkHedge(p Params, inst *core.Instance, plan *faults.Plan, spec RouterSpec, budget *int) (Params, bool) {
+// simplification under which the trial still fails.
+func shrinkHedge(p Params, failing func(Params) bool) (Params, bool) {
 	if p.Hedge == nil {
 		return p, false
-	}
-	failing := func(cand Params) bool {
-		if *budget <= 0 {
-			return false
-		}
-		*budget--
-		return len(Check(inst, plan, spec, cand)) > 0
 	}
 	shrunk := false
 	try := func(mutate func(*HedgeParams) bool) {
@@ -273,18 +258,10 @@ func shrinkHedge(p Params, inst *core.Instance, plan *faults.Plan, spec RouterSp
 // ddmin-style pass: drop the protections entirely (proving the failure is
 // not resilience-related), then peel individual mechanisms — the circuit
 // breakers, the slow-completion classifier, the retry budget, the jitter —
-// keeping every simplification under which the trial still fails. The
-// candidate simulations count against the shared budget.
-func shrinkResilience(p Params, inst *core.Instance, plan *faults.Plan, spec RouterSpec, budget *int) (Params, bool) {
+// keeping every simplification under which the trial still fails.
+func shrinkResilience(p Params, failing func(Params) bool) (Params, bool) {
 	if p.Resilience == nil {
 		return p, false
-	}
-	failing := func(cand Params) bool {
-		if *budget <= 0 {
-			return false
-		}
-		*budget--
-		return len(Check(inst, plan, spec, cand)) > 0
 	}
 	shrunk := false
 	try := func(mutate func(*ResilienceParams) bool) {
@@ -340,9 +317,13 @@ func shrinkResilience(p Params, inst *core.Instance, plan *faults.Plan, spec Rou
 // ShrinkFailure rebuilds the failing trial from its params, shrinks it and
 // packages the result as a replayable repro. The shrink oracle re-runs the
 // full Check (simulate + audit + probe cross-check) under the trial's
-// router and policy, capped at cfg.ShrinkBudget candidate simulations.
-// Membership-churn trials additionally get their scale script minimized, and
-// the repro's params carry the reduced script.
+// router and policy, capped at cfg.ShrinkBudget candidate simulations, and
+// accepts a candidate only when its first violation names the same
+// invariant as the trial's: a smaller configuration that fails some other
+// way (a cluster halved below what an overload estimator was built for,
+// say) is a different bug, and following it would leave a repro that
+// replays that bug instead. Membership-churn trials additionally get their
+// scale script minimized, and the repro's params carry the reduced script.
 func ShrinkFailure(cfg Config, p Params) (*Repro, error) {
 	cfg = cfg.withDefaults()
 	inst, plan, err := p.Build()
@@ -353,29 +334,33 @@ func ShrinkFailure(cfg Config, p Params) (*Repro, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := cfg.ShrinkBudget
-	failing := func(i *core.Instance, pl *faults.Plan) bool {
+	orig := Check(inst, plan, spec, p)
+	if len(orig) == 0 {
+		return nil, fmt.Errorf("chaos: trial %d is not failing under its own params", p.Trial)
+	}
+	budget := cfg.ShrinkBudget - 1
+	reproduces := func(i *core.Instance, pl *faults.Plan, cand Params) bool {
 		if budget <= 0 {
 			return false
 		}
 		budget--
-		return len(Check(i, pl, spec, p)) > 0
+		vs := Check(i, pl, spec, cand)
+		return len(vs) > 0 && vs[0].Invariant == orig[0].Invariant
 	}
-	if !failing(inst, plan) {
-		return nil, fmt.Errorf("chaos: trial %d is not failing under its own params", p.Trial)
-	}
+	failing := func(i *core.Instance, pl *faults.Plan) bool { return reproduces(i, pl, p) }
 	mi, mp := Shrink(inst, plan, failing)
 	// Minimize the membership script, the hedge config and the resilience
 	// config too, then give the structural shrinker one more pass under the
 	// reduced params (failing closes over p, so it sees the updates).
+	paramsFail := func(cand Params) bool { return reproduces(mi, mp, cand) }
 	reduced := false
-	if p2, ok := shrinkScript(p, mi, mp, spec, &budget); ok {
+	if p2, ok := shrinkScript(p, paramsFail); ok {
 		p, reduced = p2, true
 	}
-	if p2, ok := shrinkHedge(p, mi, mp, spec, &budget); ok {
+	if p2, ok := shrinkHedge(p, paramsFail); ok {
 		p, reduced = p2, true
 	}
-	if p2, ok := shrinkResilience(p, mi, mp, spec, &budget); ok {
+	if p2, ok := shrinkResilience(p, paramsFail); ok {
 		p, reduced = p2, true
 	}
 	if reduced {

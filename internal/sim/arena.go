@@ -11,14 +11,15 @@ import (
 
 // Arena owns every per-run buffer of the unified engine (elasticsim.go): the
 // router-visible State, the schedule's assignment arrays, all metrics slices,
-// the per-task attempt/generation/re-timing state, the per-server FIFOs
-// (fifoQueues — an index-chained freelist, not [][]int), both event queues,
-// the parked-task buffers and the overload/elastic runtime scratch. A fresh
-// run allocates all of this (~2,400 allocations for a 5,000-task instance,
-// almost all of it FIFO append traffic); running through a reused Arena
-// reslices it instead, taking the steady-state cost to a handful of
-// allocations per run (pinned by TestRunFaultyAllocs and friends, gated by
-// the SimRun*Steady benchreg entries).
+// the per-attempt timing state, the per-server FIFOs (fifoQueues — an
+// index-chained freelist, not [][]int), the head index that orders their
+// completions, the engine event queue, the parked-task buffers and the
+// overload/elastic runtime scratch. A fresh run allocates all of this
+// (~2,400 allocations for a 5,000-task instance, almost all of it FIFO
+// append traffic); running through a reused Arena reslices it instead,
+// taking the steady-state cost to a handful of allocations per run (pinned
+// by TestRunFaultyAllocs and friends, gated by the SimRun*Steady benchreg
+// entries).
 //
 // Ownership contract: the *core.Schedule and *ElasticMetrics returned by an
 // Arena's Run methods point INTO the arena. They are valid until the arena's
@@ -56,16 +57,17 @@ type Arena struct {
 
 	// Engine state.
 	live     []bool
-	gen      []int
 	curStart []core.Time
 	curEnd   []core.Time
 	busyAdd  []core.Time
+	seq      []uint64 // per attempt: when it was last timed (see enqueue)
+	timed    uint64   // timings so far this run; seq's clock
 	fq       fifoQueues
+	heads    headIndex
 	parked   []int // requests waiting for any replica to recover
 	wake     []int // swap buffer for wakeAll / restore
 
-	completions eventq.Queue[compEvent]
-	events      eventq.Queue[faultEvent]
+	events eventq.Queue[faultEvent]
 
 	liveBuf core.ProcSet // dispatch-time live-subset scratch
 
@@ -115,15 +117,16 @@ func (a *Arena) Reset(n, m int) {
 	for j := 0; j < m; j++ {
 		a.live[j] = true
 	}
-	a.gen = resliceZero(a.gen, n)
 	a.curStart = resliceZero(a.curStart, n)
 	a.curEnd = resliceZero(a.curEnd, n)
 	a.busyAdd = resliceZero(a.busyAdd, n)
+	a.seq = grow(a.seq, n) // written by enqueue/retime before it is read
+	a.timed = 0
 	a.fq.reset(n, m)
+	a.heads.reset(m)
 	a.parked = a.parked[:0]
 	a.wake = a.wake[:0]
 
-	a.completions.Clear()
 	a.events.Clear()
 
 	if cap(a.liveBuf) < m {
@@ -199,8 +202,7 @@ func (f *fifoQueues) popHead(j int) int {
 }
 
 // remove unlinks task id from anywhere in server j's queue, preserving the
-// order of the rest. A task not actually queued on j is a no-op (the
-// defensive mid-queue path of drain).
+// order of the rest. A task not actually queued on j is a no-op.
 func (f *fifoQueues) remove(j, id int) {
 	prev := f.head[j]
 	if prev == id {
@@ -227,4 +229,145 @@ func (f *fifoQueues) takeAll(j int) int {
 	f.head[j] = -1
 	f.tail[j] = -1
 	return h
+}
+
+// headIndex orders the engine's pending completions. Every attempt waits in
+// one server's FIFO and a server runs its queue back to back, so a server's
+// next completion is its queue head: an indexed min-heap over the non-empty
+// queues, keyed on the head's (end, seq), yields the cluster's next
+// completion in O(log m), and an aborted attempt simply leaves its queue.
+// seq is the order in which attempts were last timed (Arena.enqueue,
+// Arena.retime): within a queue ends never decrease and seqs increase from
+// head to tail, and across servers simultaneous completions settle in
+// timing order.
+type headIndex struct {
+	heap []headKey
+	pos  []int // server → its index in heap (−1 = queue empty)
+}
+
+type headKey struct {
+	end    core.Time
+	seq    uint64
+	server int
+}
+
+func (k headKey) less(o headKey) bool {
+	if k.end != o.end {
+		return k.end < o.end
+	}
+	return k.seq < o.seq
+}
+
+func (h *headIndex) reset(m int) {
+	h.heap = grow(h.heap, m)[:0]
+	h.pos = grow(h.pos, m)
+	for j := range h.pos {
+		h.pos[j] = -1
+	}
+}
+
+// min returns the server with the earliest head completion and that instant;
+// ok is false when every queue is empty.
+func (h *headIndex) min() (server int, end core.Time, ok bool) {
+	if len(h.heap) == 0 {
+		return -1, 0, false
+	}
+	return h.heap[0].server, h.heap[0].end, true
+}
+
+// set keys server j on its head's completion, inserting j if absent.
+func (h *headIndex) set(j int, end core.Time, seq uint64) {
+	k := headKey{end: end, seq: seq, server: j}
+	i := h.pos[j]
+	if i < 0 {
+		i = len(h.heap)
+		h.heap = append(h.heap, k)
+	} else {
+		h.heap[i] = k
+	}
+	h.fix(i)
+}
+
+// remove drops server j (its queue emptied); an absent server is a no-op.
+func (h *headIndex) remove(j int) {
+	i := h.pos[j]
+	if i < 0 {
+		return
+	}
+	h.pos[j] = -1
+	last := len(h.heap) - 1
+	moved := h.heap[last]
+	h.heap = h.heap[:last]
+	if i < last {
+		h.heap[i] = moved
+		h.fix(i)
+	}
+}
+
+// fix restores the heap order around index i and records every moved
+// server's position.
+func (h *headIndex) fix(i int) {
+	k := h.heap[i]
+	for i > 0 { // sift up
+		parent := (i - 1) / 2
+		if !k.less(h.heap[parent]) {
+			break
+		}
+		h.heap[i] = h.heap[parent]
+		h.pos[h.heap[i].server] = i
+		i = parent
+	}
+	for n := len(h.heap); ; { // sift down
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.heap[r].less(h.heap[c]) {
+			c = r
+		}
+		if !h.heap[c].less(k) {
+			break
+		}
+		h.heap[i] = h.heap[c]
+		h.pos[h.heap[i].server] = i
+		i = c
+	}
+	h.heap[i] = k
+	h.pos[k.server] = i
+}
+
+// rekey re-reads server j's queue head into the head index, dropping j when
+// its queue is empty. Every change to a queue's head (or to the head's
+// timing) calls it.
+func (a *Arena) rekey(j int) {
+	if h := a.fq.head[j]; h >= 0 {
+		a.heads.set(j, a.curEnd[h], a.seq[h])
+	} else {
+		a.heads.remove(j)
+	}
+}
+
+// popHead removes server j's queue head — its completing attempt — and
+// re-keys j on the next one: the completion counterpart of enqueue.
+func (a *Arena) popHead(j int) {
+	a.st.QueueLen[j]--
+	a.fq.popHead(j)
+	a.rekey(j)
+}
+
+// enqueue appends attempt id (a task, or its copy n + id) to server j's
+// FIFO, timed [start, end) with busy time credited to j: the one queue entry
+// path, shared by dispatch and copy issue.
+func (a *Arena) enqueue(j, id int, start, end, busy core.Time) {
+	a.st.Completion[j] = end
+	a.st.QueueLen[j]++
+	a.fq.push(j, id)
+	a.curStart[id], a.curEnd[id] = start, end
+	a.busyAdd[id] = busy
+	a.metrics.Busy[j] += busy
+	a.timed++
+	a.seq[id] = a.timed
+	if a.fq.head[j] == id {
+		a.heads.set(j, end, a.timed)
+	}
 }

@@ -78,8 +78,7 @@ func TestFIFOQueuesRemove(t *testing.T) {
 		t.Fatalf("tail removal + push: %v", got)
 	}
 
-	// Removing a task that is not queued is a no-op (the defensive drain
-	// path), not a corruption.
+	// Removing a task that is not queued is a no-op, not a corruption.
 	reload(0, 1)
 	fq.remove(0, 7)
 	if got := drainFQ(&fq, 0); !reflect.DeepEqual(got, []int{0, 1}) {
@@ -351,5 +350,42 @@ func TestArenaMethodsMatchPackageFuncs(t *testing.T) {
 	if !reflect.DeepEqual(s3.Machine, s4.Machine) || !sameTimes(s3.Start, s4.Start) ||
 		!sameTimes(om1.Flows, om2.Flows) || !reflect.DeepEqual(om1.Rejected, om2.Rejected) {
 		t.Fatal("arena.RunGuarded diverges from package RunGuarded")
+	}
+}
+
+// TestHeadIndexMatchesScan drives the head index through random re-keys and
+// removals and checks its minimum against a linear scan over the keyed
+// servers, (end, seq) order, ties in end included.
+func TestHeadIndexMatchesScan(t *testing.T) {
+	const m = 33
+	rng := rand.New(rand.NewSource(4))
+	var h headIndex
+	h.reset(m)
+	keys := make(map[int]headKey)
+	for op := 0; op < 5000; op++ {
+		j := rng.Intn(m)
+		if rng.Intn(3) == 0 {
+			h.remove(j)
+			delete(keys, j)
+		} else {
+			k := headKey{end: core.Time(rng.Intn(6)), seq: uint64(op), server: j}
+			h.set(j, k.end, k.seq)
+			keys[j] = k
+		}
+		want, any := headKey{}, false
+		for _, k := range keys {
+			if !any || k.less(want) {
+				want, any = k, true
+			}
+		}
+		srv, end, ok := h.min()
+		if ok != any || (ok && (srv != want.server || end != want.end)) {
+			t.Fatalf("op %d: min = (M%d, %v, %v), want (M%d, %v, %v)", op, srv+1, end, ok, want.server+1, want.end, any)
+		}
+		for s, i := range h.pos {
+			if _, keyed := keys[s]; keyed != (i >= 0) || (i >= 0 && h.heap[i].server != s) {
+				t.Fatalf("op %d: position of M%d is %d, inconsistent with the heap", op, s+1, i)
+			}
+		}
 	}
 }

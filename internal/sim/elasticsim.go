@@ -93,10 +93,10 @@ type ElasticMetrics struct {
 	// BreakerOpens/BreakerCloses/BreakerProbes count breaker open
 	// episodes, probe-success closes and issued half-open probes;
 	// BreakerSpans records each open episode for the auditor.
-	BreakerOpens   int
-	BreakerCloses  int
-	BreakerProbes  int
-	BreakerSpans   []resilience.Span
+	BreakerOpens  int
+	BreakerCloses int
+	BreakerProbes int
+	BreakerSpans  []resilience.Span
 	// ProbeDispatch marks tasks whose completing dispatch was a half-open
 	// probe (the only dispatches legal against a non-closed breaker).
 	ProbeDispatch []bool
@@ -220,13 +220,13 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 	a.Reset(n, m)
 	if hcfg != nil {
 		// Speculative copies are virtual attempts n..2n−1: grow the
-		// attempt-indexed engine state so a copy can occupy a queue and the
-		// completion heap alongside its primary. Everything task-indexed
-		// (flows, schedule, dispositions) stays at n.
-		a.gen = resliceZero(a.gen, 2*n)
+		// attempt-indexed engine state so a copy can occupy a queue
+		// alongside its primary. Everything task-indexed (flows, schedule,
+		// dispositions) stays at n.
 		a.curStart = resliceZero(a.curStart, 2*n)
 		a.curEnd = resliceZero(a.curEnd, 2*n)
 		a.busyAdd = resliceZero(a.busyAdd, 2*n)
+		a.seq = grow(a.seq, 2*n)
 		a.fq.next = grow(a.fq.next, 2*n)
 	}
 	st := &a.st
@@ -259,14 +259,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		slow = plan.ServerSlowdowns()
 	}
 	downCount := 0
-	gen := a.gen           // attempt generation, invalidates stale completions
 	curStart := a.curStart // start of the current attempt
 	curEnd := a.curEnd     // end of the current attempt
 	busyAdd := a.busyAdd   // busy time credited for the current attempt
 	parked := a.parked     // requests waiting for any replica to recover
-	completions := &a.completions
 	events := &a.events
-	completions.Reserve(reserveFor(n))
 	events.Reserve(2 * len(plan.Outages))
 	for _, o := range plan.Outages {
 		events.Push(o.From, faultEvent{kind: evDown, server: o.Server})
@@ -463,10 +460,12 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		tiedResolve    func(id int, when core.Time)
 	)
 
+	// drain settles completions up to instant upTo in time order: the next
+	// one is always the head of the server the head index ranks first.
 	drain := func(upTo core.Time) {
-		for completions.Len() > 0 {
-			when, c := completions.Peek()
-			if when > upTo {
+		for {
+			srv, when, ok := a.heads.min()
+			if !ok || when > upTo {
 				return
 			}
 			if rs != nil && events.Len() > 0 {
@@ -480,12 +479,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					return
 				}
 			}
-			completions.Pop()
-			if c.gen != gen[c.task] {
-				continue // stale: that attempt was aborted
-			}
+			id := fq.head[srv] // the completing attempt
 			if hd != nil {
-				rid := c.task
+				rid := id
 				if rid >= n {
 					rid -= n
 				}
@@ -495,14 +491,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					// work; no OnComplete fires and the ejector sees nothing
 					// — the task completed earlier, exactly once (or was
 					// excluded, and this un-cancellable attempt just drained).
-					st.QueueLen[c.server]--
-					if fq.head[c.server] == c.task {
-						fq.popHead(c.server)
-					} else {
-						fq.remove(c.server, c.task)
-					}
-					metrics.DuplicateWork += busyAdd[c.task]
-					if c.task >= n {
+					a.popHead(srv)
+					metrics.DuplicateWork += busyAdd[id]
+					if id >= n {
 						hd.copyLive[rid] = false
 					}
 					continue
@@ -514,21 +505,16 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if hd.hist != nil {
 					hd.hist.Observe(float64(when - inst.Tasks[rid].Release))
 				}
-				if c.task >= n {
+				if id >= n {
 					// The speculative copy finished first: it is the
 					// effective completion. Record it as the task's schedule
 					// entry, then cancel (or abandon) the primary attempt.
 					t := inst.Tasks[rid]
 					pj := a.machine[rid] // primary's server, before the winner overwrites it
 					if probe != nil {
-						probe.OnComplete(rid, c.server, t.Release, t.Proc, when)
+						probe.OnComplete(rid, srv, t.Release, t.Proc, when)
 					}
-					st.QueueLen[c.server]--
-					if fq.head[c.server] == c.task {
-						fq.popHead(c.server)
-					} else {
-						fq.remove(c.server, c.task)
-					}
+					a.popHead(srv)
 					hd.copyLive[rid] = false
 					hd.wonByCopy[rid] = true
 					if hd.resolveCopy(rid) {
@@ -536,7 +522,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					}
 					metrics.Flows[rid] = when - t.Release
 					metrics.Stretches[rid] = stretchOf(when-t.Release, t.Proc)
-					sched.Assign(rid, c.server, curStart[c.task])
+					sched.Assign(rid, srv, curStart[id])
 					if el != nil {
 						metrics.Dispatched[rid] = hd.copyAt[rid]
 					} else if rs != nil && rs.disp != nil {
@@ -561,11 +547,11 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					}
 					if ov != nil && ov.cfg.Ejector != nil {
 						if proc := t.Proc; proc > 0 {
-							factor := float64((when - curStart[c.task]) / proc)
-							if ov.cfg.Ejector.Observe(c.server, factor, when) {
+							factor := float64((when - curStart[id]) / proc)
+							if ov.cfg.Ejector.Observe(srv, factor, when) {
 								metrics.Ejections++
 								if ov.op != nil {
-									ov.op.OnEject(c.server, when)
+									ov.op.OnEject(srv, when)
 								}
 							}
 						}
@@ -573,12 +559,12 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					if rs != nil && rs.brk != nil {
 						// A copy is never a probe (it goes only to closed
 						// breakers), so its completion feeds the window.
-						if rs.brk.Observe(c.server, rs.failed(inst, rid, curStart[c.task], when), when) {
-							rs.opened(c.server, when, metrics, events)
+						if rs.brk.Observe(srv, rs.failed(inst, rid, curStart[id], when), when) {
+							rs.opened(srv, when, metrics, events)
 						}
 					}
 					if hd.ho != nil {
-						hd.ho.OnHedgeWin(rid, c.server, true, when)
+						hd.ho.OnHedgeWin(rid, srv, true, when)
 					}
 					continue
 				}
@@ -590,27 +576,22 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				if hd.hedged[rid] {
 					metrics.HedgeWinsPrimary++
 					if hd.ho != nil {
-						hd.ho.OnHedgeWin(rid, c.server, false, when)
+						hd.ho.OnHedgeWin(rid, srv, false, when)
 					}
 				}
 			}
 			if probe != nil {
-				t := inst.Tasks[c.task]
-				probe.OnComplete(c.task, c.server, t.Release, t.Proc, when)
+				t := inst.Tasks[id]
+				probe.OnComplete(id, srv, t.Release, t.Proc, when)
 			}
-			st.QueueLen[c.server]--
-			if fq.head[c.server] == c.task {
-				fq.popHead(c.server)
-			} else { // defensive; FIFO service should make this unreachable
-				fq.remove(c.server, c.task)
-			}
+			a.popHead(srv)
 			if ov != nil && ov.cfg.Ejector != nil {
-				if proc := inst.Tasks[c.task].Proc; proc > 0 {
-					factor := float64((when - curStart[c.task]) / proc)
-					if ov.cfg.Ejector.Observe(c.server, factor, when) {
+				if proc := inst.Tasks[id].Proc; proc > 0 {
+					factor := float64((when - curStart[id]) / proc)
+					if ov.cfg.Ejector.Observe(srv, factor, when) {
 						metrics.Ejections++
 						if ov.op != nil {
-							ov.op.OnEject(c.server, when)
+							ov.op.OnEject(srv, when)
 						}
 					}
 				}
@@ -621,17 +602,17 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				// server trips without ever crashing). A completing probe
 				// settles the half-open state instead; its probe mark stays
 				// set — that is the ProbeDispatch metric the auditor reads.
-				f := rs.failed(inst, c.task, curStart[c.task], when)
-				if rs.probe[c.task] {
-					closedNow, openedNow := rs.brk.ObserveProbe(c.server, f, when)
+				f := rs.failed(inst, id, curStart[id], when)
+				if rs.probe[id] {
+					closedNow, openedNow := rs.brk.ObserveProbe(srv, f, when)
 					if closedNow {
-						rs.closed(c.server, when, metrics, events)
+						rs.closed(srv, when, metrics, events)
 					}
 					if openedNow {
-						rs.opened(c.server, when, metrics, events)
+						rs.opened(srv, when, metrics, events)
 					}
-				} else if rs.brk.Observe(c.server, f, when) {
-					rs.opened(c.server, when, metrics, events)
+				} else if rs.brk.Observe(srv, f, when) {
+					rs.opened(srv, when, metrics, events)
 				}
 			}
 		}
@@ -851,16 +832,10 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				}
 			}
 		}
-		st.Completion[j] = end
-		st.QueueLen[j]++
-		completions.Push(end, compEvent{server: j, task: id, gen: gen[id]})
-		fq.push(j, id)
-		curStart[id], curEnd[id] = start, end
-		busyAdd[id] = busy
+		a.enqueue(j, id, start, end, busy)
 		sched.Assign(id, j, start)
 		metrics.Flows[id] = end - task.Release
 		metrics.Stretches[id] = stretchOf(end-task.Release, task.Proc)
-		metrics.Busy[j] += busy
 		if probe != nil {
 			probe.OnDispatch(id, j, now, start, end)
 		}
@@ -1093,15 +1068,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			if ov != nil && ov.budget > 0 && end-task.Release > ov.budget+task.Proc {
 				return nil // the copy could not beat the admitted budget either
 			}
-			cid := n + id
-			gen[cid]++
-			st.Completion[j] = end
-			st.QueueLen[j]++
-			completions.Push(end, compEvent{server: j, task: cid, gen: gen[cid]})
-			fq.push(j, cid)
-			curStart[cid], curEnd[cid] = start, end
-			busyAdd[cid] = busy
-			metrics.Busy[j] += busy
+			a.enqueue(j, n+id, start, end, busy)
 			hd.hedged[id] = true
 			hd.copyLive[id] = true
 			hd.copySrv[id] = j
@@ -1178,6 +1145,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			lost++
 		}
 		head := fq.takeAll(j)
+		a.heads.remove(j)
 		st.QueueLen[j] -= lost
 		st.Completion[j] = now
 		if probe != nil {
@@ -1185,7 +1153,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		}
 		for id := head; id >= 0; {
 			nxt := fq.next[id] // before requeue: a re-dispatch relinks id
-			gen[id]++          // invalidate the queued completion
 			executed := core.Time(0)
 			if curStart[id] < now {
 				executed = now - curStart[id] // the running request's wasted partial work
@@ -1385,6 +1352,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				st.Completion[victim] = curEnd[q0]
 			} else {
 				movedHead = fq.takeAll(victim)
+				a.heads.remove(victim)
 				st.Completion[victim] = now
 			}
 			moved := 0  // detached queue entries (speculative copies included)
@@ -1405,7 +1373,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			}
 			for id := movedHead; id >= 0; {
 				nxt := fq.next[id] // before dispatch: a re-queue relinks id
-				gen[id]++          // invalidate the queued completion
 				metrics.Busy[victim] -= busyAdd[id]
 				if rs != nil && rs.brk != nil && id < n && rs.probe[id] {
 					// A half-open probe racing the drain: the attempt hands
@@ -1516,7 +1483,6 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 				break
 			}
 			backlog -= busyAdd[c.ID]
-			gen[c.ID]++ // invalidate the queued completion
 			st.QueueLen[j]--
 			metrics.Busy[j] -= busyAdd[c.ID]
 			if hd != nil && c.ID >= n {
@@ -1585,7 +1551,12 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		a.retime(inst, slow, j, now)
 		if hd != nil && len(hd.kills) > 0 {
 			for _, id := range hd.kills {
-				killCopy(id, now)
+				// A copy this same pass trimmed is already out of the queue
+				// and settled; cancelling it again would reclaim its busy
+				// time and queue slot twice.
+				if hd.copyLive[id] {
+					killCopy(id, now)
+				}
 			}
 			hd.kills = hd.kills[:0]
 		}

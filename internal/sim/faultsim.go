@@ -208,12 +208,6 @@ const (
 	evBreaker // a breaker's state may have changed: tick the cooldown, wake parked work (server = slot)
 )
 
-// compEvent is a queued completion; gen invalidates completions of aborted
-// attempts.
-type compEvent struct {
-	server, task, gen int
-}
-
 // RunFaulty simulates the instance under the router while replaying the
 // fault plan: servers go down and up at the plan's instants, a failing
 // server loses all queued and running requests (non-preemptive restart —

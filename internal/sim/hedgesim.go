@@ -16,9 +16,9 @@ import (
 // disabled path touches none of it and stays byte-identical to RunElastic.
 //
 // A speculative copy of task id is the virtual attempt id n + id (n = task
-// count): the generation / attempt-window / FIFO-link arrays are grown to
-// 2n under hedging, so the copy occupies server queues and the completion
-// heap exactly like a request of its own while every piece of per-task
+// count): the attempt-window / timing-order / FIFO-link arrays are grown to
+// 2n under hedging, so the copy occupies a server queue — and completes from
+// its head — exactly like a request of its own while every piece of per-task
 // bookkeeping (flows, schedule, dispositions) stays indexed by the real id.
 type hdRun struct {
 	cfg        *hedge.Config
@@ -78,8 +78,8 @@ func RunHedged(inst *core.Instance, router Router, plan *faults.Plan, policy Ret
 }
 
 // retime recomputes server j's unstarted queue suffix back to back from
-// instant now (or from the running head's end), pushing fresh completions
-// and re-crediting busy time. It is the one "re-dispatch later" re-timing
+// instant now (or from the running head's end), re-crediting busy time and
+// re-keying j in the head index. It is the one "re-dispatch later" re-timing
 // rule, shared by the watermark shedder's trim and the hedge layer's
 // first-win cancellations, so the two paths cannot drift apart. Speculative
 // copies (ids ≥ n) are re-timed like any queue entry but never touch the
@@ -106,8 +106,8 @@ func (a *Arena) retime(inst *core.Instance, slow [][]faults.Slowdown, j int, now
 			end = faults.FinishTime(slow[j], start, task.Proc)
 			busy = end - start
 		}
-		a.gen[id]++
-		a.completions.Push(end, compEvent{server: j, task: id, gen: a.gen[id]})
+		a.timed++
+		a.seq[id] = a.timed
 		metrics.Busy[j] += busy - a.busyAdd[id]
 		a.curStart[id], a.curEnd[id] = start, end
 		a.busyAdd[id] = busy
@@ -119,6 +119,7 @@ func (a *Arena) retime(inst *core.Instance, slow [][]faults.Slowdown, j int, now
 		cur = end
 	}
 	a.st.Completion[j] = cur
+	a.rekey(j)
 }
 
 // cancelAttempt removes attempt aid (a task or its copy, by virtual id)
@@ -135,7 +136,6 @@ func (a *Arena) cancelAttempt(inst *core.Instance, slow [][]faults.Slowdown, aid
 			return false
 		}
 		executed := now - a.curStart[aid]
-		a.gen[aid]++
 		a.fq.remove(j, aid)
 		a.st.QueueLen[j]--
 		metrics.Busy[j] -= a.busyAdd[aid] - executed
@@ -144,7 +144,6 @@ func (a *Arena) cancelAttempt(inst *core.Instance, slow [][]faults.Slowdown, aid
 		a.retime(inst, slow, j, now)
 		return true
 	}
-	a.gen[aid]++
 	a.fq.remove(j, aid)
 	a.st.QueueLen[j]--
 	metrics.Busy[j] -= a.busyAdd[aid]

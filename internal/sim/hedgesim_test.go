@@ -11,6 +11,7 @@ import (
 	"flowsched/internal/faults"
 	"flowsched/internal/hedge"
 	"flowsched/internal/obs"
+	"flowsched/internal/overload"
 )
 
 // hedgeCountProbe counts effective completions per task (the
@@ -309,6 +310,60 @@ func TestRunHedgedVictimDrainedMidFlight(t *testing.T) {
 		if p.completions[i] != 1 {
 			t.Fatalf("task %d completed %d times after the drain", i, p.completions[i])
 		}
+	}
+	checkHedgeResolution(t, inst, em, p)
+}
+
+// TestRunHedgedTrimShedsPrimaryAndCopy: a drain hands a hedged task's
+// primary onto the server that already queues its copy, and one watermark
+// trim then sheds both. The copy is settled by the trim itself, so the
+// primary's deferred copy kill must not cancel it a second time — busy time
+// stays equal to completed work plus duplicate work, and no queue length
+// goes negative.
+func TestRunHedgedTrimShedsPrimaryAndCopy(t *testing.T) {
+	tasks := []core.Task{
+		{Release: 0, Proc: 100, Set: core.NewProcSet(0)}, // long runner on M1: the copy queues behind it
+		{Release: 0, Proc: 10, Set: core.NewProcSet(1)},  // keeps M2 busy so the primary queues there
+		{Release: 0.1, Proc: 1},                          // the hedged task: primary on M2, copy on M1
+		{Release: 5, Proc: 1, Set: core.NewProcSet(0)},   // arrival whose watermark check trims M1
+	}
+	const hedged = 2
+	inst := core.NewInstance(2, tasks)
+	// Drain M2 at t=1: its running head stays, the queued primary hands off
+	// to M1, behind its own copy.
+	ecfg := &elastic.Config{Min: 1, Script: []elastic.Event{{At: 1, Delta: -1}}}
+	// Newest-first ranks the primary (queued last) just ahead of its copy.
+	cfg := &overload.Config{Shedder: &overload.Shedder{Policy: overload.DropNewest, Watermark: 2}}
+	hcfg := &hedge.Config{Delay: 0.5}
+	p := newHedgeCountProbe(len(tasks))
+	arena := NewArena()
+	_, em, err := arena.RunHedged(inst, EFTRouter{}, nil, RetryPolicy{}, cfg, ecfg, hcfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em.Handoffs != 1 || em.HedgeCopyServer[hedged] != 0 || !em.Shed[hedged] || em.HedgesCancelled != 1 {
+		t.Fatalf("scenario not reached: handoffs %d, copy server %d, shed %v, cancelled %d",
+			em.Handoffs, em.HedgeCopyServer[hedged], em.Shed[hedged], em.HedgesCancelled)
+	}
+	var busy, completed core.Time
+	for _, b := range em.Busy {
+		busy += b
+	}
+	for i, task := range tasks {
+		if !em.Shed[i] {
+			completed += task.Proc
+		}
+	}
+	if want := completed + em.DuplicateWork; busy != want {
+		t.Fatalf("Σ busy %v, want completed work + duplicate work = %v", busy, want)
+	}
+	for j, q := range arena.st.QueueLen {
+		if q != 0 {
+			t.Fatalf("M%d queue length %d after the run, want 0", j+1, q)
+		}
+	}
+	if em.CancelledWork != tasks[hedged].Proc {
+		t.Fatalf("cancelled work %v, want the trimmed copy's slot (%v) counted once", em.CancelledWork, tasks[hedged].Proc)
 	}
 	checkHedgeResolution(t, inst, em, p)
 }

@@ -1,0 +1,355 @@
+package sim
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"hash"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"flowsched/internal/core"
+	"flowsched/internal/elastic"
+	"flowsched/internal/faults"
+	"flowsched/internal/hedge"
+	"flowsched/internal/obs"
+	"flowsched/internal/overload"
+	"flowsched/internal/resilience"
+)
+
+// parityDigestFile pins the unified engine's observable output, one digest
+// per configuration of TestEngineParityDigests. It is regenerated only for
+// an intended behaviour change:
+//
+//	go test ./internal/sim -run TestEngineParityDigests -update-parity
+const parityDigestFile = "testdata/engine_parity.digest"
+
+var updateParity = flag.Bool("update-parity", false, "rewrite "+parityDigestFile+" from the current engine")
+
+// digester feeds values into a SHA-256 stream. Floats hash by their bits with
+// every NaN folded onto one canonical pattern, so a NaN sentinel compares
+// equal whatever arithmetic produced it; a nil slice hashes differently from
+// an empty one, because a disabled layer's nil metric fields are part of the
+// contract.
+type digester struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newDigester() *digester { return &digester{h: sha256.New()} }
+
+func (d *digester) u64(x uint64) {
+	binary.LittleEndian.PutUint64(d.buf[:], x)
+	d.h.Write(d.buf[:])
+}
+
+func (d *digester) f64(x float64) {
+	if math.IsNaN(x) {
+		d.u64(0x7ff8000000000001)
+		return
+	}
+	d.u64(math.Float64bits(x))
+}
+
+func (d *digester) str(s string) {
+	d.u64(uint64(len(s)))
+	d.h.Write([]byte(s))
+}
+
+// value hashes v field by field (unexported fields included), so a field
+// added to ElasticMetrics or FlightEvent is covered without touching this
+// test.
+func (d *digester) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		d.f64(v.Float())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		d.u64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		d.u64(v.Uint())
+	case reflect.Bool:
+		if v.Bool() {
+			d.u64(1)
+		} else {
+			d.u64(0)
+		}
+	case reflect.String:
+		d.str(v.String())
+	case reflect.Slice:
+		if v.IsNil() {
+			d.u64(math.MaxUint64)
+			return
+		}
+		fallthrough
+	case reflect.Array:
+		d.u64(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			d.value(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			d.value(v.Field(i))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			d.u64(0)
+			return
+		}
+		d.u64(1)
+		d.value(v.Elem())
+	default:
+		panic(fmt.Sprintf("parity digest: unsupported kind %s", v.Kind()))
+	}
+}
+
+func (d *digester) sum() string { return hex.EncodeToString(d.h.Sum(nil)[:8]) }
+
+// parityCfg is one engine link setting of the parity matrix: the plan,
+// retry policy and layer configs handed to RunResilient.
+type parityCfg struct {
+	plan *faults.Plan
+	pol  RetryPolicy
+	ov   *overload.Config
+	el   *elastic.Config
+	hd   *hedge.Config
+	rs   *resilience.Config
+}
+
+// parityLink names a link setting. Configs carry per-run state, so build
+// makes fresh ones for every run.
+type parityLink struct {
+	name  string
+	build func(m int, horizon core.Time) parityCfg
+}
+
+// crashGrayPlan is a seeded crash plan merged with a seeded gray plan.
+func crashGrayPlan(m int, horizon core.Time) *faults.Plan {
+	crash := faults.Generate(m, horizon, float64(horizon)/3, float64(horizon)/40, rand.New(rand.NewSource(11)))
+	gray := faults.GenerateGray(m, horizon, faults.GrayConfig{MTBF: float64(horizon) / 4, MTTR: float64(horizon) / 10},
+		rand.New(rand.NewSource(12)))
+	return crash.Merge(gray)
+}
+
+// slowPlan makes server 0 four times slow over the middle half of the run.
+func slowPlan(m int, horizon core.Time) *faults.Plan {
+	return faults.Empty(m).Slow(0, horizon/4, 3*horizon/4, 4)
+}
+
+var parityRetry = RetryPolicy{MaxAttempts: 4, Backoff: 0.5, BackoffFactor: 2}
+
+func parityLinks() []parityLink {
+	script := func(m int, h core.Time) *elastic.Config {
+		return &elastic.Config{
+			Initial: m, Min: 3, Max: m, WarmUp: 0.5,
+			Script: []elastic.Event{{At: h * 0.2, Delta: -2}, {At: h * 0.45, Delta: -1}, {At: h * 0.6, Delta: 3}},
+		}
+	}
+	hedged := func(name string, hc hedge.Config) parityLink {
+		return parityLink{name, func(m int, h core.Time) parityCfg {
+			c := hc
+			return parityCfg{plan: slowPlan(m, h), hd: &c}
+		}}
+	}
+	shed := func(policy overload.ShedPolicy) *overload.Config {
+		return &overload.Config{Shedder: &overload.Shedder{Policy: policy, Watermark: 4, Seed: 3}}
+	}
+	resil := func() *resilience.Config {
+		return &resilience.Config{
+			Jitter: resilience.JitterFull, Seed: 5, RetryBudget: 0.2,
+			Breaker: &resilience.BreakerConfig{Window: 8, FailureThreshold: 0.5, Cooldown: 3, SlowFactor: 3},
+		}
+	}
+	return []parityLink{
+		{"bare", func(m int, h core.Time) parityCfg { return parityCfg{} }},
+		{"crash+gray", func(m int, h core.Time) parityCfg {
+			return parityCfg{plan: crashGrayPlan(m, h), pol: parityRetry}
+		}},
+		{"admit-queue", func(m int, h core.Time) parityCfg {
+			return parityCfg{ov: &overload.Config{Admission: overload.QueueBound{MaxQueue: 3}}}
+		}},
+		{"admit-deadline", func(m int, h core.Time) parityCfg {
+			return parityCfg{ov: &overload.Config{Admission: overload.DeadlineAdmit{D: 8}}}
+		}},
+		{"shed-newest", func(m int, h core.Time) parityCfg { return parityCfg{ov: shed(overload.DropNewest)} }},
+		{"shed-stretch", func(m int, h core.Time) parityCfg { return parityCfg{ov: shed(overload.DropLargestStretch)} }},
+		{"eject", func(m int, h core.Time) parityCfg {
+			return parityCfg{plan: slowPlan(m, h), ov: &overload.Config{Ejector: &overload.Ejector{}}}
+		}},
+		{"guard", func(m int, h core.Time) parityCfg {
+			return parityCfg{ov: &overload.Config{Guard: overload.NewEstimatorCapacity(0.4 * float64(m))}}
+		}},
+		{"drain-rejoin", func(m int, h core.Time) parityCfg { return parityCfg{el: script(m, h)} }},
+		hedged("hedge-delay", hedge.Config{Delay: 2}),
+		hedged("hedge-delay-cancel", hedge.Config{Delay: 2, CancelRunning: true}),
+		hedged("hedge-quantile", hedge.Config{Quantile: 0.9, MinSamples: 30}),
+		hedged("hedge-quantile-cancel", hedge.Config{Quantile: 0.9, MinSamples: 30, CancelRunning: true}),
+		hedged("hedge-tied", hedge.Config{Tied: true}),
+		hedged("hedge-tied-cancel", hedge.Config{Tied: true, CancelRunning: true}),
+		{"resilience", func(m int, h core.Time) parityCfg {
+			return parityCfg{plan: crashGrayPlan(m, h), pol: parityRetry, rs: resil()}
+		}},
+		{"all", func(m int, h core.Time) parityCfg {
+			return parityCfg{
+				plan: crashGrayPlan(m, h),
+				pol:  parityRetry,
+				ov: &overload.Config{
+					Admission: overload.DeadlineAdmit{D: 12},
+					Shedder:   &overload.Shedder{Policy: overload.DropNewest, Watermark: 5, Seed: 3},
+					Ejector:   &overload.Ejector{},
+					Guard:     overload.NewEstimatorCapacity(0.4 * float64(m)),
+				},
+				el: script(m, h),
+				hd: &hedge.Config{Delay: 2, CancelRunning: true},
+				rs: resil(),
+			}
+		}},
+	}
+}
+
+// tiedInstance draws integer releases and integer processing times: many
+// arrivals share an instant and many completions coincide, so every
+// same-instant ordering rule of the engine is exercised.
+func tiedInstance(m, n int, load float64, rng *rand.Rand) *core.Instance {
+	tasks := make([]core.Task, n)
+	t := 0.0
+	for i := range tasks {
+		t += rng.ExpFloat64() / (load * float64(m) / 2)
+		var set core.ProcSet
+		if rng.Intn(4) > 0 {
+			set = core.MustRingInterval(rng.Intn(m), 3, m)
+		}
+		tasks[i] = core.Task{Release: math.Floor(t), Proc: float64(1 + rng.Intn(3)), Set: set, Key: i % m}
+	}
+	return core.NewInstance(m, tasks)
+}
+
+// parityRuns yields every configuration of the parity matrix: integer
+// (tie-heavy) and real releases × every link setting × all seven routers.
+func parityRuns(f func(name string, inst *core.Instance, link parityLink, router Router)) {
+	const m, n = 8, 1200
+	insts := []struct {
+		name string
+		inst *core.Instance
+	}{
+		{"int", tiedInstance(m, n, 0.95, rand.New(rand.NewSource(21)))},
+		{"real", overloadedInstance(m, n, 1.1, rand.New(rand.NewSource(22)))},
+	}
+	for _, in := range insts {
+		for _, link := range parityLinks() {
+			for i, kind := range allRouterKinds {
+				router, _ := routerPair(kind, int64(100+i))
+				f(in.name+"/"+link.name+"/"+kind, in.inst, link, router)
+			}
+		}
+	}
+}
+
+// parityDigest runs one configuration through the arena with a flight
+// recorder attached and hashes the schedule, every ElasticMetrics field and
+// the full probe event stream.
+func parityDigest(t *testing.T, arena *Arena, rec *obs.FlightRecorder, inst *core.Instance, link parityLink, router Router) string {
+	t.Helper()
+	c := link.build(inst.M, inst.Tasks[inst.N()-1].Release)
+	rec.Reset()
+	d := newDigester()
+	s, em, err := arena.RunResilient(inst, router, c.plan, c.pol, c.ov, c.el, c.hd, c.rs, rec)
+	if err != nil {
+		d.str(err.Error())
+		return d.sum()
+	}
+	if rec.Dropped() > 0 {
+		t.Fatalf("flight recorder overflowed (%d events dropped): grow its ring", rec.Dropped())
+	}
+	d.value(reflect.ValueOf(s.Machine))
+	d.value(reflect.ValueOf(s.Start))
+	d.value(reflect.ValueOf(*em))
+	d.value(reflect.ValueOf(rec.Events()))
+	return d.sum()
+}
+
+func readParityDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(parityDigestFile)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update-parity)", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", parityDigestFile, line)
+		}
+		want[name] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestEngineParityDigests proves engine refactors byte-identical: for every
+// configuration of the matrix (integer and real releases, 17 link settings
+// from the bare engine to all links at once, seven routers) the schedule,
+// all metrics and the probe event stream must hash to the digest recorded in
+// testdata. One arena serves every run, as in production batch loops.
+func TestEngineParityDigests(t *testing.T) {
+	arena := NewArena()
+	rec := obs.NewFlightRecorder(1 << 16)
+	got := map[string]string{}
+	var names []string
+	parityRuns(func(name string, inst *core.Instance, link parityLink, router Router) {
+		got[name] = parityDigest(t, arena, rec, inst, link, router)
+		names = append(names, name)
+	})
+	if *updateParity {
+		var b strings.Builder
+		b.WriteString("# Unified-engine parity digests (TestEngineParityDigests): the first 8 bytes\n")
+		b.WriteString("# of SHA-256 over schedule, ElasticMetrics and flight-recorder events.\n")
+		b.WriteString("# Regenerate only for an intended behaviour change:\n")
+		b.WriteString("#   go test ./internal/sim -run TestEngineParityDigests -update-parity\n")
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s %s\n", name, got[name])
+		}
+		if err := os.WriteFile(parityDigestFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(names), parityDigestFile)
+		return
+	}
+	want := readParityDigests(t)
+	var bad []string
+	for _, name := range names {
+		if w, ok := want[name]; !ok {
+			bad = append(bad, name+" (no recorded digest)")
+		} else if w != got[name] {
+			bad = append(bad, name)
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			bad = append(bad, name+" (recorded but no longer run)")
+		}
+	}
+	if len(bad) > 0 {
+		sort.Strings(bad)
+		if len(bad) > 20 {
+			bad = append(bad[:20], "…")
+		}
+		t.Fatalf("%d of %d configurations diverge from %s:\n  %s",
+			len(bad), len(names), parityDigestFile, strings.Join(bad, "\n  "))
+	}
+}

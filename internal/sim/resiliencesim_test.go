@@ -104,7 +104,7 @@ func TestRetryPolicyValidate(t *testing.T) {
 	valid := []RetryPolicy{
 		{},
 		{MaxAttempts: 3, Backoff: 1, BackoffFactor: 2, Timeout: 50},
-		{Backoff: 0.5},                  // constant backoff, factor 0
+		{Backoff: 0.5},                   // constant backoff, factor 0
 		{Backoff: 0.5, BackoffFactor: 1}, // constant backoff, factor 1
 	}
 	for _, p := range valid {
