@@ -37,6 +37,7 @@ func init() {
 	Register("ProbeOverheadSimHist", benchProbeOverheadSimHist)
 	Register("TracerOverheadSimOff", benchTracerOverheadSimOff)
 	Register("SimRunTracedKeepWorst", benchSimRunTracedKeepWorst)
+	Register("SimRunFlightRecorded", benchSimRunFlightRecorded)
 	Register("SimRunFaulty", benchSimRunFaulty)
 	Register("SimRunFaultySlowNoop", benchSimRunFaultySlowNoop)
 	Register("SimRunFaultyGray", benchSimRunFaultyGray)
@@ -191,6 +192,22 @@ func benchSimRunTracedKeepWorst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tracer := obs.NewTracer(obs.KeepWorst(20))
 		if _, _, err := sim.RunProbed(inst, sim.EFTRouter{}, tracer); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchSimRunFlightRecorded prices the always-on flight recorder on the
+// SimRunEFT workload: one 4096-event ring, reset and refilled every run,
+// as chaos and the stack workload use it.
+func benchSimRunFlightRecorded(b *testing.B) {
+	inst := restrictedInstance(15, 3, 5000)
+	rec := obs.NewFlightRecorder(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Reset()
+		if _, _, err := sim.RunProbed(inst, sim.EFTRouter{}, rec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -278,6 +278,9 @@ func (s ProcSet) IsContiguous() bool {
 // ring of m machines: either contiguous, or a "wrap-around" set of the form
 // {0..a} ∪ {b..m-1}. This matches the paper's M_i(interval) definition,
 // which allows both {a_i..b_i} and its two-sided complement form.
+//
+// It allocates nothing for sets within [0, m): a wrap-around set is one
+// that holds 0 and m-1 with exactly one gap between consecutive members.
 func (s ProcSet) IsCircularInterval(m int) bool {
 	if len(s) == 0 || len(s) > m {
 		return false
@@ -285,9 +288,19 @@ func (s ProcSet) IsCircularInterval(m int) bool {
 	if s.IsContiguous() {
 		return true
 	}
-	// Wrap-around: the complement within 0..m-1 must be contiguous.
-	comp := Interval(0, m-1).Minus(s)
-	return len(comp) == 0 || comp.IsContiguous()
+	if s[0] < 0 || s[len(s)-1] >= m {
+		// Members off the ring: the complement within 0..m-1 must be
+		// contiguous.
+		comp := Interval(0, m-1).Minus(s)
+		return len(comp) == 0 || comp.IsContiguous()
+	}
+	gaps := 0
+	for i := 1; i < len(s); i++ {
+		if s[i]-s[i-1] > 1 {
+			gaps++
+		}
+	}
+	return s[0] == 0 && s[len(s)-1] == m-1 && gaps == 1
 }
 
 // String renders the set in the paper's 1-based notation, e.g. {M1,M2,M3},

@@ -167,6 +167,63 @@ func TestIsCircularInterval(t *testing.T) {
 	}
 }
 
+// isCircularIntervalOracle is the complement-based definition of
+// IsCircularInterval: a non-contiguous set is a ring interval when the
+// machines it leaves out of 0..m-1 are contiguous.
+func isCircularIntervalOracle(s ProcSet, m int) bool {
+	if len(s) == 0 || len(s) > m {
+		return false
+	}
+	if s.IsContiguous() {
+		return true
+	}
+	comp := Interval(0, m-1).Minus(s)
+	return len(comp) == 0 || comp.IsContiguous()
+}
+
+// TestIsCircularIntervalMatchesOracle checks the gap-counting test against
+// the complement definition on random normalized sets, members off the ring
+// [0, m) included, for m = 1..12.
+func TestIsCircularIntervalMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for m := 1; m <= 12; m++ {
+		for trial := 0; trial < 2000; trial++ {
+			members := make([]int, rng.Intn(m+2))
+			for i := range members {
+				members[i] = rng.Intn(m+4) - 2 // mostly in [0, m), sometimes off the ring
+			}
+			s := NewProcSet(members...)
+			if got, want := s.IsCircularInterval(m), isCircularIntervalOracle(s, m); got != want {
+				t.Fatalf("IsCircularInterval(%v, m=%d) = %v, oracle %v", s, m, got, want)
+			}
+		}
+		// Every ring interval, whatever its start and size.
+		for u := 0; u < m; u++ {
+			for k := 1; k <= m; k++ {
+				s := MustRingInterval(u, k, m)
+				if !s.IsCircularInterval(m) || !isCircularIntervalOracle(s, m) {
+					t.Fatalf("ring interval %v (u=%d, k=%d, m=%d) not recognized", s, u, k, m)
+				}
+			}
+		}
+	}
+}
+
+// TestIsCircularIntervalAllocs pins the ring-interval test at zero
+// allocations for sets on the ring: elastic.RingStart runs it for every
+// task of a run.
+func TestIsCircularIntervalAllocs(t *testing.T) {
+	sets := []ProcSet{NewProcSet(0, 1, 11), NewProcSet(0, 2, 4), NewProcSet(3, 4, 5), NewProcSet(0, 5, 6, 11)}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, s := range sets {
+			s.IsCircularInterval(12)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("IsCircularInterval allocated %.1f times per call batch, want 0", allocs)
+	}
+}
+
 func TestProcSetString(t *testing.T) {
 	if got := NewProcSet(0, 1).String(); got != "{M1,M2}" {
 		t.Errorf("String = %q", got)

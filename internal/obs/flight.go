@@ -10,11 +10,12 @@ import (
 	"flowsched/internal/core"
 )
 
-// FlightEvent is one raw engine event in the flight recorder's ring: the
-// flat union of every hook's payload, keyed by Ev (the JSONLSink record
-// kinds plus the overload and membership event streams). Fields that do not
-// apply to a kind carry -1 (ids/counts) or NaN (instants), so records
-// round-trip through JSON Lines unambiguously.
+// FlightEvent is one raw engine event of the flight recorder: the flat
+// union of every hook's payload, keyed by Ev. The kinds are the JSONLSink
+// record kinds plus the overload, membership, hedge and resilience event
+// streams — 23 in all, one per hook. Fields that do not apply to a kind
+// carry -1 (ids/counts) or NaN (instants), so records round-trip through
+// JSON Lines unambiguously.
 type FlightEvent struct {
 	Ev       string        `json:"ev"`
 	T        core.NullTime `json:"t"`
@@ -49,6 +50,112 @@ func blankEvent(ev string, t core.Time) FlightEvent {
 	}
 }
 
+// flightKind is a FlightEvent's Ev in the ring's compact record.
+type flightKind uint8
+
+const (
+	evArrival flightKind = iota
+	evDispatch
+	evComplete
+	evDrop
+	evRetry
+	evFailover
+	evDone
+	evReject
+	evShed
+	evEject
+	evReadmit
+	evBrownout
+	evScaleUp
+	evJoin
+	evScaleDown
+	evHandoff
+	evHedge
+	evHedgeWin
+	evHedgeCancel
+	evBreakerOpen
+	evBreakerProbe
+	evBreakerClose
+	evRetryBudgetDrop
+)
+
+// flightKindNames maps each kind to its wire name (FlightEvent.Ev).
+var flightKindNames = [...]string{
+	evArrival: "arrival", evDispatch: "dispatch", evComplete: "complete", evDrop: "drop",
+	evRetry: "retry", evFailover: "failover", evDone: "done",
+	evReject: "reject", evShed: "shed", evEject: "eject", evReadmit: "readmit", evBrownout: "brownout",
+	evScaleUp: "scale-up", evJoin: "join", evScaleDown: "scale-down", evHandoff: "handoff",
+	evHedge: "hedge", evHedgeWin: "hedge-win", evHedgeCancel: "hedge-cancel",
+	evBreakerOpen: "breaker-open", evBreakerProbe: "breaker-probe", evBreakerClose: "breaker-close",
+	evRetryBudgetDrop: "retry-budget-drop",
+}
+
+// flightRecord is one ring slot: a FlightEvent's payload in 72 bytes
+// instead of 152. It keeps the kind, the event instant t, the kind's ints in
+// a, b, c and its other instants in t1, t2 — a is the task for kinds that
+// name one — plus the one flag and the reason any kind carries. Hooks write
+// it in place; event expands it.
+type flightRecord struct {
+	kind      flightKind
+	flag      bool
+	a, b, c   int
+	t, t1, t2 core.Time
+	reason    string
+}
+
+// task returns the task the record names, -1 for kinds that name none.
+func (rec *flightRecord) task() int {
+	switch rec.kind {
+	case evFailover, evDone, evEject, evReadmit, evBrownout, evScaleUp, evJoin, evScaleDown,
+		evBreakerOpen, evBreakerClose:
+		return -1
+	}
+	return rec.a
+}
+
+// event expands the record into the FlightEvent its hook describes.
+func (rec *flightRecord) event() FlightEvent {
+	ev := blankEvent(flightKindNames[rec.kind], rec.t)
+	t1, t2 := core.NullTime(rec.t1), core.NullTime(rec.t2)
+	switch rec.kind {
+	case evArrival:
+		ev.Task = rec.a
+	case evDispatch:
+		ev.Task, ev.Server, ev.Start, ev.End = rec.a, rec.b, t1, t2
+	case evComplete:
+		ev.Task, ev.Server, ev.Release, ev.Proc = rec.a, rec.b, t1, t2
+	case evDrop:
+		ev.Task, ev.Release = rec.a, t1
+	case evRetry, evRetryBudgetDrop:
+		ev.Task, ev.Attempt = rec.a, rec.b
+	case evFailover:
+		ev.Server, ev.Lost = rec.a, rec.b
+	case evReject:
+		ev.Task, ev.Reason = rec.a, rec.reason
+	case evShed:
+		ev.Task, ev.Server, ev.Release, ev.Reason = rec.a, rec.b, t1, rec.reason
+	case evEject, evReadmit, evBreakerOpen, evBreakerClose:
+		ev.Server = rec.a
+	case evBrownout:
+		ev.Active = rec.flag
+	case evScaleUp:
+		ev.Server, ev.Ready = rec.a, t1
+	case evJoin:
+		ev.Server, ev.Members = rec.a, rec.b
+	case evScaleDown:
+		ev.Server, ev.Members, ev.Handoffs = rec.a, rec.b, rec.c
+	case evHandoff, evBreakerProbe:
+		ev.Task, ev.Server = rec.a, rec.b
+	case evHedge:
+		ev.Task, ev.Server, ev.From, ev.Start, ev.End = rec.a, rec.b, rec.c, t1, t2
+	case evHedgeWin:
+		ev.Task, ev.Server, ev.Copy = rec.a, rec.b, rec.flag
+	case evHedgeCancel:
+		ev.Task, ev.Server, ev.Started = rec.a, rec.b, rec.flag
+	}
+	return ev
+}
+
 // DefaultFlightSize is the ring capacity a FlightRecorder gets when
 // constructed with size ≤ 0.
 const DefaultFlightSize = 4096
@@ -61,10 +168,15 @@ const DefaultFlightSize = 4096
 // planned to trace that run; internal/chaos dumps it next to the shrunk
 // repro and internal/audit attaches per-task evidence to its report.
 //
+// Recording allocates nothing: each hook writes a compact record into its
+// ring slot, and only Events, TaskEvents and WriteJSONL expand records into
+// FlightEvents.
+//
 // A FlightRecorder is not safe for concurrent use; attach one per run.
 type FlightRecorder struct {
-	buf   []FlightEvent
-	total int // events ever appended; ring start is total - len(buf)
+	ring  []flightRecord
+	next  int // ring slot the next event is written to
+	total int // events ever recorded
 }
 
 // NewFlightRecorder returns a recorder keeping the last size events
@@ -73,49 +185,52 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightSize
 	}
-	return &FlightRecorder{buf: make([]FlightEvent, 0, size)}
+	return &FlightRecorder{ring: make([]flightRecord, size)}
 }
 
-func (r *FlightRecorder) append(ev FlightEvent) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-	} else {
-		r.buf[r.total%cap(r.buf)] = ev
+// put returns the ring slot the next event is written to, overwriting the
+// oldest once the ring is full.
+func (r *FlightRecorder) put() *flightRecord {
+	rec := &r.ring[r.next]
+	if r.next++; r.next == len(r.ring) {
+		r.next = 0
 	}
 	r.total++
+	return rec
 }
 
 // Len returns the number of events currently held (≤ the ring capacity).
-func (r *FlightRecorder) Len() int { return len(r.buf) }
+func (r *FlightRecorder) Len() int { return min(r.total, len(r.ring)) }
 
 // Dropped returns how many older events the ring has overwritten.
-func (r *FlightRecorder) Dropped() int { return r.total - len(r.buf) }
+func (r *FlightRecorder) Dropped() int { return r.total - r.Len() }
 
 // Reset empties the ring for reuse across runs.
-func (r *FlightRecorder) Reset() {
-	r.buf = r.buf[:0]
-	r.total = 0
+func (r *FlightRecorder) Reset() { r.next, r.total = 0, 0 }
+
+// at returns the i-th oldest held record.
+func (r *FlightRecorder) at(i int) *flightRecord {
+	if r.Dropped() > 0 {
+		i += r.next // the ring is full: the oldest sits where the next goes
+	}
+	return &r.ring[i%len(r.ring)]
 }
 
 // Events returns the held events oldest-first (a copy).
 func (r *FlightRecorder) Events() []FlightEvent {
-	out := make([]FlightEvent, len(r.buf))
-	if len(r.buf) < cap(r.buf) {
-		copy(out, r.buf)
-		return out
+	out := make([]FlightEvent, r.Len())
+	for i := range out {
+		out[i] = r.at(i).event()
 	}
-	split := r.total % cap(r.buf) // oldest event's ring slot
-	n := copy(out, r.buf[split:])
-	copy(out[n:], r.buf[:split])
 	return out
 }
 
 // TaskEvents returns the held events naming the task, oldest-first.
 func (r *FlightRecorder) TaskEvents(task int) []FlightEvent {
 	var out []FlightEvent
-	for _, ev := range r.Events() {
-		if ev.Task == task {
-			out = append(out, ev)
+	for i := 0; i < r.Len(); i++ {
+		if rec := r.at(i); rec.task() == task {
+			out = append(out, rec.event())
 		}
 	}
 	return out
@@ -126,8 +241,8 @@ func (r *FlightRecorder) TaskEvents(task int) []FlightEvent {
 func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
-	for _, ev := range r.Events() {
-		if err := enc.Encode(ev); err != nil {
+	for i := 0; i < r.Len(); i++ {
+		if err := enc.Encode(r.at(i).event()); err != nil {
 			return fmt.Errorf("obs: writing flight events: %w", err)
 		}
 	}
@@ -176,165 +291,115 @@ func ReadFlightEvents(rd io.Reader) ([]FlightEvent, error) {
 
 // OnArrival implements Probe.
 func (r *FlightRecorder) OnArrival(task int, release core.Time) {
-	ev := blankEvent("arrival", release)
-	ev.Task = task
-	r.append(ev)
+	*r.put() = flightRecord{kind: evArrival, t: release, a: task}
 }
 
 // OnDispatch implements Probe.
 func (r *FlightRecorder) OnDispatch(task, server int, at, start, end core.Time) {
-	ev := blankEvent("dispatch", at)
-	ev.Task, ev.Server = task, server
-	ev.Start, ev.End = core.NullTime(start), core.NullTime(end)
-	r.append(ev)
+	*r.put() = flightRecord{kind: evDispatch, t: at, a: task, b: server, t1: start, t2: end}
 }
 
 // OnComplete implements Probe.
 func (r *FlightRecorder) OnComplete(task, server int, release, proc, end core.Time) {
-	ev := blankEvent("complete", end)
-	ev.Task, ev.Server = task, server
-	ev.Release, ev.Proc = core.NullTime(release), core.NullTime(proc)
-	r.append(ev)
+	*r.put() = flightRecord{kind: evComplete, t: end, a: task, b: server, t1: release, t2: proc}
 }
 
 // OnDrop implements Probe.
 func (r *FlightRecorder) OnDrop(task int, release, at core.Time) {
-	ev := blankEvent("drop", at)
-	ev.Task = task
-	ev.Release = core.NullTime(release)
-	r.append(ev)
+	*r.put() = flightRecord{kind: evDrop, t: at, a: task, t1: release}
 }
 
 // OnRetry implements Probe.
 func (r *FlightRecorder) OnRetry(task, attempt int, at core.Time) {
-	ev := blankEvent("retry", at)
-	ev.Task, ev.Attempt = task, attempt
-	r.append(ev)
+	*r.put() = flightRecord{kind: evRetry, t: at, a: task, b: attempt}
 }
 
 // OnFailover implements Probe.
 func (r *FlightRecorder) OnFailover(server int, at core.Time, lost int) {
-	ev := blankEvent("failover", at)
-	ev.Server, ev.Lost = server, lost
-	r.append(ev)
+	*r.put() = flightRecord{kind: evFailover, t: at, a: server, b: lost}
 }
 
 // OnDone implements Probe.
 func (r *FlightRecorder) OnDone(makespan core.Time) {
-	r.append(blankEvent("done", makespan))
+	*r.put() = flightRecord{kind: evDone, t: makespan}
 }
 
 // OnReject implements OverloadObserver.
 func (r *FlightRecorder) OnReject(task int, at core.Time, reason string) {
-	ev := blankEvent("reject", at)
-	ev.Task, ev.Reason = task, reason
-	r.append(ev)
+	*r.put() = flightRecord{kind: evReject, t: at, a: task, reason: reason}
 }
 
 // OnShed implements OverloadObserver.
 func (r *FlightRecorder) OnShed(task, server int, release, at core.Time, reason string) {
-	ev := blankEvent("shed", at)
-	ev.Task, ev.Server, ev.Reason = task, server, reason
-	ev.Release = core.NullTime(release)
-	r.append(ev)
+	*r.put() = flightRecord{kind: evShed, t: at, a: task, b: server, t1: release, reason: reason}
 }
 
 // OnEject implements OverloadObserver.
 func (r *FlightRecorder) OnEject(server int, at core.Time) {
-	ev := blankEvent("eject", at)
-	ev.Server = server
-	r.append(ev)
+	*r.put() = flightRecord{kind: evEject, t: at, a: server}
 }
 
 // OnReadmit implements OverloadObserver.
 func (r *FlightRecorder) OnReadmit(server int, at core.Time) {
-	ev := blankEvent("readmit", at)
-	ev.Server = server
-	r.append(ev)
+	*r.put() = flightRecord{kind: evReadmit, t: at, a: server}
 }
 
 // OnBrownout implements OverloadObserver.
 func (r *FlightRecorder) OnBrownout(at core.Time, active bool) {
-	ev := blankEvent("brownout", at)
-	ev.Active = active
-	r.append(ev)
+	*r.put() = flightRecord{kind: evBrownout, t: at, flag: active}
 }
 
 // OnScaleUp implements MembershipObserver.
 func (r *FlightRecorder) OnScaleUp(machine int, at, ready core.Time) {
-	ev := blankEvent("scale-up", at)
-	ev.Server = machine
-	ev.Ready = core.NullTime(ready)
-	r.append(ev)
+	*r.put() = flightRecord{kind: evScaleUp, t: at, a: machine, t1: ready}
 }
 
 // OnJoin implements MembershipObserver.
 func (r *FlightRecorder) OnJoin(machine int, at core.Time, members int) {
-	ev := blankEvent("join", at)
-	ev.Server, ev.Members = machine, members
-	r.append(ev)
+	*r.put() = flightRecord{kind: evJoin, t: at, a: machine, b: members}
 }
 
 // OnScaleDown implements MembershipObserver.
 func (r *FlightRecorder) OnScaleDown(machine int, at core.Time, members, handoffs int) {
-	ev := blankEvent("scale-down", at)
-	ev.Server, ev.Members, ev.Handoffs = machine, members, handoffs
-	r.append(ev)
+	*r.put() = flightRecord{kind: evScaleDown, t: at, a: machine, b: members, c: handoffs}
 }
 
 // OnHandoff implements MembershipObserver.
 func (r *FlightRecorder) OnHandoff(task, from int, at core.Time) {
-	ev := blankEvent("handoff", at)
-	ev.Task, ev.Server = task, from
-	r.append(ev)
+	*r.put() = flightRecord{kind: evHandoff, t: at, a: task, b: from}
 }
 
 // OnHedge implements HedgeObserver.
 func (r *FlightRecorder) OnHedge(task, from, to int, at, start, end core.Time) {
-	ev := blankEvent("hedge", at)
-	ev.Task, ev.Server, ev.From = task, to, from
-	ev.Start, ev.End = core.NullTime(start), core.NullTime(end)
-	r.append(ev)
+	*r.put() = flightRecord{kind: evHedge, t: at, a: task, b: to, c: from, t1: start, t2: end}
 }
 
 // OnHedgeWin implements HedgeObserver.
 func (r *FlightRecorder) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	ev := blankEvent("hedge-win", at)
-	ev.Task, ev.Server, ev.Copy = task, server, byCopy
-	r.append(ev)
+	*r.put() = flightRecord{kind: evHedgeWin, t: at, a: task, b: server, flag: byCopy}
 }
 
 // OnHedgeCancel implements HedgeObserver.
 func (r *FlightRecorder) OnHedgeCancel(task, server int, at core.Time, started bool) {
-	ev := blankEvent("hedge-cancel", at)
-	ev.Task, ev.Server, ev.Started = task, server, started
-	r.append(ev)
+	*r.put() = flightRecord{kind: evHedgeCancel, t: at, a: task, b: server, flag: started}
 }
 
 // OnBreakerOpen implements ResilienceObserver.
 func (r *FlightRecorder) OnBreakerOpen(server int, at core.Time) {
-	ev := blankEvent("breaker-open", at)
-	ev.Server = server
-	r.append(ev)
+	*r.put() = flightRecord{kind: evBreakerOpen, t: at, a: server}
 }
 
 // OnBreakerProbe implements ResilienceObserver.
 func (r *FlightRecorder) OnBreakerProbe(server, task int, at core.Time) {
-	ev := blankEvent("breaker-probe", at)
-	ev.Task, ev.Server = task, server
-	r.append(ev)
+	*r.put() = flightRecord{kind: evBreakerProbe, t: at, a: task, b: server}
 }
 
 // OnBreakerClose implements ResilienceObserver.
 func (r *FlightRecorder) OnBreakerClose(server int, at core.Time) {
-	ev := blankEvent("breaker-close", at)
-	ev.Server = server
-	r.append(ev)
+	*r.put() = flightRecord{kind: evBreakerClose, t: at, a: server}
 }
 
 // OnRetryBudgetDrop implements ResilienceObserver.
 func (r *FlightRecorder) OnRetryBudgetDrop(task, attempts int, at core.Time) {
-	ev := blankEvent("retry-budget-drop", at)
-	ev.Task, ev.Attempt = task, attempts
-	r.append(ev)
+	*r.put() = flightRecord{kind: evRetryBudgetDrop, t: at, a: task, b: attempts}
 }

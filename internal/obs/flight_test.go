@@ -2,11 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
-// drive pushes one event of every kind through the recorder (19 hooks).
+// drive pushes one event of every kind through the recorder (23 hooks).
 func drive(r *FlightRecorder) {
 	r.OnArrival(0, 1)
 	r.OnDispatch(0, 2, 1, 3, 5)
@@ -26,6 +30,10 @@ func drive(r *FlightRecorder) {
 	r.OnHedge(8, 0, 3, 16.5, 17, 19)
 	r.OnHedgeWin(8, 3, true, 16.75)
 	r.OnHedgeCancel(8, 0, 16.75, true)
+	r.OnBreakerOpen(4, 16.8)
+	r.OnBreakerProbe(4, 9, 16.85)
+	r.OnBreakerClose(4, 16.9)
+	r.OnRetryBudgetDrop(10, 3, 16.95)
 	r.OnDone(17)
 }
 
@@ -66,13 +74,14 @@ func TestFlightRecorderDefaultSize(t *testing.T) {
 func TestFlightRecorderAllKindsRoundTrip(t *testing.T) {
 	r := NewFlightRecorder(64)
 	drive(r)
-	if r.Len() != 19 {
-		t.Fatalf("recorded %d events, want 19", r.Len())
+	if r.Len() != 23 {
+		t.Fatalf("recorded %d events, want 23", r.Len())
 	}
 	kinds := []string{"arrival", "dispatch", "complete", "drop", "retry", "failover",
 		"reject", "shed", "eject", "readmit", "brownout",
 		"scale-up", "join", "scale-down", "handoff",
-		"hedge", "hedge-win", "hedge-cancel", "done"}
+		"hedge", "hedge-win", "hedge-cancel",
+		"breaker-open", "breaker-probe", "breaker-close", "retry-budget-drop", "done"}
 	for i, ev := range r.Events() {
 		if ev.Ev != kinds[i] {
 			t.Fatalf("events[%d].Ev = %q, want %q", i, ev.Ev, kinds[i])
@@ -130,5 +139,71 @@ func TestReadFlightEventsErrors(t *testing.T) {
 	evs, err := ReadFlightEvents(strings.NewReader("\n\n"))
 	if err != nil || len(evs) != 0 {
 		t.Errorf("blank lines: evs=%v err=%v", evs, err)
+	}
+}
+
+var updateFlight = flag.Bool("update-flight", false, "rewrite "+flightGoldenFile+" from the current recorder")
+
+const flightGoldenFile = "testdata/flight_golden.txt"
+
+// renderFlight writes one recorder state for the golden file: its size
+// counters, Events() in Go syntax, TaskEvents for each given task and the
+// WriteJSONL dump.
+func renderFlight(t *testing.T, b *bytes.Buffer, size int, r *FlightRecorder, tasks ...int) {
+	t.Helper()
+	fmt.Fprintf(b, "## ring %d: Len=%d Dropped=%d\n# Events()\n", size, r.Len(), r.Dropped())
+	for _, ev := range r.Events() {
+		fmt.Fprintf(b, "%+v\n", ev)
+	}
+	for _, task := range tasks {
+		fmt.Fprintf(b, "# TaskEvents(%d)\n", task)
+		for _, ev := range r.TaskEvents(task) {
+			fmt.Fprintf(b, "%+v\n", ev)
+		}
+	}
+	b.WriteString("# WriteJSONL\n")
+	if err := r.WriteJSONL(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlightRecorderGolden pins the recorder's output byte for byte: every
+// one of the 23 event kinds once in a ring that holds them all, then the
+// same stream through rings of 8 and 5 that it wraps, so the oldest-first
+// order after wrap-around is pinned too. TestEngineParityDigests covers the
+// kinds the engine emits; this covers the rest (brownout, retry-budget-drop,
+// ...). Task -1 selects the events that name no task.
+func TestFlightRecorderGolden(t *testing.T) {
+	var b bytes.Buffer
+	for _, size := range []int{32, 8, 5} {
+		r := NewFlightRecorder(size)
+		drive(r)
+		renderFlight(t, &b, size, r, 0, 8, 9, -1)
+	}
+	if *updateFlight {
+		if err := os.WriteFile(flightGoldenFile, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(flightGoldenFile)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update-flight)", err)
+	}
+	if !bytes.Equal(b.Bytes(), want) {
+		t.Fatalf("flight recorder output differs from %s:\n--- got\n%s--- want\n%s", flightGoldenFile, b.String(), want)
+	}
+}
+
+// TestFlightRecorderHookAllocs pins the recorder's hot path: every hook
+// writes its compact record in place, so recording allocates nothing, and a
+// record stays within 72 bytes.
+func TestFlightRecorderHookAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(flightRecord{}); size > 72 {
+		t.Errorf("flight record is %d bytes, want at most 72", size)
+	}
+	r := NewFlightRecorder(16)
+	if allocs := testing.AllocsPerRun(100, func() { drive(r) }); allocs != 0 {
+		t.Fatalf("recording every hook once allocated %.1f times, want 0", allocs)
 	}
 }

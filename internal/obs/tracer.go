@@ -255,7 +255,9 @@ func KeepAll() Retention { return Retention{} }
 // KeepWorst retains exactly the k traces with the largest flow times (ties
 // broken toward smaller task ids; tasks the run never resolved rank above
 // every finite flow). Benign tasks are discarded the moment they resolve,
-// so tracing a million-task run keeps O(k) memory for the tail.
+// and a discarded trace is recycled for a later arrival, so tracing a
+// million-task run keeps O(k + live) memory and makes O(k + live)
+// allocations, live being the peak number of unresolved tasks.
 func KeepWorst(k int) Retention {
 	if k < 1 {
 		k = 1
@@ -281,6 +283,7 @@ type Tracer struct {
 	all      []*TaskTrace       // KeepAll: every trace in arrival order
 	heap     []*TaskTrace       // KeepWorst: min-heap by (rank, task)
 	retained map[int]*TaskTrace // KeepWorst: heap membership by task
+	free     []*TaskTrace       // KeepWorst: discarded traces OnArrival reuses
 
 	makespan core.Time
 	done     bool
@@ -304,7 +307,9 @@ func (t *Tracer) Done() bool { return t.done }
 func (t *Tracer) Makespan() core.Time { return t.makespan }
 
 // Trace returns the task's trace, nil if it was never seen or was discarded
-// by KeepWorst retention.
+// by KeepWorst retention. Under KeepWorst a discarded trace is reused for a
+// later arrival, so mid-run the returned pointer describes task only until
+// the tracer's next OnArrival; after OnDone it stays valid.
 func (t *Tracer) Trace(task int) *TaskTrace {
 	if tr, ok := t.live[task]; ok {
 		return tr
@@ -315,7 +320,8 @@ func (t *Tracer) Trace(task int) *TaskTrace {
 	return nil
 }
 
-// Traces returns every retained trace sorted by task id.
+// Traces returns every retained trace sorted by task id. Mid-run under
+// KeepWorst the pointers are valid until the next OnArrival (see Trace).
 func (t *Tracer) Traces() []*TaskTrace {
 	var out []*TaskTrace
 	if t.retain.k > 0 {
@@ -385,7 +391,9 @@ func (t *Tracer) siftDown(i int) {
 	}
 }
 
-// terminal moves a resolved trace into the retention structure.
+// terminal moves a resolved trace into the retention structure. Under
+// KeepWorst the trace the heap turns away (the new one, or the best one it
+// evicts) goes on the free list.
 func (t *Tracer) terminal(tr *TaskTrace) {
 	if t.retain.k == 0 {
 		return // KeepAll: the trace already lives in t.all
@@ -398,19 +406,32 @@ func (t *Tracer) terminal(tr *TaskTrace) {
 		return
 	}
 	if !worse(tr, t.heap[0]) {
-		return // benign: not among the k worst seen so far
+		t.free = append(t.free, tr) // benign: not among the k worst seen so far
+		return
 	}
-	delete(t.retained, t.heap[0].Task)
+	evicted := t.heap[0]
+	delete(t.retained, evicted.Task)
+	t.free = append(t.free, evicted)
 	t.heap[0] = tr
 	t.retained[tr.Task] = tr
 	t.siftDown(0)
 }
 
-// OnArrival implements Probe: it opens the task's queued root span.
+// OnArrival implements Probe: it opens the task's queued root span, in a
+// recycled trace when KeepWorst has discarded one (keeping its Attempts
+// capacity).
 func (t *Tracer) OnArrival(task int, release core.Time) {
-	tr := &TaskTrace{
+	var tr *TaskTrace
+	if n := len(t.free); n > 0 {
+		tr = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		tr = new(TaskTrace)
+	}
+	*tr = TaskTrace{
 		Task: task, Release: release,
 		EndAt: core.Time(math.NaN()), Flow: core.Time(math.NaN()),
+		Attempts: tr.Attempts[:0],
 	}
 	t.live[task] = tr
 	if t.retain.k == 0 {
@@ -591,9 +612,12 @@ func (t *Tracer) OnHedge(task, from, to int, at, start, end core.Time) {
 func (t *Tracer) OnHedgeWin(task, server int, byCopy bool, at core.Time) {}
 
 // OnHedgeCancel implements HedgeObserver: the losing attempt on the given
-// server (primary or copy) closes as hedge-cancelled.
+// server (primary or copy) closes as hedge-cancelled. It is the one hook
+// that can follow the task's terminal event — the primary is cancelled
+// after its copy completes, the copy after the primary is shed — so it
+// also reaches traces KeepWorst has already retained.
 func (t *Tracer) OnHedgeCancel(task, server int, at core.Time, started bool) {
-	tr := t.live[task]
+	tr := t.Trace(task)
 	if tr == nil {
 		return
 	}

@@ -325,3 +325,28 @@ func TestTracerHedgeSiblingSpans(t *testing.T) {
 		t.Fatalf("outcome string = %q", AttemptHedgeCancelled.String())
 	}
 }
+
+// TestTracerKeepWorstAllocs pins KeepWorst's recycling: once the heap is
+// full and the free list primed, a batch of tasks that retry, complete and
+// are rejected or evicted by the heap reuses the discarded traces and their
+// Attempts capacity, allocating nothing.
+func TestTracerKeepWorstAllocs(t *testing.T) {
+	tr := NewTracer(KeepWorst(5))
+	next := 0
+	batch := func() {
+		for i := 0; i < 200; i++ {
+			id, at := next, core.Time(next)
+			next++
+			flow := core.Time((id*37)%101) / 10 // rejects and evictions both
+			tr.OnArrival(id, at)
+			tr.OnDispatch(id, 0, at, at, at+1)
+			tr.OnRetry(id, 1, at+0.5)
+			tr.OnDispatch(id, 1, at+0.5, at+0.5, at+flow)
+			tr.OnComplete(id, 1, at, 1, at+flow)
+		}
+	}
+	batch() // warm: fills the heap and the free list
+	if allocs := testing.AllocsPerRun(10, batch); allocs != 0 {
+		t.Fatalf("steady-state KeepWorst batch allocated %.1f times, want 0", allocs)
+	}
+}

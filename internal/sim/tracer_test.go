@@ -1,15 +1,22 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flowsched/internal/core"
 	"flowsched/internal/elastic"
 	"flowsched/internal/faults"
+	"flowsched/internal/hedge"
 	"flowsched/internal/obs"
 	"flowsched/internal/overload"
+	"flowsched/internal/popularity"
+	"flowsched/internal/replicate"
+	"flowsched/internal/resilience"
+	"flowsched/internal/workload"
 )
 
 // checkTraceCompleteness is the oracle of the tracing property test: every
@@ -218,11 +225,113 @@ func TestTracerCompleteness(t *testing.T) {
 	}
 }
 
-// TestTracerKeepWorstMatchesKeepAll runs the same configuration twice — once
+// diffTrace names the first field where two traces differ ("" when they
+// agree), walking every TaskTrace and AttemptSpan field by reflection so a
+// field added later is compared too. Times compare NaN-aware; a nil and an
+// empty Attempts slice are the same trace (both encode as no attempts).
+func diffTrace(a, b *obs.TaskTrace) string {
+	return diffValue("trace", reflect.ValueOf(*a), reflect.ValueOf(*b))
+}
+
+func diffValue(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := diffValue(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s (len %d vs %d)", path, a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := diffValue(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Float64:
+		if !eqTime(core.Time(a.Float()), core.Time(b.Float())) {
+			return fmt.Sprintf("%s (%v vs %v)", path, a.Float(), b.Float())
+		}
+	default:
+		if a.Interface() != b.Interface() {
+			return fmt.Sprintf("%s (%v vs %v)", path, a.Interface(), b.Interface())
+		}
+	}
+	return ""
+}
+
+// stackInstance draws the perfbench stack workload's instance shape: m = 15,
+// Shuffled Zipf(1) popularity, overlapping k = 3 sets, load 0.8.
+func stackInstance(n int, seed int64) *core.Instance {
+	const m = 15
+	weights := popularity.Weights(popularity.Shuffled, m, 1, rand.New(rand.NewSource(seed^0x5eed)))
+	inst, err := workload.Generate(workload.Config{
+		M: m, N: n, Rate: workload.RateForLoad(0.8, m),
+		Weights: weights, Strategy: replicate.Overlapping{K: 3},
+	}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		panic(err)
+	}
+	return inst
+}
+
+// stackMix arms every engine link the way the perfbench stack workload does
+// on m = 15 machines whose arrivals span about horizon: a 6x gray server,
+// two flapping servers with jittered retries under a budget, queue-bound
+// admission with stretch shedding and ejection, a drain/rejoin script,
+// quantile hedging with CancelRunning, and circuit breakers. Configs carry
+// per-run state, so every run gets a fresh one.
+func stackMix(horizon core.Time, seed int64) parityCfg {
+	plan := faults.Empty(15)
+	plan.Slow(4, 0, horizon, 6)
+	for f := 0; f < 20; f++ {
+		from := 0.2*horizon + core.Time(f)*15
+		plan.Down(9, from, from+9)
+		plan.Down(10, from, from+9)
+	}
+	return parityCfg{
+		plan: plan,
+		pol:  RetryPolicy{MaxAttempts: 6, Backoff: 1, BackoffFactor: 2},
+		ov: &overload.Config{
+			Admission: overload.QueueBound{MaxQueue: 20},
+			Shedder:   &overload.Shedder{Policy: overload.DropLargestStretch, Watermark: 12, Seed: seed},
+			Ejector:   &overload.Ejector{K: 3, Cooldown: 50},
+		},
+		el: &elastic.Config{Min: 3, WarmUp: 5, Script: []elastic.Event{
+			{At: 0.4 * horizon, Delta: -3}, {At: 0.6 * horizon, Delta: 3}}},
+		hd: &hedge.Config{Quantile: 0.95, MinSamples: 20, CancelRunning: true},
+		rs: &resilience.Config{
+			Jitter: resilience.JitterFull, Seed: seed, RetryBudget: 0.1, BudgetBurst: 3,
+			Breaker: &resilience.BreakerConfig{Window: 5, FailureThreshold: 0.6, Cooldown: 15,
+				HalfOpenProbes: 2, SlowFactor: 3},
+		},
+	}
+}
+
+// TestTracerKeepWorstMatchesKeepAll runs each configuration twice — once
 // traced with KeepAll, once with KeepWorst(k) — and checks the bounded
-// tracer retained exactly the k worst traces of the full set, span for span.
+// tracer retained exactly the k worst traces of the full set, equal in every
+// TaskTrace and AttemptSpan field. The RunElastic trials retry crashes; the
+// stack-mix trials go through Arena.RunResilient with every link armed, so
+// the bounded tracer's traces (recycled across tasks) pass through every
+// attempt outcome and terminal state, which the coverage tally asserts.
 func TestTracerKeepWorstMatchesKeepAll(t *testing.T) {
-	const k = 9
+	check := func(label string, k int, full, bounded *obs.Tracer) {
+		t.Helper()
+		want, got := full.Worst(k), bounded.Worst(k)
+		if len(got) != k || len(want) != k {
+			t.Fatalf("%s: got %d / want %d traces", label, len(got), len(want))
+		}
+		for i := range want {
+			if d := diffTrace(want[i], got[i]); d != "" {
+				t.Fatalf("%s: worst[%d] diverges at %s:\nkeep-all   %+v\nkeep-worst %+v",
+					label, i, d, want[i], got[i])
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4; trial++ {
 		m := 4 + rng.Intn(6)
@@ -238,24 +347,48 @@ func TestTracerKeepWorstMatchesKeepAll(t *testing.T) {
 		if _, _, err := RunElastic(inst, ra, plan, pol, nil, nil, full); err != nil {
 			t.Fatal(err)
 		}
-		bounded := obs.NewTracer(obs.KeepWorst(k))
+		bounded := obs.NewTracer(obs.KeepWorst(9))
 		if _, _, err := RunElastic(inst, rb, plan, pol, nil, nil, bounded); err != nil {
 			t.Fatal(err)
 		}
+		check(fmt.Sprintf("elastic trial %d", trial), 9, full, bounded)
+	}
 
-		want := full.Worst(k)
-		got := bounded.Worst(k)
-		if len(got) != k || len(want) != k {
-			t.Fatalf("trial %d: got %d / want %d traces", trial, len(got), len(want))
-		}
-		for i := range want {
-			w, g := want[i], got[i]
-			if w.Task != g.Task || w.State != g.State || !eqTime(w.Flow, g.Flow) ||
-				len(w.Attempts) != len(g.Attempts) {
-				t.Fatalf("trial %d: worst[%d] diverges: keep-all T%d %v flow %v (%d attempts), keep-worst T%d %v flow %v (%d attempts)",
-					trial, i, w.Task, w.State, w.Flow, len(w.Attempts),
-					g.Task, g.State, g.Flow, len(g.Attempts))
+	arena := NewArena()
+	outcomes := map[obs.AttemptOutcome]int{}
+	states := map[obs.TraceState]int{}
+	for trial := 0; trial < 3; trial++ {
+		inst := stackInstance(1500, int64(40+trial))
+		horizon := inst.Tasks[inst.N()-1].Release
+		run := func(tr *obs.Tracer) {
+			c := stackMix(horizon, int64(trial))
+			if _, _, err := arena.RunResilient(inst, EFTRouter{}, c.plan, c.pol, c.ov, c.el, c.hd, c.rs, tr); err != nil {
+				t.Fatal(err)
 			}
+		}
+		full := obs.NewTracer(obs.KeepAll())
+		run(full)
+		for _, tr := range full.Traces() {
+			states[tr.State]++
+			for _, a := range tr.Attempts {
+				outcomes[a.Outcome]++
+			}
+		}
+		for _, k := range []int{1, 9, 40} {
+			bounded := obs.NewTracer(obs.KeepWorst(k))
+			run(bounded)
+			check(fmt.Sprintf("stack trial %d k=%d", trial, k), k, full, bounded)
+		}
+	}
+	for _, o := range []obs.AttemptOutcome{obs.AttemptCompleted, obs.AttemptCrashed,
+		obs.AttemptHandedOff, obs.AttemptShed, obs.AttemptHedgeCancelled} {
+		if outcomes[o] == 0 {
+			t.Errorf("no stack trial produced a %v attempt (coverage: %v)", o, outcomes)
+		}
+	}
+	for _, st := range []obs.TraceState{obs.TraceCompleted, obs.TraceDropped, obs.TraceRejected, obs.TraceShed} {
+		if states[st] == 0 {
+			t.Errorf("no stack trial produced a %v task (coverage: %v)", st, states)
 		}
 	}
 }
@@ -273,3 +406,50 @@ func TestTracerNilRunAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestStackProbeAllocs pins what the always-on probes cost in allocations.
+// A reused arena runs the stack link mix at n = 2,000 and n = 20,000, bare
+// and with obs.Multi(Counters, Tracer(KeepWorst(20)), FlightRecorder).
+// Neither the bare run's allocations nor the probes' marginal ones (probed
+// minus bare) may grow with n: at ten times the tasks they may rise by at
+// most stackAllocGrowth, the buffers sized by the peak backlog (the tracer's
+// live traces among them) growing a few more times.
+func TestStackProbeAllocs(t *testing.T) {
+	arena := NewArena()
+	counters := &obs.Counters{}
+	flight := obs.NewFlightRecorder(4096)
+	measure := func(n int) (bare, marginal float64) {
+		inst := stackInstance(n, 47)
+		horizon := inst.Tasks[n-1].Release
+		run := func(probed bool) func() {
+			return func() {
+				var probe obs.Probe
+				if probed {
+					*counters = obs.Counters{}
+					flight.Reset()
+					probe = obs.Multi(counters, obs.NewTracer(obs.KeepWorst(20)), flight)
+				}
+				c := stackMix(horizon, 47)
+				if _, _, err := arena.RunResilient(inst, EFTRouter{}, c.plan, c.pol, c.ov, c.el, c.hd, c.rs, probe); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		bare = testing.AllocsPerRun(3, run(false))
+		return bare, testing.AllocsPerRun(3, run(true)) - bare
+	}
+	smallBare, smallProbe := measure(2000)
+	bigBare, bigProbe := measure(20000)
+	t.Logf("allocs per run: bare %.0f -> %.0f, probe marginal %.0f -> %.0f (n = 2,000 -> 20,000)",
+		smallBare, bigBare, smallProbe, bigProbe)
+	if bigBare > stackAllocGrowth*smallBare {
+		t.Errorf("bare run allocations grow with n: %.0f at n = 2,000, %.0f at n = 20,000", smallBare, bigBare)
+	}
+	if bigProbe > stackAllocGrowth*smallProbe {
+		t.Errorf("probe allocations grow with n: %.0f at n = 2,000, %.0f at n = 20,000", smallProbe, bigProbe)
+	}
+}
+
+// stackAllocGrowth bounds TestStackProbeAllocs' allocation ratio between the
+// n = 20,000 and n = 2,000 runs.
+const stackAllocGrowth = 1.25
