@@ -10,9 +10,8 @@ import (
 // (Section 6).
 
 // MaxLoadModel is the LP (15) instance: popularity weights plus the
-// replication sets per primary. It carries three cross-checked solvers
-// (simplex, max-flow bisection, exact Hall enumeration) and the disjoint
-// closed form; see internal/loadlp.
+// replication sets per primary. Its MaxLoad method solves it exactly with a
+// parametric minimum cut; see internal/loadlp.
 type MaxLoadModel = loadlp.Model
 
 // NewMaxLoadModel builds the model for a weight vector and a replication
@@ -23,14 +22,10 @@ func NewMaxLoadModel(weights []float64, strategy ReplicationStrategy) *MaxLoadMo
 
 // MaxLoad returns the theoretical maximum sustainable arrival rate λ of
 // LP (15) for the given popularity weights and replication strategy,
-// computed exactly: the Hall enumeration for m ≤ 25 machines, the max-flow
-// bisection (1e-9 precision) beyond.
+// computed exactly for any number of machines. A nil processing set from
+// the strategy means all machines.
 func MaxLoad(weights []float64, strategy ReplicationStrategy) float64 {
-	mo := loadlp.NewModel(weights, strategy)
-	if mo.M <= 25 {
-		return mo.MaxLoadHall()
-	}
-	return mo.MaxLoadFlow(0)
+	return loadlp.NewModel(weights, strategy).MaxLoad()
 }
 
 // MaxLoadPercent converts a λ from MaxLoad into the cluster load

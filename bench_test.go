@@ -13,7 +13,6 @@ import (
 	"flowsched"
 	"flowsched/internal/benchreg"
 	"flowsched/internal/experiments"
-	"flowsched/internal/loadlp"
 	"flowsched/internal/popularity"
 	"flowsched/internal/replicate"
 	"flowsched/internal/sched"
@@ -253,40 +252,6 @@ func BenchmarkAblationTieBreakRand(b *testing.B) {
 		if _, err := sched.NewEFT(sched.RandTie{Rng: rng}).Run(inst); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func maxLoadModel() *loadlp.Model {
-	w := popularity.Zipf(15, 1.25)
-	return loadlp.NewModel(w, replicate.Overlapping{K: 3})
-}
-
-func BenchmarkAblationMaxLoadHall(b *testing.B) {
-	mo := maxLoadModel()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = mo.MaxLoadHall()
-	}
-}
-
-func BenchmarkAblationMaxLoadSimplex(b *testing.B) {
-	mo := maxLoadModel()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mo.MaxLoadLP(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationMaxLoadFlowBisect(b *testing.B) {
-	mo := maxLoadModel()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = mo.MaxLoadFlow(1e-8)
 	}
 }
 

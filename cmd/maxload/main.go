@@ -1,19 +1,19 @@
 // Command maxload solves the max-load Linear Program (15) of the paper for
-// a popularity-biased cluster and a replication strategy, cross-checking
-// the three solvers (simplex, max-flow bisection, Hall enumeration).
+// a popularity-biased cluster, for every replication factor k of the
+// overlapping and disjoint strategies. The solver (flowsched.MaxLoad, a
+// parametric minimum cut) is exact at any cluster size; its cross-checks
+// against the simplex and the Hall enumeration are tests.
 //
-//	maxload -m 15 -s 1.25 -k 3 [-case worst|uniform|shuffled] [-csv]
+//	maxload -m 15 -s 1.25 [-case worst|uniform|shuffled] [-seed 1] [-csv]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"math/rand"
 	"os"
 
 	"flowsched"
-	"flowsched/internal/loadlp"
 	"flowsched/internal/table"
 )
 
@@ -23,9 +23,18 @@ func main() {
 	caseName := flag.String("case", "worst", "popularity case: uniform|worst|shuffled")
 	seed := flag.Int64("seed", 1, "random seed (shuffled case)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	check := flag.Bool("check", true, "cross-check simplex, max-flow and Hall solvers")
 	flag.Parse()
 
+	usageErr := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "maxload: "+format+"\n", args...)
+		os.Exit(2)
+	}
+	if *m < 1 {
+		usageErr("-m must be at least 1, got %d", *m)
+	}
+	if !(*s >= 0) {
+		usageErr("-s must be non-negative, got %v", *s)
+	}
 	var pcase flowsched.PopularityCase
 	switch *caseName {
 	case "uniform":
@@ -35,52 +44,24 @@ func main() {
 	case "shuffled":
 		pcase = flowsched.PopularityShuffled
 	default:
-		fmt.Fprintf(os.Stderr, "maxload: unknown case %q\n", *caseName)
-		os.Exit(2)
+		usageErr("unknown case %q", *caseName)
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	weights := flowsched.PopularityWeights(pcase, *m, *s, rng)
 
 	fmt.Printf("max-load analysis (LP (15)): m=%d, case=%s, s=%v\n\n", *m, pcase, *s)
-	out := table.New("k", "overlapping %", "disjoint %", "gain", "solver agreement")
+	out := table.New("k", "overlapping %", "disjoint %", "gain")
 	for k := 1; k <= *m; k++ {
-		ov := loadlp.NewModel(weights, flowsched.OverlappingReplication(k))
-		dj := loadlp.NewModel(weights, flowsched.DisjointReplication(k))
-		ovHall := ov.MaxLoadHall()
-		djHall := dj.MaxLoadHall()
-		agreement := "-"
-		if *check {
-			ovLP, err := ov.MaxLoadLP()
-			if err != nil {
-				log.Fatal(err)
-			}
-			ovFlow := ov.MaxLoadFlow(1e-8)
-			djCF, err := dj.MaxLoadDisjoint()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if abs(ovLP-ovHall) < 1e-5 && abs(ovFlow-ovHall) < 1e-5 && abs(djCF-djHall) < 1e-9 {
-				agreement = "ok"
-			} else {
-				agreement = fmt.Sprintf("MISMATCH lp=%v flow=%v hall=%v", ovLP, ovFlow, ovHall)
-			}
-		}
+		ov := flowsched.MaxLoad(weights, flowsched.OverlappingReplication(k))
+		dj := flowsched.MaxLoad(weights, flowsched.DisjointReplication(k))
 		out.AddRow(k,
-			fmt.Sprintf("%.1f", ov.MaxLoadPercent(ovHall)),
-			fmt.Sprintf("%.1f", dj.MaxLoadPercent(djHall)),
-			fmt.Sprintf("%.2fx", ovHall/djHall),
-			agreement)
+			fmt.Sprintf("%.1f", flowsched.MaxLoadPercent(ov, *m)),
+			fmt.Sprintf("%.1f", flowsched.MaxLoadPercent(dj, *m)),
+			fmt.Sprintf("%.2fx", ov/dj))
 	}
 	if *csv {
 		out.RenderCSV(os.Stdout)
 	} else {
 		out.Render(os.Stdout)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -2,7 +2,8 @@
 // Section 7.2: given a cluster with a Zipf popularity bias, how much load
 // can it sustain for each replication factor, and how much of that is lost
 // by choosing disjoint blocks (which carry the (3 − 2/k) EFT guarantee)
-// over overlapping intervals (which do not)?
+// over overlapping intervals (which do not)? flowsched.MaxLoad solves
+// LP (15) exactly at any cluster size.
 //
 // Run with: go run ./examples/maxload [-m 15] [-s 1.25]
 package main
@@ -21,7 +22,7 @@ func main() {
 
 	weights := flowsched.ZipfWeights(*m, *s)
 	fmt.Printf("max sustainable cluster load, m=%d machines, Zipf bias s=%v\n", *m, *s)
-	fmt.Printf("(LP (15), exact Hall-condition solution; 100%% = every machine busy full time)\n\n")
+	fmt.Printf("(LP (15), exact; 100%% = every machine busy full time)\n\n")
 	fmt.Printf("%-4s  %-14s  %-14s  %-8s\n", "k", "overlapping %", "disjoint %", "gain")
 	for k := 1; k <= *m; k++ {
 		ov := flowsched.MaxLoadPercent(flowsched.MaxLoad(weights, flowsched.OverlappingReplication(k)), *m)

@@ -56,10 +56,10 @@ func TestFacadeSmallWrappers(t *testing.T) {
 		t.Fatalf("RandomReplication")
 	}
 	mo := flowsched.NewMaxLoadModel(flowsched.ZipfWeights(6, 1), flowsched.OverlappingReplication(2))
-	if mo.MaxLoadHall() <= 0 {
+	if mo.MaxLoad() <= 0 {
 		t.Fatalf("NewMaxLoadModel")
 	}
-	// MaxLoad's large-m path (flow bisection beyond the Hall limit).
+	// MaxLoad beyond the m ≤ 25 limit of the old Hall enumeration.
 	big := flowsched.MaxLoad(flowsched.ZipfWeights(30, 0), flowsched.DisjointReplication(3))
 	if big < 29.9 {
 		t.Fatalf("MaxLoad(m=30 uniform) = %v, want ≈ 30", big)

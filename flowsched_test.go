@@ -86,7 +86,18 @@ func TestPublicMaxLoad(t *testing.T) {
 	if got := flowsched.MaxLoadPercent(flowsched.MaxLoad(u, flowsched.DisjointReplication(3)), m); math.Abs(got-100) > 1e-6 {
 		t.Fatalf("uniform disjoint max load = %v%%", got)
 	}
+	// A nil processing set means all machines: λ* = m / ΣP.
+	if got := flowsched.MaxLoad(flowsched.ZipfWeights(4, 1), allMachines{}); math.Abs(got-4) > 1e-9 {
+		t.Fatalf("unrestricted max load = %v, want 4", got)
+	}
 }
+
+// allMachines is a replication strategy without processing sets: every
+// primary's set is nil, meaning all machines.
+type allMachines struct{}
+
+func (allMachines) Name() string                   { return "all" }
+func (allMachines) Set(u, m int) flowsched.ProcSet { return nil }
 
 func TestPublicAdversaries(t *testing.T) {
 	res, err := flowsched.AdversaryEFTStream(flowsched.TieMin, 8, 3, 0)

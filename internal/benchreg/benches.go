@@ -10,6 +10,7 @@ import (
 	"flowsched/internal/eventq"
 	"flowsched/internal/faults"
 	"flowsched/internal/hedge"
+	"flowsched/internal/loadlp"
 	"flowsched/internal/obs"
 	"flowsched/internal/overload"
 	"flowsched/internal/popularity"
@@ -59,6 +60,8 @@ func init() {
 	Register("SchedFIFORun", benchSchedFIFORun)
 	Register("StatsSummarize", benchStatsSummarize)
 	Register("EventqEFTMinDispatch", benchEventqEFTMinDispatch)
+	Register("LoadLPMaxLoad", benchLoadLPMaxLoad)
+	Register("EstimatorBuildM1000", benchEstimatorBuildM1000)
 }
 
 // pickTasks builds a ring of release-ordered tasks with interval processing
@@ -581,5 +584,30 @@ func benchEventqEFTMinDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		release += 1.0 / m
 		picker.Dispatch(release, 1)
+	}
+}
+
+// benchLoadLPMaxLoad times one exact LP (15) solve at the paper's shape:
+// m = 15, k = 3 overlapping, worst-case Zipf s = 1.25.
+func benchLoadLPMaxLoad(b *testing.B) {
+	mo := loadlp.NewModel(popularity.Zipf(15, 1.25), replicate.Overlapping{K: 3})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = mo.MaxLoad()
+	}
+}
+
+// benchEstimatorBuildM1000 times building the SLO guard for m = 10³
+// machines (k = 3 overlapping, Shuffled Zipf s = 1): one LP (15) solve plus
+// the per-set index.
+func benchEstimatorBuildM1000(b *testing.B) {
+	w := popularity.Weights(popularity.Shuffled, 1000, 1, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := overload.NewEstimator(w, replicate.Overlapping{K: 3}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

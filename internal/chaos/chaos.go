@@ -365,11 +365,12 @@ func SampleParams(cfg Config, trial int) Params {
 	return p
 }
 
-// estimator builds the SLO guard for a trial. The LP-backed per-set
-// estimator needs the trial's exact replication sets; those are
-// rng-dependent for the offset/random strategies and degenerate (nil sets)
-// for unrestricted, so only the deterministic strategies get the full
-// estimator — the rest fall back to the trivial capacity bound λ* = m.
+// estimator builds the SLO guard for a trial. Only the none, overlapping
+// and disjoint strategies get the LP (15) per-set estimator; the offset,
+// random and unrestricted ones keep a plain capacity of m, so recorded
+// trials replay unchanged. With the uniform weights used here every
+// primary's set contains the primary, so λ* = m for every strategy and the
+// fallback loses only the per-set tracking behind HottestSet.
 func (p Params) estimator() *overload.Estimator {
 	switch p.Strategy {
 	case "none", "overlapping", "disjoint":

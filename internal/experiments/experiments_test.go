@@ -249,6 +249,66 @@ func TestExtensionStrategies(t *testing.T) {
 	}
 }
 
+// The max-load solver has no cluster-size ceiling: Figure 10, Figure 11's
+// LP verticals and the extension ablation run at m = 30, past the m ≤ 25
+// of the 2^m Hall enumeration they once used.
+
+func TestFig10SweepM30(t *testing.T) {
+	cfg := Fig10Config{M: 30, SMin: 0, SMax: 1, SStep: 1, Ks: []int{1, 3, 30}, Perms: 3, Seed: 1}
+	data, err := SweepFig10(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range data.Ss {
+		for j, k := range data.Ks {
+			ov, dj := data.Overlapping[i][j], data.Disjoint[i][j]
+			if ov <= 0 || ov > 100+1e-9 || ov < dj-1e-9 {
+				t.Errorf("s=%v k=%d: overlapping %v, disjoint %v", s, k, ov, dj)
+			}
+			if (s == 0 || k == 30) && (ov < 100-1e-6 || dj < 100-1e-6) {
+				t.Errorf("s=%v k=%d: want 100%%, got %v / %v", s, k, ov, dj)
+			}
+		}
+	}
+}
+
+func TestFig11VerticalsM30(t *testing.T) {
+	cfg := Fig11Config{M: 30, K: 3, SBias: 1, Seed: 1}
+	verticals := map[string]float64{}
+	for ci, c := range []popularity.Case{popularity.Uniform, popularity.Shuffled, popularity.Worst} {
+		for si, strat := range fig11Strategies(cfg.K) {
+			key := c.String() + "/" + stratLabel(strat)
+			v := theoreticalMaxLoadPct(c, cfg, strat, subRng(cfg.Seed, 1, int64(ci), int64(si)))
+			if v <= 0 || v > 100+1e-9 {
+				t.Errorf("%s: max load %v%% out of range", key, v)
+			}
+			verticals[key] = v
+		}
+	}
+	if v := verticals["Uniform/overlapping"]; v < 100-1e-6 {
+		t.Errorf("Uniform overlapping max load = %v, want 100", v)
+	}
+	if ov, dj := verticals["Worst-case/overlapping"], verticals["Worst-case/disjoint"]; ov < dj-1e-9 {
+		t.Errorf("Worst-case: overlapping %v below disjoint %v", ov, dj)
+	}
+}
+
+func TestExtensionStrategiesM30(t *testing.T) {
+	cfg := ExtensionConfig{M: 30, K: 3, N: 600, Reps: 1, SBias: 1, Load: 0.5, Seed: 2}
+	rows, err := ExtensionStrategies(io.Discard, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.MaxLoadPct <= 0 || r.MaxLoadPct > 100+1e-9 {
+			t.Errorf("%s: max load %v%% out of range", r.Strategy, r.MaxLoadPct)
+		}
+	}
+}
+
 func TestFigure2(t *testing.T) {
 	var b strings.Builder
 	if err := Figure2(&b, 8); err != nil {

@@ -75,7 +75,7 @@ func ExtensionStrategies(w io.Writer, cfg ExtensionConfig) ([]ExtensionRow, erro
 		for p := 0; p < 50; p++ {
 			wts := popularity.Weights(popularity.Shuffled, cfg.M, cfg.SBias, rng)
 			mo := loadlp.NewModel(wts, mk(name))
-			loads = append(loads, mo.MaxLoadPercent(mo.MaxLoadHall()))
+			loads = append(loads, mo.MaxLoadPercent(mo.MaxLoad()))
 		}
 
 		// Simulated Fmax at cfg.Load.

@@ -217,7 +217,7 @@ func stratLabel(s replicate.Strategy) string {
 func theoreticalMaxLoadPct(c popularity.Case, cfg Fig11Config, strat replicate.Strategy, rng *rand.Rand) float64 {
 	solve := func(w []float64) float64 {
 		mo := loadlp.NewModel(w, strat)
-		return mo.MaxLoadPercent(mo.MaxLoadHall())
+		return mo.MaxLoadPercent(mo.MaxLoad())
 	}
 	switch c {
 	case popularity.Shuffled:

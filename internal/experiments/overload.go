@@ -72,11 +72,7 @@ func OverloadSweep(w io.Writer, cfg OverloadSweepConfig) ([]OverloadSweepRow, er
 	var lambdas []float64
 	for rep := 0; rep < cfg.Reps; rep++ {
 		weights := shuffledWeights(cfg.M, cfg.SBias, subRng(cfg.Seed, 31, int64(rep)))
-		lambda, err := loadlp.NewModel(weights, strat).MaxLoadLP()
-		if err != nil {
-			return nil, err
-		}
-		lambdas = append(lambdas, lambda)
+		lambdas = append(lambdas, loadlp.NewModel(weights, strat).MaxLoad())
 	}
 	lambdaStar := stats.Median(lambdas)
 

@@ -1,27 +1,27 @@
 // Package loadlp computes the theoretical maximum cluster load of
 // Section 7.2: the largest arrival rate λ such that, after replication, the
-// per-machine load stays below 100%. It implements the paper's Linear
-// Program (15) three independent ways so Figures 10a/10b rest on
-// cross-checked numbers:
+// per-machine load stays below 100% — the optimum λ* of the paper's Linear
+// Program (15).
 //
-//   - MaxLoadLP: the LP solved literally with the simplex of internal/lp;
-//   - MaxLoadFlow: bisection on λ with a max-flow feasibility oracle
-//     (internal/maxflow);
-//   - MaxLoadHall: exact enumeration of the Gale–Hoffman/Hall condition
-//     λ·P(A) ≤ |N(A)| over all primary subsets A (m ≤ 25).
+// By Hall's condition, λ is sustainable iff λ·P(K) ≤ |N(K)| for every set K
+// of primaries, where N(K) = ∪_{j∈K} I_k(j), so
 //
-// MaxLoadDisjoint gives the closed form for disjoint strategies.
+//	λ* = min_{K: P(K) > 0} |N(K)| / P(K).
+//
+// Model.MaxLoad finds that minimum exactly with a parametric minimum cut on
+// the max-flow network of LP (15) (internal/maxflow). The test files keep
+// the independent solvers it is checked against: the 2^m Hall enumeration,
+// the closed forms for disjoint blocks and for no replication, and (in
+// internal/lp) the simplex on LP (15) as written.
 package loadlp
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"flowsched/internal/core"
-	"flowsched/internal/lp"
 	"flowsched/internal/maxflow"
-	"flowsched/internal/psets"
 	"flowsched/internal/replicate"
 )
 
@@ -31,88 +31,98 @@ import (
 type Model struct {
 	M       int
 	Weights []float64
-	Sets    []core.ProcSet // Sets[j] = I_k(j)
+	Sets    []core.ProcSet // Sets[j] = I_k(j), never nil
+}
+
+// CheckWeights reports why a popularity weight vector cannot define a
+// model: it must be non-empty, every weight finite and non-negative, and
+// the sum positive and finite.
+func CheckWeights(weights []float64) error {
+	if len(weights) == 0 {
+		return errors.New("loadlp: empty weight vector")
+	}
+	sum := 0.0
+	for j, w := range weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("loadlp: weight %d is %v, want finite and non-negative", j, w)
+		}
+		sum += w
+	}
+	if sum == 0 || math.IsInf(sum, 1) {
+		return fmt.Errorf("loadlp: weights sum to %v, want positive and finite", sum)
+	}
+	return nil
 }
 
 // NewModel builds the model for a weight vector and a replication strategy.
-// It panics on an empty weight vector (no machines).
+// A nil set from the strategy means all machines, as for core.ProcSet. It
+// panics on a weight vector CheckWeights rejects.
 func NewModel(weights []float64, strategy replicate.Strategy) *Model {
-	m := len(weights)
-	if m == 0 {
-		panic("loadlp: empty weight vector")
+	if err := CheckWeights(weights); err != nil {
+		panic(err.Error())
 	}
+	m := len(weights)
 	sets := make([]core.ProcSet, m)
 	for j := 0; j < m; j++ {
-		sets[j] = strategy.Set(j, m)
+		sets[j] = strategy.Set(j, m).Resolve(m)
 	}
 	return &Model{M: m, Weights: weights, Sets: sets}
 }
 
-// MaxLoadLP solves LP (15) with the simplex method and returns the maximal
-// λ. Variables: x_0 = λ and one a_ij per admissible (machine i, primary j)
-// pair; constraints (15b)-(15f) as in the paper.
-func (mo *Model) MaxLoadLP() (float64, error) {
-	// Index admissible pairs.
-	type pair struct{ i, j int }
-	var pairs []pair
-	index := make(map[pair]int)
-	for j := 0; j < mo.M; j++ {
-		for _, i := range mo.Sets[j] {
-			index[pair{i, j}] = len(pairs) + 1 // +1: variable 0 is λ
-			pairs = append(pairs, pair{i, j})
-		}
+// MaxLoad returns λ*, the optimum of LP (15), by Dinkelbach iteration on
+// Hall's ratio, starting from λ = |N(all)| / P(all). At each λ the
+// primaries K on the source side of a minimum cut of the feasibility
+// network minimize |N(K)| − λ·P(K). If K's ratio is below λ, that minimum
+// is negative, so λ is infeasible and K's ratio becomes the next λ.
+// Otherwise λ is feasible and, being the ratio of some set, the minimum.
+// Each λ is the ratio of one of finitely many sets and the sequence
+// strictly decreases, so the loop ends.
+func (mo *Model) MaxLoad() float64 {
+	all := make([]bool, mo.M)
+	for j := range all {
+		all[j] = true
 	}
-	numVars := 1 + len(pairs)
-	p := lp.NewProblem(numVars, true)
-	p.SetObjectiveCoef(0, 1) // maximize λ (15a)
-
-	// (15b): Σ_i a_ij - λ P(E_j) = 0 for all j.
-	for j := 0; j < mo.M; j++ {
-		idx := []int{0}
-		val := []float64{-mo.Weights[j]}
-		for _, i := range mo.Sets[j] {
-			idx = append(idx, index[pair{i, j}])
-			val = append(val, 1)
+	lambda, _ := mo.ratio(all)
+	for {
+		cut := mo.flow(lambda).MinCutSource(2 * mo.M)
+		r, ok := mo.ratio(cut[:mo.M])
+		if !ok || !(r < lambda*(1-1e-12)) {
+			return lambda
 		}
-		p.AddConstraintSparse(idx, val, lp.EQ, 0)
+		lambda = r
 	}
-	// (15c): Σ_j a_ij ≤ 1 for all i.
-	for i := 0; i < mo.M; i++ {
-		var idx []int
-		var val []float64
-		for j := 0; j < mo.M; j++ {
-			if mo.Sets[j].Contains(i) {
-				idx = append(idx, index[pair{i, j}])
-				val = append(val, 1)
-			}
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		p.AddConstraintSparse(idx, val, lp.LE, 1)
-	}
-	// (15d) is enforced structurally (absent variables); (15e)-(15f) are the
-	// solver's non-negativity.
-	sol, err := p.Solve()
-	if err != nil {
-		return 0, fmt.Errorf("loadlp: %w", err)
-	}
-	return sol.Objective, nil
 }
 
-// feasibleFlow reports whether arrival rate lambda is sustainable, using a
-// max-flow feasibility network: source → primary j (capacity λ·P(E_j)),
-// primary j → machine i for admissible pairs (∞), machine i → sink
-// (capacity 1).
-func (mo *Model) feasibleFlow(lambda float64) bool {
+// ratio returns |N(K)| / P(K) for the primaries K marked in the set,
+// skipping those with zero weight; ok is false when no weight remains.
+func (mo *Model) ratio(set []bool) (r float64, ok bool) {
+	covered := make([]bool, mo.M)
+	n, p := 0, 0.0
+	for j, w := range mo.Weights {
+		if !set[j] || w == 0 {
+			continue
+		}
+		p += w
+		for _, i := range mo.Sets[j] {
+			if !covered[i] {
+				covered[i] = true
+				n++
+			}
+		}
+	}
+	return float64(n) / p, p > 0
+}
+
+// flow runs the max-flow feasibility network of arrival rate lambda:
+// source → primary j (capacity λ·P(E_j)), primary j → machine i for
+// admissible pairs (∞), machine i → sink (capacity 1). Nodes 0..M−1 are
+// the primaries and node 2M is the source.
+func (mo *Model) flow(lambda float64) *maxflow.Result {
 	m := mo.M
 	src, sink := 2*m, 2*m+1
 	g := maxflow.NewGraph(2*m + 2)
-	demand := 0.0
-	for j := 0; j < m; j++ {
-		d := lambda * mo.Weights[j]
-		demand += d
-		g.AddEdge(src, j, d)
+	for j, w := range mo.Weights {
+		g.AddEdge(src, j, lambda*w)
 		for _, i := range mo.Sets[j] {
 			g.AddEdge(j, m+i, math.Inf(1))
 		}
@@ -120,99 +130,7 @@ func (mo *Model) feasibleFlow(lambda float64) bool {
 	for i := 0; i < m; i++ {
 		g.AddEdge(m+i, sink, 1)
 	}
-	r := g.Run(src, sink)
-	return r.Value >= demand-1e-9
-}
-
-// MaxLoadFlow computes the maximal λ by bisection over the max-flow
-// feasibility oracle, to absolute precision tol (1e-9 when tol ≤ 0).
-func (mo *Model) MaxLoadFlow(tol float64) float64 {
-	if tol <= 0 {
-		tol = 1e-9
-	}
-	lo, hi := 0.0, float64(mo.M)+1
-	if !mo.feasibleFlow(tol) {
-		// Degenerate weights: nothing is sustainable beyond 0.
-		return 0
-	}
-	for hi-lo > tol {
-		mid := (lo + hi) / 2
-		if mo.feasibleFlow(mid) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// MaxLoadHall computes the exact maximal λ by enumerating the Hall
-// condition: λ is feasible iff λ·P(A) ≤ |N(A)| for every subset A of
-// primaries, where N(A) = ∪_{j∈A} I_k(j). Hence
-//
-//	λ* = min_{A ≠ ∅, P(A) > 0} |N(A)| / P(A).
-//
-// It panics for m > 25 (the enumeration is 2^m).
-func (mo *Model) MaxLoadHall() float64 {
-	m := mo.M
-	if m > 25 {
-		panic("loadlp: MaxLoadHall limited to m ≤ 25")
-	}
-	targets := make([]uint32, m)
-	for j := 0; j < m; j++ {
-		var b uint32
-		for _, i := range mo.Sets[j] {
-			b |= 1 << uint(i)
-		}
-		targets[j] = b
-	}
-	size := 1 << uint(m)
-	union := make([]uint32, size)
-	weight := make([]float64, size)
-	best := math.Inf(1)
-	for mask := 1; mask < size; mask++ {
-		low := mask & (-mask)
-		j := bits.TrailingZeros32(uint32(low))
-		rest := mask ^ low
-		union[mask] = union[rest] | targets[j]
-		weight[mask] = weight[rest] + mo.Weights[j]
-		if weight[mask] <= 0 {
-			continue
-		}
-		ratio := float64(bits.OnesCount32(union[mask])) / weight[mask]
-		if ratio < best {
-			best = ratio
-		}
-	}
-	return best
-}
-
-// MaxLoadDisjoint computes the closed form for a disjoint family: the work
-// of a block can spread anywhere inside the block and nowhere else, so
-//
-//	λ* = min_B |B| / P(B).
-//
-// It returns an error if the model's sets do not form a disjoint family.
-func (mo *Model) MaxLoadDisjoint() (float64, error) {
-	fam := psets.NewFamily(mo.M, mo.Sets...)
-	if !fam.IsDisjoint() {
-		return 0, fmt.Errorf("loadlp: sets are not a disjoint family")
-	}
-	best := math.Inf(1)
-	for _, block := range fam.Sets {
-		p := 0.0
-		for j := 0; j < mo.M; j++ {
-			if mo.Sets[j].Equal(block) {
-				p += mo.Weights[j]
-			}
-		}
-		if p > 0 {
-			if r := float64(block.Len()) / p; r < best {
-				best = r
-			}
-		}
-	}
-	return best, nil
+	return g.Run(src, sink)
 }
 
 // MaxLoadPercent converts a λ value to the cluster load percentage

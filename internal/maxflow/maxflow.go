@@ -1,7 +1,7 @@
 // Package maxflow implements Dinic's maximum-flow algorithm on directed
-// graphs with float64 capacities. It is used as the feasibility oracle of
-// the max-load analysis (Section 7.2 of the paper) and by the offline
-// unit-task optimal scheduler (bipartite matching over machine/slot pairs).
+// graphs with float64 capacities. Its minimum cuts solve the max-load
+// analysis (Section 7.2 of the paper), and the offline unit-task optimal
+// scheduler uses it for bipartite matching over machine/slot pairs.
 package maxflow
 
 import "math"

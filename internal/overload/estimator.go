@@ -2,6 +2,7 @@ package overload
 
 import (
 	"fmt"
+	"math"
 
 	"flowsched/internal/core"
 	"flowsched/internal/loadlp"
@@ -11,13 +12,13 @@ import (
 // Estimator is the SLO guard's capacity side: it tracks the offered load —
 // an EWMA over observed inter-arrival times, globally and per replication
 // set — and compares it against the cluster capacity λ* from LP (15)
-// (loadlp.MaxLoadLP). When the estimated arrival rate exceeds
+// (loadlp.Model.MaxLoad). When the estimated arrival rate exceeds
 // Headroom × λ*, the guard raises a brownout signal that admission policies,
 // probes and operators can consume; the estimator itself rejects nothing.
 type Estimator struct {
 	// Capacity is λ*, the maximal sustainable arrival rate. NewEstimator
-	// fills it from the LP; it can also be set directly (tasks per time
-	// unit).
+	// fills it from LP (15); it can also be set directly (tasks per time
+	// unit, finite and non-negative).
 	Capacity float64
 	// Headroom is the brownout threshold as a fraction of Capacity
 	// (default 0.9).
@@ -42,14 +43,15 @@ type Estimator struct {
 }
 
 // NewEstimator builds the guard for a popularity weight vector and a
-// replication strategy: capacity comes from loadlp.MaxLoadLP and the
-// offered load is additionally tracked per distinct replication set, so
-// HottestSet can point at the saturating shard.
+// replication strategy: capacity comes from LP (15) (loadlp.Model.MaxLoad)
+// and the offered load is additionally tracked per distinct replication set,
+// so HottestSet can point at the saturating shard. A nil set from the
+// strategy means all machines. The weights must pass loadlp.CheckWeights.
 func NewEstimator(weights []float64, strategy replicate.Strategy) (*Estimator, error) {
-	m := len(weights)
-	if m == 0 {
-		return nil, fmt.Errorf("overload: estimator needs a non-empty weight vector")
+	if err := loadlp.CheckWeights(weights); err != nil {
+		return nil, fmt.Errorf("overload: %w", err)
 	}
+	m := len(weights)
 	if strategy == nil {
 		strategy = replicate.None{}
 	}
@@ -57,11 +59,7 @@ func NewEstimator(weights []float64, strategy replicate.Strategy) (*Estimator, e
 		return nil, fmt.Errorf("overload: %w", err)
 	}
 	model := loadlp.NewModel(weights, strategy)
-	capacity, err := model.MaxLoadLP()
-	if err != nil {
-		return nil, fmt.Errorf("overload: capacity LP: %w", err)
-	}
-	e := &Estimator{Capacity: capacity}
+	e := &Estimator{Capacity: model.MaxLoad()}
 	e.setOf = make([]int, m)
 	for u := 0; u < m; u++ {
 		set := model.Sets[u]
@@ -91,8 +89,8 @@ func NewEstimatorCapacity(capacity float64) *Estimator {
 }
 
 func (e *Estimator) validate(m int) error {
-	if e.Capacity < 0 {
-		return fmt.Errorf("overload: negative estimator capacity %v", e.Capacity)
+	if !(e.Capacity >= 0) || math.IsInf(e.Capacity, 1) {
+		return fmt.Errorf("overload: estimator capacity %v, want finite and non-negative", e.Capacity)
 	}
 	if e.Headroom < 0 {
 		return fmt.Errorf("overload: negative estimator headroom %v", e.Headroom)

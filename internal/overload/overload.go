@@ -21,8 +21,8 @@
 //     service-time inflation per server ejects gray-slowed replicas from
 //     processing sets, with cooldown re-admission.
 //   - Estimator: the SLO guard — EWMA offered-load tracking per replication
-//     set, compared against loadlp.MaxLoadLP()-derived capacity, exposing a
-//     brownout signal.
+//     set, compared against the LP (15) capacity (loadlp.Model.MaxLoad),
+//     exposing a brownout signal.
 //
 // The simulator side lives in sim.RunGuarded: a nil *Config reproduces
 // sim.RunFaulty bit for bit (property-tested), so the subsystem costs

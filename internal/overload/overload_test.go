@@ -292,6 +292,52 @@ func TestNewEstimatorFromLP(t *testing.T) {
 	}
 }
 
+// TestEstimatorRejectsInvalidInputs: NewEstimator refuses weight vectors
+// that define no capacity, and Config.Validate refuses a guard whose
+// capacity is not finite and non-negative.
+func TestEstimatorRejectsInvalidInputs(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		weights  []float64
+		capacity float64
+	}{
+		{name: "negative weight", weights: []float64{0.5, -0.1, 0.6}},
+		{name: "NaN weight", weights: []float64{0.5, math.NaN(), 0.5}},
+		{name: "+Inf weight", weights: []float64{0.5, math.Inf(1), 0.5}},
+		{name: "all-zero weights", weights: []float64{0, 0, 0}},
+		{name: "NaN capacity", capacity: math.NaN()},
+		{name: "+Inf capacity", capacity: math.Inf(1)},
+	} {
+		var err error
+		if c.weights != nil {
+			_, err = NewEstimator(c.weights, replicate.Overlapping{K: 2})
+		} else {
+			err = (&Config{Guard: NewEstimatorCapacity(c.capacity)}).Validate(3)
+		}
+		if err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+}
+
+// allMachines is a replication strategy without processing sets: a nil
+// core.ProcSet means every machine.
+type allMachines struct{}
+
+func (allMachines) Name() string              { return "all" }
+func (allMachines) Set(u, m int) core.ProcSet { return nil }
+
+func TestNewEstimatorNilSetIsAllMachines(t *testing.T) {
+	// Zipf(4, 1) weights on fully shared machines: λ* = m / ΣP = 4.
+	e, err := NewEstimator([]float64{0.48, 0.24, 0.16, 0.12}, allMachines{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(e.Capacity-4) > 1e-9 {
+		t.Fatalf("capacity %v, want 4", e.Capacity)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	var nilCfg *Config
 	if err := nilCfg.Validate(4); err != nil {

@@ -144,18 +144,3 @@ func (s *Sampler) Sample(rng *rand.Rand) int {
 	}
 	return s.alias[i]
 }
-
-// MaxLoadNoReplication returns the largest arrival rate λ sustainable with
-// no replication (|M_i| = 1): λ ≤ 1 / max_j P(E_j) (Section 7.2).
-func MaxLoadNoReplication(weights []float64) float64 {
-	mx := 0.0
-	for _, w := range weights {
-		if w > mx {
-			mx = w
-		}
-	}
-	if mx == 0 {
-		return math.Inf(1)
-	}
-	return 1 / mx
-}

@@ -149,17 +149,3 @@ func TestZipfPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestMaxLoadNoReplication(t *testing.T) {
-	// Uniform on m machines: max weight 1/m, so λ ≤ m.
-	if got := MaxLoadNoReplication(Zipf(6, 0)); math.Abs(got-6) > 1e-9 {
-		t.Fatalf("uniform max load = %v, want 6", got)
-	}
-	// m=2, s=1: max weight 2/3 → λ = 1.5.
-	if got := MaxLoadNoReplication(Zipf(2, 1)); math.Abs(got-1.5) > 1e-9 {
-		t.Fatalf("max load = %v, want 1.5", got)
-	}
-	if !math.IsInf(MaxLoadNoReplication([]float64{0, 0}), 1) {
-		t.Fatalf("zero weights should give infinite load")
-	}
-}

@@ -187,10 +187,3 @@ func Validate(s Strategy, m int) error {
 	}
 	return nil
 }
-
-// Transferable reports, for analysis code, whether work originally owned by
-// primary u may be processed by machine j under the strategy — the condition
-// M_i ∈ I_k(j) of constraint (15d), expressed from the primary's viewpoint.
-func Transferable(s Strategy, u, j, m int) bool {
-	return s.Set(u, m).Contains(j)
-}

@@ -183,14 +183,6 @@ func TestRandomKMemoizes(t *testing.T) {
 	}
 }
 
-func TestTransferable(t *testing.T) {
-	// Overlapping m=6 k=3: work of primary 2 can go to machines {2,3,4}.
-	s := Overlapping{K: 3}
-	if !Transferable(s, 2, 3, 6) || Transferable(s, 2, 1, 6) {
-		t.Fatalf("Transferable wrong")
-	}
-}
-
 func TestCheckKPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -48,7 +48,10 @@ func (h *Heatmap) Render(w io.Writer) {
 		if x > 1 {
 			x = 1
 		}
-		idx := int(x * float64(len(ramp)-1))
+		// A value within 1e-9 of a bin edge lies on it, so a cell whose
+		// exact value is Hi gets the top glyph whatever the rounding of the
+		// float sum behind it.
+		idx := int(x*float64(len(ramp)-1) + 1e-9)
 		return ramp[idx]
 	}
 

@@ -93,6 +93,20 @@ func TestHeatmapRender(t *testing.T) {
 	}
 }
 
+func TestHeatmapBinEdgeTolerance(t *testing.T) {
+	// 100 computed as a float sum may land an ulp below Hi; it is still the
+	// top bin. Values clearly inside a bin keep their glyph.
+	h := &Heatmap{
+		Rows: []string{"r"}, Cols: []string{"a", "b", "c"},
+		Values: [][]float64{{100 * (1 - 1e-15), 100 * 8.5 / 9, 100 * (1 - 1e-6)}},
+		Lo:     0, Hi: 100,
+	}
+	lines := strings.Split(h.String(), "\n")
+	if got := strings.TrimPrefix(lines[1], "r "); got != "@%%" {
+		t.Fatalf("cells = %q, want \"@%%%%\"", got)
+	}
+}
+
 func TestHeatmapAutoScaleAndClamp(t *testing.T) {
 	h := &Heatmap{
 		Rows: []string{"a"}, Cols: []string{"x", "y"},
