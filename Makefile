@@ -112,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadInstanceJSON -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadScheduleJSON -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadPlanJSON -fuzztime=30s ./internal/faults/
+	$(GO) test -fuzz=FuzzRouterEquivalence -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzGuardedDisposition -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzElasticMembership -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzHedgedDispatch -fuzztime=30s ./internal/sim/

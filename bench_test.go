@@ -453,9 +453,9 @@ func BenchmarkRouterEFTPickFullSet(b *testing.B) { benchregWrap(b, "RouterEFTPic
 func BenchmarkRouterJSQPick(b *testing.B)        { benchregWrap(b, "RouterJSQPick") }
 func BenchmarkSimRunEFT(b *testing.B)            { benchregWrap(b, "SimRunEFT") }
 func BenchmarkSimRunEFTMinFullSet(b *testing.B)  { benchregWrap(b, "SimRunEFTMinFullSet") }
+func BenchmarkSimRunEFTMaxFullSet(b *testing.B)  { benchregWrap(b, "SimRunEFTMaxFullSet") }
 func BenchmarkSimRunJSQ(b *testing.B)            { benchregWrap(b, "SimRunJSQ") }
 func BenchmarkProbeOverheadSimOff(b *testing.B)  { benchregWrap(b, "ProbeOverheadSimOff") }
 func BenchmarkProbeOverheadSimHist(b *testing.B) { benchregWrap(b, "ProbeOverheadSimHist") }
 func BenchmarkSchedFIFORun(b *testing.B)         { benchregWrap(b, "SchedFIFORun") }
 func BenchmarkStatsSummarize(b *testing.B)       { benchregWrap(b, "StatsSummarize") }
-func BenchmarkEventqEFTMinDispatch(b *testing.B) { benchregWrap(b, "EventqEFTMinDispatch") }

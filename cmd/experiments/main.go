@@ -44,7 +44,7 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "smaller configurations for a fast run")
+	quick := flag.Bool("quick", false, "smaller configurations for a fast run: -m 10 -n 2000 -reps 3 -perms 10, except where those flags are set explicitly")
 	m := flag.Int("m", 15, "machines for interval experiments (fig10/fig11/table2)")
 	k := flag.Int("k", 3, "replication factor / interval size")
 	n := flag.Int("n", 10000, "tasks per simulation run (fig11)")
@@ -61,7 +61,7 @@ func main() {
 	}
 
 	if *quick {
-		*m, *n, *reps, *perms = 10, 2000, 3, 10
+		applyQuick(flag.CommandLine)
 	}
 
 	run := func(name string) error {
@@ -215,6 +215,23 @@ func main() {
 		if err := run(name); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			os.Exit(1)
+		}
+	}
+}
+
+// quickSizes are the size flags' values under -quick.
+var quickSizes = map[string]string{"m": "10", "n": "2000", "reps": "3", "perms": "10"}
+
+// applyQuick gives every size flag the command line did not set its -quick
+// value; a flag set explicitly keeps the value it was given.
+func applyQuick(fs *flag.FlagSet) {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for name, v := range quickSizes {
+		if !set[name] {
+			if err := fs.Set(name, v); err != nil {
+				panic(err)
+			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"flowsched/internal/audit"
 	"flowsched/internal/core"
 	"flowsched/internal/elastic"
-	"flowsched/internal/eventq"
 	"flowsched/internal/faults"
 	"flowsched/internal/hedge"
 	"flowsched/internal/loadlp"
@@ -23,9 +22,10 @@ import (
 )
 
 // The registered suite: the simulator hot paths (router Pick, Run variants,
-// FIFO dispatch) plus the supporting stats and eventq kernels. Every entry
-// lands in BENCH_<n>.json; the Pick entries are additionally pinned to
-// 0 allocs/op by TestRouterPickAllocs in internal/sim.
+// FIFO dispatch) plus the stats kernel, the LP (15) solve and the SLO-guard
+// build. Every entry lands in BENCH_<n>.json; the Pick entries are
+// additionally pinned to 0 allocs/op by TestRouterPickAllocs in
+// internal/sim.
 
 func init() {
 	Register("RouterEFTPick", benchRouterEFTPick)
@@ -33,6 +33,7 @@ func init() {
 	Register("RouterJSQPick", benchRouterJSQPick)
 	Register("SimRunEFT", benchSimRunEFT)
 	Register("SimRunEFTMinFullSet", benchSimRunEFTMinFullSet)
+	Register("SimRunEFTMaxFullSet", benchSimRunEFTMaxFullSet)
 	Register("SimRunJSQ", benchSimRunJSQ)
 	Register("ProbeOverheadSimOff", benchProbeOverheadSimOff)
 	Register("ProbeOverheadSimHist", benchProbeOverheadSimHist)
@@ -59,7 +60,6 @@ func init() {
 	Register("SchedEFTRun", benchSchedEFTRun)
 	Register("SchedFIFORun", benchSchedFIFORun)
 	Register("StatsSummarize", benchStatsSummarize)
-	Register("EventqEFTMinDispatch", benchEventqEFTMinDispatch)
 	Register("LoadLPMaxLoad", benchLoadLPMaxLoad)
 	Register("EstimatorBuildM1000", benchEstimatorBuildM1000)
 }
@@ -126,7 +126,8 @@ func restrictedInstance(m, k, n int) *core.Instance {
 	return inst
 }
 
-// fullSetInstance has nil processing sets: the EFT-Min fast-path shape.
+// fullSetInstance has nil processing sets: every EFT dispatch descends the
+// ready tree.
 func fullSetInstance(m, n int) *core.Instance {
 	rng := rand.New(rand.NewSource(7))
 	tasks := make([]core.Task, n)
@@ -154,6 +155,10 @@ func benchSimRunEFT(b *testing.B) {
 
 func benchSimRunEFTMinFullSet(b *testing.B) {
 	benchSimRun(b, fullSetInstance(256, 5000), sim.EFTRouter{})
+}
+
+func benchSimRunEFTMaxFullSet(b *testing.B) {
+	benchSimRun(b, fullSetInstance(256, 5000), sim.EFTRouter{Tie: sched.MaxTie{}})
 }
 
 func benchSimRunJSQ(b *testing.B) {
@@ -572,18 +577,6 @@ func benchStatsSummarize(b *testing.B) {
 		if s := stats.Summarize(xs); s.N != len(xs) {
 			b.Fatal("bad summary")
 		}
-	}
-}
-
-func benchEventqEFTMinDispatch(b *testing.B) {
-	const m = 256
-	picker := eventq.NewEFTMinPicker(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	release := 0.0
-	for i := 0; i < b.N; i++ {
-		release += 1.0 / m
-		picker.Dispatch(release, 1)
 	}
 }
 

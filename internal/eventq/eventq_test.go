@@ -1,7 +1,6 @@
 package eventq
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -170,87 +169,6 @@ func TestQueueAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Push/Pop cycle allocates %v times within reserved capacity", avg)
-	}
-}
-
-// TestEFTMinPickerMatchesLinearRule replays random task streams through the
-// picker and the textbook O(m) EFT-Min rule and requires identical machine
-// choices and start times at every step.
-func TestEFTMinPickerMatchesLinearRule(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(12)
-		p := NewEFTMinPicker(m)
-		comp := make([]float64, m)
-		release := 0.0
-		for step := 0; step < 300; step++ {
-			// Occasionally jump far ahead so every machine drains (all-idle
-			// case), otherwise creep so the all-busy case is exercised.
-			if rng.Intn(20) == 0 {
-				release += 50
-			} else {
-				release += rng.Float64() / float64(m)
-			}
-			proc := 0.1 + rng.Float64()*3
-			// Linear reference: tie set U = {j : comp[j] <= max(release, min)}.
-			tmin := comp[0]
-			for _, c := range comp[1:] {
-				if c < tmin {
-					tmin = c
-				}
-			}
-			if release > tmin {
-				tmin = release
-			}
-			wantJ := -1
-			for j, c := range comp {
-				if c <= tmin {
-					wantJ = j
-					break
-				}
-			}
-			wantStart := comp[wantJ]
-			if release > wantStart {
-				wantStart = release
-			}
-			gotJ, gotStart := p.Dispatch(release, proc)
-			if gotJ != wantJ || gotStart != wantStart {
-				return false
-			}
-			comp[wantJ] = wantStart + proc
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEFTMinPickerCompletion(t *testing.T) {
-	p := NewEFTMinPicker(2)
-	if !math.IsInf(p.Completion(0), 1) {
-		t.Fatalf("idle machine should report +Inf, got %v", p.Completion(0))
-	}
-	j, start := p.Dispatch(1, 2)
-	if j != 0 || start != 1 {
-		t.Fatalf("first dispatch = M%d at %v, want M0 at 1", j+1, start)
-	}
-	if p.Completion(0) != 3 {
-		t.Fatalf("Completion(0) = %v, want 3", p.Completion(0))
-	}
-}
-
-func TestEFTMinPickerAllocFree(t *testing.T) {
-	p := NewEFTMinPicker(16)
-	release := 0.0
-	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			release += 0.05
-			p.Dispatch(release, 1)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("Dispatch allocates %v times per 64 tasks", avg)
 	}
 }
 

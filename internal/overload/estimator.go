@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -61,17 +62,15 @@ func NewEstimator(weights []float64, strategy replicate.Strategy) (*Estimator, e
 	model := loadlp.NewModel(weights, strategy)
 	e := &Estimator{Capacity: model.MaxLoad()}
 	e.setOf = make([]int, m)
+	index := make(map[string]int, m) // setKey → index into e.sets
+	var key []byte
 	for u := 0; u < m; u++ {
 		set := model.Sets[u]
-		idx := -1
-		for x, s := range e.sets {
-			if s.Equal(set) {
-				idx = x
-				break
-			}
-		}
-		if idx < 0 {
-			idx = len(e.sets)
+		key = setKey(key[:0], set)
+		idx, ok := index[string(key)]
+		if !ok {
+			idx = len(e.sets) // first-seen order: HottestSet breaks ties by it
+			index[string(key)] = idx
 			e.sets = append(e.sets, set)
 		}
 		e.setOf[u] = idx
@@ -80,6 +79,20 @@ func NewEstimator(weights []float64, strategy replicate.Strategy) (*Estimator, e
 	e.setSeen = make([]int, len(e.sets))
 	e.setIA = make([]float64, len(e.sets))
 	return e, nil
+}
+
+// setKey appends set's members to buf, encoded so that two sets get the
+// same key exactly when ProcSet.Equal holds: members in order as varints
+// behind a marker byte, and no bytes at all for the nil set.
+func setKey(buf []byte, set core.ProcSet) []byte {
+	if set == nil {
+		return buf
+	}
+	buf = append(buf, 's')
+	for _, j := range set {
+		buf = binary.AppendVarint(buf, int64(j))
+	}
+	return buf
 }
 
 // NewEstimatorCapacity builds a guard with a known capacity and no per-set

@@ -14,8 +14,8 @@ import (
 	"flowsched/internal/trace"
 )
 
-// fullInstance builds an unrestricted instance (every Set nil), the shape
-// that takes the EFT-Min O(log m) fast path.
+// fullInstance builds an unrestricted instance (every Set nil): under an
+// EFTRouter, every dispatch descends the ready tree.
 func fullInstance(m, n int, rng *rand.Rand) *core.Instance {
 	tasks := make([]core.Task, n)
 	t := 0.0
@@ -42,14 +42,14 @@ func allProbes(t *testing.T, m int, dt core.Time) (*obs.Counters, *obs.Histogram
 
 // TestProbedRunEquivalence: attaching probes must not change the run — the
 // probed schedule and metrics are identical to the unprobed ones, on both
-// the generic loop and the EFT-Min fast path.
+// loops (EFT and JSQ) and on mixed and full sets.
 func TestProbedRunEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := 2 + rng.Intn(7)
 		instances := []*core.Instance{
-			randomInstance(m, 300, rng), // generic loop
-			fullInstance(m, 300, rng),   // EFT-Min fast path
+			randomInstance(m, 300, rng), // member scans and the tree
+			fullInstance(m, 300, rng),   // the tree only
 		}
 		for _, inst := range instances {
 			for _, router := range []Router{EFTRouter{}, JSQRouter{}} {
@@ -138,20 +138,26 @@ func TestProbedRunFaultyEquivalence(t *testing.T) {
 
 // TestProbeNilRunAllocs pins the zero-overhead contract of the nil probe:
 // RunProbed(…, nil) stays within the same constant allocation bound as Run
-// (DESIGN.md §7), on both dispatch paths.
+// (DESIGN.md §7), on both dispatch loops.
 func TestProbeNilRunAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, inst := range []*core.Instance{
-		randomInstance(8, 2000, rng), // generic loop
-		fullInstance(8, 2000, rng),   // EFT-Min fast path
+	mixed := randomInstance(8, 2000, rng)
+	for _, tc := range []struct {
+		inst   *core.Instance
+		router Router
+	}{
+		{mixed, EFTRouter{}},                      // EFT loop, member scans and the tree
+		{fullInstance(8, 2000, rng), EFTRouter{}}, // EFT loop, the tree only
+		{mixed, JSQRouter{}},                      // generic loop
 	} {
 		avg := testing.AllocsPerRun(5, func() {
-			if _, _, err := RunProbed(inst, EFTRouter{}, nil); err != nil {
+			if _, _, err := RunProbed(tc.inst, tc.router, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if avg > 64 {
-			t.Errorf("%v allocs per nil-probe run of %d tasks: the probe hooks leak onto the hot path", avg, inst.N())
+			t.Errorf("%s: %v allocs per nil-probe run of %d tasks: the probe hooks leak onto the hot path",
+				tc.router.Name(), avg, tc.inst.N())
 		}
 	}
 }

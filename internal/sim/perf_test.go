@@ -2,10 +2,14 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"flowsched/internal/core"
 	"flowsched/internal/sched"
@@ -131,85 +135,278 @@ func TestRouterEquivalence(t *testing.T) {
 	}
 }
 
-// TestEFTMinFastPathEquivalence pins the O(log m) EFTMinPicker fast path
-// (full-set instances under EFT-Min) to the generic completion-scan loop,
-// which refEFTRouter forces Run through.
-func TestEFTMinFastPathEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(16)
-		n := 100 + rng.Intn(400)
-		tasks := make([]core.Task, n)
-		tm := 0.0
-		for i := range tasks {
-			tm += rng.ExpFloat64() / float64(m)
-			if rng.Intn(30) == 0 {
-				tm += 20 // idle gaps: exercise the all-idle dispatch case
-			}
-			tasks[i] = core.Task{Release: tm, Proc: 0.1 + rng.Float64()*2}
-		}
-		inst := core.NewInstance(m, tasks)
-		sFast, mFast, err := Run(inst, EFTRouter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sRef, mRef, err := Run(inst, refEFTRouter{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSchedule(t, "fast path", sFast, sRef)
-		sameMetrics(t, "fast path", mFast, mRef)
+// equivPairs are the optimized routers FuzzRouterEquivalence and
+// TestEFTLoopEquivalence check against their references: EFT under Min and
+// Max, which the EFT loop picks directly, and under a seeded RandTie, which
+// it hands eftTieSet's candidates. The two RandTies draw from identically
+// seeded generators, so both runs consume the same stream.
+func equivPairs(seed int64) []equivPair {
+	randTie := func() sched.TieBreak { return sched.RandTie{Rng: rand.New(rand.NewSource(seed))} }
+	return []equivPair{
+		{"EFT-Min", EFTRouter{}, refEFTRouter{}},
+		{"EFT-Max", EFTRouter{Tie: sched.MaxTie{}}, refEFTRouter{Tie: sched.MaxTie{}}},
+		{"EFT-Rand", EFTRouter{Tie: randTie()}, refEFTRouter{Tie: randTie()}},
+		{"JSQ", JSQRouter{}, refJSQRouter{}},
 	}
 }
 
-// TestFastPathGate: the EFTMinPicker shortcut must engage exactly for
-// EFT-Min (explicit or default tie) on full-set instances.
+type equivPair struct {
+	label    string
+	opt, ref Router
+}
+
+// check runs inst under both routers and requires byte-identical schedules
+// and metrics.
+func (p equivPair) check(t *testing.T, inst *core.Instance) {
+	t.Helper()
+	sOpt, mOpt, err := Run(inst, p.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sRef, mRef, err := Run(inst, p.ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSchedule(t, p.label, sOpt, sRef)
+	sameMetrics(t, p.label, mOpt, mRef)
+}
+
+// tieHeavy floors every release to an integer and makes every task
+// unit-length, so that many machines share a completion time and the
+// tie-break decides most dispatches.
+func tieHeavy(inst *core.Instance) {
+	for i := range inst.Tasks {
+		inst.Tasks[i].Release = math.Floor(inst.Tasks[i].Release)
+		inst.Tasks[i].Proc = 1
+	}
+}
+
+// eftLoopInstance builds n tasks on m machines at load 0.9 with occasional
+// idle gaps. family 0 gives full sets, 1 wrapping ring arcs, 2 random
+// subsets and 3 a mix of the three.
+func eftLoopInstance(m, n, family int, rng *rand.Rand) *core.Instance {
+	tasks := make([]core.Task, n)
+	tm := 0.0
+	for i := range tasks {
+		tm += rng.ExpFloat64() / (0.9 * float64(m))
+		if rng.Intn(50) == 0 {
+			tm += 20 // every machine drains
+		}
+		tasks[i] = core.Task{Release: tm, Proc: 0.1 + rng.Float64()*2}
+		f := family
+		if f == 3 {
+			f = rng.Intn(3)
+		}
+		switch f {
+		case 1:
+			tasks[i].Set = core.MustRingInterval(rng.Intn(m), 1+rng.Intn(m), m)
+		case 2:
+			tasks[i].Set = core.NewProcSet(rng.Perm(m)[:1+rng.Intn(min(m, 20))]...)
+		}
+	}
+	return core.NewInstance(m, tasks)
+}
+
+// TestEFTLoopEquivalence pins the EFT loop (the ready tree for full sets,
+// member scans for restricted ones) to the generic loop, which refEFTRouter
+// forces Run through. The machine counts cross the tree's power-of-two
+// padding (15, 16, 17) and reach m = 1000.
+func TestEFTLoopEquivalence(t *testing.T) {
+	for _, m := range []int{1, 2, 5, 15, 16, 17, 1000} {
+		n := 300 + 2*m
+		for family := 0; family < 4; family++ {
+			for _, ties := range []bool{false, true} {
+				seed := int64(m*10 + family)
+				inst := eftLoopInstance(m, n, family, rand.New(rand.NewSource(seed)))
+				if ties {
+					tieHeavy(inst)
+				}
+				for _, p := range equivPairs(seed)[:3] { // the EFT pairs
+					p.label = fmt.Sprintf("%s m=%d family=%d ties=%v", p.label, m, family, ties)
+					p.check(t, inst)
+				}
+			}
+		}
+	}
+}
+
+// TestEFTLoopOverflow: completion times that overflow to +Inf put every
+// machine in the tie set. Padding leaves hold +Inf too, and must not win
+// the rightmost descent (m = 5 pads to 8 leaves).
+func TestEFTLoopOverflow(t *testing.T) {
+	tasks := make([]core.Task, 8)
+	for i := range tasks {
+		tasks[i] = core.Task{Release: 1e308, Proc: 1e308}
+	}
+	inst := core.NewInstance(5, tasks)
+	for _, tc := range []struct {
+		pair equivPair
+		want []int
+	}{
+		{equivPairs(0)[0], []int{0, 1, 2, 3, 4, 0, 0, 0}},
+		{equivPairs(0)[1], []int{4, 3, 2, 1, 0, 4, 4, 4}},
+	} {
+		tc.pair.check(t, inst)
+		s, _, err := Run(inst, tc.pair.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Machine, tc.want) {
+			t.Errorf("%s: machines %v, want %v", tc.pair.label, s.Machine, tc.want)
+		}
+	}
+}
+
+// TestReadyTreeMatchesLinearRule checks the tree's descents and the member
+// scan against the linear EFT rule, U = { j : C_j ≤ max(r, min C) } with
+// the first or the last of U chosen, on random completion vectors full of
+// ties and +Inf leaves.
+func TestReadyTreeMatchesLinearRule(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := 1 + rng.Intn(40)
+		tree := newReadyTree(m)
+		comp := make([]core.Time, m)
+		// linear returns the first and last member of set (nil: all
+		// machines) in U.
+		linear := func(set []int, r core.Time) (first, last int) {
+			thr := comp[set[0]]
+			for _, j := range set {
+				thr = min(thr, comp[j])
+			}
+			thr = max(thr, r)
+			first = -1
+			for _, j := range set {
+				if comp[j] <= thr {
+					if first < 0 {
+						first = j
+					}
+					last = j
+				}
+			}
+			return first, last
+		}
+		all := rng.Perm(m)
+		sort.Ints(all)
+		for step := 0; step < 300; step++ {
+			set := func(j int, c core.Time) {
+				comp[j] = c
+				tree.set(j, c)
+			}
+			switch j := rng.Intn(m); rng.Intn(6) {
+			case 0:
+				set(j, math.Inf(1))
+			case 1:
+				set(j, core.Time(rng.Intn(4)))
+			case 2:
+				if rng.Intn(10) == 0 {
+					for j := range comp {
+						set(j, math.Inf(1))
+					}
+				}
+			default:
+				set(j, rng.Float64()*4)
+			}
+			r := core.Time(rng.Intn(5))
+			if rng.Intn(2) == 0 {
+				r = rng.Float64() * 5
+			}
+			first, last := linear(all, r)
+			if tree.pick(r, false) != first || tree.pick(r, true) != last {
+				return false
+			}
+			if !reflect.DeepEqual(tree.leaves(), comp) {
+				return false
+			}
+			sub := core.NewProcSet(rng.Perm(m)[:1+rng.Intn(m)]...)
+			first, last = linear(sub, r)
+			if memberPick(sub, r, comp, false) != first || memberPick(sub, r, comp, true) != last {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadyTreeAllocFree: updating the tree and descending it allocate
+// nothing.
+func TestReadyTreeAllocFree(t *testing.T) {
+	tree := newReadyTree(17)
+	set := core.Interval(3, 7)
+	r := 0.0
+	avg := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			r += 0.05
+			j := tree.pick(r, i%2 == 0)
+			tree.set(j, max(r, tree.leaves()[j])+1)
+			j = memberPick(set, r, tree.leaves(), i%2 == 1)
+			tree.set(j, max(r, tree.leaves()[j])+1)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("ready tree allocates %v times per 128 dispatches", avg)
+	}
+}
+
+// outsideTie is a custom tie-break that picks machine 3, outside the sets
+// of the instance it is run on.
+type outsideTie struct{}
+
+func (outsideTie) Name() string     { return "outside" }
+func (outsideTie) Pick(c []int) int { return 3 }
+
+// TestEFTLoopInvalidTiePick: the EFT loop checks what a custom tie-break
+// returns, as the generic loop checks a router's pick.
+func TestEFTLoopInvalidTiePick(t *testing.T) {
+	inst := core.NewInstance(4, []core.Task{{Release: 0, Proc: 1, Set: core.Interval(0, 1)}})
+	_, _, err := Run(inst, EFTRouter{Tie: outsideTie{}})
+	if err == nil || !strings.Contains(err.Error(), "router EFT-outside picked invalid server M4 for task 0") {
+		t.Fatalf("Run error = %v, want the invalid-pick error", err)
+	}
+}
+
+// TestFastPathGate: every EFTRouter takes the EFT loop, whatever its
+// tie-break; every other router takes the generic loop.
 func TestFastPathGate(t *testing.T) {
-	if !isEFTMin(EFTRouter{}) || !isEFTMin(EFTRouter{Tie: sched.MinTie{}}) {
-		t.Error("EFT with nil/Min tie should take the fast path")
+	for _, r := range []Router{
+		EFTRouter{}, EFTRouter{Tie: sched.MinTie{}}, EFTRouter{Tie: sched.MaxTie{}},
+		EFTRouter{Tie: sched.RandTie{Rng: rand.New(rand.NewSource(1))}}, EFTRouter{Tie: outsideTie{}},
+	} {
+		if _, ok := eftLoop(r); !ok {
+			t.Errorf("%s should take the EFT loop", r.Name())
+		}
 	}
-	if isEFTMin(EFTRouter{Tie: sched.MaxTie{}}) || isEFTMin(JSQRouter{}) {
-		t.Error("non-Min ties and other routers must not take the fast path")
-	}
-	full := core.NewInstance(2, []core.Task{{Release: 0, Proc: 1}})
-	if !unrestricted(full) {
-		t.Error("nil-set instance should count as unrestricted")
-	}
-	restricted := core.NewInstance(2, []core.Task{{Release: 0, Proc: 1, Set: core.Interval(0, 1)}})
-	if unrestricted(restricted) {
-		t.Error("a full Interval set is still a restriction marker: the generic path must validate eligibility")
+	for _, r := range []Router{
+		JSQRouter{}, &RandomRouter{}, &NoisyEFTRouter{}, &RoundRobinRouter{},
+		PowerOfTwoRouter{}, refEFTRouter{},
+	} {
+		if _, ok := eftLoop(r); ok {
+			t.Errorf("%s must take the generic loop", r.Name())
+		}
 	}
 }
 
 // FuzzRouterEquivalence drives the optimized and reference routers over
-// fuzz-shaped instances and requires byte-identical schedules.
+// fuzz-shaped instances and requires byte-identical schedules. intReleases
+// makes the instance tie-heavy (integer releases, unit tasks).
 func FuzzRouterEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(50))
-	f.Add(int64(7), uint8(1), uint8(10))
-	f.Add(int64(42), uint8(12), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, m8, n8 uint8) {
+	f.Add(int64(1), uint8(4), uint8(50), false)
+	f.Add(int64(7), uint8(1), uint8(10), false)
+	f.Add(int64(42), uint8(12), uint8(200), false)
+	f.Add(int64(3), uint8(5), uint8(120), true)
+	f.Fuzz(func(t *testing.T, seed int64, m8, n8 uint8, intReleases bool) {
 		m := 1 + int(m8)%16
 		n := 1 + int(n8)
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomInstance(m, n, rng)
-		for _, pair := range []struct {
-			label    string
-			opt, ref Router
-		}{
-			{"EFT", EFTRouter{}, refEFTRouter{}},
-			{"EFT-Max", EFTRouter{Tie: sched.MaxTie{}}, refEFTRouter{Tie: sched.MaxTie{}}},
-			{"JSQ", JSQRouter{}, refJSQRouter{}},
-		} {
-			sOpt, mOpt, err := Run(inst, pair.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sRef, mRef, err := Run(inst, pair.ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameSchedule(t, pair.label, sOpt, sRef)
-			sameMetrics(t, pair.label, mOpt, mRef)
+		if intReleases {
+			tieHeavy(inst)
+		}
+		for _, p := range equivPairs(seed) {
+			p.check(t, inst)
 		}
 	})
 }

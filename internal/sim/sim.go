@@ -129,10 +129,11 @@ func stretchOf(flow, proc core.Time) core.Time {
 // Run simulates the instance under the router and returns the resulting
 // schedule (validated against the model invariants by tests) and metrics.
 //
-// Full-set instances routed by EFT-Min skip the O(m) completion scan
-// entirely: dispatch goes through an eventq.EFTMinPicker in O(log m) per
-// request, producing a byte-identical schedule (property-tested against the
-// scan path by TestEFTMinFastPathEquivalence and FuzzRouterEquivalence).
+// Every EFTRouter, whatever its tie-break and whatever the tasks' sets, is
+// dispatched by the EFT loop, which keeps completion times in a readyTree
+// and no completion events: full-set tasks pick in O(log m). Its schedules
+// are byte-identical to the generic loop's (TestEFTLoopEquivalence,
+// FuzzRouterEquivalence).
 func Run(inst *core.Instance, router Router) (*core.Schedule, *Metrics, error) {
 	return RunProbed(inst, router, nil)
 }
@@ -151,79 +152,139 @@ func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Sched
 	if r, ok := router.(Resettable); ok {
 		r.Reset()
 	}
-	m := inst.M
-	sched := core.NewSchedule(inst)
-	metrics := &Metrics{
-		Flows:     make([]core.Time, inst.N()),
-		Stretches: make([]core.Time, inst.N()),
-		Busy:      make([]core.Time, m),
+	o := &output{
+		sched: core.NewSchedule(inst),
+		metrics: &Metrics{
+			Flows:     make([]core.Time, inst.N()),
+			Stretches: make([]core.Time, inst.N()),
+			Busy:      make([]core.Time, inst.M),
+		},
+		probe: probe,
 	}
-	if isEFTMin(router) && unrestricted(inst) {
-		runEFTMinFast(inst, sched, metrics, probe)
-		return sched, metrics, nil
+	var err error
+	if r, ok := eftLoop(router); ok {
+		err = o.runEFT(inst, r)
+	} else {
+		err = o.runGeneric(inst, router)
 	}
-	st := &State{
-		M:          m,
-		Completion: make([]core.Time, m),
-		QueueLen:   make([]int, m),
+	if err != nil {
+		return nil, nil, err
 	}
+	if probe != nil {
+		probe.OnDone(o.metrics.Makespan)
+	}
+	return o.sched, o.metrics, nil
+}
 
-	// Completion events decrement queue lengths; they are drained up to each
-	// arrival instant before the router runs, so same-instant completions
-	// are visible to the router (completion-before-arrival ordering).
+// eftLoop is the EFT loop's gate, decided once per run: every EFTRouter,
+// whatever its tie-break, and nothing else.
+func eftLoop(router Router) (EFTRouter, bool) {
+	r, ok := router.(EFTRouter)
+	return r, ok
+}
+
+// runEFT dispatches an EFTRouter run. EFT reads nothing but completion
+// times, so the loop keeps them in a readyTree and keeps no completion
+// events. Min and Max (nil is Min) take the first and the last machine of
+// the tie set directly; any other tie-break is handed the candidates
+// eftTieSet builds, as EFTRouter.Pick does.
+func (o *output) runEFT(inst *core.Instance, router EFTRouter) error {
+	m, tie := inst.M, router.Tie
+	tree := newReadyTree(m)
+	comp := tree.leaves()
+	_, isMax := tie.(sched.MaxTie)
+	var st *State // candidate buffer of the other tie-breaks
+	if _, isMin := tie.(sched.MinTie); tie != nil && !isMin && !isMax {
+		st = &State{M: m, Completion: comp}
+	}
+	for i, task := range inst.Tasks {
+		if o.probe != nil {
+			o.probe.OnArrival(i, task.Release)
+		}
+		var j int
+		switch {
+		case st != nil:
+			j = tie.Pick(eftTieSet(st, task, comp))
+			if j < 0 || j >= m || !task.Eligible(j) {
+				return pickError(router, i, j, task)
+			}
+		case task.Set == nil:
+			j = tree.pick(task.Release, isMax)
+		default:
+			j = memberPick(task.Set, task.Release, comp, isMax)
+		}
+		tree.set(j, o.dispatch(i, j, task, comp[j]))
+	}
+	return nil
+}
+
+// runGeneric dispatches every other router. Completion events keep
+// State.QueueLen exact for routers that read it (JSQ, power-of-two): they
+// are drained up to each arrival instant before the router runs, so
+// same-instant completions are visible to the router
+// (completion-before-arrival ordering).
+func (o *output) runGeneric(inst *core.Instance, router Router) error {
+	m := inst.M
+	st := &State{M: m, Completion: make([]core.Time, m), QueueLen: make([]int, m)}
 	var completions eventq.Queue[int] // payload: server index
 	completions.Reserve(reserveFor(inst.N()))
-
-	drain := func(upTo core.Time) {
+	for i, task := range inst.Tasks {
+		st.Now = task.Release
 		for completions.Len() > 0 {
-			when, _ := completions.Peek()
-			if when > upTo {
-				return
+			if when, _ := completions.Peek(); when > st.Now {
+				break
 			}
 			_, server := completions.Pop()
 			st.QueueLen[server]--
 		}
-	}
-
-	for i, task := range inst.Tasks {
-		st.Now = task.Release
-		drain(st.Now)
-		if probe != nil {
-			probe.OnArrival(i, task.Release)
+		if o.probe != nil {
+			o.probe.OnArrival(i, task.Release)
 		}
 		j := router.Pick(st, task)
 		if j < 0 || j >= m || !task.Eligible(j) {
-			if task.Set != nil && len(task.Set) == 0 {
-				return nil, nil, fmt.Errorf("sim: task %d has an empty processing set: no eligible server", i)
-			}
-			return nil, nil, fmt.Errorf("sim: router %s picked invalid server M%d for task %d (set %v)",
-				router.Name(), j+1, i, task.Set)
+			return pickError(router, i, j, task)
 		}
-		start := st.Completion[j]
-		if task.Release > start {
-			start = task.Release
-		}
-		end := start + task.Proc
+		end := o.dispatch(i, j, task, st.Completion[j])
 		st.Completion[j] = end
 		st.QueueLen[j]++
 		completions.Push(end, j)
-		sched.Assign(i, j, start)
-		metrics.Flows[i] = end - task.Release
-		metrics.Stretches[i] = stretchOf(end-task.Release, task.Proc)
-		metrics.Busy[j] += task.Proc
-		if end > metrics.Makespan {
-			metrics.Makespan = end
-		}
-		if probe != nil {
-			probe.OnDispatch(i, j, task.Release, start, end)
-			probe.OnComplete(i, j, task.Release, task.Proc, end)
-		}
 	}
-	drain(metrics.Makespan)
-	if probe != nil {
-		probe.OnDone(metrics.Makespan)
+	return nil
+}
+
+// output is what both dispatch loops record into: the run's schedule and
+// metrics, and the probe that watches it.
+type output struct {
+	sched   *core.Schedule
+	metrics *Metrics
+	probe   obs.Probe
+}
+
+// dispatch records task i on server j, which frees up at ready, and returns
+// the task's completion time. The probe sees the dispatch and, eagerly, the
+// completion.
+func (o *output) dispatch(i, j int, task core.Task, ready core.Time) core.Time {
+	start := max(ready, task.Release)
+	end := start + task.Proc
+	o.sched.Assign(i, j, start)
+	o.metrics.Flows[i] = end - task.Release
+	o.metrics.Stretches[i] = stretchOf(end-task.Release, task.Proc)
+	o.metrics.Busy[j] += task.Proc
+	if end > o.metrics.Makespan {
+		o.metrics.Makespan = end
 	}
-	return sched, metrics, nil
+	if o.probe != nil {
+		o.probe.OnDispatch(i, j, task.Release, start, end)
+		o.probe.OnComplete(i, j, task.Release, task.Proc, end)
+	}
+	return end
+}
+
+// pickError reports that the router picked server j, which task i may not
+// run on. (Validate has already rejected tasks with no server at all.)
+func pickError(router Router, i, j int, task core.Task) error {
+	return fmt.Errorf("sim: router %s picked invalid server M%d for task %d (set %v)",
+		router.Name(), j+1, i, task.Set)
 }
 
 // reserveFor sizes the completion queue's initial capacity: enough that
@@ -235,59 +296,4 @@ func reserveFor(n int) int {
 		return n
 	}
 	return max
-}
-
-// isEFTMin reports whether the router is the EFT router with the Min
-// tie-break (explicitly or by default), the combination with a dedicated
-// O(log m) dispatch structure.
-func isEFTMin(router Router) bool {
-	r, ok := router.(EFTRouter)
-	if !ok {
-		return false
-	}
-	if r.Tie == nil {
-		return true
-	}
-	_, isMin := r.Tie.(sched.MinTie)
-	return isMin
-}
-
-// unrestricted reports whether every task may run on every server.
-func unrestricted(inst *core.Instance) bool {
-	for _, t := range inst.Tasks {
-		if t.Set != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// runEFTMinFast is the O(n log m) dispatch loop for full-set instances under
-// EFT-Min. Queue lengths are irrelevant (EFT never reads them), so the
-// completion event queue is skipped entirely; the schedule and metrics are
-// byte-identical to the generic loop's. Probe hooks fire exactly as in the
-// generic loop, behind the same nil guard.
-func runEFTMinFast(inst *core.Instance, sched *core.Schedule, metrics *Metrics, probe obs.Probe) {
-	picker := eventq.NewEFTMinPicker(inst.M)
-	for i, task := range inst.Tasks {
-		if probe != nil {
-			probe.OnArrival(i, task.Release)
-		}
-		j, start := picker.Dispatch(task.Release, task.Proc)
-		end := start + task.Proc
-		sched.Assign(i, j, start)
-		metrics.Flows[i] = end - task.Release
-		metrics.Stretches[i] = stretchOf(end-task.Release, task.Proc)
-		metrics.Busy[j] += task.Proc
-		if end > metrics.Makespan {
-			metrics.Makespan = end
-		}
-		if probe != nil {
-			probe.OnDispatch(i, j, task.Release, start, end)
-			probe.OnComplete(i, j, task.Release, task.Proc, end)
-		}
-	}
-	if probe != nil {
-		probe.OnDone(metrics.Makespan)
-	}
 }
