@@ -459,3 +459,4 @@ func BenchmarkProbeOverheadSimOff(b *testing.B)  { benchregWrap(b, "ProbeOverhea
 func BenchmarkProbeOverheadSimHist(b *testing.B) { benchregWrap(b, "ProbeOverheadSimHist") }
 func BenchmarkSchedFIFORun(b *testing.B)         { benchregWrap(b, "SchedFIFORun") }
 func BenchmarkStatsSummarize(b *testing.B)       { benchregWrap(b, "StatsSummarize") }
+func BenchmarkSimRunStackArmed(b *testing.B)     { benchregWrap(b, "SimRunStackArmed") }

@@ -51,6 +51,7 @@ func init() {
 	Register("SimRunHedgedGray", benchSimRunHedgedGray)
 	Register("SimRunResilientOff", benchSimRunResilientOff)
 	Register("SimRunResilientStorm", benchSimRunResilientStorm)
+	Register("SimRunStackArmed", benchSimRunStackArmed)
 	Register("SimRunFaultySteady", benchSimRunFaultySteady)
 	Register("SimRunGuardedOffSteady", benchSimRunGuardedOffSteady)
 	Register("SimRunGuardedAdmitSteady", benchSimRunGuardedAdmitSteady)
@@ -418,6 +419,59 @@ func benchSimRunResilientStorm(b *testing.B) {
 		if _, _, err := sim.RunResilient(inst, sim.EFTRouter{}, plan, pol, nil, nil, nil, rcfg, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchSimRunStackArmed is perfbench's stack configuration at n = 5,000:
+// every link of the unified engine armed at once — a 6× gray server and two
+// flapping ones under a retry policy, queue-bound admission, stretch
+// shedding and the ejector, a scripted scale-down and back, a p95 quantile
+// hedge, and jittered budgeted retries behind circuit breakers — run
+// through one reused arena with counters, a KeepWorst(20) tracer and a
+// flight recorder attached, the tracer rebuilt per run as perfbench does.
+// It prices the whole chain where the other entries price one link each.
+func benchSimRunStackArmed(b *testing.B) {
+	const m = 15
+	inst := restrictedInstance(m, 3, 5000)
+	horizon := inst.Tasks[inst.N()-1].Release
+	plan := faults.Empty(m)
+	plan.Slow(4, 0, horizon, 6)
+	for f := 0; f < 20; f++ {
+		from := 0.2*horizon + core.Time(f)*15
+		plan.Down(9, from, from+9)
+		plan.Down(10, from, from+9)
+	}
+	retry := sim.RetryPolicy{MaxAttempts: 6, Backoff: 1, BackoffFactor: 2}
+	cfg := &overload.Config{
+		Admission: overload.QueueBound{MaxQueue: 20},
+		Shedder:   &overload.Shedder{Policy: overload.DropLargestStretch, Watermark: 12, Seed: 1},
+		Ejector:   &overload.Ejector{K: 3, Cooldown: 50},
+	}
+	ecfg := &elastic.Config{Min: 3, WarmUp: 5, Script: []elastic.Event{
+		{At: 0.4 * horizon, Delta: -3}, {At: 0.6 * horizon, Delta: 3}}}
+	hcfg := &hedge.Config{Quantile: 0.95, MinSamples: 20, CancelRunning: true}
+	rcfg := &resilience.Config{
+		Jitter: resilience.JitterFull, Seed: 1, RetryBudget: 0.1, BudgetBurst: 3,
+		Breaker: &resilience.BreakerConfig{Window: 5, FailureThreshold: 0.6, Cooldown: 15,
+			HalfOpenProbes: 2, SlowFactor: 3},
+	}
+	router := sim.EFTRouter{Tie: sched.MinTie{}}
+	arena := sim.NewArena()
+	counters := &obs.Counters{}
+	flight := obs.NewFlightRecorder(4096)
+	run := func() {
+		*counters = obs.Counters{}
+		flight.Reset()
+		probe := obs.Multi(counters, obs.NewTracer(obs.KeepWorst(20)), flight)
+		if _, _, err := arena.RunResilient(inst, router, plan, retry, cfg, ecfg, hcfg, rcfg, probe); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // sizes the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

@@ -50,13 +50,16 @@ func (in *Instance) N() int { return len(in.Tasks) }
 
 // Validate checks the instance invariants: m ≥ 1, non-negative releases,
 // positive processing times, non-decreasing release order, IDs equal to
-// positions, and processing sets that are non-empty subsets of 0..m-1.
+// positions, and processing sets that are non-empty subsets of 0..m-1
+// listed in strictly increasing order, as ProcSet documents (Contains and
+// the EFT tie-breaks rely on it).
 func (in *Instance) Validate() error {
 	if in.M < 1 {
 		return fmt.Errorf("instance: need at least one machine, got %d", in.M)
 	}
 	prev := Time(0)
-	for i, t := range in.Tasks {
+	for i := range in.Tasks {
+		t := &in.Tasks[i]
 		if t.ID != i {
 			return fmt.Errorf("task %d: ID %d does not match position", i, t.ID)
 		}
@@ -70,12 +73,17 @@ func (in *Instance) Validate() error {
 		if t.Proc <= 0 || math.IsNaN(t.Proc) || math.IsInf(t.Proc, 0) {
 			return fmt.Errorf("task %d: invalid processing time %v", i, t.Proc)
 		}
-		if t.Set != nil {
-			if len(t.Set) == 0 {
+		if s := t.Set; s != nil {
+			if len(s) == 0 {
 				return fmt.Errorf("task %d: empty processing set", i)
 			}
-			if t.Set.Min() < 0 || t.Set.Max() >= in.M {
-				return fmt.Errorf("task %d: processing set %v out of machine range [0,%d)", i, t.Set, in.M)
+			if s[0] < 0 || s[len(s)-1] >= in.M {
+				return fmt.Errorf("task %d: processing set %v out of machine range [0,%d)", i, s, in.M)
+			}
+			for k := 1; k < len(s); k++ {
+				if s[k] <= s[k-1] {
+					return fmt.Errorf("task %d: processing set %v is not strictly increasing", i, s)
+				}
 			}
 		}
 	}

@@ -56,6 +56,11 @@ func TestInstanceValidateErrors(t *testing.T) {
 		{"bad ID", &Instance{M: 1, Tasks: []Task{{ID: 5, Release: 0, Proc: 1}}}},
 		{"empty set", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: 1, Set: ProcSet{}}}}},
 		{"set out of range", &Instance{M: 2, Tasks: []Task{{ID: 0, Release: 0, Proc: 1, Set: NewProcSet(2)}}}},
+		// Members are each checked, not only the first and last.
+		{"middle member out of range", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{0, 5, 2}}})},
+		{"duplicate member", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{1, 1}}})},
+		{"descending set", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{2, 1}}})},
+		{"negative member", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{-1, 1}}})},
 		{"unsorted", &Instance{M: 1, Tasks: []Task{
 			{ID: 0, Release: 2, Proc: 1}, {ID: 1, Release: 1, Proc: 1}}}},
 	}

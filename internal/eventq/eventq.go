@@ -79,8 +79,26 @@ func (q *Queue[T]) Reserve(n int) {
 // Push enqueues payload at the given time. Within reserved capacity it is
 // allocation-free.
 func (q *Queue[T]) Push(time float64, payload T) {
+	q.PushClaimed(time, payload, q.Claim())
+}
+
+// Claim takes the FIFO position a Push would take now, without enqueuing
+// anything: it advances the tie-break sequence exactly as Push does and
+// returns the position (always ≥ 1). A simulation that may never need an
+// event claims its position up front and enqueues it later with
+// PushClaimed, so that pop order, ties included, is the same as if it had
+// been pushed at claim time.
+func (q *Queue[T]) Claim() uint64 {
 	q.seq++
-	q.h = append(q.h, Item[T]{Time: time, Payload: payload, seq: q.seq})
+	return q.seq
+}
+
+// PushClaimed enqueues payload at the given time in the FIFO position seq,
+// which Claim returned. Among events of equal time it pops as if it had been
+// pushed when seq was claimed; the caller must push it before any event it
+// would precede has been popped.
+func (q *Queue[T]) PushClaimed(time float64, payload T, seq uint64) {
+	q.h = append(q.h, Item[T]{Time: time, Payload: payload, seq: seq})
 	q.h.up(len(q.h) - 1)
 }
 

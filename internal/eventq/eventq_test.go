@@ -207,3 +207,70 @@ func TestQueueClearEqualsFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueClaimMatchesPushAtClaimTime drives random pushes, claims and pops
+// with tie-heavy times, and enqueues every claim later with PushClaimed, at a
+// random moment before its instant is reached. The pop order must equal a
+// reference queue's that pushed every event at claim time.
+func TestQueueClaimMatchesPushAtClaimTime(t *testing.T) {
+	type claim struct {
+		at  float64
+		id  int
+		seq uint64
+	}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var q, ref Queue[int]
+		var pending []claim
+		id, now, claims := 0, 0.0, 0
+		pop := func() bool {
+			rt, rp := ref.Pop()
+			kept := pending[:0]
+			for _, c := range pending {
+				if c.at <= rt {
+					q.PushClaimed(c.at, c.id, c.seq)
+				} else {
+					kept = append(kept, c)
+				}
+			}
+			pending = kept
+			qt, qp := q.Pop()
+			now = rt
+			return qt == rt && qp == rp
+		}
+		for step := 0; step < 300; step++ {
+			at := now + float64(rng.Intn(5)) // many ties, some at the current instant
+			switch r := rng.Intn(10); {
+			case r < 3:
+				q.Push(at, id)
+				ref.Push(at, id)
+				id++
+			case r < 6:
+				pending = append(pending, claim{at: at, id: id, seq: q.Claim()})
+				ref.Push(at, id)
+				id++
+				claims++
+			case r < 8:
+				if len(pending) > 0 {
+					k := rng.Intn(len(pending))
+					c := pending[k]
+					q.PushClaimed(c.at, c.id, c.seq)
+					pending = append(pending[:k], pending[k+1:]...)
+				}
+			default:
+				if ref.Len() > 0 && !pop() {
+					return false
+				}
+			}
+		}
+		for ref.Len() > 0 {
+			if !pop() {
+				return false
+			}
+		}
+		return q.Len() == 0 && len(pending) == 0 && claims > 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

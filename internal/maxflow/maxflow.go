@@ -12,10 +12,10 @@ import "math"
 const Eps = 1e-12
 
 // Graph is a flow network under construction. Nodes are dense integers
-// 0..NumNodes-1.
+// 0..NumNodes-1. Edges are stored in one array in insertion order, each
+// followed by its reverse residual edge; Run indexes them per node once.
 type Graph struct {
 	n     int
-	heads [][]int // adjacency: indices into edges
 	edges []edge
 }
 
@@ -26,7 +26,7 @@ type edge struct {
 
 // NewGraph creates a network with n nodes and no edges.
 func NewGraph(n int) *Graph {
-	return &Graph{n: n, heads: make([][]int, n)}
+	return &Graph{n: n}
 }
 
 // NumNodes returns the number of nodes.
@@ -44,17 +44,46 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 		panic("maxflow: negative or NaN capacity")
 	}
 	id := len(g.edges)
-	g.edges = append(g.edges, edge{to: v, cap: capacity})
-	g.edges = append(g.edges, edge{to: u, cap: 0})
-	g.heads[u] = append(g.heads[u], id)
-	g.heads[v] = append(g.heads[v], id+1)
+	g.edges = append(g.edges, edge{to: v, cap: capacity}, edge{to: u, cap: 0})
 	return id
 }
+
+// adjacency lists every node's residual edges, forward and reverse, in the
+// order AddEdge created them: node u's edge ids are adj[start[u]:start[u+1]].
+// It is a compressed sparse row index over the edge array.
+type adjacency struct {
+	start []int
+	adj   []int
+}
+
+// adjacency builds the index in two passes over the edges; edge id leaves
+// node edges[id^1].to, since its partner points back at it.
+func (g *Graph) adjacency() adjacency {
+	start := make([]int, g.n+1)
+	for id := range g.edges {
+		start[g.edges[id^1].to+1]++
+	}
+	for u := 0; u < g.n; u++ {
+		start[u+1] += start[u]
+	}
+	adj := make([]int, len(g.edges))
+	for id := range g.edges {
+		u := g.edges[id^1].to
+		adj[start[u]] = id
+		start[u]++ // ends as row u's end, row u+1's start
+	}
+	copy(start[1:], start[:g.n])
+	start[0] = 0
+	return adjacency{start: start, adj: adj}
+}
+
+func (a adjacency) of(u int) []int { return a.adj[a.start[u]:a.start[u+1]] }
 
 // Result reports a computed maximum flow.
 type Result struct {
 	Value float64
 	g     *Graph
+	adj   adjacency
 	flow  []float64
 }
 
@@ -71,9 +100,9 @@ func (r *Result) MinCutSource(s int) []bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, id := range g.heads[u] {
+		for _, id := range r.adj.of(u) {
 			e := g.edges[id]
-			residual := e.cap - r.flowOn(id)
+			residual := e.cap - r.flow[id]
 			if residual > Eps && !seen[e.to] {
 				seen[e.to] = true
 				stack = append(stack, e.to)
@@ -83,74 +112,87 @@ func (r *Result) MinCutSource(s int) []bool {
 	return seen
 }
 
-func (r *Result) flowOn(id int) float64 { return r.flow[id] }
-
 // Run computes the maximum flow from s to t with Dinic's algorithm and
 // leaves the graph's capacities untouched (flows are tracked separately so
-// the graph can be re-run with different terminals if needed).
+// the graph can be re-run with different terminals if needed). Its
+// allocations do not depend on the graph's size: the adjacency index, the
+// flow, level and edge-cursor arrays and one BFS queue.
 func (g *Graph) Run(s, t int) *Result {
 	if s == t {
 		panic("maxflow: source equals sink")
 	}
-	flow := make([]float64, len(g.edges))
-	level := make([]int, g.n)
-	iter := make([]int, g.n)
+	d := dinic{
+		g: g, t: t, adjacency: g.adjacency(),
+		flow:  make([]float64, len(g.edges)),
+		level: make([]int, g.n),
+		iter:  make([]int, g.n),
+		queue: make([]int, 0, g.n),
+	}
 	total := 0.0
-
-	residual := func(id int) float64 { return g.edges[id].cap - flow[id] }
-
-	bfs := func() bool {
-		for i := range level {
-			level[i] = -1
-		}
-		queue := []int{s}
-		level[s] = 0
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, id := range g.heads[u] {
-				e := g.edges[id]
-				if residual(id) > Eps && level[e.to] < 0 {
-					level[e.to] = level[u] + 1
-					queue = append(queue, e.to)
-				}
-			}
-		}
-		return level[t] >= 0
-	}
-
-	var dfs func(u int, pushed float64) float64
-	dfs = func(u int, pushed float64) float64 {
-		if u == t {
-			return pushed
-		}
-		for ; iter[u] < len(g.heads[u]); iter[u]++ {
-			id := g.heads[u][iter[u]]
-			e := g.edges[id]
-			if residual(id) <= Eps || level[e.to] != level[u]+1 {
-				continue
-			}
-			d := dfs(e.to, math.Min(pushed, residual(id)))
-			if d > Eps {
-				flow[id] += d
-				flow[id^1] -= d
-				return d
-			}
-		}
-		return 0
-	}
-
-	for bfs() {
-		for i := range iter {
-			iter[i] = 0
-		}
+	for d.bfs(s) {
+		copy(d.iter, d.start)
 		for {
-			f := dfs(s, math.Inf(1))
+			f := d.dfs(s, math.Inf(1))
 			if f <= Eps {
 				break
 			}
 			total += f
 		}
 	}
-	return &Result{Value: total, g: g, flow: flow}
+	return &Result{Value: total, g: g, adj: d.adjacency, flow: d.flow}
+}
+
+// dinic is one Run's working state. iter[u] is the position in adj of the
+// next edge node u's blocking-flow search tries.
+type dinic struct {
+	g *Graph
+	t int
+	adjacency
+	flow  []float64
+	level []int
+	iter  []int
+	queue []int
+}
+
+// bfs layers the residual network from s and reports whether t is reached.
+func (d *dinic) bfs(s int) bool {
+	for i := range d.level {
+		d.level[i] = -1
+	}
+	q := append(d.queue[:0], s)
+	d.level[s] = 0
+	for h := 0; h < len(q); h++ {
+		u := q[h]
+		for _, id := range d.of(u) {
+			e := d.g.edges[id]
+			if e.cap-d.flow[id] > Eps && d.level[e.to] < 0 {
+				d.level[e.to] = d.level[u] + 1
+				q = append(q, e.to)
+			}
+		}
+	}
+	return d.level[d.t] >= 0
+}
+
+// dfs pushes at most pushed units along one level-increasing path from u
+// to t and returns the amount pushed.
+func (d *dinic) dfs(u int, pushed float64) float64 {
+	if u == d.t {
+		return pushed
+	}
+	for ; d.iter[u] < d.start[u+1]; d.iter[u]++ {
+		id := d.adj[d.iter[u]]
+		e := d.g.edges[id]
+		residual := e.cap - d.flow[id]
+		if residual <= Eps || d.level[e.to] != d.level[u]+1 {
+			continue
+		}
+		f := d.dfs(e.to, math.Min(pushed, residual))
+		if f > Eps {
+			d.flow[id] += f
+			d.flow[id^1] -= f
+			return f
+		}
+	}
+	return 0
 }

@@ -160,3 +160,37 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 }
+
+// ringNetwork is the max-load feasibility network at m machines: source →
+// m primaries → the k = 3 machines of each primary's ring arc → sink.
+func ringNetwork(m int) (g *Graph, s, t int) {
+	s, t = 2*m, 2*m+1
+	g = NewGraph(2*m + 2)
+	for j := 0; j < m; j++ {
+		g.AddEdge(s, j, 3/float64(j+1))
+		for i := j; i < j+3; i++ {
+			g.AddEdge(j, m+i%m, math.Inf(1))
+		}
+	}
+	for i := 0; i < m; i++ {
+		g.AddEdge(m+i, t, 1)
+	}
+	return g, s, t
+}
+
+// TestRunAllocsIndependentOfSize: a Run allocates the same number of times
+// on a 32-node network as on a 2,002-node one — its working arrays, not
+// per-node or per-phase buffers.
+func TestRunAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(m int) float64 {
+		g, s, sink := ringNetwork(m)
+		return testing.AllocsPerRun(5, func() { g.Run(s, sink) })
+	}
+	small, large := allocs(15), allocs(1000)
+	if small != large {
+		t.Fatalf("Run allocates %v times at m = 15 and %v at m = 1000", small, large)
+	}
+	if small > 8 {
+		t.Fatalf("Run allocates %v times, want its 7 working arrays and result", small)
+	}
+}

@@ -2,7 +2,6 @@ package overload
 
 import (
 	"fmt"
-	"sort"
 
 	"flowsched/internal/core"
 )
@@ -39,7 +38,10 @@ type Ejector struct {
 	ejected    []bool
 	until      []core.Time
 	numEjected int
-	scratch    []float64
+	// sorted holds the EWMAs of the servers with at least one sample, in
+	// ascending order: Observe replaces the server's entry, Readmit removes
+	// it, and the cluster median is read off the middle.
+	sorted []float64
 
 	ejections int
 	readmits  int
@@ -103,7 +105,7 @@ func (e *Ejector) reset(m int) {
 		e.samples = make([]int, m)
 		e.ejected = make([]bool, m)
 		e.until = make([]core.Time, m)
-		e.scratch = make([]float64, 0, m)
+		e.sorted = make([]float64, 0, m)
 	}
 	e.ewma = e.ewma[:m]
 	e.samples = e.samples[:m]
@@ -112,7 +114,7 @@ func (e *Ejector) reset(m int) {
 	for j := 0; j < m; j++ {
 		e.ewma[j], e.samples[j], e.ejected[j], e.until[j] = 0, 0, false, 0
 	}
-	e.scratch = e.scratch[:0]
+	e.sorted = e.sorted[:0]
 	e.numEjected, e.ejections, e.readmits = 0, 0, 0
 }
 
@@ -131,22 +133,47 @@ func (e *Ejector) Readmissions() int { return e.readmits }
 // median returns the cluster-median EWMA over servers with at least one
 // sample (0 when none have samples).
 func (e *Ejector) median() float64 {
-	xs := e.scratch[:0]
-	for j := 0; j < e.m; j++ {
-		if e.samples[j] > 0 {
-			xs = append(xs, e.ewma[j])
-		}
-	}
-	e.scratch = xs
+	xs := e.sorted
 	if len(xs) == 0 {
 		return 0
 	}
-	sort.Float64s(xs)
 	mid := len(xs) / 2
 	if len(xs)%2 == 1 {
 		return xs[mid]
 	}
 	return (xs[mid-1] + xs[mid]) / 2
+}
+
+// ewmaLess is sort.Float64s' order: NaN sorts first.
+func ewmaLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// searchEWMA returns the first index of sorted whose entry is not less
+// than x.
+func (e *Ejector) searchEWMA(x float64) int {
+	lo, hi := 0, len(e.sorted)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if ewmaLess(e.sorted[h], x) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// insertEWMA adds x to sorted.
+func (e *Ejector) insertEWMA(x float64) {
+	k := e.searchEWMA(x)
+	e.sorted = append(e.sorted, 0)
+	copy(e.sorted[k+1:], e.sorted[k:])
+	e.sorted[k] = x
+}
+
+// removeEWMA drops one entry x from sorted.
+func (e *Ejector) removeEWMA(x float64) {
+	i := e.searchEWMA(x)
+	e.sorted = append(e.sorted[:i], e.sorted[i+1:]...)
 }
 
 // Observe records one final completion on server j with service-time
@@ -157,8 +184,10 @@ func (e *Ejector) Observe(j int, factor float64, now core.Time) bool {
 		e.ewma[j] = factor
 	} else {
 		a := e.alpha()
+		e.removeEWMA(e.ewma[j])
 		e.ewma[j] = a*factor + (1-a)*e.ewma[j]
 	}
+	e.insertEWMA(e.ewma[j])
 	e.samples[j]++
 	if e.ejected[j] || e.samples[j] < e.minSamples() {
 		return false
@@ -190,6 +219,7 @@ func (e *Ejector) Readmit(now core.Time, f func(j int)) {
 			continue
 		}
 		e.ejected[j] = false
+		e.removeEWMA(e.ewma[j])
 		e.ewma[j], e.samples[j], e.until[j] = 0, 0, 0
 		e.numEjected--
 		e.readmits++

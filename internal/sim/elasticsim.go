@@ -377,6 +377,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 			copyAt:     grow(a.hd.copyAt, n),
 			effBuf:     a.hd.effBuf,
 			kills:      a.hd.kills[:0],
+			trigAt:     grow(a.hd.trigAt, n),
+			trigSeq:    resliceZero(a.hd.trigSeq, n),
+			thrCount:   -1,
 		}
 		for i := range hd.copySrv {
 			hd.copySrv[i] = -1
@@ -858,7 +861,13 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 						a.armTaskEvent(evTied, id, at)
 					}
 				} else if thr := hedgeThreshold(); thr >= 0 {
-					a.armTaskEvent(evHedge, id, now+thr)
+					if at := now + thr; end <= at && (slow == nil || len(slow[j]) == 0) {
+						// Done by its trigger instant unless rearmHedge
+						// re-arms it: claim the trigger's position only.
+						hd.trigAt[id], hd.trigSeq[id] = at, events.Claim()
+					} else {
+						a.armTaskEvent(evHedge, id, at)
+					}
 				}
 			}
 		}
@@ -932,7 +941,10 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		// with no fixed delay backing it).
 		hedgeThreshold = func() core.Time {
 			if hd.hist != nil && hd.hist.Count() >= hd.minSamples {
-				return core.Time(hd.hist.Quantile(hd.cfg.Quantile))
+				if c := hd.hist.Count(); c != hd.thrCount {
+					hd.thr, hd.thrCount = core.Time(hd.hist.Quantile(hd.cfg.Quantile)), c
+				}
+				return hd.thr
 			}
 			if hd.cfg.Delay > 0 {
 				return hd.cfg.Delay
@@ -1200,6 +1212,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 					continue
 				}
 				hd.priIn[id] = false
+				a.rearmHedge(id)
 			}
 			requeue(id, now)
 			id = nxt
@@ -1408,6 +1421,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 						continue
 					}
 					hd.priIn[id] = false
+					a.rearmHedge(id)
 				}
 				metrics.Handoffs++
 				if el.mo != nil {

@@ -39,6 +39,17 @@ type hdRun struct {
 	copyAt     core.Times
 	effBuf     core.ProcSet // alternate-server candidate scratch
 	kills      []int        // copies to cancel after a trim's queue surgery
+
+	// Deferred triggers (see rearmHedge): a first attempt timed to end by its
+	// trigger instant trigAt[id] pushes no event; trigSeq[id] holds the event
+	// queue position it claimed instead (0 = nothing deferred).
+	trigAt  []core.Time
+	trigSeq []uint64
+
+	// The quantile trigger's threshold, recomputed only when the histogram
+	// has changed: thrCount is its Count at the last computation.
+	thr      core.Time
+	thrCount int
 }
 
 // resolveCopy marks task rid's copy resolved and reports whether it was
@@ -155,9 +166,37 @@ func (a *Arena) cancelAttempt(inst *core.Instance, slow [][]faults.Slowdown, aid
 // armTaskEvent schedules a per-task engine event (a retry re-dispatch, a
 // hedge trigger, a tied-pair service-start check) at instant at — the one
 // "come back to this task later" re-arm path shared by the retry policy's
-// backoff and the hedge triggers.
+// backoff and the hedge triggers. A deferred hedge trigger enters through
+// rearmHedge instead, in the position it claimed.
 func (a *Arena) armTaskEvent(kind, id int, at core.Time) {
 	a.events.Push(at, faultEvent{kind: kind, task: id})
+}
+
+// rearmHedge enqueues task id's deferred hedge trigger, if it has one, in
+// the event queue position it claimed at dispatch.
+//
+// A first attempt dispatched to a server without slowdown segments, with
+// end ≤ its trigger instant, pushes no trigger: while it stays queued it
+// completes by that instant, and the main loop settles every completion at
+// an instant before it pops any event there, so the trigger would find the
+// task done. Its end cannot move later: retime, the one other writer of
+// ends, never starts an attempt later than before, and start + proc rounds
+// monotonically. (On a gray server the end comes from faults.FinishTime,
+// whose floating-point monotonicity is not proved, so dispatch pushes the
+// trigger there.) A trim sheds the task, which hedgeIssue skips. Only two
+// things make the trigger live, and each re-arms it here: a crash takes
+// the attempt (fail), or a scale-down hands it off (scaleDown). Both run
+// at an event or arrival instant whose completions are all settled, so the
+// attempt's end, and with it the trigger's instant, still lies ahead. The
+// claimed position is the one a push at dispatch would have taken, so the
+// events pop in the same order, ties included, as if every trigger had
+// been pushed.
+func (a *Arena) rearmHedge(id int) {
+	hd := &a.hd
+	if seq := hd.trigSeq[id]; seq != 0 {
+		a.events.PushClaimed(hd.trigAt[id], faultEvent{kind: evHedge, task: id}, seq)
+		hd.trigSeq[id] = 0
+	}
 }
 
 // DuplicateRatio returns the fraction of all server busy time burned on

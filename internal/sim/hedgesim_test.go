@@ -555,3 +555,100 @@ func FuzzHedgedDispatch(f *testing.F) {
 		checkHedgeResolution(t, inst, em, p)
 	})
 }
+
+// TestRunHedgedDeferredTriggerKeepsTieOrder pins the event order of a hedge
+// trigger that dispatch deferred. Task A's first attempt (on M4) ends at 1.5,
+// before its trigger instant 2, so its trigger is only claimed; task B's
+// trigger, for the same instant, is pushed after that claim. At 0.5 A's
+// attempt leaves M4 without completing (a crash, or a scale-down handoff) and
+// lands on M1 with end 2.7, so its trigger goes live again. At instant 2 A's
+// trigger must fire before B's, as it would have had it been pushed at
+// dispatch: A's copy takes M2, the one server both copies want, and B's
+// copy queues behind it. A re-armed trigger that took a fresh queue position
+// would fire after B's and send A's copy to M3 instead.
+func TestRunHedgedDeferredTriggerKeepsTieOrder(t *testing.T) {
+	tasks := []core.Task{
+		{Release: 0, Proc: 2.2, Set: core.NewProcSet(0)},
+		{Release: 0, Proc: 2.5, Set: core.NewProcSet(1)}, // M2: both copies' target
+		{Release: 0, Proc: 1.2, Set: core.NewProcSet(2)},
+		{Release: 0, Proc: 1, Set: core.NewProcSet(3)},    // runs on M4 while A queues behind it
+		{Release: 0, Proc: 0.5},                           // A: [1, 1.5) on M4, trigger at 2 claimed
+		{Release: 0, Proc: 5, Set: core.NewProcSet(1, 2)}, // B: [1.2, 6.2) on M3, trigger at 2 pushed
+	}
+	const a, b = 4, 5
+	hcfg := &hedge.Config{Delay: 2}
+	nan := math.NaN()
+	wantCopyAt := []core.Time{nan, nan, nan, nan, 2, 2}
+	for _, tc := range []struct {
+		name      string
+		plan      *faults.Plan
+		ecfg      *elastic.Config
+		wantSrv   []int
+		wantMach  []int
+		wantStart []core.Time
+	}{
+		{
+			name:      "crash",
+			plan:      faults.Empty(4).Down(3, 0.5, 100),
+			wantSrv:   []int{-1, -1, -1, -1, 1, 1},
+			wantMach:  []int{0, 1, 2, 3, 0, 2},
+			wantStart: []core.Time{0, 0, 0, 100, 2.2, 1.2},
+		},
+		{
+			name:      "scale-down handoff",
+			plan:      faults.Empty(4),
+			ecfg:      &elastic.Config{Script: []elastic.Event{{At: 0.5, Delta: -1}}, Min: 1},
+			wantSrv:   []int{-1, -1, -1, -1, 1, 1},
+			wantMach:  []int{0, 1, 2, 3, 0, 2},
+			wantStart: []core.Time{0, 0, 0, 0, 2.2, 1.2},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := core.NewInstance(4, tasks)
+			p := newHedgeCountProbe(len(tasks))
+			s, em, err := RunHedged(inst, EFTRouter{}, tc.plan, RetryPolicy{}, nil, tc.ecfg, hcfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(em.HedgeCopyServer, tc.wantSrv) {
+				t.Fatalf("HedgeCopyServer = %v, want %v (A's copy must take M2 before B's)", em.HedgeCopyServer, tc.wantSrv)
+			}
+			for i, at := range em.HedgeCopyAt {
+				if w := wantCopyAt[i]; at != w && !(math.IsNaN(float64(at)) && math.IsNaN(w)) {
+					t.Fatalf("HedgeCopyAt = %v, want %v", em.HedgeCopyAt, wantCopyAt)
+				}
+			}
+			if !reflect.DeepEqual(s.Machine, tc.wantMach) || !reflect.DeepEqual(s.Start, tc.wantStart) {
+				t.Fatalf("schedule machines %v starts %v, want %v %v", s.Machine, s.Start, tc.wantMach, tc.wantStart)
+			}
+			if !em.Hedged[a] || !em.Hedged[b] {
+				t.Fatalf("hedged %v: A's re-armed trigger and B's must both issue", em.Hedged)
+			}
+			checkHedgeResolution(t, inst, em, p)
+		})
+	}
+}
+
+// TestHedgeTriggerDeferredOffGrayServers: a first attempt timed to end by
+// its trigger instant defers the trigger on a healthy server, and pushes it
+// on a server with slowdown segments, whose ends come from
+// faults.FinishTime (rearmHedge). Both tasks finish at 1, before their
+// triggers at 2, so neither is hedged either way.
+func TestHedgeTriggerDeferredOffGrayServers(t *testing.T) {
+	inst := core.NewInstance(2, []core.Task{
+		{Release: 0, Proc: 1, Set: core.NewProcSet(0)},
+		{Release: 0, Proc: 1, Set: core.NewProcSet(1)},
+	})
+	plan := faults.Empty(2).Slow(1, 100, 200, 2) // M2 is gray only later on
+	a := NewArena()
+	_, em, err := a.RunHedged(inst, EFTRouter{}, plan, RetryPolicy{}, nil, nil, &hedge.Config{Delay: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em.HedgesIssued != 0 {
+		t.Fatalf("%d hedges issued, want none", em.HedgesIssued)
+	}
+	if a.hd.trigSeq[0] == 0 || a.hd.trigSeq[1] != 0 {
+		t.Fatalf("trigSeq = %v: want task 0's trigger deferred and task 1's pushed", a.hd.trigSeq)
+	}
+}

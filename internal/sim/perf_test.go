@@ -183,7 +183,9 @@ func tieHeavy(inst *core.Instance) {
 
 // eftLoopInstance builds n tasks on m machines at load 0.9 with occasional
 // idle gaps. family 0 gives full sets, 1 wrapping ring arcs, 2 random
-// subsets and 3 a mix of the three.
+// subsets, 3 a mix of the three and 4 the same mix with no full set before
+// the middle task, so that the ready tree's first descent comes after many
+// leaf-only updates.
 func eftLoopInstance(m, n, family int, rng *rand.Rand) *core.Instance {
 	tasks := make([]core.Task, n)
 	tm := 0.0
@@ -194,8 +196,11 @@ func eftLoopInstance(m, n, family int, rng *rand.Rand) *core.Instance {
 		}
 		tasks[i] = core.Task{Release: tm, Proc: 0.1 + rng.Float64()*2}
 		f := family
-		if f == 3 {
+		switch {
+		case f == 3 || f == 4 && i >= n/2:
 			f = rng.Intn(3)
+		case f == 4:
+			f = 1 + rng.Intn(2)
 		}
 		switch f {
 		case 1:
@@ -214,7 +219,7 @@ func eftLoopInstance(m, n, family int, rng *rand.Rand) *core.Instance {
 func TestEFTLoopEquivalence(t *testing.T) {
 	for _, m := range []int{1, 2, 5, 15, 16, 17, 1000} {
 		n := 300 + 2*m
-		for family := 0; family < 4; family++ {
+		for family := 0; family < 5; family++ {
 			for _, ties := range []bool{false, true} {
 				seed := int64(m*10 + family)
 				inst := eftLoopInstance(m, n, family, rand.New(rand.NewSource(seed)))
@@ -260,7 +265,8 @@ func TestEFTLoopOverflow(t *testing.T) {
 // TestReadyTreeMatchesLinearRule checks the tree's descents and the member
 // scan against the linear EFT rule, U = { j : C_j ≤ max(r, min C) } with
 // the first or the last of U chosen, on random completion vectors full of
-// ties and +Inf leaves.
+// ties and +Inf leaves. Up to 4m updates, ties and +Inf among them, come
+// before the first descent, which builds the lazily kept minima.
 func TestReadyTreeMatchesLinearRule(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -288,11 +294,21 @@ func TestReadyTreeMatchesLinearRule(t *testing.T) {
 		}
 		all := rng.Perm(m)
 		sort.Ints(all)
-		for step := 0; step < 300; step++ {
-			set := func(j int, c core.Time) {
-				comp[j] = c
-				tree.set(j, c)
+		set := func(j int, c core.Time) {
+			comp[j] = c
+			tree.set(j, c)
+		}
+		for w := rng.Intn(4*m + 1); w > 0; w-- {
+			switch j := rng.Intn(m); rng.Intn(4) {
+			case 0:
+				set(j, math.Inf(1))
+			case 1:
+				set(j, core.Time(rng.Intn(4)))
+			default:
+				set(j, rng.Float64()*4)
 			}
+		}
+		for step := 0; step < 300; step++ {
 			switch j := rng.Intn(m); rng.Intn(6) {
 			case 0:
 				set(j, math.Inf(1))
@@ -312,8 +328,8 @@ func TestReadyTreeMatchesLinearRule(t *testing.T) {
 				r = rng.Float64() * 5
 			}
 			first, last := linear(all, r)
-			if tree.pick(r, false) != first || tree.pick(r, true) != last {
-				return false
+			if tree.pick(r, false) != first || tree.pick(r, true) != last || tree.stale {
+				return false // the first descent builds the minima once
 			}
 			if !reflect.DeepEqual(tree.leaves(), comp) {
 				return false

@@ -11,9 +11,15 @@ import (
 // every internal node holds the minimum of its two children, so node[1] is
 // the earliest completion in the cluster. size is the least power of two
 // ≥ m; the padding leaves hold +Inf, which never lowers a minimum.
+//
+// Only pick reads the internal minima, so they are built lazily: while
+// stale is set, set writes the leaf alone, and the first pick rebuilds every
+// minimum bottom-up once. A run whose tasks all have restricted sets reads
+// leaves only (memberPick, eftTieSet) and never builds them.
 type readyTree struct {
 	m, size int
 	node    []core.Time
+	stale   bool
 }
 
 // newReadyTree builds the tree for m machines, all free at time 0.
@@ -22,7 +28,7 @@ func newReadyTree(m int) *readyTree {
 	for size < m {
 		size <<= 1
 	}
-	t := &readyTree{m: m, size: size, node: make([]core.Time, 2*size)}
+	t := &readyTree{m: m, size: size, node: make([]core.Time, 2*size), stale: true}
 	for j := m; j < size; j++ {
 		t.set(j, math.Inf(1))
 	}
@@ -32,11 +38,15 @@ func newReadyTree(m int) *readyTree {
 // leaves returns the completion times of machines 0..m-1.
 func (t *readyTree) leaves() []core.Time { return t.node[t.size : t.size+t.m] }
 
-// set stores machine j's completion time c and refreshes the minima above
-// it, stopping at the first ancestor whose value does not change.
+// set stores machine j's completion time c and, once the minima are built,
+// refreshes those above it, stopping at the first ancestor whose value does
+// not change.
 func (t *readyTree) set(j int, c core.Time) {
 	i := t.size + j
 	t.node[i] = c
+	if t.stale {
+		return
+	}
 	for i > 1 {
 		i >>= 1
 		v := min(t.node[2*i], t.node[2*i+1])
@@ -55,6 +65,12 @@ func (t *readyTree) set(j int, c core.Time) {
 // rightmost search skips subtrees that start past machine m-1, because
 // padding qualifies too once every machine's completion is +Inf.
 func (t *readyTree) pick(r core.Time, last bool) int {
+	if t.stale {
+		for i := t.size - 1; i >= 1; i-- {
+			t.node[i] = min(t.node[2*i], t.node[2*i+1])
+		}
+		t.stale = false
+	}
 	thr := max(r, t.node[1])
 	i, lo := 1, 0
 	for half := t.size >> 1; half > 0; half >>= 1 {

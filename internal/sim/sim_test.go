@@ -152,6 +152,20 @@ func TestRunRejectsInvalidInstance(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMalformedSets: a processing set with a member out of range
+// anywhere in it, a duplicate or a descending pair is a validation error,
+// under the EFT loop and the generic loop alike, not an index panic.
+func TestRunRejectsMalformedSets(t *testing.T) {
+	for _, set := range []core.ProcSet{{0, 5, 2}, {1, 1}, {2, 1}} {
+		inst := core.NewInstance(3, []core.Task{{Release: 0, Proc: 1, Set: set}})
+		for _, r := range []Router{EFTRouter{}, JSQRouter{}} {
+			if _, _, err := Run(inst, r); err == nil {
+				t.Errorf("set %v under %s: Run accepted the instance", set, r.Name())
+			}
+		}
+	}
+}
+
 // TestCompletionVisibleToJSQ pins the completion-before-arrival ordering:
 // a request arriving exactly when a server drains must see that server
 // empty.
