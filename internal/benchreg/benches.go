@@ -34,6 +34,7 @@ func init() {
 	Register("SimRunEFT", benchSimRunEFT)
 	Register("SimRunEFTMinFullSet", benchSimRunEFTMinFullSet)
 	Register("SimRunEFTMaxFullSet", benchSimRunEFTMaxFullSet)
+	Register("SimRunEFTMinFullSetM1000", benchSimRunEFTMinFullSetM1000)
 	Register("SimRunJSQ", benchSimRunJSQ)
 	Register("ProbeOverheadSimOff", benchProbeOverheadSimOff)
 	Register("ProbeOverheadSimHist", benchProbeOverheadSimHist)
@@ -127,14 +128,14 @@ func restrictedInstance(m, k, n int) *core.Instance {
 	return inst
 }
 
-// fullSetInstance has nil processing sets: every EFT dispatch descends the
-// ready tree.
-func fullSetInstance(m, n int) *core.Instance {
+// fullSetInstance has unit tasks with Poisson arrivals at the given load
+// and nil processing sets: every EFT dispatch descends the ready tree.
+func fullSetInstance(m, n int, load float64) *core.Instance {
 	rng := rand.New(rand.NewSource(7))
 	tasks := make([]core.Task, n)
 	tm := 0.0
 	for i := range tasks {
-		tm += rng.ExpFloat64() / (0.9 * float64(m))
+		tm += rng.ExpFloat64() / (load * float64(m))
 		tasks[i] = core.Task{Release: tm, Proc: 1}
 	}
 	return core.NewInstance(m, tasks)
@@ -155,11 +156,18 @@ func benchSimRunEFT(b *testing.B) {
 }
 
 func benchSimRunEFTMinFullSet(b *testing.B) {
-	benchSimRun(b, fullSetInstance(256, 5000), sim.EFTRouter{})
+	benchSimRun(b, fullSetInstance(256, 5000, 0.9), sim.EFTRouter{})
 }
 
 func benchSimRunEFTMaxFullSet(b *testing.B) {
-	benchSimRun(b, fullSetInstance(256, 5000), sim.EFTRouter{Tie: sched.MaxTie{}})
+	benchSimRun(b, fullSetInstance(256, 5000, 0.9), sim.EFTRouter{Tie: sched.MaxTie{}})
+}
+
+// benchSimRunEFTMinFullSetM1000 is perfbench's scale point (m = 10³,
+// load 0.95, full sets, EFT-Min) at a tenth of its n: ten-level ready-tree
+// descents over a tree of 2,048 keys.
+func benchSimRunEFTMinFullSetM1000(b *testing.B) {
+	benchSimRun(b, fullSetInstance(1000, 100_000, 0.95), sim.EFTRouter{})
 }
 
 func benchSimRunJSQ(b *testing.B) {
@@ -609,7 +617,7 @@ func benchSchedEFTRun(b *testing.B) {
 }
 
 func benchSchedFIFORun(b *testing.B) {
-	inst := fullSetInstance(64, 5000)
+	inst := fullSetInstance(64, 5000, 0.9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -53,6 +53,13 @@ func (in *Instance) N() int { return len(in.Tasks) }
 // positions, and processing sets that are non-empty subsets of 0..m-1
 // listed in strictly increasing order, as ProcSet documents (Contains and
 // the EFT tie-breaks rely on it).
+//
+// Every call checks every task: Instance's fields are exported and may
+// change between calls, so no verdict is kept. A task's ID, release and
+// processing time take three comparisons, which NaN fails like any value
+// out of range; since the running release bound prev is ≥ 0, the release
+// comparison also rejects negative releases. taskError then names the
+// first check the failing task breaks.
 func (in *Instance) Validate() error {
 	if in.M < 1 {
 		return fmt.Errorf("instance: need at least one machine, got %d", in.M)
@@ -60,19 +67,11 @@ func (in *Instance) Validate() error {
 	prev := Time(0)
 	for i := range in.Tasks {
 		t := &in.Tasks[i]
-		if t.ID != i {
-			return fmt.Errorf("task %d: ID %d does not match position", i, t.ID)
-		}
-		if t.Release < 0 || math.IsNaN(t.Release) || math.IsInf(t.Release, 0) {
-			return fmt.Errorf("task %d: invalid release time %v", i, t.Release)
-		}
-		if t.Release < prev {
-			return fmt.Errorf("task %d: release %v decreases below %v", i, t.Release, prev)
+		if t.ID != i || !(t.Release >= prev && t.Release <= math.MaxFloat64) ||
+			!(t.Proc > 0 && t.Proc <= math.MaxFloat64) {
+			return taskError(i, t, prev)
 		}
 		prev = t.Release
-		if t.Proc <= 0 || math.IsNaN(t.Proc) || math.IsInf(t.Proc, 0) {
-			return fmt.Errorf("task %d: invalid processing time %v", i, t.Proc)
-		}
 		if s := t.Set; s != nil {
 			if len(s) == 0 {
 				return fmt.Errorf("task %d: empty processing set", i)
@@ -88,6 +87,22 @@ func (in *Instance) Validate() error {
 		}
 	}
 	return nil
+}
+
+// taskError reports why task i, which must be released no earlier than
+// prev, failed Validate's comparisons: a bad ID, an invalid release, a
+// release below prev or an invalid processing time, checked in that order.
+func taskError(i int, t *Task, prev Time) error {
+	switch {
+	case t.ID != i:
+		return fmt.Errorf("task %d: ID %d does not match position", i, t.ID)
+	case t.Release < 0 || math.IsNaN(t.Release) || math.IsInf(t.Release, 0):
+		return fmt.Errorf("task %d: invalid release time %v", i, t.Release)
+	case t.Release < prev:
+		return fmt.Errorf("task %d: release %v decreases below %v", i, t.Release, prev)
+	default:
+		return fmt.Errorf("task %d: invalid processing time %v", i, t.Proc)
+	}
 }
 
 // UnitTasks reports whether every task has processing time exactly 1.

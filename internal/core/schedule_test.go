@@ -44,29 +44,57 @@ func TestNewInstanceStableOnTies(t *testing.T) {
 	}
 }
 
+// TestInstanceValidateErrors pins every rejection's exact message, so a
+// change in which check a bad task fails first shows here.
 func TestInstanceValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		inst *Instance
+		want string
 	}{
-		{"no machines", &Instance{M: 0}},
-		{"negative release", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: -1, Proc: 1}}}},
-		{"zero proc", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: 0}}}},
-		{"nan proc", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: math.NaN()}}}},
-		{"bad ID", &Instance{M: 1, Tasks: []Task{{ID: 5, Release: 0, Proc: 1}}}},
-		{"empty set", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: 1, Set: ProcSet{}}}}},
-		{"set out of range", &Instance{M: 2, Tasks: []Task{{ID: 0, Release: 0, Proc: 1, Set: NewProcSet(2)}}}},
+		{"no machines", &Instance{M: 0}, "instance: need at least one machine, got 0"},
+		{"negative release", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: -1, Proc: 1}}},
+			"task 0: invalid release time -1"},
+		{"zero proc", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: 0}}},
+			"task 0: invalid processing time 0"},
+		{"nan proc", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: math.NaN()}}},
+			"task 0: invalid processing time NaN"},
+		{"bad ID", &Instance{M: 1, Tasks: []Task{{ID: 5, Release: 0, Proc: 1}}},
+			"task 0: ID 5 does not match position"},
+		{"empty set", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: 1, Set: ProcSet{}}}},
+			"task 0: empty processing set"},
+		{"set out of range", &Instance{M: 2, Tasks: []Task{{ID: 0, Release: 0, Proc: 1, Set: NewProcSet(2)}}},
+			"task 0: processing set {M3} out of machine range [0,2)"},
 		// Members are each checked, not only the first and last.
-		{"middle member out of range", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{0, 5, 2}}})},
-		{"duplicate member", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{1, 1}}})},
-		{"descending set", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{2, 1}}})},
-		{"negative member", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{-1, 1}}})},
+		{"middle member out of range", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{0, 5, 2}}}),
+			"task 0: processing set {M1,M6,M3} is not strictly increasing"},
+		{"duplicate member", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{1, 1}}}),
+			"task 0: processing set {M2,M2} is not strictly increasing"},
+		{"descending set", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{2, 1}}}),
+			"task 0: processing set {M3,M2} is not strictly increasing"},
+		{"negative member", NewInstance(3, []Task{{Release: 0, Proc: 1, Set: ProcSet{-1, 1}}}),
+			"task 0: processing set {M0,M2} out of machine range [0,3)"},
 		{"unsorted", &Instance{M: 1, Tasks: []Task{
-			{ID: 0, Release: 2, Proc: 1}, {ID: 1, Release: 1, Proc: 1}}}},
+			{ID: 0, Release: 2, Proc: 1}, {ID: 1, Release: 1, Proc: 1}}},
+			"task 1: release 1 decreases below 2"},
+		// A negative release is invalid, not a decrease, even below an
+		// earlier positive one.
+		{"negative after positive", &Instance{M: 1, Tasks: []Task{
+			{ID: 0, Release: 2, Proc: 1}, {ID: 1, Release: -1, Proc: 1}}},
+			"task 1: invalid release time -1"},
+		{"inf release", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: math.Inf(1), Proc: 1}}},
+			"task 0: invalid release time +Inf"},
+		{"nan release", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: math.NaN(), Proc: 1}}},
+			"task 0: invalid release time NaN"},
+		{"inf proc", &Instance{M: 1, Tasks: []Task{{ID: 0, Release: 0, Proc: math.Inf(1)}}},
+			"task 0: invalid processing time +Inf"},
 	}
 	for _, c := range cases {
-		if err := c.inst.Validate(); err == nil {
+		err := c.inst.Validate()
+		if err == nil {
 			t.Errorf("%s: Validate should fail", c.name)
+		} else if err.Error() != c.want {
+			t.Errorf("%s: Validate = %q, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -46,13 +46,15 @@ func BenchmarkAblationMaxLoadFlowBisect(b *testing.B) {
 	for _, w := range mo.Weights {
 		total += w
 	}
+	g, src := mo.network()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo, hi := 0.0, float64(mo.M)+1
 		for hi-lo > 1e-8 {
 			mid := (lo + hi) / 2
-			if mo.flow(mid).Value >= mid*total-1e-9 {
+			mo.setLambda(g, src, mid)
+			if g.Run(2*mo.M, 2*mo.M+1).Value >= mid*total-1e-9 {
 				lo = mid
 			} else {
 				hi = mid

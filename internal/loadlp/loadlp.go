@@ -76,15 +76,18 @@ func NewModel(weights []float64, strategy replicate.Strategy) *Model {
 // is negative, so λ is infeasible and K's ratio becomes the next λ.
 // Otherwise λ is feasible and, being the ratio of some set, the minimum.
 // Each λ is the ratio of one of finitely many sets and the sequence
-// strictly decreases, so the loop ends.
+// strictly decreases, so the loop ends. The network is built once; a step
+// only sets its m source capacities.
 func (mo *Model) MaxLoad() float64 {
 	all := make([]bool, mo.M)
 	for j := range all {
 		all[j] = true
 	}
 	lambda, _ := mo.ratio(all)
+	g, src := mo.network()
 	for {
-		cut := mo.flow(lambda).MinCutSource(2 * mo.M)
+		mo.setLambda(g, src, lambda)
+		cut := g.Run(2*mo.M, 2*mo.M+1).MinCutSource(2 * mo.M)
 		r, ok := mo.ratio(cut[:mo.M])
 		if !ok || !(r < lambda*(1-1e-12)) {
 			return lambda
@@ -113,24 +116,33 @@ func (mo *Model) ratio(set []bool) (r float64, ok bool) {
 	return float64(n) / p, p > 0
 }
 
-// flow runs the max-flow feasibility network of arrival rate lambda:
-// source → primary j (capacity λ·P(E_j)), primary j → machine i for
+// network builds the max-flow feasibility network of LP (15) with every
+// arrival rate at zero: source → primary j (capacity λ·P(E_j), set by
+// setLambda through the edge id src[j]), primary j → machine i for
 // admissible pairs (∞), machine i → sink (capacity 1). Nodes 0..M−1 are
-// the primaries and node 2M is the source.
-func (mo *Model) flow(lambda float64) *maxflow.Result {
+// the primaries, M..2M−1 the machines, 2M the source and 2M+1 the sink.
+func (mo *Model) network() (g *maxflow.Graph, src []int) {
 	m := mo.M
-	src, sink := 2*m, 2*m+1
-	g := maxflow.NewGraph(2*m + 2)
-	for j, w := range mo.Weights {
-		g.AddEdge(src, j, lambda*w)
+	g = maxflow.NewGraph(2*m + 2)
+	src = make([]int, m)
+	for j := range mo.Weights {
+		src[j] = g.AddEdge(2*m, j, 0)
 		for _, i := range mo.Sets[j] {
 			g.AddEdge(j, m+i, math.Inf(1))
 		}
 	}
 	for i := 0; i < m; i++ {
-		g.AddEdge(m+i, sink, 1)
+		g.AddEdge(m+i, 2*m+1, 1)
 	}
-	return g.Run(src, sink)
+	return g, src
+}
+
+// setLambda gives the network the arrival rate lambda: primary j's source
+// edge carries λ·P(E_j).
+func (mo *Model) setLambda(g *maxflow.Graph, src []int, lambda float64) {
+	for j, w := range mo.Weights {
+		g.SetCapacity(src[j], lambda*w)
+	}
 }
 
 // MaxLoadPercent converts a λ value to the cluster load percentage

@@ -3,6 +3,7 @@ package loadlp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -201,6 +202,19 @@ func TestMaxLoadLargeM(t *testing.T) {
 	}
 	if got := NewModel(popularity.Zipf(m, 0), replicate.Overlapping{K: 3}).MaxLoad(); !agree(got, m) {
 		t.Errorf("uniform overlapping: MaxLoad %v, want %d", got, m)
+	}
+}
+
+// TestMaxLoadAllocs pins MaxLoad's allocations at m = 1000, where it takes
+// five Dinkelbach steps: one network build (20 allocations) and, per step,
+// a Run, its minimum cut and a ratio (about 12), 83 in all. Rebuilding the
+// network at every step made 158. The collection before measuring starts
+// the runtime's mark workers, whose allocations would otherwise count once.
+func TestMaxLoadAllocs(t *testing.T) {
+	mo := NewModel(popularity.Zipf(1000, 1.25), replicate.Overlapping{K: 3})
+	runtime.GC()
+	if a := testing.AllocsPerRun(3, func() { mo.MaxLoad() }); a > 90 {
+		t.Fatalf("MaxLoad allocates %v times at m = 1000, want at most 90", a)
 	}
 }
 

@@ -48,6 +48,19 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 	return id
 }
 
+// SetCapacity changes the capacity of edge id (as returned by AddEdge), so
+// that one network can be re-run at new capacities. A negative or NaN
+// capacity and an id AddEdge did not return panic, as in AddEdge.
+func (g *Graph) SetCapacity(id int, capacity float64) {
+	if id < 0 || id >= len(g.edges) || id%2 != 0 {
+		panic("maxflow: edge id out of range")
+	}
+	if capacity < 0 || math.IsNaN(capacity) {
+		panic("maxflow: negative or NaN capacity")
+	}
+	g.edges[id].cap = capacity
+}
+
 // adjacency lists every node's residual edges, forward and reverse, in the
 // order AddEdge created them: node u's edge ids are adj[start[u]:start[u+1]].
 // It is a compressed sparse row index over the edge array.

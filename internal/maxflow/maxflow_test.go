@@ -3,6 +3,8 @@ package maxflow
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -149,6 +151,10 @@ func TestPanics(t *testing.T) {
 		func() { g.AddEdge(0, 5, 1) },
 		func() { g.AddEdge(0, 1, -2) },
 		func() { g.Run(1, 1) },
+		func() { g.SetCapacity(g.AddEdge(0, 1, 1), math.NaN()) },
+		func() { g.SetCapacity(0, -1) },
+		func() { g.SetCapacity(1, 1) }, // a reverse edge
+		func() { g.SetCapacity(len(g.edges), 1) },
 	} {
 		func() {
 			defer func() {
@@ -158,6 +164,39 @@ func TestPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestSetCapacityMatchesRebuild: a network re-run after SetCapacity routes
+// exactly the flow of one built from scratch with those capacities, and
+// the first Run's capacities do not leak into the second.
+func TestSetCapacityMatchesRebuild(t *testing.T) {
+	const m = 40
+	build := func(scale float64) (*Graph, []int) {
+		g := NewGraph(2*m + 2)
+		src := make([]int, m)
+		for j := 0; j < m; j++ {
+			src[j] = g.AddEdge(2*m, j, scale*3/float64(j+1))
+			for i := j; i < j+3; i++ {
+				g.AddEdge(j, m+i%m, math.Inf(1))
+			}
+		}
+		for i := 0; i < m; i++ {
+			g.AddEdge(m+i, 2*m+1, 1)
+		}
+		return g, src
+	}
+	g, src := build(1)
+	g.Run(2*m, 2*m+1)
+	for _, scale := range []float64{0.25, 4, 0} {
+		for j, id := range src {
+			g.SetCapacity(id, scale*3/float64(j+1))
+		}
+		fresh, _ := build(scale)
+		got, want := g.Run(2*m, 2*m+1), fresh.Run(2*m, 2*m+1)
+		if got.Value != want.Value || !reflect.DeepEqual(got.flow, want.flow) {
+			t.Fatalf("scale %v: re-run flow %v, rebuilt %v", scale, got.Value, want.Value)
+		}
 	}
 }
 
@@ -180,8 +219,12 @@ func ringNetwork(m int) (g *Graph, s, t int) {
 
 // TestRunAllocsIndependentOfSize: a Run allocates the same number of times
 // on a 32-node network as on a 2,002-node one — its working arrays, not
-// per-node or per-phase buffers.
+// per-node or per-phase buffers. The process's first garbage collection
+// starts the runtime's mark workers, which allocate; a collection before
+// measuring keeps that out of the count (without it, the m = 1000 count
+// read 8 once per test binary under -count=40).
 func TestRunAllocsIndependentOfSize(t *testing.T) {
+	runtime.GC()
 	allocs := func(m int) float64 {
 		g, s, sink := ringNetwork(m)
 		return testing.AllocsPerRun(5, func() { g.Run(s, sink) })

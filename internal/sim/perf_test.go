@@ -266,11 +266,17 @@ func TestEFTLoopOverflow(t *testing.T) {
 // scan against the linear EFT rule, U = { j : C_j ≤ max(r, min C) } with
 // the first or the last of U chosen, on random completion vectors full of
 // ties and +Inf leaves. Up to 4m updates, ties and +Inf among them, come
-// before the first descent, which builds the lazily kept minima.
+// before the first descent, which builds the lazily kept minima. The
+// completions include the ends of the key range (+0, the largest finite
+// time, +Inf) and releases include −0; one draw in ten takes m up to 1,100,
+// so that 10- and 11-level trees with uneven padding are covered.
 func TestReadyTreeMatchesLinearRule(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 1 + rng.Intn(40)
+		if rng.Intn(10) == 0 {
+			m = 1 + rng.Intn(1100)
+		}
 		tree := newReadyTree(m)
 		comp := make([]core.Time, m)
 		// linear returns the first and last member of set (nil: all
@@ -299,17 +305,19 @@ func TestReadyTreeMatchesLinearRule(t *testing.T) {
 			tree.set(j, c)
 		}
 		for w := rng.Intn(4*m + 1); w > 0; w-- {
-			switch j := rng.Intn(m); rng.Intn(4) {
+			switch j := rng.Intn(m); rng.Intn(6) {
 			case 0:
 				set(j, math.Inf(1))
 			case 1:
 				set(j, core.Time(rng.Intn(4)))
+			case 2:
+				set(j, math.MaxFloat64)
 			default:
 				set(j, rng.Float64()*4)
 			}
 		}
 		for step := 0; step < 300; step++ {
-			switch j := rng.Intn(m); rng.Intn(6) {
+			switch j := rng.Intn(m); rng.Intn(8) {
 			case 0:
 				set(j, math.Inf(1))
 			case 1:
@@ -320,11 +328,18 @@ func TestReadyTreeMatchesLinearRule(t *testing.T) {
 						set(j, math.Inf(1))
 					}
 				}
+			case 3:
+				set(j, math.MaxFloat64)
+			case 4:
+				set(j, 0)
 			default:
 				set(j, rng.Float64()*4)
 			}
 			r := core.Time(rng.Intn(5))
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(8) {
+			case 0:
+				r = math.Copysign(0, -1)
+			case 1, 2, 3:
 				r = rng.Float64() * 5
 			}
 			first, last := linear(all, r)
@@ -344,6 +359,52 @@ func TestReadyTreeMatchesLinearRule(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadyTreeAllInf: with every machine's completion at +Inf the tie set
+// is every machine, and neither descent may reach a padding leaf (m = 1000
+// pads to 1024).
+func TestReadyTreeAllInf(t *testing.T) {
+	const m = 1000
+	tree := newReadyTree(m)
+	for j := 0; j < m; j++ {
+		tree.set(j, math.Inf(1))
+	}
+	for _, r := range []core.Time{0, 1, math.MaxFloat64} {
+		if first, last := tree.pick(r, false), tree.pick(r, true); first != 0 || last != m-1 {
+			t.Errorf("r=%v: picks %d and %d, want 0 and %d", r, first, last, m-1)
+		}
+	}
+}
+
+// TestEFTLoopNegativeZeroRelease: a release of −0 passes Validate and ties
+// with machines free at +0. Three unit tasks released then on m = 3 go to
+// machines 0, 1, 2 under EFT-Min and 2, 1, 0 under EFT-Max, as in the
+// generic loop; the sign bit must not lift the descent's threshold above
+// the busy machines.
+func TestEFTLoopNegativeZeroRelease(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	tasks := make([]core.Task, 3)
+	for i := range tasks {
+		tasks[i] = core.Task{Release: negZero, Proc: 1}
+	}
+	inst := core.NewInstance(3, tasks)
+	for _, tc := range []struct {
+		pair equivPair
+		want []int
+	}{
+		{equivPairs(0)[0], []int{0, 1, 2}},
+		{equivPairs(0)[1], []int{2, 1, 0}},
+	} {
+		tc.pair.check(t, inst)
+		s, _, err := Run(inst, tc.pair.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Machine, tc.want) {
+			t.Errorf("%s: machines %v, want %v", tc.pair.label, s.Machine, tc.want)
+		}
 	}
 }
 

@@ -7,19 +7,24 @@ import (
 )
 
 // readyTree is a min segment tree over machine completion ("ready") times,
-// the only state EFT reads. node[size+j] is machine j's completion time and
-// every internal node holds the minimum of its two children, so node[1] is
-// the earliest completion in the cluster. size is the least power of two
-// ≥ m; the padding leaves hold +Inf, which never lowers a minimum.
+// the only state EFT reads. It compares integer keys: a node holds
+// math.Float64bits of a completion time, and for the values the tree holds
+// (+0 through +Inf; never −0 or NaN) unsigned order is numeric order.
+// node[size+j] is machine j's key and every internal node holds the
+// minimum of its two children, so node[1] is the earliest completion in
+// the cluster. size is the least power of two ≥ m; the padding leaves hold
+// math.MaxUint64, above +Inf's bits, so no descent ever reaches one. comp
+// keeps the completion times as floats for the readers of leaves.
 //
-// Only pick reads the internal minima, so they are built lazily: while
-// stale is set, set writes the leaf alone, and the first pick rebuilds every
-// minimum bottom-up once. A run whose tasks all have restricted sets reads
-// leaves only (memberPick, eftTieSet) and never builds them.
+// Only pick reads the keys, so they are built lazily: while stale is set,
+// set writes comp alone, and the first pick converts every leaf and builds
+// every minimum bottom-up once. A run whose tasks all have restricted sets
+// reads leaves only (memberPick, eftTieSet) and never builds them.
 type readyTree struct {
-	m, size int
-	node    []core.Time
-	stale   bool
+	size  int
+	node  []uint64
+	comp  []core.Time
+	stale bool
 }
 
 // newReadyTree builds the tree for m machines, all free at time 0.
@@ -28,62 +33,81 @@ func newReadyTree(m int) *readyTree {
 	for size < m {
 		size <<= 1
 	}
-	t := &readyTree{m: m, size: size, node: make([]core.Time, 2*size), stale: true}
+	t := &readyTree{size: size, node: make([]uint64, 2*size), comp: make([]core.Time, m), stale: true}
 	for j := m; j < size; j++ {
-		t.set(j, math.Inf(1))
+		t.node[size+j] = math.MaxUint64
 	}
 	return t
 }
 
 // leaves returns the completion times of machines 0..m-1.
-func (t *readyTree) leaves() []core.Time { return t.node[t.size : t.size+t.m] }
+func (t *readyTree) leaves() []core.Time { return t.comp }
 
-// set stores machine j's completion time c and, once the minima are built,
-// refreshes those above it, stopping at the first ancestor whose value does
-// not change.
+// set stores machine j's completion time c and, once the keys are built,
+// carries the running minimum from its leaf to the root. The walk always
+// reaches the root: a test for an unchanged minimum would be a branch
+// taken at random.
 func (t *readyTree) set(j int, c core.Time) {
-	i := t.size + j
-	t.node[i] = c
+	t.comp[j] = c
 	if t.stale {
 		return
 	}
+	node, i, v := t.node, t.size+j, math.Float64bits(c)
+	node[i] = v
 	for i > 1 {
-		i >>= 1
-		v := min(t.node[2*i], t.node[2*i+1])
-		if v == t.node[i] {
-			return
+		if s := node[i^1]; s < v {
+			v = s
 		}
-		t.node[i] = v
+		i >>= 1
+		node[i] = v
 	}
 }
 
 // pick returns EFT's machine for a full-set task released at r: the first
 // (or, with last, the last) machine of the tie set
 // U = { j : C_j ≤ max(r, min C) }, by one root-to-leaf descent. A subtree
-// qualifies when its minimum is within the threshold. The leftmost
-// qualifying leaf is always a machine, since the root's minimum is one; the
-// rightmost search skips subtrees that start past machine m-1, because
-// padding qualifies too once every machine's completion is +Inf.
+// qualifies when its minimum is within the threshold, and each level steps
+// to the qualifying child by arithmetic on the compare, not by a jump.
+// max(r, 0) maps a release of −0, whose sign bit would sort it above every
+// key, to +0. The threshold is at most +Inf's bits, so padding never
+// qualifies.
 func (t *readyTree) pick(r core.Time, last bool) int {
 	if t.stale {
-		for i := t.size - 1; i >= 1; i-- {
-			t.node[i] = min(t.node[2*i], t.node[2*i+1])
-		}
-		t.stale = false
+		t.build()
 	}
-	thr := max(r, t.node[1])
-	i, lo := 1, 0
-	for half := t.size >> 1; half > 0; half >>= 1 {
-		i <<= 1
-		if last {
-			if lo+half < t.m && t.node[i+1] <= thr {
-				i, lo = i+1, lo+half
+	node, size := t.node, t.size
+	thr := max(math.Float64bits(max(r, 0)), node[1])
+	i := 1
+	if last {
+		for i < size {
+			c, d := 2*i, 0
+			if node[c+1] <= thr {
+				d = 1
 			}
-		} else if t.node[i] > thr {
-			i++
+			i = c + d
+		}
+	} else {
+		for i < size {
+			c, d := 2*i, 0
+			if node[c] > thr {
+				d = 1
+			}
+			i = c + d
 		}
 	}
-	return i - t.size
+	return i - size
+}
+
+// build converts every machine's completion time to its key and computes
+// every internal minimum bottom-up.
+func (t *readyTree) build() {
+	for j, c := range t.comp {
+		t.node[t.size+j] = math.Float64bits(c)
+	}
+	for i := t.size - 1; i >= 1; i-- {
+		t.node[i] = min(t.node[2*i], t.node[2*i+1])
+	}
+	t.stale = false
 }
 
 // memberPick is pick for a restricted task: the first (or, with last, the
