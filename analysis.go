@@ -87,6 +87,5 @@ func DisjointInstances(k, blocks, n int, horizon, pmax Time) InstanceGenerator {
 var (
 	_ Algorithm = (*sched.EFT)(nil)
 	_ Algorithm = (*sched.FIFO)(nil)
-	_ Algorithm = (*sched.EFTHeap)(nil)
 	_ Algorithm = (*sched.JSQ)(nil)
 )

@@ -200,17 +200,6 @@ func BenchmarkAblationEFTDispatchLinear(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationEFTDispatchHeap(b *testing.B) {
-	inst := benchInstance(256, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.NewEFTHeap().Run(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func restrictedInstance(m, k, n int) *flowsched.Instance {
 	rng := rand.New(rand.NewSource(7))
 	inst, err := workload.Generate(workload.Config{
@@ -455,7 +444,6 @@ func BenchmarkSimRunEFT(b *testing.B)            { benchregWrap(b, "SimRunEFT") 
 func BenchmarkSimRunEFTMinFullSet(b *testing.B)  { benchregWrap(b, "SimRunEFTMinFullSet") }
 func BenchmarkSimRunEFTMaxFullSet(b *testing.B)  { benchregWrap(b, "SimRunEFTMaxFullSet") }
 func BenchmarkSimRunJSQ(b *testing.B)            { benchregWrap(b, "SimRunJSQ") }
-func BenchmarkProbeOverheadSimOff(b *testing.B)  { benchregWrap(b, "ProbeOverheadSimOff") }
 func BenchmarkProbeOverheadSimHist(b *testing.B) { benchregWrap(b, "ProbeOverheadSimHist") }
 func BenchmarkSchedFIFORun(b *testing.B)         { benchregWrap(b, "SchedFIFORun") }
 func BenchmarkStatsSummarize(b *testing.B)       { benchregWrap(b, "StatsSummarize") }

@@ -44,33 +44,47 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "smaller configurations for a fast run: -m 10 -n 2000 -reps 3 -perms 10, except where those flags are set explicitly")
-	m := flag.Int("m", 15, "machines for interval experiments (fig10/fig11/table2)")
-	k := flag.Int("k", 3, "replication factor / interval size")
-	n := flag.Int("n", 10000, "tasks per simulation run (fig11)")
-	reps := flag.Int("reps", 10, "repetitions per point (fig11)")
-	perms := flag.Int("perms", 100, "permutations per cell (fig10)")
-	seed := flag.Int64("seed", 1, "random seed")
-	csvDir := flag.String("csvdir", "", "also write fig10/fig11 data as CSV files into this directory")
-	progress := flag.Bool("progress", false, "report per-trial progress of the parallel sweeps (table1, fig11) on stderr")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <table1|table2|fig1|fig2|fig3|fig4|fig5-6|fig7|fig8|fig9|fig10a|fig10b|fig11|extension|robustness|convergence|writes|drift|faults|overload|postmortem|autoscale|hedge|metastable|all>")
-		os.Exit(2)
+// run parses the command line args, renders the named experiments to stdout
+// and returns the process exit code: 0 on success, 1 when an experiment
+// fails, 2 on a usage error. Progress and errors go to stderr.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "smaller configurations for a fast run: -m 10 -n 2000 -reps 3 -perms 10, except where those flags are set explicitly")
+	m := fs.Int("m", 15, "machines for interval experiments (fig10/fig11/table2)")
+	k := fs.Int("k", 3, "replication factor / interval size")
+	n := fs.Int("n", 10000, "tasks per simulation run (fig11)")
+	reps := fs.Int("reps", 10, "repetitions per point (fig11)")
+	perms := fs.Int("perms", 100, "permutations per cell (fig10)")
+	seed := fs.Int64("seed", 1, "random seed")
+	csvDir := fs.String("csvdir", "", "also write fig10/fig11 data as CSV files into this directory")
+	progress := fs.Bool("progress", false, "report per-trial progress of the parallel sweeps (table1, fig11) on stderr")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: experiments [flags] <table1|table2|fig1|fig2|fig3|fig4|fig5-6|fig7|fig8|fig9|fig10a|fig10b|fig11|extension|robustness|convergence|writes|drift|faults|overload|postmortem|autoscale|hedge|metastable|all>")
+		return 2
 	}
 
 	if *quick {
-		applyQuick(flag.CommandLine)
+		applyQuick(fs)
 	}
 
-	run := func(name string) error {
-		w := os.Stdout
+	render := func(name string) error {
+		w := stdout
 		switch name {
 		case "table1":
 			cfg := experiments.DefaultTable1()
 			cfg.Seed = *seed
-			cfg.Progress = progressReporter(*progress, "table1 trials")
+			cfg.Progress = progressReporter(stderr, *progress, "table1 trials")
 			_, err := experiments.Table1(w, cfg)
 			return err
 		case "table2":
@@ -102,10 +116,10 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := writeCSV(*csvDir, "fig10a.csv", data.WriteCSV); err != nil {
+			if err := writeCSV(stdout, *csvDir, "fig10a.csv", data.WriteCSV); err != nil {
 				return err
 			}
-			return writeFig10SVGs(*csvDir, data)
+			return writeFig10SVGs(stdout, *csvDir, data)
 		case "fig10b":
 			cfg := experiments.DefaultFig10()
 			cfg.M, cfg.Perms, cfg.Seed = *m, *perms, *seed
@@ -114,16 +128,16 @@ func main() {
 			if err != nil {
 				return err
 			}
-			return writeCSV(*csvDir, "fig10b.csv", data.WriteRatioCSV)
+			return writeCSV(stdout, *csvDir, "fig10b.csv", data.WriteRatioCSV)
 		case "fig11":
 			cfg := experiments.DefaultFig11()
 			cfg.M, cfg.K, cfg.N, cfg.Reps, cfg.Seed = *m, *k, *n, *reps, *seed
-			cfg.Progress = progressReporter(*progress, "fig11 cells")
+			cfg.Progress = progressReporter(stderr, *progress, "fig11 cells")
 			data, err := experiments.Figure11(w, cfg)
 			if err != nil {
 				return err
 			}
-			return writeCSV(*csvDir, "fig11.csv", data.WriteCSV)
+			return writeCSV(stdout, *csvDir, "fig11.csv", data.WriteCSV)
 		case "extension":
 			cfg := experiments.DefaultExtension()
 			cfg.M, cfg.K, cfg.N, cfg.Reps, cfg.Seed = *m, *k, *n, *reps, *seed
@@ -203,20 +217,21 @@ func main() {
 		}
 	}
 
-	names := flag.Args()
+	names := fs.Args()
 	if len(names) == 1 && names[0] == "all" {
 		names = []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5-6", "fig7",
 			"fig8", "fig9", "fig10a", "fig10b", "fig11", "extension", "robustness", "convergence", "writes", "drift", "faults", "overload", "postmortem", "autoscale", "hedge", "metastable"}
 	}
 	for i, name := range names {
 		if i > 0 {
-			fmt.Printf("\n%s\n\n", divider)
+			fmt.Fprintf(stdout, "\n%s\n\n", divider)
 		}
-		if err := run(name); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
+		if err := render(name); err != nil {
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", name, err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // quickSizes are the size flags' values under -quick.
@@ -242,14 +257,14 @@ const divider = "===============================================================
 // (nil when -progress is off, which disables reporting entirely). The
 // carriage-return line is erased by the final newline at completion, so
 // stdout tables stay clean.
-func progressReporter(enabled bool, label string) parallel.Progress {
+func progressReporter(stderr io.Writer, enabled bool, label string) parallel.Progress {
 	if !enabled {
 		return nil
 	}
 	return func(done, total int) {
-		fmt.Fprintf(os.Stderr, "\r%s: %d/%d", label, done, total)
+		fmt.Fprintf(stderr, "\r%s: %d/%d", label, done, total)
 		if done == total {
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 		}
 	}
 }
@@ -264,7 +279,7 @@ func ksUpTo(m int) []int {
 
 // writeFig10SVGs renders the Figure 10a grids as SVG heat maps when
 // -csvdir is set.
-func writeFig10SVGs(dir string, data *experiments.Fig10Data) error {
+func writeFig10SVGs(stdout io.Writer, dir string, data *experiments.Fig10Data) error {
 	if dir == "" {
 		return nil
 	}
@@ -296,13 +311,13 @@ func writeFig10SVGs(dir string, data *experiments.Fig10Data) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("heat map written to %s\n", path)
+		fmt.Fprintf(stdout, "heat map written to %s\n", path)
 	}
 	return nil
 }
 
 // writeCSV writes one experiment's data file when -csvdir is set.
-func writeCSV(dir, name string, write func(io.Writer)) error {
+func writeCSV(stdout io.Writer, dir, name string, write func(io.Writer)) error {
 	if dir == "" {
 		return nil
 	}
@@ -316,6 +331,6 @@ func writeCSV(dir, name string, write func(io.Writer)) error {
 	}
 	defer f.Close()
 	write(f)
-	fmt.Printf("\ndata written to %s\n", path)
+	fmt.Fprintf(stdout, "\ndata written to %s\n", path)
 	return nil
 }

@@ -82,16 +82,10 @@ func hedgedRow(strat, router string, em *flowsched.ElasticMetrics) []any {
 	return []any{strat, router,
 		float64(em.AdmittedMaxFlow()),
 		float64(em.MeanFlow()),
-		admittedElasticQuantile(em, 0.99),
+		admittedQuantile(em, 0.99),
 		em.HedgesIssued,
 		em.HedgeWinsCopy,
 		em.HedgesCancelled + em.HedgesRevoked,
 		fmt.Sprintf("%.2f", em.DuplicateRatio()*100),
 	}
-}
-
-// admittedElasticQuantile is admittedQuantile over the embedded
-// OverloadMetrics.
-func admittedElasticQuantile(em *flowsched.ElasticMetrics, q float64) float64 {
-	return admittedQuantile(&em.OverloadMetrics, q)
 }

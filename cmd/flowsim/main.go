@@ -259,20 +259,23 @@ func main() {
 	}
 	fmt.Printf("\n\n")
 
+	// The active layers pick the table layout; the fault-free paper run
+	// (no layer armed) keeps its own.
 	var out *table.Table
+	var row func(strat, router string, em *flowsched.ElasticMetrics) []any
 	switch {
 	case rs.active():
-		out = table.New(resilientHeader()...)
+		out, row = table.New(resilientHeader()...), resilientRow
 	case hg.active():
-		out = table.New(hedgedHeader()...)
+		out, row = table.New(hedgedHeader()...), hedgedRow
 	case ov.active():
-		out = table.New(guardedHeader()...)
+		out, row = table.New(guardedHeader()...), guardedRow
 	case plan == nil:
 		out = table.New("strategy", "router", "max load %", "Fmax", "mean flow", "p99", "utilization")
 	default:
-		out = table.New("strategy", "router", "avail %", "Fmax", "mean flow", "p99",
-			"spike Fmax", "retries", "drop %", "parked")
+		out, row = table.New(faultyHeader()...), faultyRow
 	}
+	arena := flowsched.NewRunArena()
 	for _, strat := range strategies {
 		maxLoad := flowsched.MaxLoadPercent(flowsched.MaxLoad(weights, strat), *m)
 		inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
@@ -297,48 +300,7 @@ func main() {
 					log.Fatal(err)
 				}
 			}
-			if rs.active() || hg.active() {
-				// The resilience layer rides on the full unified chain:
-				// hedging and the overload controls compose underneath, so
-				// the shared ResilienceConfig (and HedgeConfig) stack on the
-				// per-strategy guard config.
-				var cfg *flowsched.OverloadConfig
-				if ov.active() {
-					var err error
-					if cfg, err = ov.config(weights, strat); err != nil {
-						log.Fatal(err)
-					}
-				}
-				_, em, err := flowsched.SimulateResilient(inst, rt.r, plan, policy, cfg, nil, hg.cfg, rs.cfg, cell.probeOrNil())
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := cell.finish(); err != nil {
-					log.Fatal(err)
-				}
-				if rs.active() {
-					out.AddRow(resilientRow(strat.Name(), rt.name, em)...)
-				} else {
-					out.AddRow(hedgedRow(strat.Name(), rt.name, em)...)
-				}
-				continue
-			}
-			if ov.active() {
-				cfg, err := ov.config(weights, strat)
-				if err != nil {
-					log.Fatal(err)
-				}
-				_, om, err := flowsched.SimulateGuarded(inst, rt.r, plan, policy, cfg, cell.probeOrNil())
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := cell.finish(); err != nil {
-					log.Fatal(err)
-				}
-				out.AddRow(guardedRow(strat.Name(), rt.name, om)...)
-				continue
-			}
-			if plan == nil {
+			if row == nil {
 				sched, metrics, err := flowsched.Observe(inst, rt.r, cell.probeOrNil())
 				if err != nil {
 					log.Fatal(err)
@@ -357,22 +319,23 @@ func main() {
 					fmt.Sprintf("%.2f", metrics.Utilization()))
 				continue
 			}
-			_, fm, err := flowsched.ObserveFaulty(inst, rt.r, plan, policy, cell.probeOrNil())
+			// The overload config is per strategy (its SLO guard knows the
+			// strategy's capacity); the hedge and resilience configs are
+			// shared by every cell.
+			cfg := flowsched.SimConfig{Plan: plan, Retry: policy, Hedge: hg.cfg, Resilience: rs.cfg, Probe: cell.probeOrNil()}
+			if ov.active() {
+				if cfg.Overload, err = ov.config(weights, strat); err != nil {
+					log.Fatal(err)
+				}
+			}
+			_, em, err := arena.Run(inst, rt.r, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
 			if err := cell.finish(); err != nil {
 				log.Fatal(err)
 			}
-			out.AddRow(strat.Name(), rt.name,
-				fmt.Sprintf("%.2f", fm.Availability()*100),
-				float64(fm.MaxFlow()),
-				float64(fm.MeanFlow()),
-				float64(fm.FlowQuantile(0.99)),
-				float64(fm.RecoverySpike()),
-				fm.TotalRetries(),
-				fmt.Sprintf("%.2f", fm.DropRate()*100),
-				fm.ParkedCount())
+			out.AddRow(row(strat.Name(), rt.name, em)...)
 		}
 	}
 	out.Render(os.Stdout)
@@ -414,6 +377,27 @@ func readFaultPlan(path string) (*flowsched.FaultPlan, error) {
 	}
 	defer f.Close()
 	return flowsched.ReadFaultPlanJSON(f)
+}
+
+// faultyHeader is the result table layout of a run under a fault plan with
+// no other layer armed.
+func faultyHeader() []string {
+	return []string{"strategy", "router", "avail %", "Fmax", "mean flow", "p99",
+		"spike Fmax", "retries", "drop %", "parked"}
+}
+
+// faultyRow formats one faulty cell.
+func faultyRow(strat, router string, em *flowsched.ElasticMetrics) []any {
+	return []any{strat, router,
+		fmt.Sprintf("%.2f", em.Availability()*100),
+		float64(em.MaxFlow()),
+		float64(em.MeanFlow()),
+		float64(em.FlowQuantile(0.99)),
+		float64(em.RecoverySpike()),
+		em.TotalRetries(),
+		fmt.Sprintf("%.2f", em.DropRate()*100),
+		em.ParkedCount(),
+	}
 }
 
 // simulateSaved replays a saved instance under every router. A fault plan
@@ -465,29 +449,22 @@ func simulateSaved(path string, timeline int, svgPath, faultsPath string, policy
 	}
 
 	if plan != nil {
-		out := table.New("router", "avail %", "Fmax", "mean flow", "p99",
-			"spike Fmax", "retries", "drop %", "parked")
+		// A saved run has one strategy: the table drops that column.
+		out := table.New(faultyHeader()[1:]...)
+		arena := flowsched.NewRunArena()
 		for _, rt := range routers {
 			cell, err := attachIf(ob, rt.name == "EFT-Min", inst.M)
 			if err != nil {
 				return err
 			}
-			_, fm, err := flowsched.ObserveFaulty(inst, rt.r, plan, policy, cell.probeOrNil())
+			_, em, err := arena.Run(inst, rt.r, flowsched.SimConfig{Plan: plan, Retry: policy, Probe: cell.probeOrNil()})
 			if err != nil {
 				return err
 			}
 			if err := cell.finish(); err != nil {
 				return err
 			}
-			out.AddRow(rt.name,
-				fmt.Sprintf("%.2f", fm.Availability()*100),
-				float64(fm.MaxFlow()),
-				float64(fm.MeanFlow()),
-				float64(fm.FlowQuantile(0.99)),
-				float64(fm.RecoverySpike()),
-				fm.TotalRetries(),
-				fmt.Sprintf("%.2f", fm.DropRate()*100),
-				fm.ParkedCount())
+			out.AddRow(faultyRow("", rt.name, em)[1:]...)
 		}
 		out.Render(os.Stdout)
 		return nil

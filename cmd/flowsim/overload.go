@@ -115,7 +115,7 @@ func guardedHeader() []string {
 }
 
 // guardedRow formats one guarded cell.
-func guardedRow(strat, router string, om *flowsched.OverloadMetrics) []any {
+func guardedRow(strat, router string, om *flowsched.ElasticMetrics) []any {
 	return []any{strat, router,
 		fmt.Sprintf("%.2f", om.Goodput()*100),
 		float64(om.AdmittedMaxFlow()),
@@ -128,7 +128,7 @@ func guardedRow(strat, router string, om *flowsched.OverloadMetrics) []any {
 }
 
 // admittedQuantile returns the q-quantile of completed tasks' flow times.
-func admittedQuantile(om *flowsched.OverloadMetrics, q float64) float64 {
+func admittedQuantile(om *flowsched.ElasticMetrics, q float64) float64 {
 	flows := om.AdmittedFlows()
 	if len(flows) == 0 {
 		return 0

@@ -136,7 +136,7 @@ func resilientRow(strat, router string, em *flowsched.ElasticMetrics) []any {
 	return []any{strat, router,
 		float64(em.AdmittedMaxFlow()),
 		float64(em.MeanFlow()),
-		admittedElasticQuantile(em, 0.99),
+		admittedQuantile(em, 0.99),
 		em.RetriesIssued,
 		em.RetriesDropped,
 		em.BreakerOpens,

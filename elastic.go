@@ -1,7 +1,7 @@
 package flowsched
 
 // Facade over the elastic-membership subsystem (internal/elastic +
-// sim.RunElastic): online scale-up with warm-up, scale-down with drain and
+// SimConfig.Elastic): online scale-up with warm-up, scale-down with drain and
 // handoff, scripted and/or autoscaled membership, and the replayable
 // membership log the auditor re-checks.
 
@@ -15,8 +15,8 @@ type (
 	// ElasticConfig describes the online membership of one run: the
 	// instance's M is the slot capacity, membership moves within [Min, Max]
 	// from Initial, joiners warm up for WarmUp, and changes come from a
-	// Script, an AutoscalePolicy, or both. A nil *ElasticConfig makes
-	// SimulateElastic byte-identical to SimulateGuarded.
+	// Script, an AutoscalePolicy, or both. A nil SimConfig.Elastic leaves
+	// the run byte-identical.
 	ElasticConfig = elastic.Config
 	// ScaleEvent is one scripted membership change: add Delta machines
 	// (Delta > 0, each with warm-up) or drain −Delta (Delta < 0) at
@@ -50,37 +50,30 @@ func EffectiveSet(active []bool, start, k int) ProcSet {
 	return elastic.Effective(active, start, k, nil)
 }
 
-// SimulateElastic is SimulateGuarded with online membership attached: the
-// ring of machine slots grows (with warm-up) and shrinks (draining the
-// highest active slot, running head finishing in place, queued tasks handed
-// off to surviving members) during the run, scripted and/or driven by the
-// autoscaler. Processing sets are remapped at dispatch onto the active
-// subring by the deterministic walk of EffectiveSet, so a full-membership
-// elastic run routes exactly like a static one. No admitted task is ever
-// lost to a drain: handoffs re-enter the normal dispatch path and the audit
-// membership invariants re-check every dispatch against the returned
-// MembershipLog. A nil ecfg reproduces SimulateGuarded bit for bit; probe
-// may additionally implement MembershipObserver to receive the membership
-// event stream.
-func SimulateElastic(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, cfg *OverloadConfig, ecfg *ElasticConfig, probe Probe) (*Schedule, *ElasticMetrics, error) {
-	return sim.RunElastic(inst, router, plan, policy, cfg, ecfg, probe)
-}
+// SimConfig selects the layers of one RunArena.Run: a fault plan and retry
+// policy, overload control, elastic membership, hedging, resilience and a
+// probe. A nil field leaves its layer off, and a nil SimConfig.X leaves the
+// run byte-identical to one without layer X. A zero SimConfig gives
+// Simulate's schedule and flows, with the full ElasticMetrics, but more
+// slowly: Simulate keeps the paper's fault-free loops.
+type SimConfig = sim.Config
 
-// RunArena owns every per-run buffer of the simulation engine and reuses
-// them across runs: the first run sizes them, every later run of the same
-// shape allocates almost nothing. Its RunFaulty / RunGuarded / RunElastic
-// methods are the Simulate* family with the arena's buffers substituted for
-// fresh ones and are output-identical to them.
+// RunArena is the layered simulation engine: RunArena.Run simulates an
+// instance under a router with the layers a SimConfig arms, and a one-off
+// run is NewRunArena().Run(inst, router, SimConfig{...}). The arena owns
+// every per-run buffer and reuses them across runs: the first run sizes
+// them, every later run of the same shape allocates almost nothing.
 //
 // The returned Schedule and metrics point into the arena and are valid only
-// until its next run — copy anything that must outlive it. An arena is not
-// safe for concurrent use; give each goroutine its own (a sync.Pool of
-// NewRunArena works well for worker fan-outs).
+// until its next run — copy anything that must outlive it, or give each run
+// its own arena. An arena is not safe for concurrent use; give each
+// goroutine its own (a sync.Pool of NewRunArena works well for worker
+// fan-outs).
 type RunArena = sim.Arena
 
 // NewRunArena returns an empty arena ready for its first run. Keep it across
-// repeated Simulate-shaped calls — trial loops, benchmark repetitions, chaos
-// soaks — to amortize the engine's per-run allocations down to a handful.
+// repeated runs — trial loops, benchmark repetitions, chaos soaks — to
+// amortize the engine's per-run allocations down to a handful.
 func NewRunArena() *RunArena {
 	return sim.NewArena()
 }

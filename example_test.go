@@ -2,6 +2,7 @@ package flowsched_test
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 
 	"flowsched"
@@ -90,4 +91,35 @@ func ExampleTrace() {
 	//     1.0000  start       task 1    on M1
 	//     2.0000  completion  task 1    on M1
 	// peak backlog: 2
+}
+
+// ExampleRunArena_Run runs one elastic simulation through the layered
+// engine: the ring starts on 6 of 12 slots, drains two machines at t = 100
+// and adds four (each warming up for one time unit) at t = 200. Only the
+// Elastic field of the SimConfig is set, so every other layer stays off.
+func ExampleRunArena_Run() {
+	inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
+		M: 12, N: 2000, Rate: flowsched.RateForLoad(0.4, 12),
+		Strategy: flowsched.OverlappingReplication(3),
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		panic(err)
+	}
+	_, em, err := flowsched.NewRunArena().Run(inst, flowsched.EFTRouter(flowsched.TieMin),
+		flowsched.SimConfig{Elastic: &flowsched.ElasticConfig{
+			Initial: 6, Min: 3, Max: 12, WarmUp: 1,
+			Script: []flowsched.ScaleEvent{{At: 100, Delta: -2}, {At: 200, Delta: 4}},
+		}})
+	if err != nil {
+		panic(err)
+	}
+	// em.Membership is the replayable log the auditor re-checks;
+	// em.MachineHours is ∫ members dt.
+	fmt.Printf("scale-downs %d, scale-ups %d, handoffs %d, log entries %d\n",
+		em.ScaleDowns, em.ScaleUps, em.Handoffs, len(em.Membership.Changes))
+	fmt.Printf("goodput %.0f%%, machine-hours %.0f over a horizon of %.0f\n",
+		em.Goodput()*100, em.MachineHours, em.Horizon)
+	// Output:
+	// scale-downs 2, scale-ups 4, handoffs 1, log entries 6
+	// goodput 100%, machine-hours 2711 over a horizon of 414
 }

@@ -59,8 +59,8 @@ func main() {
 	fmt.Printf("(OPT would have parked T1 on the other machine of its pair: ratio → 1.5 as p → ∞)\n\n")
 
 	// --- The Theorem 6 adapter ------------------------------------------
-	// The heap-indexed EFT only handles unrestricted instances; the
-	// adapter runs one copy per disjoint block and inherits (3 − 2/k).
+	// The adapter runs one unrestricted EFT-Min per disjoint block and
+	// inherits (3 − 2/k).
 	rngInst := flowsched.NewInstance(6, []flowsched.Task{
 		{Release: 0, Proc: 2, Set: flowsched.MachineInterval(0, 2)},
 		{Release: 0, Proc: 1, Set: flowsched.MachineInterval(0, 2)},
@@ -68,8 +68,8 @@ func main() {
 		{Release: 1, Proc: 1, Set: flowsched.MachineInterval(3, 5)},
 		{Release: 1, Proc: 1, Set: flowsched.MachineInterval(0, 2)},
 	})
-	adapter := flowsched.NewPerSetAdapter("EFT(heap)", func() flowsched.OnlineScheduler {
-		return flowsched.NewEFTHeap()
+	adapter := flowsched.NewPerSetAdapter("EFT-Min", func() flowsched.OnlineScheduler {
+		return flowsched.NewEFT(flowsched.TieMin)
 	})
 	as, err := adapter.Run(rngInst)
 	if err != nil {

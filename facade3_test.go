@@ -78,9 +78,9 @@ func TestFacadeSchedulersAndTimeline(t *testing.T) {
 		{Release: 0, Proc: 1},
 		{Release: 1, Proc: 1},
 	})
-	hs, err := flowsched.NewEFTHeap().Run(inst)
+	hs, err := flowsched.NewEFT(flowsched.TieMin).Run(inst)
 	if err != nil || hs.Validate() != nil {
-		t.Fatalf("NewEFTHeap: %v", err)
+		t.Fatalf("NewEFT: %v", err)
 	}
 	js, err := flowsched.NewJSQ().Run(inst)
 	if err != nil || js.Validate() != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestFacadeRunArena exercises the exported run arena end to end: one arena
-// reused across faulty, guarded and elastic runs reproduces the Simulate*
-// family exactly, run after run.
+// reused across faulty and guarded elastic runs reproduces a fresh arena's
+// runs exactly, run after run.
 func TestFacadeRunArena(t *testing.T) {
 	inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
 		M: 6, N: 300, Rate: flowsched.RateForLoad(0.9, 6),
@@ -29,30 +29,30 @@ func TestFacadeRunArena(t *testing.T) {
 
 	arena := flowsched.NewRunArena()
 	for run := 0; run < 3; run++ { // repeat: reuse must stay exact run after run
-		sW, fmW, err := flowsched.SimulateFaulty(inst, router, plan, flowsched.RetryPolicy{MaxAttempts: 2})
+		sW, fmW, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{Plan: plan, Retry: flowsched.RetryPolicy{MaxAttempts: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sA, fmA, err := arena.RunFaulty(inst, router, plan, flowsched.RetryPolicy{MaxAttempts: 2})
+		sA, fmA, err := arena.Run(inst, router, flowsched.SimConfig{Plan: plan, Retry: flowsched.RetryPolicy{MaxAttempts: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(sW.Machine, sA.Machine) || !reflect.DeepEqual(fmW.Attempts, fmA.Attempts) {
-			t.Fatalf("run %d: arena RunFaulty diverges from SimulateFaulty", run)
+			t.Fatalf("run %d: reused arena diverges from a fresh one on the faulty run", run)
 		}
 
-		_, emW, err := flowsched.SimulateElastic(inst, router, plan, flowsched.RetryPolicy{MaxAttempts: 2}, cfg, ecfg, nil)
+		_, emW, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{Plan: plan, Retry: flowsched.RetryPolicy{MaxAttempts: 2}, Overload: cfg, Elastic: ecfg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, emA, err := arena.RunElastic(inst, router, plan, flowsched.RetryPolicy{MaxAttempts: 2}, cfg, ecfg, nil)
+		_, emA, err := arena.Run(inst, router, flowsched.SimConfig{Plan: plan, Retry: flowsched.RetryPolicy{MaxAttempts: 2}, Overload: cfg, Elastic: ecfg})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(emW.Rejected, emA.Rejected) ||
 			!reflect.DeepEqual(emW.Membership, emA.Membership) ||
 			emW.Handoffs != emA.Handoffs {
-			t.Fatalf("run %d: arena RunElastic diverges from SimulateElastic", run)
+			t.Fatalf("run %d: reused arena diverges from a fresh one on the elastic run", run)
 		}
 	}
 }

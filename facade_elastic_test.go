@@ -10,7 +10,7 @@ import (
 
 // TestFacadeElastic exercises the elastic-membership facade end to end: a
 // scripted scale-down/scale-up run produces a membership log and churn
-// counters, a nil config reproduces SimulateGuarded bit for bit, and the
+// counters, a zero SimConfig reproduces Simulate's schedule, and the
 // effective-set walk is exposed.
 func TestFacadeElastic(t *testing.T) {
 	inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
@@ -22,17 +22,17 @@ func TestFacadeElastic(t *testing.T) {
 	}
 	router := flowsched.EFTRouter(flowsched.TieMin)
 
-	// Nil elastic config: byte-identical to SimulateGuarded.
-	sG, mG, err := flowsched.SimulateGuarded(inst, router, nil, flowsched.RetryPolicy{}, nil, nil)
+	// A zero SimConfig gives Simulate's schedule and flows.
+	sG, mG, err := flowsched.Simulate(inst, router)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sE, mE, err := flowsched.SimulateElastic(inst, router, nil, flowsched.RetryPolicy{}, nil, nil, nil)
+	sE, mE, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sG, sE) || !reflect.DeepEqual(mG.Flows, mE.Flows) {
-		t.Fatal("nil elastic config diverges from SimulateGuarded")
+		t.Fatal("zero SimConfig diverges from Simulate")
 	}
 	if mE.Membership != nil || mE.Dispatched != nil {
 		t.Fatal("nil elastic config produced a membership log")
@@ -47,7 +47,7 @@ func TestFacadeElastic(t *testing.T) {
 			{At: horizon / 2, Delta: 1},
 		},
 	}
-	_, em, err := flowsched.SimulateElastic(inst, router, nil, flowsched.RetryPolicy{}, nil, ecfg, nil)
+	_, em, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,12 @@ func TestFacadeFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, m2, err := flowsched.SimulateFaulty(inst, flowsched.EFTRouter(flowsched.TieMin),
-		flowsched.EmptyFaultPlan(8), flowsched.RetryPolicy{})
+	s2, m2, err := flowsched.NewRunArena().Run(inst, flowsched.EFTRouter(flowsched.TieMin), flowsched.SimConfig{Plan: flowsched.EmptyFaultPlan(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(s1.Machine, s2.Machine) || !reflect.DeepEqual(m1.Flows, m2.Flows) {
-		t.Fatal("SimulateFaulty under the empty plan diverged from Simulate")
+		t.Fatal("the engine under the empty plan diverged from Simulate")
 	}
 	if m2.Availability() != 1 || m2.DroppedCount() != 0 {
 		t.Fatal("healthy run reported faults")
@@ -57,8 +56,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 	if !reflect.DeepEqual(plan, back) {
 		t.Fatal("fault plan JSON round trip changed the plan")
 	}
-	_, fm, err := flowsched.SimulateFaulty(inst, flowsched.JSQRouter(), back,
-		flowsched.RetryPolicy{MaxAttempts: 4, Backoff: 0.1, BackoffFactor: 2, Timeout: horizon})
+	_, fm, err := flowsched.NewRunArena().Run(inst, flowsched.JSQRouter(), flowsched.SimConfig{Plan: back, Retry: flowsched.RetryPolicy{MaxAttempts: 4, Backoff: 0.1, BackoffFactor: 2, Timeout: horizon}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package flowsched_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"flowsched"
@@ -26,7 +25,7 @@ func (h *hedgeCounter) OnHedgeCancel(task, server int, at flowsched.Time, starte
 }
 
 // TestFacadeHedged exercises the hedged-execution facade end to end: a nil
-// config reproduces SimulateElastic bit for bit, and a delay-triggered hedge
+// config leaves no hedge state, and a delay-triggered hedge
 // under a gray fault issues copies, wins by copy, and reports the
 // duplicate-work cost — with the event stream visible through HedgeObserver.
 func TestFacadeHedged(t *testing.T) {
@@ -39,17 +38,10 @@ func TestFacadeHedged(t *testing.T) {
 	}
 	router := flowsched.RoundRobinRouter()
 
-	// Nil hedge config: byte-identical to SimulateElastic.
-	sE, mE, err := flowsched.SimulateElastic(inst, router, nil, flowsched.RetryPolicy{}, nil, nil, nil)
+	// A nil hedge config leaves no hedge state.
+	_, mH, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	sH, mH, err := flowsched.SimulateHedged(inst, flowsched.RoundRobinRouter(), nil, flowsched.RetryPolicy{}, nil, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sE, sH) || !reflect.DeepEqual(mE.Flows, mH.Flows) {
-		t.Fatal("nil hedge config diverges from SimulateElastic")
 	}
 	if mH.HedgesIssued != 0 || mH.Hedged != nil {
 		t.Fatal("nil hedge config produced hedge state")
@@ -60,7 +52,7 @@ func TestFacadeHedged(t *testing.T) {
 	plan := flowsched.EmptyFaultPlan(4).Slow(0, 0, 1e6, 25)
 	hcfg := &flowsched.HedgeConfig{Delay: 2, CancelRunning: true}
 	probe := &hedgeCounter{}
-	_, em, err := flowsched.SimulateHedged(inst, flowsched.RoundRobinRouter(), plan, flowsched.RetryPolicy{}, nil, nil, hcfg, probe)
+	_, em, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Plan: plan, Hedge: hcfg, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +73,7 @@ func TestFacadeHedged(t *testing.T) {
 	}
 
 	// A triggerless config is rejected up front.
-	if _, _, err := flowsched.SimulateHedged(inst, flowsched.RoundRobinRouter(), nil, flowsched.RetryPolicy{}, nil, nil, &flowsched.HedgeConfig{}, nil); err == nil {
+	if _, _, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Hedge: &flowsched.HedgeConfig{}}); err == nil {
 		t.Fatal("triggerless hedge config accepted")
 	}
 }

@@ -102,14 +102,14 @@ func TestFacadeObservability(t *testing.T) {
 		t.Fatal("incomplete SVG")
 	}
 
-	// ObserveFaulty under the empty plan reproduces Observe.
+	// The engine with only a probe reproduces Observe's flows.
 	counters2 := &flowsched.ProbeCounters{}
-	_, mf, err := flowsched.ObserveFaulty(inst, router, nil, flowsched.RetryPolicy{}, counters2)
+	_, mf, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{Probe: counters2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(mf.Flows, mObs.Flows) {
-		t.Fatal("ObserveFaulty under nil plan diverged")
+		t.Fatal("probed engine run under nil plan diverged from Observe")
 	}
 	if counters2.Completions != 400 || counters2.Failovers != 0 {
 		t.Errorf("faulty counters %+v", counters2)

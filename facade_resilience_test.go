@@ -2,7 +2,6 @@ package flowsched_test
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"flowsched"
@@ -24,7 +23,7 @@ func (r *resilienceCounter) OnRetryBudgetDrop(task, attempts int, at flowsched.T
 }
 
 // TestFacadeResilient exercises the resilience facade end to end: a nil
-// config reproduces SimulateHedged bit for bit, and a flapping outage under
+// config leaves no resilience state, and a flapping outage under
 // a retry budget plus breakers trips the breaker, drops over-budget retries
 // and reports the ledger — with the event stream visible through
 // ResilienceObserver.
@@ -43,17 +42,10 @@ func TestFacadeResilient(t *testing.T) {
 	}
 	policy := flowsched.RetryPolicy{Backoff: 1, BackoffFactor: 2}
 
-	// Nil resilience config: byte-identical to SimulateHedged.
-	sH, mH, err := flowsched.SimulateHedged(inst, flowsched.RoundRobinRouter(), plan, policy, nil, nil, nil, nil)
+	// A nil resilience config leaves no resilience state.
+	_, mR, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Plan: plan, Retry: policy})
 	if err != nil {
 		t.Fatal(err)
-	}
-	sR, mR, err := flowsched.SimulateResilient(inst, flowsched.RoundRobinRouter(), plan, policy, nil, nil, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sH, sR) || !reflect.DeepEqual(mH.Flows, mR.Flows) {
-		t.Fatal("nil resilience config diverges from SimulateHedged")
 	}
 	if mR.BreakerOpens != 0 || mR.BreakerSpans != nil || mR.BudgetDropped != nil {
 		t.Fatal("nil resilience config produced resilience state")
@@ -71,7 +63,7 @@ func TestFacadeResilient(t *testing.T) {
 		},
 	}
 	probe := &resilienceCounter{}
-	_, em, err := flowsched.SimulateResilient(inst, flowsched.RoundRobinRouter(), plan, policy, nil, nil, nil, rcfg, probe)
+	_, em, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Plan: plan, Retry: policy, Resilience: rcfg, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +86,7 @@ func TestFacadeResilient(t *testing.T) {
 
 	// A bad config is rejected up front.
 	bad := &flowsched.ResilienceConfig{Jitter: "sometimes"}
-	if _, _, err := flowsched.SimulateResilient(inst, flowsched.RoundRobinRouter(), nil, policy, nil, nil, nil, bad, nil); err == nil {
+	if _, _, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Retry: policy, Resilience: bad}); err == nil {
 		t.Fatal("unknown jitter mode accepted")
 	}
 }

@@ -37,7 +37,7 @@ func TestFacadeGrayAndCorrelatedFaults(t *testing.T) {
 	// A scripted slowdown doubles the service time of the only machine.
 	inst := flowsched.NewInstance(1, []flowsched.Task{{Release: 0, Proc: 10}})
 	plan := flowsched.EmptyFaultPlan(1).Slow(0, 0, 100, 2)
-	_, fm, err := flowsched.SimulateFaulty(inst, flowsched.JSQRouter(), plan, flowsched.RetryPolicy{})
+	_, fm, err := flowsched.NewRunArena().Run(inst, flowsched.JSQRouter(), flowsched.SimConfig{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,10 +116,6 @@ func NewEFT(tie TieBreak) *sched.EFT { return sched.NewEFT(tie) }
 // Proposition 1 makes it interchangeable with EFT otherwise.
 func NewFIFO(tie TieBreak) Algorithm { return &sched.FIFO{Tie: tie} }
 
-// NewEFTHeap returns the O(log m)-per-task heap-indexed EFT for
-// unrestricted instances (same start times and Fmax as EFT-Min).
-func NewEFTHeap() *sched.EFTHeap { return sched.NewEFTHeap() }
-
 // NewJSQ returns the non-clairvoyant join-shortest-queue baseline.
 func NewJSQ() *sched.JSQ { return sched.NewJSQ() }
 

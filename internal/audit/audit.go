@@ -72,14 +72,14 @@ const (
 	// exactly once, and non-admitted tasks are unassigned.
 	InvDisposition = "disposition"
 	// InvDeadline: with a deadline-admission budget D, every completed task
-	// has flow ≤ D + p_max (the guarantee sim.RunGuarded enforces).
+	// has flow ≤ D + p_max (the guarantee the engine enforces).
 	InvDeadline = "deadline"
 	// InvMembership: under an elastic membership log, every executed task ran
 	// on a machine inside its *effective* processing set at its dispatch
 	// instant — the first k active machines walking the ring from the set's
 	// origin (elastic.Effective, the same walk the engine routes with).
 	InvMembership = "membership"
-	// InvHedge: hedged-execution invariants (sim.RunHedged) — every
+	// InvHedge: hedged-execution invariants (sim.Config.Hedge) — every
 	// speculative copy targeted a server inside the task's processing set
 	// (effective set under elastic membership) at the copy's dispatch
 	// instant; a task reported won-by-copy was hedged and the schedule runs
@@ -88,7 +88,7 @@ const (
 	// tasks' processing time plus the metrics' DuplicateWork — cancelled
 	// copies never leak into flow or busy accounting.
 	InvHedge = "hedge"
-	// InvResilience: resilience invariants (sim.RunResilient) — the retry
+	// InvResilience: resilience invariants (sim.Config.Resilience) — the retry
 	// budget conserves exactly (RetriesIssued + RetriesDropped ==
 	// RetriesRequested, and the drop count matches the BudgetDropped
 	// dispositions); and under circuit breakers every task's *final*
@@ -136,25 +136,25 @@ type Options struct {
 	// and are excluded from completion/flow reasoning. Optional.
 	Dropped []bool
 	// Overload supplies the dispositions of a guarded run
-	// (sim.RunGuarded with an overload config): rejected/shed tasks are held
+	// (a sim.Config.Overload): rejected/shed tasks are held
 	// to the same unassigned contract as dropped ones, disposition
 	// exclusivity is checked, and — when Deadline is set — the admitted-task
 	// flow bound Fmax ≤ Deadline + p_max. Optional.
 	Overload *OverloadInfo
 	// Membership supplies the membership log of an elastic run
-	// (sim.RunElastic with a config): the static eligibility check is
+	// (a sim.Config.Elastic): the static eligibility check is
 	// replaced by the dispatch-time effective-set check (InvMembership), the
 	// lower bound keeps only its set-free terms (effective sets can lie
 	// outside the static ones), and the FIFO ≡ EFT spot-check is skipped
 	// (the proposition assumes a fixed machine count). Optional.
 	Membership *MembershipInfo
 	// Hedge supplies the per-task hedge record of a hedged run
-	// (sim.RunHedged with a config): speculative-copy eligibility, copy-win
+	// (a sim.Config.Hedge): speculative-copy eligibility, copy-win
 	// consistency and the busy-time accounting identity are checked
 	// (InvHedge). Optional.
 	Hedge *HedgeInfo
 	// Resilience supplies the retry-budget ledger and breaker history of a
-	// resilient run (sim.RunResilient with a config): budget conservation
+	// resilient run (a sim.Config.Resilience): budget conservation
 	// and breaker-state dispatch legality are checked (InvResilience).
 	// Optional.
 	Resilience *ResilienceInfo

@@ -61,7 +61,7 @@ func TestAuditCleanSimulatedRuns(t *testing.T) {
 		gray := faults.GenerateGray(m, 10, faults.GrayConfig{MTBF: 6, MTTR: 3}, rng)
 		plan := crash.Merge(gray)
 		pol := sim.RetryPolicy{MaxAttempts: 4, Backoff: 0.05, BackoffFactor: 2, Timeout: 60}
-		fs, fm, err := sim.RunFaulty(inst, sim.EFTRouter{}, plan, pol)
+		fs, fm, err := sim.NewArena().Run(inst, sim.EFTRouter{}, sim.Config{Plan: plan, Retry: pol})
 		if err != nil {
 			t.Fatal(err)
 		}

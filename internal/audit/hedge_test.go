@@ -45,7 +45,7 @@ func TestAuditCleanHedgedRuns(t *testing.T) {
 			pol = sim.RetryPolicy{MaxAttempts: 4, Backoff: 0.05}
 		}
 
-		s, em, err := sim.RunHedged(inst, sim.EFTRouter{}, plan, pol, nil, nil, hcfg, nil)
+		s, em, err := sim.NewArena().Run(inst, sim.EFTRouter{}, sim.Config{Plan: plan, Retry: pol, Hedge: hcfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestAuditHedgeViolations(t *testing.T) {
 	})
 	hcfg := &hedge.Config{Delay: 0.5, CancelRunning: true}
 	plan := faults.Empty(3).Slow(0, 0, 1000, 50)
-	s, em, err := sim.RunHedged(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil, hcfg, nil)
+	s, em, err := sim.NewArena().Run(inst, sim.EFTRouter{}, sim.Config{Plan: plan, Hedge: hcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,7 @@ func TestAuditHedgeViolations(t *testing.T) {
 func TestAuditHedgeBusyIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	inst := randomInstance(3, 40, rng)
-	s, em, err := sim.RunHedged(inst, &sim.RoundRobinRouter{}, nil, sim.RetryPolicy{}, nil, nil,
-		&hedge.Config{Delay: 0.1}, nil)
+	s, em, err := sim.NewArena().Run(inst, &sim.RoundRobinRouter{}, sim.Config{Hedge: &hedge.Config{Delay: 0.1}})
 	if err != nil {
 		t.Fatal(err)
 	}

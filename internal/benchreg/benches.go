@@ -36,27 +36,19 @@ func init() {
 	Register("SimRunEFTMaxFullSet", benchSimRunEFTMaxFullSet)
 	Register("SimRunEFTMinFullSetM1000", benchSimRunEFTMinFullSetM1000)
 	Register("SimRunJSQ", benchSimRunJSQ)
-	Register("ProbeOverheadSimOff", benchProbeOverheadSimOff)
 	Register("ProbeOverheadSimHist", benchProbeOverheadSimHist)
-	Register("TracerOverheadSimOff", benchTracerOverheadSimOff)
 	Register("SimRunTracedKeepWorst", benchSimRunTracedKeepWorst)
 	Register("SimRunFlightRecorded", benchSimRunFlightRecorded)
 	Register("SimRunFaulty", benchSimRunFaulty)
 	Register("SimRunFaultySlowNoop", benchSimRunFaultySlowNoop)
 	Register("SimRunFaultyGray", benchSimRunFaultyGray)
-	Register("SimRunGuardedOff", benchSimRunGuardedOff)
 	Register("SimRunGuardedAdmit", benchSimRunGuardedAdmit)
-	Register("SimRunElasticOff", benchSimRunElasticOff)
 	Register("SimRunElasticScale", benchSimRunElasticScale)
-	Register("SimRunHedgedOff", benchSimRunHedgedOff)
 	Register("SimRunHedgedGray", benchSimRunHedgedGray)
-	Register("SimRunResilientOff", benchSimRunResilientOff)
 	Register("SimRunResilientStorm", benchSimRunResilientStorm)
 	Register("SimRunStackArmed", benchSimRunStackArmed)
 	Register("SimRunFaultySteady", benchSimRunFaultySteady)
-	Register("SimRunGuardedOffSteady", benchSimRunGuardedOffSteady)
 	Register("SimRunGuardedAdmitSteady", benchSimRunGuardedAdmitSteady)
-	Register("SimRunElasticOffSteady", benchSimRunElasticOffSteady)
 	Register("OutlierEject", benchOutlierEject)
 	Register("AuditSchedule", benchAuditSchedule)
 	Register("SchedEFTRun", benchSchedEFTRun)
@@ -174,57 +166,55 @@ func benchSimRunJSQ(b *testing.B) {
 	benchSimRun(b, restrictedInstance(15, 3, 5000), sim.JSQRouter{})
 }
 
-// The probe-overhead pair brackets the observability cost on the same
-// workload as SimRunEFT: Off drives RunProbed with a nil probe (must match
-// SimRunEFT — the disabled path is pure branch-not-taken, 0 extra allocs),
-// Hist attaches the streaming flow/stretch histogram probe.
-func benchProbeOverhead(b *testing.B, probe obs.Probe) {
+// benchSimRunProbed times sim.RunProbed with the probe on the SimRunEFT
+// workload; SimRunEFT itself is the nil-probe baseline (sim.Run is RunProbed
+// with a nil probe, whose hooks are pure branch-not-taken).
+func benchSimRunProbed(b *testing.B, newProbe func() obs.Probe) {
 	inst := restrictedInstance(15, 3, 5000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunProbed(inst, sim.EFTRouter{}, probe); err != nil {
+		if _, _, err := sim.RunProbed(inst, sim.EFTRouter{}, newProbe()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchProbeOverheadSimOff(b *testing.B) { benchProbeOverhead(b, nil) }
-
+// benchProbeOverheadSimHist prices the streaming flow/stretch histogram
+// probe against SimRunEFT.
 func benchProbeOverheadSimHist(b *testing.B) {
-	benchProbeOverhead(b, obs.NewHistogramProbe())
+	hist := obs.NewHistogramProbe()
+	benchSimRunProbed(b, func() obs.Probe { return hist })
 }
 
-// The tracer pair brackets the span-tracing cost on the SimRunEFT workload:
-// Off is the tracing-disabled baseline (nil probe — must match SimRunEFT,
-// same branch-not-taken argument as ProbeOverheadSimOff), KeepWorst attaches
-// a bounded tail tracer. A fresh tracer per iteration is the real usage
-// shape: retention state is per run, not reusable.
-func benchTracerOverheadSimOff(b *testing.B) { benchProbeOverhead(b, nil) }
-
+// benchSimRunTracedKeepWorst prices span tracing against SimRunEFT: a
+// bounded tail tracer, fresh per run as in real use (retention state is per
+// run, not reusable).
 func benchSimRunTracedKeepWorst(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tracer := obs.NewTracer(obs.KeepWorst(20))
-		if _, _, err := sim.RunProbed(inst, sim.EFTRouter{}, tracer); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSimRunProbed(b, func() obs.Probe { return obs.NewTracer(obs.KeepWorst(20)) })
 }
 
 // benchSimRunFlightRecorded prices the always-on flight recorder on the
 // SimRunEFT workload: one 4096-event ring, reset and refilled every run,
 // as chaos and the stack workload use it.
 func benchSimRunFlightRecorded(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
 	rec := obs.NewFlightRecorder(4096)
+	benchSimRunProbed(b, func() obs.Probe { rec.Reset(); return rec })
+}
+
+// benchEngine times one engine run per iteration on the SimRunEFT
+// workload, each in a fresh arena: the one-off call shape. Every engine
+// entry arms its layers on top of an empty fault plan, so SimRunFaulty is
+// the bare engine and each other entry prices what its layers add.
+func benchEngine(b *testing.B, router sim.Router, cfg sim.Config) {
+	inst := restrictedInstance(15, 3, 5000)
+	if cfg.Plan == nil {
+		cfg.Plan = faults.Empty(15)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.Reset()
-		if _, _, err := sim.RunProbed(inst, sim.EFTRouter{}, rec); err != nil {
+		if _, _, err := sim.NewArena().Run(inst, router, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,84 +225,43 @@ func benchSimRunFlightRecorded(b *testing.B) {
 // plan whose slowdown segments all have Factor 1 (the no-op normalization
 // must make it indistinguishable from SimRunFaulty), and Gray degrades a
 // third of the servers to quarter speed for most of the horizon.
-func benchSimRunFaultyPlan(b *testing.B, plan *faults.Plan) {
-	inst := restrictedInstance(15, 3, 5000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunFaulty(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchSimRunFaulty(b *testing.B) { benchSimRunFaultyPlan(b, faults.Empty(15)) }
+func benchSimRunFaulty(b *testing.B) { benchEngine(b, sim.EFTRouter{}, sim.Config{}) }
 
 func benchSimRunFaultySlowNoop(b *testing.B) {
 	plan := faults.Empty(15)
 	for j := 0; j < 15; j++ {
 		plan.Slow(j, 0, 1e6, 1)
 	}
-	benchSimRunFaultyPlan(b, plan)
+	benchEngine(b, sim.EFTRouter{}, sim.Config{Plan: plan})
 }
 
 func benchSimRunFaultyGray(b *testing.B) {
+	benchEngine(b, sim.EFTRouter{}, sim.Config{Plan: grayPlan()})
+}
+
+// grayPlan slows every third server to quarter speed from t = 10 on.
+func grayPlan() *faults.Plan {
 	plan := faults.Empty(15)
 	for j := 0; j < 15; j += 3 {
 		plan.Slow(j, 10, 1e6, 4)
 	}
-	benchSimRunFaultyPlan(b, plan)
+	return plan
 }
 
-// benchSimRunGuardedOff pins the disabled-path cost of the overload
-// subsystem: RunGuarded with a nil config must track SimRunFaulty (the
-// byte-identical property in internal/sim pins the behavior; this entry
-// pins the speed).
-func benchSimRunGuardedOff(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunGuarded(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSimRunGuardedAdmit measures a fully armed overload config (deadline
-// admission + stretch shedding + ejection) on the same workload.
-func benchSimRunGuardedAdmit(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	cfg := &overload.Config{
+// guardedAdmit is a fully armed overload config: deadline admission,
+// stretch shedding and ejection.
+func guardedAdmit() *overload.Config {
+	return &overload.Config{
 		Admission: overload.DeadlineAdmit{D: 20},
 		Shedder:   &overload.Shedder{Policy: overload.DropLargestStretch, Watermark: 15},
 		Ejector:   &overload.Ejector{},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunGuarded(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
-// benchSimRunElasticOff pins the disabled-path cost of the elastic layer:
-// RunElastic with a nil membership config must track SimRunGuardedOff (the
-// byte-identical property in internal/sim pins the behavior, the 0-extra-alloc
-// test pins the footprint; this entry pins the speed).
-func benchSimRunElasticOff(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunElastic(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+// benchSimRunGuardedAdmit measures a fully armed overload config on the
+// same workload.
+func benchSimRunGuardedAdmit(b *testing.B) {
+	benchEngine(b, sim.EFTRouter{}, sim.Config{Overload: guardedAdmit()})
 }
 
 // benchSimRunElasticScale measures a churning membership on the same
@@ -320,40 +269,15 @@ func benchSimRunElasticOff(b *testing.B) {
 // warm-up) and settle at 9, exercising the join, drain-handoff and
 // effective-set remap paths.
 func benchSimRunElasticScale(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	horizon := float64(inst.N()) / (0.8 * 15)
-	ecfg := &elastic.Config{
+	horizon := 5000 / (0.8 * 15)
+	benchEngine(b, sim.EFTRouter{}, sim.Config{Elastic: &elastic.Config{
 		Initial: 9, Min: 6, Max: 15, WarmUp: 0.5,
 		Script: []elastic.Event{
 			{At: core.Time(horizon * 0.2), Delta: -3},
 			{At: core.Time(horizon * 0.5), Delta: 6},
 			{At: core.Time(horizon * 0.8), Delta: -3},
 		},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunElastic(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, ecfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSimRunHedgedOff pins the disabled-path cost of the hedging layer:
-// RunHedged with a nil hedge config must track SimRunElasticOff (the
-// byte-identical property in internal/sim pins the behavior, the
-// 0-extra-alloc test pins the footprint; this entry pins the speed).
-func benchSimRunHedgedOff(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunHedged(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	}})
 }
 
 // benchSimRunHedgedGray measures hedging under fire: a third of the cluster
@@ -366,36 +290,11 @@ func benchSimRunHedgedOff(b *testing.B) {
 // onto any heap (DESIGN.md §13), so hedging against unbounded queues scales
 // with their length, not with this machinery.
 func benchSimRunHedgedGray(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	for j := 0; j < 15; j += 3 {
-		plan.Slow(j, 10, 1e6, 4)
-	}
-	cfg := &overload.Config{Admission: overload.QueueBound{MaxQueue: 20}}
-	hcfg := &hedge.Config{Delay: 5, CancelRunning: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunHedged(inst, &sim.RoundRobinRouter{}, plan, sim.RetryPolicy{}, cfg, nil, hcfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSimRunResilientOff pins the disabled-path cost of the resilience
-// layer: RunResilient with a nil config must track SimRunHedgedOff (the
-// byte-identical property in internal/sim pins the behavior, the
-// 0-extra-alloc test pins the footprint; this entry pins the speed).
-func benchSimRunResilientOff(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunResilient(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEngine(b, &sim.RoundRobinRouter{}, sim.Config{
+		Plan:     grayPlan(),
+		Overload: &overload.Config{Admission: overload.QueueBound{MaxQueue: 20}},
+		Hedge:    &hedge.Config{Delay: 5, CancelRunning: true},
+	})
 }
 
 // benchSimRunResilientStorm measures the resilience layer under fire: a
@@ -405,7 +304,6 @@ func benchSimRunResilientOff(b *testing.B) {
 // cycles on the flapping servers. This is the metastable-experiment shape
 // (cmd/experiments metastable) at benchmark size.
 func benchSimRunResilientStorm(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
 	plan := faults.Empty(15)
 	for j := 0; j < 15; j += 3 {
 		for f := 0; f < 10; f++ {
@@ -413,21 +311,17 @@ func benchSimRunResilientStorm(b *testing.B) {
 			plan.Down(j, from, from+9)
 		}
 	}
-	pol := sim.RetryPolicy{Backoff: 2, BackoffFactor: 2}
-	rcfg := &resilience.Config{
-		Jitter: resilience.JitterFull, Seed: 1,
-		RetryBudget: 0.1, BudgetBurst: 3,
-		Breaker: &resilience.BreakerConfig{
-			Window: 5, FailureThreshold: 0.6, Cooldown: 15, HalfOpenProbes: 2,
+	benchEngine(b, sim.EFTRouter{}, sim.Config{
+		Plan:  plan,
+		Retry: sim.RetryPolicy{Backoff: 2, BackoffFactor: 2},
+		Resilience: &resilience.Config{
+			Jitter: resilience.JitterFull, Seed: 1,
+			RetryBudget: 0.1, BudgetBurst: 3,
+			Breaker: &resilience.BreakerConfig{
+				Window: 5, FailureThreshold: 0.6, Cooldown: 15, HalfOpenProbes: 2,
+			},
 		},
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := sim.RunResilient(inst, sim.EFTRouter{}, plan, pol, nil, nil, nil, rcfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 // benchSimRunStackArmed is perfbench's stack configuration at n = 5,000:
@@ -471,7 +365,7 @@ func benchSimRunStackArmed(b *testing.B) {
 		*counters = obs.Counters{}
 		flight.Reset()
 		probe := obs.Multi(counters, obs.NewTracer(obs.KeepWorst(20)), flight)
-		if _, _, err := arena.RunResilient(inst, router, plan, retry, cfg, ecfg, hcfg, rcfg, probe); err != nil {
+		if _, _, err := arena.Run(inst, router, sim.Config{Plan: plan, Retry: retry, Overload: cfg, Elastic: ecfg, Hedge: hcfg, Resilience: rcfg, Probe: probe}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -483,78 +377,33 @@ func benchSimRunStackArmed(b *testing.B) {
 	}
 }
 
-// The Steady quartet re-runs the four robustness paths through a single
-// reused sim.Arena — the steady-state shape of chaos soaks, experiment
-// repetition loops and cmd/bench itself. Against their fresh-run twins they
-// price the per-run allocation tax the arena removes; the companion alloc
-// ceilings (≤ 50, admit ≤ 100) are pinned by TestRun*Allocs in internal/sim.
-func benchSimRunFaultySteady(b *testing.B) {
+// The Steady pair re-runs the bare engine and the armed overload path
+// through a single reused sim.Arena — the steady-state shape of chaos soaks,
+// experiment repetition loops and cmd/bench itself. Against their fresh-run
+// twins (SimRunFaulty, SimRunGuardedAdmit) they price the per-run
+// allocation tax the arena removes; the companion alloc ceilings (≤ 50,
+// admit ≤ 100) are pinned by TestRunFaultyAllocs and
+// TestRunGuardedAdmitAllocs in internal/sim.
+func benchEngineSteady(b *testing.B, cfg sim.Config) {
 	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
+	cfg.Plan = faults.Empty(15)
 	arena := sim.NewArena()
-	if _, _, err := arena.RunFaulty(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}); err != nil {
+	if _, _, err := arena.Run(inst, sim.EFTRouter{}, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := arena.RunFaulty(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}); err != nil {
+		if _, _, err := arena.Run(inst, sim.EFTRouter{}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func benchSimRunGuardedOffSteady(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	arena := sim.NewArena()
-	if _, _, err := arena.RunGuarded(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := arena.RunGuarded(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func benchSimRunFaultySteady(b *testing.B) { benchEngineSteady(b, sim.Config{}) }
 
 func benchSimRunGuardedAdmitSteady(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	cfg := &overload.Config{
-		Admission: overload.DeadlineAdmit{D: 20},
-		Shedder:   &overload.Shedder{Policy: overload.DropLargestStretch, Watermark: 15},
-		Ejector:   &overload.Ejector{},
-	}
-	arena := sim.NewArena()
-	if _, _, err := arena.RunGuarded(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, cfg, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := arena.RunGuarded(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchSimRunElasticOffSteady(b *testing.B) {
-	inst := restrictedInstance(15, 3, 5000)
-	plan := faults.Empty(15)
-	arena := sim.NewArena()
-	if _, _, err := arena.RunElastic(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := arena.RunElastic(inst, sim.EFTRouter{}, plan, sim.RetryPolicy{}, nil, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEngineSteady(b, sim.Config{Overload: guardedAdmit()})
 }
 
 // benchOutlierEject measures the ejector kernel alone: one Observe per

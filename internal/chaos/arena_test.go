@@ -46,8 +46,7 @@ func TestSoakArenaReuseEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: overload config: %v", trial, err)
 			}
-			s, em, err := arena.RunElastic(inst, spec.New(p.RouterSeed), plan, p.Policy,
-				ocfg, p.elasticConfig(inst.M), nil)
+			s, em, err := arena.Run(inst, spec.New(p.RouterSeed), sim.Config{Plan: plan, Retry: p.Policy, Overload: ocfg, Elastic: p.elasticConfig(inst.M)})
 			if err != nil {
 				t.Fatalf("trial %d: run: %v", trial, err)
 			}

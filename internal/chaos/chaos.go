@@ -2,7 +2,7 @@
 // cross-product workload × replication strategy × fault plan × overload
 // controls × membership churn × hedging × resilience × router × retry
 // policy, simulates each one
-// with sim.RunResilient (the full engine stack), and runs every resulting
+// with one sim.Arena.Run (the full engine stack), and runs every resulting
 // schedule through the internal/audit invariant auditor plus a counting
 // probe that cross-checks the simulator's own metrics. A trial that
 // violates any invariant is automatically shrunk (drop tasks, drop fault
@@ -124,22 +124,21 @@ type Params struct {
 	MTTR       float64         `json:"mttr,omitempty"`
 	Zones      int             `json:"zones,omitempty"`
 	Policy     sim.RetryPolicy `json:"policy"`
-	// Overload, when non-nil, runs the trial through sim.RunGuarded with the
-	// described overload controls (and the sampler pushes Load toward or
-	// past saturation so they actually fire).
+	// Overload, when non-nil, arms sim.Config.Overload with the described
+	// overload controls (and the sampler pushes Load toward or past
+	// saturation so they actually fire).
 	Overload *OverloadParams `json:"overload,omitempty"`
-	// Elastic, when non-nil, runs the trial with online membership: machines
-	// join (with warm-up) and drain (with handoff) mid-run on the described
-	// script, and the audit membership invariants replace the static
-	// eligibility check.
+	// Elastic, when non-nil, arms sim.Config.Elastic: machines join (with
+	// warm-up) and drain (with handoff) mid-run on the described script, and
+	// the audit membership invariants replace the static eligibility check.
 	Elastic *ElasticParams `json:"elastic,omitempty"`
-	// Hedge, when non-nil, runs the trial through sim.RunHedged with the
-	// described speculative-execution config, and the audit hedge invariants
+	// Hedge, when non-nil, arms sim.Config.Hedge with the described
+	// speculative-execution config, and the audit hedge invariants
 	// (exactly-one-effective-completion, copy eligibility, duplicate-work
 	// accounting) join the check.
 	Hedge *HedgeParams `json:"hedge,omitempty"`
-	// Resilience, when non-nil, runs the trial through sim.RunResilient with
-	// the described retry-storm protections (seeded jitter, retry budget,
+	// Resilience, when non-nil, arms sim.Config.Resilience with the
+	// described retry-storm protections (seeded jitter, retry budget,
 	// circuit breakers), and the audit resilience invariants (budget
 	// conservation, breaker-state dispatch legality) join the check.
 	Resilience *ResilienceParams `json:"resilience,omitempty"`
@@ -618,7 +617,7 @@ func CheckRecorded(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Pa
 	rcfg := p.resilienceConfig()
 	arena := arenas.Get().(*sim.Arena)
 	defer arenas.Put(arena)
-	s, em, err := arena.RunResilient(inst, router, plan, p.Policy, cfg, ecfg, hcfg, rcfg, simProbe)
+	s, em, err := arena.Run(inst, router, sim.Config{Plan: plan, Retry: p.Policy, Overload: cfg, Elastic: ecfg, Hedge: hcfg, Resilience: rcfg, Probe: simProbe})
 	if err != nil {
 		return []audit.Violation{{Invariant: InvSimError, Task: -1, Machine: -1, Detail: err.Error()}}
 	}

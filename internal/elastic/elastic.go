@@ -26,7 +26,7 @@
 // ownership when nodes join and leave.
 //
 // This package deliberately does not import internal/sim: the simulator
-// (sim.RunElastic) imports it and replays the decisions; internal/audit
+// (sim.Config.Elastic) imports it and replays the decisions; internal/audit
 // imports it to re-derive dispatch-time eligibility from the Membership log
 // with the very same walk, so engine and auditor cannot disagree.
 package elastic
@@ -142,7 +142,7 @@ func (a *Autoscaler) validate() error {
 // Config describes the elastic membership of one run. The instance's M is
 // the *capacity* — the total number of machine slots — and membership moves
 // within [Min, Max] starting from Initial. A nil *Config disables the layer
-// entirely: sim.RunElastic then reproduces sim.RunGuarded bit for bit.
+// entirely: a nil sim.Config.Elastic leaves the run byte-identical.
 type Config struct {
 	// Initial is the number of active machines at t = 0 (slots 0..Initial−1).
 	// 0 means full capacity.

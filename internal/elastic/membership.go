@@ -32,7 +32,7 @@ func RingStart(set core.ProcSet, capacity int) int {
 // empty set.
 //
 // This is the membership layer's one routing rule, shared verbatim between
-// the engine (sim.RunElastic's dispatch) and the auditor (Membership.
+// the engine's dispatch (sim.Config.Elastic) and the auditor (Membership.
 // Eligible), so the invariant checker re-derives exactly what the engine
 // offered the router.
 func Effective(active []bool, start, k int, buf core.ProcSet) core.ProcSet {

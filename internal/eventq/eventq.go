@@ -1,7 +1,5 @@
-// Package eventq provides the priority queues used across the simulator and
-// schedulers: a generic min-heap ordered by time with FIFO tie-breaking, and
-// an indexed min-heap over machine completion times supporting decrease/
-// increase-key.
+// Package eventq provides the priority queue used across the simulator and
+// schedulers: a generic min-heap ordered by time with FIFO tie-breaking.
 package eventq
 
 // Item is an element of Queue: a payload scheduled at a time instant.
@@ -135,95 +133,4 @@ func (q *Queue[T]) Clear() {
 	}
 	q.h = q.h[:0]
 	q.seq = 0
-}
-
-// MachineHeap is an indexed min-heap over per-machine keys (typically
-// completion times). It supports O(log m) updates of any machine's key and
-// O(1) access to the machine with the smallest key, breaking ties by the
-// smallest machine index (the paper's EFT-Min convention).
-type MachineHeap struct {
-	key  []float64 // key per machine index
-	heap []int     // machine indices, heap-ordered
-	pos  []int     // position of each machine in heap
-}
-
-// NewMachineHeap builds a heap over machines 0..m-1, all with key 0.
-func NewMachineHeap(m int) *MachineHeap {
-	h := &MachineHeap{
-		key:  make([]float64, m),
-		heap: make([]int, m),
-		pos:  make([]int, m),
-	}
-	for j := 0; j < m; j++ {
-		h.heap[j] = j
-		h.pos[j] = j
-	}
-	return h
-}
-
-// Len reports the number of machines.
-func (h *MachineHeap) Len() int { return len(h.heap) }
-
-// Key returns machine j's current key.
-func (h *MachineHeap) Key(j int) float64 { return h.key[j] }
-
-// MinMachine returns the machine with the smallest key (ties broken by
-// smallest index) and that key.
-func (h *MachineHeap) MinMachine() (int, float64) {
-	j := h.heap[0]
-	return j, h.key[j]
-}
-
-// Update sets machine j's key and restores the heap order.
-func (h *MachineHeap) Update(j int, key float64) {
-	h.key[j] = key
-	if !h.down(h.pos[j]) {
-		h.up(h.pos[j])
-	}
-}
-
-func (h *MachineHeap) less(a, b int) bool {
-	ja, jb := h.heap[a], h.heap[b]
-	if h.key[ja] != h.key[jb] {
-		return h.key[ja] < h.key[jb]
-	}
-	return ja < jb
-}
-
-func (h *MachineHeap) swap(a, b int) {
-	h.heap[a], h.heap[b] = h.heap[b], h.heap[a]
-	h.pos[h.heap[a]] = a
-	h.pos[h.heap[b]] = b
-}
-
-func (h *MachineHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *MachineHeap) down(i int) bool {
-	moved := false
-	n := len(h.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return moved
-		}
-		h.swap(i, smallest)
-		i = smallest
-		moved = true
-	}
 }

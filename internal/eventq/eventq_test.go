@@ -80,63 +80,6 @@ func TestQueueHeapProperty(t *testing.T) {
 	}
 }
 
-func TestMachineHeapBasics(t *testing.T) {
-	h := NewMachineHeap(4)
-	j, key := h.MinMachine()
-	if j != 0 || key != 0 {
-		t.Fatalf("initial min = %d %v", j, key)
-	}
-	h.Update(0, 5)
-	h.Update(1, 3)
-	h.Update(2, 3)
-	h.Update(3, 7)
-	j, key = h.MinMachine()
-	if j != 1 || key != 3 { // tie between 1 and 2 -> smallest index
-		t.Fatalf("min = %d %v, want 1 3", j, key)
-	}
-	h.Update(1, 10)
-	j, _ = h.MinMachine()
-	if j != 2 {
-		t.Fatalf("after update min = %d, want 2", j)
-	}
-	if h.Key(3) != 7 {
-		t.Fatalf("Key(3) = %v", h.Key(3))
-	}
-	if h.Len() != 4 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-}
-
-func TestMachineHeapMatchesLinearScan(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(30)
-		h := NewMachineHeap(m)
-		keys := make([]float64, m)
-		for step := 0; step < 200; step++ {
-			j := rng.Intn(m)
-			k := float64(rng.Intn(10))
-			h.Update(j, k)
-			keys[j] = k
-			// Linear scan reference with min-index tie-break.
-			bestJ, bestK := 0, keys[0]
-			for x := 1; x < m; x++ {
-				if keys[x] < bestK {
-					bestJ, bestK = x, keys[x]
-				}
-			}
-			gotJ, gotK := h.MinMachine()
-			if gotJ != bestJ || gotK != bestK {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQueueReserve(t *testing.T) {
 	var q Queue[int]
 	q.Push(2, 2)

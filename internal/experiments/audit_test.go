@@ -74,7 +74,7 @@ func TestFaultSweepSchedulesAuditClean(t *testing.T) {
 					horizon := inst.Tasks[inst.N()-1].Release
 					plan := faults.Generate(cfg.M, horizon, mtbf, cfg.MTTR,
 						subRng(cfg.Seed, 15, int64(mi), int64(rep)))
-					s, fm, err := sim.RunFaulty(inst, rt.mk(), plan, cfg.Pol)
+					s, fm, err := sim.NewArena().Run(inst, rt.mk(), sim.Config{Plan: plan, Retry: cfg.Pol})
 					if err != nil {
 						t.Fatal(err)
 					}

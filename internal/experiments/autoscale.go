@@ -95,11 +95,11 @@ func burstyTrace(cfg AutoscaleConfig) *core.Instance {
 
 // AutoscaleSweep runs the elastic-provisioning comparison: the same bursty
 // trace under static-peak, static-mean and autoscaled membership, all through
-// sim.RunElastic on the same m-slot ring, each cell audited (including the
-// membership invariants). The headline — asserted by the experiments tests —
-// is that the autoscaler holds the admitted Fmax within the SLO at fewer
-// machine-hours than peak provisioning, while static-for-mean blows through
-// the SLO during the burst.
+// the engine with an elastic config on the same m-slot ring, each cell
+// audited (including the membership invariants). The headline — asserted by
+// the experiments tests — is that the autoscaler holds the admitted Fmax
+// within the SLO at fewer machine-hours than peak provisioning, while
+// static-for-mean blows through the SLO during the burst.
 func AutoscaleSweep(w io.Writer, cfg AutoscaleConfig) ([]AutoscaleRow, error) {
 	def := DefaultAutoscale()
 	if cfg.M == 0 {
@@ -170,7 +170,7 @@ func AutoscaleSweep(w io.Writer, cfg AutoscaleConfig) ([]AutoscaleRow, error) {
 	arena := arenas.Get().(*sim.Arena)
 	defer arenas.Put(arena)
 	for _, cell := range cells {
-		s, em, err := arena.RunElastic(inst, sim.EFTRouter{}, nil, sim.RetryPolicy{}, nil, cell.ecfg, nil)
+		s, em, err := arena.Run(inst, sim.EFTRouter{}, sim.Config{Elastic: cell.ecfg})
 		if err != nil {
 			return nil, fmt.Errorf("autoscale: %s: %w", cell.name, err)
 		}

@@ -116,7 +116,7 @@ func FaultTolerance(w io.Writer, cfg FaultToleranceConfig) ([]FaultToleranceRow,
 						subRng(cfg.Seed, 15, int64(mi), int64(rep)))
 					arena := arenas.Get().(*sim.Arena)
 					defer arenas.Put(arena)
-					_, fm, err := arena.RunFaulty(inst, rt.mk(), plan, cfg.Pol)
+					_, fm, err := arena.Run(inst, rt.mk(), sim.Config{Plan: plan, Retry: cfg.Pol})
 					if err != nil {
 						return repStats{}, err
 					}

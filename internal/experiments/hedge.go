@@ -124,8 +124,7 @@ func HedgeTradeoff(w io.Writer, cfg HedgeTradeoffConfig) ([]HedgeTradeoffRow, er
 				}
 				ocfg := &overload.Config{Admission: overload.QueueBound{MaxQueue: cfg.MaxQueue}}
 				arena := arenas.Get().(*sim.Arena)
-				_, em, err := arena.RunHedged(inst, &sim.RoundRobinRouter{}, sc.plan,
-					sim.RetryPolicy{}, ocfg, nil, pol.cfg, nil)
+				_, em, err := arena.Run(inst, &sim.RoundRobinRouter{}, sim.Config{Plan: sc.plan, Overload: ocfg, Hedge: pol.cfg})
 				if err != nil {
 					arenas.Put(arena)
 					return nil, err

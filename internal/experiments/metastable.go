@@ -201,8 +201,7 @@ func Metastable(w io.Writer, cfg MetastableConfig) (*MetastableResult, error) {
 				return nil, err
 			}
 			arena := arenas.Get().(*sim.Arena)
-			_, em, err := arena.RunResilient(inst, sim.EFTRouter{}, flapPlan,
-				pol, nil, nil, nil, p.rcfg, nil)
+			_, em, err := arena.Run(inst, sim.EFTRouter{}, sim.Config{Plan: flapPlan, Retry: pol, Resilience: p.rcfg})
 			if err != nil {
 				arenas.Put(arena)
 				return nil, err
@@ -260,9 +259,7 @@ func Metastable(w io.Writer, cfg MetastableConfig) (*MetastableResult, error) {
 			var detected core.Time
 			var em *sim.ElasticMetrics
 			if d.name == "breaker" {
-				_, em2, err2 := arena.RunResilient(inst, &sim.RoundRobinRouter{}, grayPlan,
-					sim.RetryPolicy{}, nil, nil, nil,
-					&resilience.Config{Breaker: &grayBrk}, nil)
+				_, em2, err2 := arena.Run(inst, &sim.RoundRobinRouter{}, sim.Config{Plan: grayPlan, Resilience: &resilience.Config{Breaker: &grayBrk}})
 				if err2 != nil {
 					arenas.Put(arena)
 					return nil, err2
@@ -277,8 +274,7 @@ func Metastable(w io.Writer, cfg MetastableConfig) (*MetastableResult, error) {
 			} else {
 				clock := &ejectClock{}
 				ocfg := &overload.Config{Ejector: &overload.Ejector{K: 3, Cooldown: 1e9}}
-				_, em2, err2 := arena.RunResilient(inst, &sim.RoundRobinRouter{}, grayPlan,
-					sim.RetryPolicy{}, ocfg, nil, nil, nil, clock)
+				_, em2, err2 := arena.Run(inst, &sim.RoundRobinRouter{}, sim.Config{Plan: grayPlan, Overload: ocfg, Probe: clock})
 				if err2 != nil {
 					arenas.Put(arena)
 					return nil, err2

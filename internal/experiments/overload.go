@@ -120,7 +120,7 @@ func OverloadSweep(w io.Writer, cfg OverloadSweepConfig) ([]OverloadSweepRow, er
 				c := pol.mk()
 				arena := arenas.Get().(*sim.Arena)
 				defer arenas.Put(arena)
-				s, om, err := arena.RunGuarded(inst, sim.EFTRouter{}, nil, sim.RetryPolicy{}, c, nil)
+				s, om, err := arena.Run(inst, sim.EFTRouter{}, sim.Config{Overload: c})
 				if err != nil {
 					return repStats{}, err
 				}

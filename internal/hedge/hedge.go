@@ -18,7 +18,7 @@
 // DuplicateWork / CancelledWork).
 //
 // This package deliberately holds only the configuration; the mechanism
-// lives in the unified engine (sim.RunHedged), the invariants in
+// lives in the unified engine (sim.Config.Hedge), the invariants in
 // internal/audit, and the randomized trials in internal/chaos.
 package hedge
 
@@ -35,8 +35,7 @@ import (
 const DefaultMinSamples = 20
 
 // Config describes the hedging policy of one run. A nil *Config disables
-// the layer entirely: sim.RunHedged then reproduces sim.RunElastic bit for
-// bit.
+// the layer entirely: a nil sim.Config.Hedge leaves the run byte-identical.
 //
 // Exactly one trigger style applies per request:
 //

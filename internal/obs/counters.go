@@ -20,27 +20,27 @@ type Counters struct {
 	Failovers   int64 // server crashes observed
 	Lost        int64 // queued-or-running requests lost to crashes
 
-	// Overload-control totals (sim.RunGuarded with a config; zero otherwise).
+	// Overload-control totals (a sim.Config.Overload; zero otherwise).
 	Rejections   int64 // tasks turned away by admission control
 	Sheds        int64 // tasks shed mid-run (watermark trims, deadline enforcement)
 	Ejections    int64 // servers ejected by the outlier detector
 	Readmissions int64 // ejected servers re-admitted after cooldown
 	Brownouts    int64 // rising edges of the SLO guard's brownout signal
 
-	// Elastic-membership totals (sim.RunElastic with a config; zero otherwise).
+	// Elastic-membership totals (a sim.Config.Elastic; zero otherwise).
 	ScaleUps   int64     // scale-up decisions committed
 	Joins      int64     // machines that finished warm-up and went active
 	ScaleDowns int64     // machines drained out of the ring
 	Handoffs   int64     // queued tasks handed off from draining machines
 	WarmUpTime core.Time // total warm-up delay imposed on joiners
 
-	// Hedged-execution totals (sim.RunHedged with a config; zero otherwise).
+	// Hedged-execution totals (a sim.Config.Hedge; zero otherwise).
 	Hedges        int64 // speculative copies dispatched
 	HedgeWins     int64 // hedged tasks completed (either attempt)
 	HedgeCopyWins int64 // hedged tasks whose speculative copy won
 	HedgeCancels  int64 // losing attempts abandoned (cancelled, revoked, crashed)
 
-	// Resilience totals (sim.RunResilient with a config; zero otherwise).
+	// Resilience totals (a sim.Config.Resilience; zero otherwise).
 	BreakerOpens     int64 // breaker open episodes (window trips and probe failures)
 	BreakerCloses    int64 // probe-success closes
 	BreakerProbes    int64 // half-open probe dispatches

@@ -3,7 +3,7 @@ package obs
 import "flowsched/internal/core"
 
 // HedgeObserver is the optional extension interface for probes that want
-// the hedged-execution event stream of sim.RunHedged: speculative copy
+// the hedged-execution event stream (sim.Config.Hedge): speculative copy
 // dispatches, first-win decisions, and loser cancellations. The simulator
 // type-asserts its probe once per run, exactly like OverloadObserver and
 // MembershipObserver; probes that don't implement the interface never see

@@ -3,7 +3,7 @@ package obs
 import "flowsched/internal/core"
 
 // MembershipObserver is the optional extension interface for probes that
-// want the elastic-membership event stream of sim.RunElastic: scale-up
+// want the elastic-membership event stream (sim.Config.Elastic): scale-up
 // announcements, joins at the end of warm-up, drains and per-task handoffs.
 // The simulator type-asserts its probe once per run, exactly like
 // OverloadObserver; probes that don't implement the interface never see

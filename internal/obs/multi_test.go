@@ -26,7 +26,7 @@ func (p *extProbe) OnScaleDown(m int, at core.Time, mm, h int) {
 func (p *extProbe) OnHandoff(task, from int, at core.Time) { p.events = append(p.events, "handoff") }
 
 // fireExtensions drives every extension hook through the simulator's
-// type-assert pattern, exactly as sim.RunGuarded / sim.RunElastic do.
+// type-assert pattern, exactly as the engine (sim.Arena.Run) does.
 func fireExtensions(p Probe) (overload, membership bool) {
 	if ov, ok := p.(OverloadObserver); ok {
 		overload = true

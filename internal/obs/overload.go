@@ -3,7 +3,7 @@ package obs
 import "flowsched/internal/core"
 
 // OverloadObserver is the optional extension interface for probes that want
-// the overload-control event stream of sim.RunGuarded: admission rejections,
+// the overload-control event stream (sim.Config.Overload): admission rejections,
 // shedding, outlier ejection/re-admission and the SLO guard's brownout
 // transitions. The simulator type-asserts its probe once per run; probes
 // that don't implement the interface simply never see these events, so the

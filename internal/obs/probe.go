@@ -3,11 +3,12 @@
 // the finished core.Schedule through trace.FromSchedule.
 //
 // A Probe receives the simulator's event stream (arrivals, dispatches,
-// completions, plus the fault hooks of sim.RunFaulty) through plain method
+// completions, plus the fault hooks of the engine's fault layer) through
+// plain method
 // calls. The simulator invokes every hook behind a `probe != nil` guard, so
 // a run without a probe pays nothing — the hot loops stay allocation-free
-// (pinned by the alloc guards in internal/sim and the ProbeOverheadSim
-// benchreg pair). Probes themselves may allocate: they are only on the
+// (pinned by the alloc guards in internal/sim; benchreg's ProbeOverheadSimHist
+// times the probed run against SimRunEFT). Probes themselves may allocate: they are only on the
 // instrumented path.
 //
 // Six built-in probes cover the production observables:
@@ -28,11 +29,11 @@
 //     crash recorder chaos and audit dump next to their findings.
 //
 // Four optional extension interfaces widen the base 7-hook Probe contract:
-// OverloadObserver (reject/shed/eject/readmit/brownout, fired by
-// sim.RunGuarded), MembershipObserver (scale-up/join/scale-down/handoff,
-// fired by sim.RunElastic), HedgeObserver (hedge/hedge-win/hedge-cancel,
-// fired by sim.RunHedged) and ResilienceObserver (breaker
-// open/probe/close and retry-budget drops, fired by sim.RunResilient). The
+// OverloadObserver (reject/shed/eject/readmit/brownout, fired under
+// sim.Config.Overload), MembershipObserver (scale-up/join/scale-down/
+// handoff, under sim.Config.Elastic), HedgeObserver (hedge/hedge-win/
+// hedge-cancel, under sim.Config.Hedge) and ResilienceObserver (breaker
+// open/probe/close and retry-budget drops, under sim.Config.Resilience). The
 // simulator type-asserts its probe once per run, so probes opt in by
 // implementing the methods — Counters and FlightRecorder observe all 23
 // hooks, Tracer everything but the resilience stream, the other probes only
@@ -52,8 +53,8 @@ import "flowsched/internal/core"
 // request's completion at dispatch, so OnComplete fires immediately after
 // OnDispatch with the — possibly future — completion instant in end.
 // Probes that need events in time order must reorder internally (Sampler
-// does, with a pending-completion heap). The faulty simulator
-// (sim.RunFaulty) reports OnComplete only when a completion becomes final,
+// does, with a pending-completion heap). The layered engine
+// (sim.Arena.Run) reports OnComplete only when a completion becomes final,
 // in time order; attempts invalidated by a crash are never completed —
 // their server's backlog is reported through OnFailover instead.
 type Probe interface {

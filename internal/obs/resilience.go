@@ -3,7 +3,7 @@ package obs
 import "flowsched/internal/core"
 
 // ResilienceObserver is the optional extension interface for probes that
-// want the resilience event stream of sim.RunResilient: breaker opens,
+// want the resilience event stream (sim.Config.Resilience): breaker opens,
 // half-open probes, probe-success closes and retry-budget drops. The
 // simulator type-asserts its probe once per run, exactly like
 // OverloadObserver; probes that don't implement the interface never see

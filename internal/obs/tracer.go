@@ -115,7 +115,7 @@ type AttemptSpan struct {
 	// a gray slowdown.
 	Retimed bool `json:"retimed,omitempty"`
 
-	// Hedge marks a speculative copy dispatched by sim.RunHedged: a sibling
+	// Hedge marks a speculative copy dispatched under sim.Config.Hedge: a sibling
 	// span racing the primary attempt, resolved by first-win cancellation.
 	Hedge bool `json:"hedge,omitempty"`
 }

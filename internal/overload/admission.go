@@ -28,7 +28,8 @@ type AdmissionPolicy interface {
 }
 
 // Budgeted is implemented by admission policies that promise a flow-time
-// budget for admitted tasks. sim.RunGuarded enforces it: any dispatch that
+// budget for admitted tasks. The engine (sim.Config.Overload) enforces it:
+// any dispatch that
 // would complete later than release + Budget() + proc is shed instead, so
 // completed-task flow ≤ Budget() + p_max becomes a hard invariant
 // (internal/audit's "deadline" check).
@@ -53,7 +54,7 @@ func (AdmitAll) Admit(*View, core.Task) (bool, string) { return true, "" }
 // rejected only when no usable eligible machine is below the bounds.
 //
 // With all eligible machines down the task is admitted: parking and failover
-// (sim.RunFaulty semantics) own that case, not admission.
+// (sim.Config.Plan semantics) own that case, not admission.
 type QueueBound struct {
 	MaxQueue   int       // reject threshold on per-server queue length; 0 = off
 	MaxBacklog core.Time // reject threshold on per-server backlog; 0 = off
@@ -105,7 +106,7 @@ func (q QueueBound) Admit(v *View, task core.Task) (bool, string) {
 
 // DeadlineAdmit rejects a task when its predicted flow time — the earliest
 // finish over the usable machines of M_i, minus its release — exceeds the
-// budget D. Because it also implements Budgeted, sim.RunGuarded enforces the
+// budget D. Because it also implements Budgeted, the engine enforces the
 // prediction: admitted tasks that would still blow the budget at an actual
 // dispatch (failover delays, gray slowdowns) are shed, so every completed
 // task satisfies Fmax ≤ D + p_max.

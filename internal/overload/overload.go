@@ -24,8 +24,8 @@
 //     set, compared against the LP (15) capacity (loadlp.Model.MaxLoad),
 //     exposing a brownout signal.
 //
-// The simulator side lives in sim.RunGuarded: a nil *Config reproduces
-// sim.RunFaulty bit for bit (property-tested), so the subsystem costs
+// The simulator side lives in the engine (sim.Config.Overload): a nil
+// Config.Overload leaves the run byte-identical, so the subsystem costs
 // nothing when disabled. This package deliberately does not import
 // internal/sim; the simulator imports it and feeds it a View of the live
 // cluster state.
@@ -93,8 +93,8 @@ func (v *View) eachUsable(set core.ProcSet, f func(j int)) bool {
 }
 
 // Config bundles the overload controls of one guarded run. Any field may be
-// nil (that control is off); a nil *Config disables the subsystem entirely
-// and sim.RunGuarded degenerates to sim.RunFaulty, bit for bit.
+// nil (that control is off); a nil *Config disables the subsystem entirely:
+// a nil sim.Config.Overload leaves the run byte-identical.
 //
 // A Config carries per-run mutable state (the shedder's RNG, the ejector's
 // EWMAs, the estimator's load tracking); the simulator resets it at the

@@ -1,5 +1,5 @@
 // Package resilience holds the metastable-failure protections of the
-// unified engine (sim.RunResilient): deterministic seeded jitter on the
+// unified engine (sim.Config.Resilience): deterministic seeded jitter on the
 // retry backoff, a cluster-wide retry budget, and per-server circuit
 // breakers.
 //
@@ -49,9 +49,9 @@ const (
 // decorrelated recurrence run free would overflow to +Inf.
 const maxDelay = core.Time(1 << 60)
 
-// Config enables the resilience layer of sim.RunResilient. A nil Config is
-// byte-identical to a plain hedged run; each mechanism is independently
-// optional.
+// Config enables the resilience layer of the engine. A nil
+// sim.Config.Resilience leaves the run byte-identical; each mechanism is
+// independently optional.
 type Config struct {
 	// Jitter randomizes the retry backoff. Replayable: the delay of a
 	// retry is a pure hash of (Seed, task, attempt).

@@ -59,12 +59,13 @@ func TestTheorem6AdapterEqualsEFT(t *testing.T) {
 	}
 }
 
-// TestTheorem6AdapterWithHeap: the adapter makes the heap-indexed EFT
-// (which itself rejects restricted tasks) usable on disjoint instances.
+// TestTheorem6AdapterWithHeap: the per-set adapter, running one
+// unrestricted EFT-Min per block of a disjoint instance, starts every task
+// exactly when EFT-Min on the whole instance does (Theorem 6's reduction).
 func TestTheorem6AdapterWithHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inst := disjointInstance(rng, 3, 3, 60)
-	adapter := NewPerSetAdapter("EFT(heap)", func() Online { return NewEFTHeap() })
+	adapter := NewPerSetAdapter("EFT-Min", func() Online { return NewEFT(MinTie{}) })
 	s, err := adapter.Run(inst)
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +73,7 @@ func TestTheorem6AdapterWithHeap(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Start times coincide with EFT-Min per block (heap ≡ EFT-Min on
-	// flows).
+	// Start times coincide with EFT-Min on the whole instance.
 	ref, err := NewEFT(MinTie{}).Run(inst)
 	if err != nil {
 		t.Fatal(err)

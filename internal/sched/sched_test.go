@@ -176,49 +176,6 @@ func TestProposition1WithTies(t *testing.T) {
 	}
 }
 
-// TestEFTHeapMatchesEFTMin checks that the heap variant produces exactly the
-// start times (hence flows) of EFT-Min, and that its machine choice matches
-// a linear-scan reference of the same "earliest completion, then smallest
-// index" policy.
-func TestEFTHeapMatchesEFTMin(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 1 + rng.Intn(10)
-		inst := randomInstance(rng, m, 80)
-		s1, err1 := NewEFT(MinTie{}).Run(inst)
-		s2, err2 := NewEFTHeap().Run(inst)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		// Linear-scan reference of the heap policy.
-		ref := make([]core.Time, inst.M)
-		for i, task := range inst.Tasks {
-			best := 0
-			for j := 1; j < inst.M; j++ {
-				if ref[j] < ref[best] {
-					best = j
-				}
-			}
-			start := ref[best]
-			if task.Release > start {
-				start = task.Release
-			}
-			if s2.Machine[i] != best || s2.Start[i] != start {
-				return false
-			}
-			ref[best] = start + task.Proc
-			// Start times must coincide with EFT-Min exactly.
-			if s1.Start[i] != s2.Start[i] {
-				return false
-			}
-		}
-		return s1.MaxFlow() == s2.MaxFlow()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFIFORejectsRestricted(t *testing.T) {
 	inst := core.NewInstance(2, []core.Task{{Release: 0, Proc: 1, Set: core.NewProcSet(0)}})
 	if _, err := (&FIFO{}).Run(inst); err == nil {
@@ -230,13 +187,6 @@ func TestFIFOAcceptsExplicitFullSet(t *testing.T) {
 	inst := core.NewInstance(2, []core.Task{{Release: 0, Proc: 1, Set: core.Interval(0, 1)}})
 	if _, err := (&FIFO{}).Run(inst); err != nil {
 		t.Fatalf("full-interval set should be accepted: %v", err)
-	}
-}
-
-func TestEFTHeapRejectsRestricted(t *testing.T) {
-	inst := core.NewInstance(2, []core.Task{{Release: 0, Proc: 1, Set: core.NewProcSet(0)}})
-	if _, err := NewEFTHeap().Run(inst); err == nil {
-		t.Fatalf("EFTHeap should reject restricted instances")
 	}
 }
 
@@ -336,7 +286,7 @@ func TestEFTStateAccessors(t *testing.T) {
 func TestRunRejectsInvalidInstances(t *testing.T) {
 	bad := &core.Instance{M: 0}
 	for _, alg := range []Algorithm{
-		NewEFT(MinTie{}), NewEFTHeap(), NewJSQ(), &FIFO{},
+		NewEFT(MinTie{}), NewJSQ(), &FIFO{},
 		AsAlgorithm(NewEFT(MaxTie{})),
 	} {
 		if _, err := alg.Run(bad); err == nil {
@@ -364,18 +314,4 @@ func TestMoreNames(t *testing.T) {
 	if NewJSQ().Name() != "JSQ" {
 		t.Fatalf("JSQ name")
 	}
-	if NewEFTHeap().Name() != "EFT(heap)" {
-		t.Fatalf("heap name")
-	}
-}
-
-func TestEFTHeapDispatchPanicsOnRestricted(t *testing.T) {
-	e := NewEFTHeap()
-	e.Reset(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	e.Dispatch(core.Task{Release: 0, Proc: 1, Set: core.NewProcSet(0)})
 }

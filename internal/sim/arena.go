@@ -18,14 +18,14 @@ import (
 // (~2,400 allocations for a 5,000-task instance, almost all of it FIFO
 // append traffic); running through a reused Arena reslices it instead,
 // taking the steady-state cost to a handful of allocations per run (pinned
-// by TestRunFaultyAllocs and friends, gated by the SimRun*Steady benchreg
-// entries).
+// by TestRunFaultyAllocs and TestRunGuardedAdmitAllocs, gated by the
+// SimRun*Steady benchreg entries).
 //
-// Ownership contract: the *core.Schedule and *ElasticMetrics returned by an
-// Arena's Run methods point INTO the arena. They are valid until the arena's
-// next Run call, which recycles them in place. Callers that need results to
-// outlive the next run must copy what they keep — or use the package-level
-// Run functions, which give every call a private arena.
+// Ownership contract: the *core.Schedule and *ElasticMetrics returned by
+// Arena.Run point INTO the arena. They are valid until the arena's next Run
+// call, which recycles them in place. Callers that need results to outlive
+// the next run must copy what they keep — or give each run its own arena
+// (NewArena().Run).
 //
 // An Arena is not safe for concurrent use; parallel trial loops keep one per
 // worker (internal/chaos and internal/experiments use a sync.Pool).
@@ -72,7 +72,7 @@ type Arena struct {
 	liveBuf core.ProcSet // dispatch-time live-subset scratch
 
 	// Overload / elastic / hedge / resilience runtimes (their scratch slices
-	// are recycled via the struct fields; see the cfg/ecfg/hcfg/rcfg setup
+	// are recycled via the struct fields; see the ocfg/ecfg/hcfg/rcfg setup
 	// blocks in elasticsim.go).
 	ov         ovRun
 	el         elRun
@@ -89,7 +89,7 @@ func NewArena() *Arena { return &Arena{} }
 
 // Reset prepares the arena for a run of n tasks on m machine slots: every
 // size-dependent buffer is resliced (reallocating only when capacity is
-// short) and reinitialized to its fresh-run state. The Run methods call it
+// short) and reinitialized to its fresh-run state. Run calls it
 // internally; it is exported so callers sizing an arena ahead of a batch can
 // pre-grow it once.
 func (a *Arena) Reset(n, m int) {

@@ -161,17 +161,7 @@ func TestRunFaultyAllocs(t *testing.T) {
 	plan := faults.Empty(15)
 	arena := NewArena()
 	pinAllocs(t, 50, func() {
-		if _, _, err := arena.RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestRunGuardedAllocs(t *testing.T) {
-	inst := allocInstance(2000, 0.8)
-	arena := NewArena()
-	pinAllocs(t, 50, func() {
-		if _, _, err := arena.RunGuarded(inst, EFTRouter{}, nil, RetryPolicy{}, nil, nil); err != nil {
+		if _, _, err := arena.Run(inst, EFTRouter{}, Config{Plan: plan}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -186,17 +176,7 @@ func TestRunGuardedAdmitAllocs(t *testing.T) {
 	}
 	arena := NewArena()
 	pinAllocs(t, 100, func() {
-		if _, _, err := arena.RunGuarded(inst, EFTRouter{}, nil, RetryPolicy{}, cfg, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-func TestRunElasticAllocs(t *testing.T) {
-	inst := allocInstance(2000, 0.8)
-	arena := NewArena()
-	pinAllocs(t, 50, func() {
-		if _, _, err := arena.RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, nil, nil); err != nil {
+		if _, _, err := arena.Run(inst, EFTRouter{}, Config{Overload: cfg}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -299,11 +279,11 @@ func TestArenaReuseEquivalence(t *testing.T) {
 		for _, kind := range allRouterKinds {
 			seed := rng.Int63()
 			ra, rb := routerPair(kind, seed)
-			sF, mF, err := NewArena().RunElastic(inst, ra, plan, pol, cfg, ecfg, nil)
+			sF, mF, err := NewArena().Run(inst, ra, Config{Plan: plan, Retry: pol, Overload: cfg, Elastic: ecfg})
 			if err != nil {
 				t.Fatalf("trial %d %s: fresh arena: %v", trial, kind, err)
 			}
-			sR, mR, err := arena.RunElastic(inst, rb, plan, pol, cfg, ecfg, nil)
+			sR, mR, err := arena.Run(inst, rb, Config{Plan: plan, Retry: pol, Overload: cfg, Elastic: ecfg})
 			if err != nil {
 				t.Fatalf("trial %d %s: reused arena: %v", trial, kind, err)
 			}
@@ -312,44 +292,6 @@ func TestArenaReuseEquivalence(t *testing.T) {
 					trial, kind, m, n, plan != nil, cfg != nil, ecfg != nil, d)
 			}
 		}
-	}
-}
-
-// TestArenaMethodsMatchPackageFuncs wires the delegation: the arena's
-// RunFaulty / RunGuarded methods are the package functions with recycled
-// buffers, down to the returned metrics types.
-func TestArenaMethodsMatchPackageFuncs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	inst := randomInstance(6, 80, rng)
-	plan := faults.Generate(6, inst.Tasks[79].Release+5, 30, 8, rand.New(rand.NewSource(2)))
-	pol := RetryPolicy{MaxAttempts: 2}
-	arena := NewArena()
-
-	s1, fm1, err := RunFaulty(inst, EFTRouter{}, plan, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, fm2, err := arena.RunFaulty(inst, EFTRouter{}, plan, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1.Machine, s2.Machine) || !sameTimes(s1.Start, s2.Start) ||
-		!sameTimes(fm1.Flows, fm2.Flows) || !reflect.DeepEqual(fm1.Attempts, fm2.Attempts) {
-		t.Fatal("arena.RunFaulty diverges from package RunFaulty")
-	}
-
-	cfg := &overload.Config{Admission: overload.QueueBound{MaxQueue: 4}}
-	s3, om1, err := RunGuarded(inst, EFTRouter{}, nil, pol, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s4, om2, err := arena.RunGuarded(inst, EFTRouter{}, nil, pol, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s3.Machine, s4.Machine) || !sameTimes(s3.Start, s4.Start) ||
-		!sameTimes(om1.Flows, om2.Flows) || !reflect.DeepEqual(om1.Rejected, om2.Rejected) {
-		t.Fatal("arena.RunGuarded diverges from package RunGuarded")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"flowsched/internal/core"
 	"flowsched/internal/elastic"
 	"flowsched/internal/faults"
-	"flowsched/internal/hedge"
 	"flowsched/internal/obs"
 	"flowsched/internal/overload"
 	"flowsched/internal/resilience"
@@ -15,9 +14,8 @@ import (
 
 // ElasticMetrics extends OverloadMetrics with the membership observables of
 // an elastic run. Membership and Dispatched are nil when the run had no
-// elastic config (RunElastic with nil ecfg, or the RunGuarded/RunFaulty
-// wrappers): the ring never changed and the struct carries exactly
-// OverloadMetrics.
+// elastic config (a nil Config.Elastic): the ring never changed and the
+// struct carries exactly OverloadMetrics.
 type ElasticMetrics struct {
 	OverloadMetrics
 	// Membership is the replayable membership history: capacity, initial
@@ -28,7 +26,7 @@ type ElasticMetrics struct {
 	// that never dispatched: rejected, or parked forever). The auditor checks
 	// membership eligibility at this instant. The core.Times type keeps the
 	// deliberate NaN sentinels JSON-encodable (they marshal as null).
-	// Breaker-enabled runs (sim.RunResilient with a Breaker config) populate
+	// Breaker-enabled runs (a Config.Resilience with a Breaker) populate
 	// it too, so the auditor can check dispatch instants against the
 	// breaker's open spans even without an elastic config.
 	Dispatched core.Times
@@ -45,7 +43,7 @@ type ElasticMetrics struct {
 	// counted (they do no work yet).
 	MachineHours core.Time
 
-	// Hedged-execution observables (sim.RunHedged). The per-task vectors are
+	// Hedged-execution observables (Config.Hedge). The per-task vectors are
 	// nil and every counter zero when the run had no hedge config.
 	//
 	// Hedged marks tasks for which a speculative copy was issued;
@@ -74,7 +72,7 @@ type ElasticMetrics struct {
 	CancelledWork core.Time
 	DuplicateWork core.Time
 
-	// Resilience observables (sim.RunResilient). The per-task vectors are
+	// Resilience observables (Config.Resilience). The per-task vectors are
 	// nil and every counter zero when the run had no resilience config.
 	//
 	// Every retry that survives the policy's attempt-cap and timeout
@@ -106,7 +104,7 @@ type ElasticMetrics struct {
 // slot vectors, the autoscaler's controller, the membership log under
 // construction and scratch space for the effective-set walk. It exists only
 // when a config is present, so the disabled path touches none of it and stays
-// byte-identical to RunGuarded.
+// byte-identical to a run without the layer.
 type elRun struct {
 	cfg      *elastic.Config
 	mo       obs.MembershipObserver
@@ -127,62 +125,14 @@ type elRun struct {
 	ms *elastic.Membership
 }
 
-// RunElastic is the elastic superset of RunGuarded: the same fault-replaying,
-// overload-controlled simulation with online membership attached. The
-// instance's M is the slot capacity; ecfg (see elastic.Config) starts the run
-// on the first Initial slots and grows or shrinks the active set mid-run,
-// scripted and/or autoscaled. A nil ecfg is byte-identical to RunGuarded —
-// identical schedules and metrics, with nil Membership/Dispatched — asserted
-// by TestRunElasticNilConfigEquivalence and alloc-pinned by
-// TestRunElasticNilConfigAllocs.
-//
-// With a config:
-//
-//   - Machine ids are stable slots 0..M−1. Fault plans, per-server metrics
-//     and routers keep their indexing; a plan authored for a smaller cluster
-//     is lifted with faults.Plan.Extend.
-//   - Every task's processing set is remapped at dispatch time onto the
-//     active subring: the first k active machines walking clockwise from the
-//     set's ring origin (elastic.Effective — the one routing rule, shared
-//     with the auditor). At full membership this is the static set.
-//   - Scale-up activates the lowest inactive slot after the warm-up delay;
-//     the joiner counts toward committed capacity immediately (so the
-//     autoscaler doesn't double-provision) but accepts work only at the join.
-//     Joins wake every parked task.
-//   - Scale-down drains the highest active slot: its running request
-//     finishes in place (non-preemptive execution), its queued requests hand
-//     off to surviving members of their effective sets, immediately, in FIFO
-//     order. No admitted task is ever lost: a handoff re-enters the normal
-//     dispatch path (it may re-queue, park or be deadline-shed, never
-//     vanish) — enforced by the audit membership invariants on every chaos
-//     churn trial.
-//   - The autoscaler (ecfg.Auto) is evaluated once per arrival; its guard is
-//     fed by the engine unless it is the same estimator as the overload
-//     config's Guard, which the arrival path already feeds.
-//
-// Deliberate limits: membership moves within [Min, Max] and scale decisions
-// clamp rather than fail; draining below a set's replication factor parks
-// nothing (the walk just yields fewer machines), but Min should stay ≥ k so
-// restricted sets keep their width.
-//
-// Each call runs in a private Arena; batch callers reuse one arena's
-// RunElastic method to amortize the per-run allocations away.
-func RunElastic(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, ecfg *elastic.Config, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
-	return NewArena().RunElastic(inst, router, plan, policy, cfg, ecfg, probe)
-}
-
-// RunElastic is the arena variant of the package-level RunElastic. It is
-// RunHedged with hedging disabled — the engine lives there; a nil hedge
-// config is byte-identical by construction (and property-tested).
-func (a *Arena) RunElastic(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, ecfg *elastic.Config, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
-	return a.RunHedged(inst, router, plan, policy, cfg, ecfg, nil, probe)
-}
-
-// RunResilient is the unified engine (see the package-level RunElastic,
-// RunHedged and RunResilient for the model). All per-run state lives in the
-// arena: repeat calls on one arena reuse every buffer, and the returned
-// schedule and metrics point into the arena — valid until its next run.
-func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, ecfg *elastic.Config, hcfg *hedge.Config, rcfg *resilience.Config, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
+// Run is the unified engine: it simulates the instance under the router
+// with the layers cfg arms (see Config for each layer's model). All per-run
+// state lives in the arena: repeat calls on one arena reuse every buffer, and
+// the returned schedule and metrics point into the arena — valid until its
+// next run. Callers that hold two results at once give each its own arena
+// (NewArena().Run).
+func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Schedule, *ElasticMetrics, error) {
+	plan, policy, ocfg, ecfg, hcfg, rcfg, probe := cfg.Plan, cfg.Retry, cfg.Overload, cfg.Elastic, cfg.Hedge, cfg.Resilience, cfg.Probe
 	if err := inst.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
@@ -198,7 +148,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 	if plan.M != inst.M {
 		return nil, nil, fmt.Errorf("sim: fault plan for %d servers, instance has %d (faults.Plan.Extend lifts a plan onto more slots)", plan.M, inst.M)
 	}
-	if err := cfg.Validate(inst.M); err != nil {
+	if err := ocfg.Validate(inst.M); err != nil {
 		return nil, nil, fmt.Errorf("sim: %w", err)
 	}
 	if err := ecfg.Validate(inst.M); err != nil {
@@ -271,13 +221,14 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 	}
 
 	// Everything overload-control hangs off ov; ov == nil is the disabled
-	// path and must stay byte-identical to RunFaulty (and allocation-free
-	// relative to it), so every use below sits behind an ov != nil guard.
+	// path and must stay byte-identical to a run without the layer (and
+	// allocation-free relative to it), so every use below sits behind an
+	// ov != nil guard.
 	var ov *ovRun
-	if cfg != nil {
-		cfg.Reset(m)
+	if ocfg != nil {
+		ocfg.Reset(m)
 		ov = &a.ov
-		*ov = ovRun{cfg: cfg, cands: a.ov.cands, ejBuf: a.ov.ejBuf}
+		*ov = ovRun{cfg: ocfg, cands: a.ov.cands, ejBuf: a.ov.ejBuf}
 		a.rejected = resliceZero(a.rejected, n)
 		a.shedded = resliceZero(a.shedded, n)
 		a.reason = resliceZero(a.reason, n)
@@ -285,29 +236,29 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		metrics.Shed = a.shedded
 		metrics.Reason = a.reason
 		ov.view = overload.View{M: m, Completion: st.Completion, QueueLen: st.QueueLen, Live: live}
-		if cfg.Ejector != nil {
-			ov.view.Ejected = cfg.Ejector.EjectedVec()
+		if ocfg.Ejector != nil {
+			ov.view.Ejected = ocfg.Ejector.EjectedVec()
 			if cap(ov.ejBuf) < m {
 				ov.ejBuf = make(core.ProcSet, 0, m)
 			}
 		}
-		if b, ok := cfg.Admission.(overload.Budgeted); ok {
+		if b, ok := ocfg.Admission.(overload.Budgeted); ok {
 			ov.budget = b.Budget()
 		}
 		ov.op, _ = probe.(obs.OverloadObserver)
-		if cfg.Shedder.Enabled() {
+		if ocfg.Shedder.Enabled() {
 			if ov.cands == nil {
 				ov.cands = make([]overload.Candidate, 0, 16)
 			}
 			ov.cands = ov.cands[:0]
 			// One concatenation per run instead of one per trim.
-			ov.shedReason = cfg.Shedder.Policy.Reason()
+			ov.shedReason = ocfg.Shedder.Policy.Reason()
 		}
 	}
 
 	// Everything elastic hangs off el, with the same discipline as ov: every
 	// use below sits behind an el != nil guard so the disabled path is
-	// byte-identical to RunGuarded.
+	// byte-identical to a run without the layer.
 	var el *elRun
 	if ecfg != nil {
 		el = &a.el
@@ -339,7 +290,7 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 		}
 		if ecfg.Auto != nil {
 			el.guard = ecfg.Auto.Guard
-			el.ownGuard = cfg == nil || cfg.Guard != el.guard
+			el.ownGuard = ocfg == nil || ocfg.Guard != el.guard
 			if el.ownGuard {
 				el.guard.Reset()
 			}
@@ -358,7 +309,8 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 	// Everything hedging hangs off hd, with the same discipline as ov and
 	// el: every use below sits behind an hd != nil guard (including the
 	// closure assignments — they allocate), so the disabled path is
-	// byte-identical to RunElastic and allocation-free relative to it.
+	// byte-identical to a run without the layer and allocation-free
+	// relative to it.
 	var hd *hdRun
 	if hcfg != nil {
 		hd = &a.hd
@@ -402,9 +354,9 @@ func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Pl
 
 	// Everything resilience hangs off rs, with the same discipline as ov,
 	// el and hd: every use below sits behind an rs != nil guard, so the
-	// disabled path is byte-identical to RunHedged and allocation-free
-	// relative to it. No closures are assigned here — all resilience work
-	// is straight-line code inside the existing ones.
+	// disabled path is byte-identical to a run without the layer and
+	// allocation-free relative to it. No closures are assigned here — all
+	// resilience work is straight-line code inside the existing ones.
 	var rs *rsRun
 	if rcfg != nil {
 		rs = &a.rs

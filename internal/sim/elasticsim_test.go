@@ -40,80 +40,6 @@ func auditElastic(t *testing.T, inst *core.Instance, s *core.Schedule, em *Elast
 	}
 }
 
-// TestRunElasticNilConfigEquivalence is the disabled-path property: for every
-// bundled router, random instances and random fault plans, RunElastic with a
-// nil elastic config produces byte-identical schedules and metrics to
-// RunFaulty — the membership layer must be invisible when off.
-func TestRunElasticNilConfigEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 20; trial++ {
-		m := 2 + rng.Intn(8)
-		n := 1 + rng.Intn(150)
-		inst := randomInstance(m, n, rng)
-		var plan *faults.Plan
-		if trial%2 == 1 {
-			horizon := inst.Tasks[n-1].Release + 10
-			plan = faults.Generate(m, horizon, 20, 5, rand.New(rand.NewSource(int64(trial))))
-		}
-		pol := RetryPolicy{MaxAttempts: 1 + trial%4, Timeout: float64(trial % 3 * 10)}
-		for _, kind := range allRouterKinds {
-			seed := rng.Int63()
-			ra, rb := routerPair(kind, seed)
-			s1, m1, err := RunFaulty(inst, ra, plan, pol)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunFaulty: %v", trial, kind, err)
-			}
-			s2, em, err := RunElastic(inst, rb, plan, pol, nil, nil, nil)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunElastic: %v", trial, kind, err)
-			}
-			if !reflect.DeepEqual(s1.Machine, s2.Machine) || !sameTimes(s1.Start, s2.Start) {
-				t.Fatalf("trial %d %s: schedules differ with nil elastic config", trial, kind)
-			}
-			if !sameTimes(m1.Flows, em.Flows) || !sameTimes(m1.Stretches, em.Stretches) ||
-				!sameTimes(m1.Busy, em.Busy) || m1.Makespan != em.Makespan ||
-				!reflect.DeepEqual(m1.Attempts, em.Attempts) ||
-				!reflect.DeepEqual(m1.Dropped, em.Dropped) ||
-				!reflect.DeepEqual(m1.Parked, em.Parked) {
-				t.Fatalf("trial %d %s: metrics differ with nil elastic config", trial, kind)
-			}
-			if em.Membership != nil || em.Dispatched != nil {
-				t.Fatalf("trial %d %s: nil config allocated membership state", trial, kind)
-			}
-			if em.ScaleUps != 0 || em.ScaleDowns != 0 || em.Handoffs != 0 ||
-				em.WarmUpTime != 0 || em.MachineHours != 0 {
-				t.Fatalf("trial %d %s: nil config reported membership activity", trial, kind)
-			}
-		}
-	}
-}
-
-// TestRunElasticNilConfigAllocs pins the zero-overhead contract: the disabled
-// membership path adds no allocations over RunFaultyProbed (the
-// ElasticMetrics wrapper replaces the FaultMetrics allocation one for one).
-func TestRunElasticNilConfigAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	inst := randomInstance(8, 2000, rng)
-	plan := faults.Empty(8).Down(0, 5, 50).Down(3, 20, 80)
-	pol := RetryPolicy{MaxAttempts: 3}
-	if _, _, err := RunElastic(inst, EFTRouter{}, plan, pol, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunFaultyProbed(inst, EFTRouter{}, plan, pol, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	el := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunElastic(inst, EFTRouter{}, plan, pol, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if el > base {
-		t.Errorf("nil-config RunElastic allocates %v per run vs %v for RunFaulty: the disabled path leaks", el, base)
-	}
-}
-
 // TestRunElasticFullMembershipMatchesStatic: an elastic config that starts at
 // full capacity and never scales routes restricted ring-interval work exactly
 // like the static engine — the effective-set walk at full membership is the
@@ -131,11 +57,11 @@ func TestRunElasticFullMembershipMatchesStatic(t *testing.T) {
 			ts[i] = core.Task{Release: at, Proc: 0.5 + rng.Float64(), Set: core.MustRingInterval(rng.Intn(m), k, m), Key: i % m}
 		}
 		inst := core.NewInstance(m, ts)
-		s1, m1, err := RunGuarded(inst, EFTRouter{}, nil, RetryPolicy{}, nil, nil)
+		s1, m1, err := NewArena().Run(inst, EFTRouter{}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, em, err := RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, &elastic.Config{}, nil)
+		s2, em, err := NewArena().Run(inst, EFTRouter{}, Config{Elastic: &elastic.Config{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +87,7 @@ func TestScaleDownDrainNoTaskLost(t *testing.T) {
 	inst := overloadedInstance(m, 300, 0.9, rng)
 	mid := inst.Tasks[150].Release
 	ecfg := &elastic.Config{Script: []elastic.Event{{At: mid, Delta: -5}}, Min: 2}
-	s, em, err := RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, ecfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +126,7 @@ func TestScaleDownSoleMemberVictim(t *testing.T) {
 		{Release: 6, Proc: 1, Set: core.NewProcSet(2)},
 	})
 	ecfg := &elastic.Config{Script: []elastic.Event{{At: 5, Delta: -1}}}
-	s, em, err := RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, ecfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +158,7 @@ func TestScaleDownHandoffTargetDown(t *testing.T) {
 	})
 	plan := faults.Empty(m).Down(0, 2, 20) // the handoff target is down
 	ecfg := &elastic.Config{Script: []elastic.Event{{At: 5, Delta: -1}}}
-	s, em, err := RunElastic(inst, EFTRouter{}, plan, RetryPolicy{}, nil, ecfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +192,7 @@ func TestScaleDownRacingZoneOutage(t *testing.T) {
 		plan.Down(j, mid, mid+15)
 	}
 	ecfg := &elastic.Config{Script: []elastic.Event{{At: mid, Delta: -2}}, Min: 2}
-	s, em, err := RunElastic(inst, EFTRouter{}, plan, RetryPolicy{}, nil, ecfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +220,7 @@ func TestScaleUpWarmUpDelay(t *testing.T) {
 	warm := core.Time(3)
 	ecfg := &elastic.Config{Initial: 2, WarmUp: warm,
 		Script: []elastic.Event{{At: mid, Delta: 2}}}
-	s, em, err := RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, ecfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +267,7 @@ func TestAutoscalerScalesUpUnderBurst(t *testing.T) {
 			Cooldown:        1,
 		},
 	}
-	s, em, err := RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, ecfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +302,7 @@ func TestSlowdownOnJoiningMachine(t *testing.T) {
 	})
 	ecfg := &elastic.Config{Initial: 2, WarmUp: 1,
 		Script: []elastic.Event{{At: 4, Delta: 1}}}
-	s, em, err := RunElastic(inst, EFTRouter{}, plan, RetryPolicy{}, nil, ecfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Elastic: ecfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +322,7 @@ func TestSlowdownOnJoiningMachine(t *testing.T) {
 func TestRunElasticRejectsUndersizedPlan(t *testing.T) {
 	inst := randomInstance(4, 10, rand.New(rand.NewSource(1)))
 	plan := faults.Empty(2).Down(1, 0, 5)
-	_, _, err := RunElastic(inst, EFTRouter{}, plan, RetryPolicy{}, nil, &elastic.Config{}, nil)
+	_, _, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Elastic: &elastic.Config{}})
 	if err == nil || !strings.Contains(err.Error(), "Extend") {
 		t.Fatalf("undersized plan error should mention faults.Plan.Extend, got %v", err)
 	}
@@ -424,7 +350,7 @@ func TestRunElasticRejectsBadConfig(t *testing.T) {
 		{Auto: &elastic.Autoscaler{Guard: overload.NewEstimatorCapacity(4), UpUtil: 0.3, DownUtil: 0.6}},
 	}
 	for i, ecfg := range bad {
-		if _, _, err := RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, ecfg, nil); err == nil {
+		if _, _, err := NewArena().Run(inst, EFTRouter{}, Config{Elastic: ecfg}); err == nil {
 			t.Errorf("bad elastic config %d was accepted", i)
 		}
 	}
@@ -462,9 +388,9 @@ func FuzzElasticMembership(f *testing.F) {
 			Script:  script,
 		}
 		plan := faults.Generate(mm, horizon, 40, 4, rng)
-		s, em, err := RunElastic(inst, EFTRouter{}, plan, RetryPolicy{MaxAttempts: 4}, nil, ecfg, nil)
+		s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 4}, Elastic: ecfg})
 		if err != nil {
-			t.Fatalf("RunElastic: %v", err)
+			t.Fatalf("Arena.Run: %v", err)
 		}
 		if got := em.CompletedCount() + em.DroppedCount(); got != nn {
 			t.Errorf("dispositions sum to %d for %d tasks", got, nn)

@@ -43,7 +43,7 @@ type RoundRobinRouter struct{ next int }
 func (*RoundRobinRouter) Name() string { return "RR" }
 
 // Reset implements Resettable: it rewinds the cursor so the router can be
-// reused across runs (Run/RunFaulty call this automatically).
+// reused across runs (Run and Arena.Run call this automatically).
 func (r *RoundRobinRouter) Reset() { r.next = 0 }
 
 // Pick implements Router.
@@ -64,7 +64,7 @@ func (r *RoundRobinRouter) Pick(st *State, t core.Task) int {
 // times using those estimates. The paper points out that EFT "implies that
 // one must know the processing time of arriving tasks with precision"; this
 // router quantifies what happens when one does not. It accumulates
-// estimated state during a run; Run/RunFaulty reset it automatically.
+// estimated state during a run; Run and Arena.Run reset it automatically.
 type NoisyEFTRouter struct {
 	Tie    sched.TieBreak
 	RelErr float64
@@ -77,7 +77,7 @@ type NoisyEFTRouter struct {
 func (r *NoisyEFTRouter) Name() string { return "EFT-noisy" }
 
 // Reset implements Resettable: it clears the accumulated completion-time
-// beliefs so the router can be reused across runs (Run/RunFaulty call this
+// beliefs so the router can be reused across runs (Run and Arena.Run call this
 // automatically).
 func (r *NoisyEFTRouter) Reset() { r.est = nil }
 

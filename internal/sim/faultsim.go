@@ -6,7 +6,6 @@ import (
 
 	"flowsched/internal/core"
 	"flowsched/internal/faults"
-	"flowsched/internal/obs"
 	"flowsched/internal/stats"
 )
 
@@ -207,63 +206,6 @@ const (
 	evTied    // a tied pair reaches service start: revoke the loser (task = id)
 	evBreaker // a breaker's state may have changed: tick the cooldown, wake parked work (server = slot)
 )
-
-// RunFaulty simulates the instance under the router while replaying the
-// fault plan: servers go down and up at the plan's instants, a failing
-// server loses all queued and running requests (non-preemptive restart —
-// partial work is wasted), and lost requests fail over to a live replica
-// under the retry policy. Requests whose whole processing set is down are
-// parked until the first replica recovers. Gray failures are replayed too:
-// inside a plan Slowdown segment the server processes at 1/Factor speed, so
-// completion times come from faults.FinishTime instead of start + proc. A
-// nil or empty plan — including one whose slowdowns all have factor 1 —
-// reproduces Run exactly: identical schedules and metrics, bit for bit
-// (asserted by TestRunFaultyEmptyPlanEquivalence and
-// TestRunFaultyNoopSlowdownsByteIdentical).
-//
-// Routers see the live cluster only: an arriving (or failing-over) request
-// is presented with its processing set shrunk to the live replicas, so
-// every Router implementation works unchanged; picking a dead server is
-// reported as an error. Dropped requests are left unassigned in the
-// returned schedule (Machine −1), so core.Schedule.Validate only applies
-// to runs without drops.
-func RunFaulty(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy) (*core.Schedule, *FaultMetrics, error) {
-	return RunFaultyProbed(inst, router, plan, policy, nil)
-}
-
-// RunFaulty is the package-level RunFaulty running in the reusable arena:
-// the returned schedule and metrics point into the arena and are valid until
-// its next run.
-func (a *Arena) RunFaulty(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy) (*core.Schedule, *FaultMetrics, error) {
-	return a.RunFaultyProbed(inst, router, plan, policy, nil)
-}
-
-// RunFaultyProbed is the arena variant of the package-level RunFaultyProbed.
-func (a *Arena) RunFaultyProbed(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, probe obs.Probe) (*core.Schedule, *FaultMetrics, error) {
-	s, om, err := a.RunGuarded(inst, router, plan, policy, nil, probe)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, &om.FaultMetrics, nil
-}
-
-// RunFaultyProbed is RunFaulty with an observability probe attached. Unlike
-// the fault-free simulator, completions are reported only when they become
-// final (crash-invalidated attempts never complete), in time order; crashes
-// surface as OnFailover followed by OnRetry/OnDrop for each lost request.
-// A nil probe is exactly RunFaulty — every hook sits behind a nil guard, so
-// the unobserved path allocates nothing extra (TestProbeNilRunFaultyAllocs).
-//
-// Both RunFaulty wrappers delegate to RunGuarded (guardsim.go) with a nil
-// overload config: the engine lives there and the disabled-config path is
-// byte-identical by construction (and property-tested).
-func RunFaultyProbed(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, probe obs.Probe) (*core.Schedule, *FaultMetrics, error) {
-	s, om, err := RunGuarded(inst, router, plan, policy, nil, probe)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, &om.FaultMetrics, nil
-}
 
 // SpikeQuantile returns the q-quantile of flows among non-dropped requests
 // released inside outage/recovery windows (window after each recovery).

@@ -36,7 +36,7 @@ func randomInstance(m, n int, rng *rand.Rand) *core.Instance {
 }
 
 // routerPair builds two independent but identically seeded routers of the
-// named kind, so a Run and a RunFaulty consume identical random streams.
+// named kind, so Run and Arena.Run consume identical random streams.
 func routerPair(kind string, seed int64) (Router, Router) {
 	mk := func() Router {
 		switch kind {
@@ -63,8 +63,9 @@ func routerPair(kind string, seed int64) (Router, Router) {
 var allRouterKinds = []string{"EFT-Min", "EFT-Max", "JSQ", "Random", "Po2", "RR", "EFT-noisy"}
 
 // TestRunFaultyEmptyPlanEquivalence is the zero-fault property: for every
-// bundled router and ≥20 random instances, RunFaulty under the empty plan
-// produces byte-identical schedules and metrics to Run.
+// bundled router and ≥20 random instances, the engine under the empty plan
+// (Arena.Run with a zero Config but for the plan) produces byte-identical
+// schedules and metrics to Run.
 func TestRunFaultyEmptyPlanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 24; trial++ {
@@ -79,9 +80,9 @@ func TestRunFaultyEmptyPlanEquivalence(t *testing.T) {
 				t.Fatalf("trial %d %s: Run: %v", trial, kind, err)
 			}
 			for _, plan := range []*faults.Plan{nil, faults.Empty(m)} {
-				s2, m2, err := RunFaulty(inst, rb, plan, RetryPolicy{})
+				s2, m2, err := NewArena().Run(inst, rb, Config{Plan: plan})
 				if err != nil {
-					t.Fatalf("trial %d %s: RunFaulty: %v", trial, kind, err)
+					t.Fatalf("trial %d %s: Arena.Run: %v", trial, kind, err)
 				}
 				if !reflect.DeepEqual(s1.Machine, s2.Machine) || !reflect.DeepEqual(s1.Start, s2.Start) {
 					t.Fatalf("trial %d %s: schedules differ", trial, kind)
@@ -112,7 +113,7 @@ func TestFailoverToLiveReplica(t *testing.T) {
 		{Release: 0, Proc: 10, Set: core.NewProcSet(0, 1)},
 	})
 	plan := faults.Empty(2).Down(0, 5, 100)
-	s, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{})
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestArrivalDuringOutageAvoidsDeadServer(t *testing.T) {
 		{Release: 2, Proc: 1, Set: core.NewProcSet(0, 1)},
 	})
 	plan := faults.Empty(2).Down(0, 0, 50)
-	s, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{})
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestParkedUntilRecovery(t *testing.T) {
 		{Release: 2, Proc: 4, Set: core.NewProcSet(0, 1)},
 	})
 	plan := faults.Empty(3).Down(0, 0, 10).Down(1, 0, 20)
-	s, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{})
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestDropAfterMaxAttempts(t *testing.T) {
 		{Release: 0, Proc: 10, Set: core.NewProcSet(0, 1)},
 	})
 	plan := faults.Empty(2).Down(0, 2, 100).Down(1, 6, 100)
-	s, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{MaxAttempts: 2})
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestBackoffDelaysRetry(t *testing.T) {
 		{Release: 0, Proc: 10, Set: core.NewProcSet(0, 1)},
 	})
 	plan := faults.Empty(2).Down(0, 5, 100)
-	s, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{Backoff: 3})
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: RetryPolicy{Backoff: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestTimeoutDropsOldRequests(t *testing.T) {
 		{Release: 0, Proc: 10, Set: core.NewProcSet(0, 1)},
 	})
 	plan := faults.Empty(2).Down(0, 5, 100)
-	_, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{Timeout: 4})
+	_, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: RetryPolicy{Timeout: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestTimeoutDropsOldRequests(t *testing.T) {
 		t.Fatal("request older than the timeout should be dropped at failover")
 	}
 	// With a generous timeout it survives.
-	_, m, err = RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{Timeout: 100})
+	_, m, err = NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: RetryPolicy{Timeout: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestQueuedRequestsRequeuedOnCrash(t *testing.T) {
 	// EFT sends task 0 to M1 (pinned), task 1 to M2, task 2 to M1 (queue
 	// 4 vs 4, Min tie) — so M1 holds tasks 0 (running) and 2 (queued).
 	plan := faults.Empty(2).Down(0, 1, 100)
-	s, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{})
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestRecoverySpikeMaxFlow(t *testing.T) {
 		{Release: 300, Proc: 1, Set: core.NewProcSet(0, 1)}, // long after
 	})
 	plan := faults.Empty(2).Down(0, 10, 20).Down(1, 10, 20)
-	_, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{})
+	_, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +339,14 @@ func TestRecoverySpikeMaxFlow(t *testing.T) {
 // TestRunFaultyRejects: invalid plans, mismatched m, bad routers.
 func TestRunFaultyRejects(t *testing.T) {
 	inst := core.NewInstance(2, []core.Task{{Release: 0, Proc: 1}})
-	if _, _, err := RunFaulty(inst, EFTRouter{}, faults.Empty(3), RetryPolicy{}); err == nil {
+	if _, _, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: faults.Empty(3)}); err == nil {
 		t.Error("plan/instance m mismatch accepted")
 	}
 	bad := faults.Empty(2).Down(5, 0, 1)
-	if _, _, err := RunFaulty(inst, EFTRouter{}, bad, RetryPolicy{}); err == nil {
+	if _, _, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: bad}); err == nil {
 		t.Error("invalid plan accepted")
 	}
-	if _, _, err := RunFaulty(inst, stuckRouter{}, faults.Empty(2).Down(0, 0, 1), RetryPolicy{}); err == nil {
+	if _, _, err := NewArena().Run(inst, stuckRouter{}, Config{Plan: faults.Empty(2).Down(0, 0, 1)}); err == nil {
 		t.Error("router picking a dead/ineligible server accepted")
 	}
 }
@@ -434,9 +435,9 @@ func TestFaultyRunsAreDeterministic(t *testing.T) {
 	inst := randomInstance(6, 200, rng)
 	plan := faults.Generate(6, inst.Tasks[inst.N()-1].Release, 20, 5, rand.New(rand.NewSource(2)))
 	policy := RetryPolicy{MaxAttempts: 4, Backoff: 0.5, BackoffFactor: 2, Timeout: 50}
-	run := func() (*core.Schedule, *FaultMetrics) {
+	run := func() (*core.Schedule, *ElasticMetrics) {
 		r := &NoisyEFTRouter{RelErr: 0.1, Rng: rand.New(rand.NewSource(3))}
-		s, m, err := RunFaulty(inst, r, plan, policy)
+		s, m, err := NewArena().Run(inst, r, Config{Plan: plan, Retry: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +468,7 @@ func TestFaultyScheduleConsistency(t *testing.T) {
 		plan := faults.Generate(m, horizon, horizon/8, horizon/20, rng)
 		for _, kind := range allRouterKinds {
 			r, _ := routerPair(kind, rng.Int63())
-			s, fm, err := RunFaulty(inst, r, plan, RetryPolicy{MaxAttempts: 5})
+			s, fm, err := NewArena().Run(inst, r, Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 5}})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, kind, err)
 			}

@@ -48,7 +48,7 @@ func TestSlowdownScalesServiceTime(t *testing.T) {
 		{Release: 0, Proc: 10},
 	})
 	plan := faults.Empty(1).Slow(0, 0, 100, 2)
-	s, m, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{})
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestSlowdownScalesServiceTime(t *testing.T) {
 	// window only has 10 — 10/3 units done there, 5/3 done after recovery.
 	inst2 := core.NewInstance(1, []core.Task{{Release: 0, Proc: 10}})
 	plan2 := faults.Empty(1).Slow(0, 5, 15, 3)
-	_, m2, err := RunFaulty(inst2, EFTRouter{}, plan2, RetryPolicy{})
+	_, m2, err := NewArena().Run(inst2, EFTRouter{}, Config{Plan: plan2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +101,9 @@ func TestRunFaultyNoopSlowdownsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: Run: %v", trial, kind, err)
 			}
-			s2, m2, err := RunFaulty(inst, rb, plan, RetryPolicy{})
+			s2, m2, err := NewArena().Run(inst, rb, Config{Plan: plan})
 			if err != nil {
-				t.Fatalf("trial %d %s: RunFaulty: %v", trial, kind, err)
+				t.Fatalf("trial %d %s: Arena.Run: %v", trial, kind, err)
 			}
 			if !reflect.DeepEqual(s1.Machine, s2.Machine) || !reflect.DeepEqual(s1.Start, s2.Start) {
 				t.Fatalf("trial %d %s: schedules differ under no-op slowdowns", trial, kind)
@@ -127,7 +127,7 @@ func TestGraySimMatchesFinishTime(t *testing.T) {
 		n := 1 + rng.Intn(80)
 		inst := randomInstance(m, n, rng)
 		plan := faults.GenerateGray(m, 20, faults.GrayConfig{MTBF: 5, MTTR: 5}, rng)
-		s, fm, err := RunFaulty(inst, EFTRouter{}, plan, RetryPolicy{})
+		s, fm, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,49 +154,6 @@ func TestGraySimMatchesFinishTime(t *testing.T) {
 					t.Fatalf("trial %d M%d: task %d starts at %v before %d completes at %v",
 						trial, j+1, ids[x], s.Start[ids[x]], ids[x-1], comp[ids[x-1]])
 				}
-			}
-		}
-	}
-}
-
-// TestRunFaultyMatchesProbedNil pins RunFaulty ≡ RunFaultyProbed(nil):
-// byte-identical schedules and metrics on mixed crash + gray plans.
-func TestRunFaultyMatchesProbedNil(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 10; trial++ {
-		m := 2 + rng.Intn(6)
-		n := 1 + rng.Intn(100)
-		inst := randomInstance(m, n, rng)
-		crash := faults.Generate(m, 10, 8, 2, rng)
-		gray := faults.GenerateGray(m, 10, faults.GrayConfig{MTBF: 6, MTTR: 3}, rng)
-		plan := crash.Merge(gray)
-		pol := RetryPolicy{MaxAttempts: 4, Backoff: 0.05, BackoffFactor: 2, Timeout: 50}
-		for _, kind := range allRouterKinds {
-			seed := rng.Int63()
-			ra, rb := routerPair(kind, seed)
-			s1, m1, err := RunFaulty(inst, ra, plan, pol)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunFaulty: %v", trial, kind, err)
-			}
-			s2, m2, err := RunFaultyProbed(inst, rb, plan, pol, nil)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunFaultyProbed: %v", trial, kind, err)
-			}
-			if !reflect.DeepEqual(s1.Machine, s2.Machine) {
-				t.Fatalf("trial %d %s: machines differ", trial, kind)
-			}
-			for i := range s1.Start {
-				a, b := s1.Start[i], s2.Start[i]
-				if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
-					t.Fatalf("trial %d %s: start %d differs: %v vs %v", trial, kind, i, a, b)
-				}
-			}
-			if !reflect.DeepEqual(m1.Flows, m2.Flows) ||
-				!reflect.DeepEqual(m1.Busy, m2.Busy) ||
-				!reflect.DeepEqual(m1.Attempts, m2.Attempts) ||
-				!reflect.DeepEqual(m1.Dropped, m2.Dropped) ||
-				m1.Makespan != m2.Makespan {
-				t.Fatalf("trial %d %s: metrics differ", trial, kind)
 			}
 		}
 	}

@@ -4,15 +4,14 @@ import (
 	"sort"
 
 	"flowsched/internal/core"
-	"flowsched/internal/faults"
 	"flowsched/internal/obs"
 	"flowsched/internal/overload"
 )
 
 // OverloadMetrics extends FaultMetrics with the overload-control observables
 // of a guarded run. The disposition slices are nil when the run had no
-// overload config (RunGuarded with nil cfg, or the RunFaulty wrappers):
-// every task was admitted and the struct carries exactly FaultMetrics.
+// overload config (a nil Config.Overload): every task was admitted and the
+// struct carries exactly FaultMetrics.
 type OverloadMetrics struct {
 	FaultMetrics
 	// Rejected marks tasks the admission policy turned away at arrival; they
@@ -141,47 +140,4 @@ type ovRun struct {
 	cands      []overload.Candidate
 	ejBuf      core.ProcSet
 	shedReason string // Policy.Reason(), cached once per run (it concatenates)
-}
-
-// RunGuarded is the guarded superset of RunFaulty: the same fault-replaying,
-// failover-routing simulation with the overload-control subsystem attached.
-// cfg selects the controls (see overload.Config); a nil cfg is byte-identical
-// to RunFaulty — identical schedules and metrics, with nil disposition
-// slices — asserted by TestRunGuardedNilEquivalence and alloc-pinned by
-// TestRunGuardedNilAllocs.
-//
-// With a config:
-//
-//   - cfg.Admission is consulted once per arrival (after shedding, so it
-//     sees trimmed queues); rejected tasks are never dispatched.
-//   - cfg.Shedder trims any machine whose oldest queued task is older than
-//     the watermark, in policy order, down to the target backlog. The
-//     running request is never shed (non-preemptive execution).
-//   - cfg.Ejector observes every final completion and temporarily ejects
-//     servers whose service-time EWMA is an outlier; dispatch prefers
-//     non-ejected live replicas but falls back to the live set when the
-//     whole set is ejected (ejection alone never parks work).
-//   - cfg.Guard tracks offered load and raises the brownout signal.
-//   - If cfg.Admission implements overload.Budgeted (DeadlineAdmit does),
-//     the budget is enforced at every dispatch: an attempt that would
-//     complete with flow > Budget + proc is shed instead, so every
-//     completed task satisfies Fmax ≤ Budget + p_max (the auditor's
-//     "deadline" invariant).
-//
-// RunGuarded delegates to RunElastic (elasticsim.go) with a nil elastic
-// config: the engine lives there and the disabled-membership path is
-// byte-identical by construction (and property-tested).
-func RunGuarded(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, probe obs.Probe) (*core.Schedule, *OverloadMetrics, error) {
-	return NewArena().RunGuarded(inst, router, plan, policy, cfg, probe)
-}
-
-// RunGuarded is the package-level RunGuarded running in the reusable arena:
-// the returned schedule and metrics point into the arena and are valid until
-// its next run.
-func (a *Arena) RunGuarded(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, probe obs.Probe) (*core.Schedule, *OverloadMetrics, error) {
-	s, em, err := a.RunElastic(inst, router, plan, policy, cfg, nil, probe)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, &em.OverloadMetrics, nil
 }

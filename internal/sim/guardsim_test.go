@@ -3,92 +3,12 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"flowsched/internal/core"
 	"flowsched/internal/faults"
 	"flowsched/internal/overload"
 )
-
-// TestRunGuardedNilConfigEquivalence is the disabled-path property: for
-// every bundled router, random instances and random fault plans, RunGuarded
-// with a nil overload config produces byte-identical schedules and metrics
-// to RunFaulty — the overload subsystem must be invisible when off.
-func TestRunGuardedNilConfigEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		m := 2 + rng.Intn(8)
-		n := 1 + rng.Intn(150)
-		inst := randomInstance(m, n, rng)
-		var plan *faults.Plan
-		if trial%2 == 1 {
-			horizon := inst.Tasks[n-1].Release + 10
-			plan = faults.Generate(m, horizon, 20, 5, rand.New(rand.NewSource(int64(trial))))
-		}
-		pol := RetryPolicy{MaxAttempts: 1 + trial%4, Timeout: float64(trial % 3 * 10)}
-		for _, kind := range allRouterKinds {
-			seed := rng.Int63()
-			ra, rb := routerPair(kind, seed)
-			s1, m1, err := RunFaulty(inst, ra, plan, pol)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunFaulty: %v", trial, kind, err)
-			}
-			s2, om, err := RunGuarded(inst, rb, plan, pol, nil, nil)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunGuarded: %v", trial, kind, err)
-			}
-			// Dropped tasks carry NaN start times and flows, so DeepEqual
-			// (NaN ≠ NaN) cannot compare the faulty runs directly.
-			if !reflect.DeepEqual(s1.Machine, s2.Machine) || !sameTimes(s1.Start, s2.Start) {
-				t.Fatalf("trial %d %s: schedules differ with nil config", trial, kind)
-			}
-			if !sameTimes(m1.Flows, om.Flows) || !sameTimes(m1.Stretches, om.Stretches) ||
-				!sameTimes(m1.Busy, om.Busy) || m1.Makespan != om.Makespan ||
-				!reflect.DeepEqual(m1.Attempts, om.Attempts) ||
-				!reflect.DeepEqual(m1.Dropped, om.Dropped) ||
-				!reflect.DeepEqual(m1.Parked, om.Parked) {
-				t.Fatalf("trial %d %s: fault metrics differ with nil config", trial, kind)
-			}
-			if om.Rejected != nil || om.Shed != nil || om.Reason != nil {
-				t.Fatalf("trial %d %s: nil config allocated disposition slices", trial, kind)
-			}
-			if om.RejectedCount() != 0 || om.ShedCount() != 0 || om.Ejections != 0 || om.Brownouts != 0 {
-				t.Fatalf("trial %d %s: nil config reported overload activity", trial, kind)
-			}
-			if om.CompletedCount() != n-om.DroppedCount() {
-				t.Fatalf("trial %d %s: %d completed + %d dropped ≠ %d tasks", trial, kind,
-					om.CompletedCount(), om.DroppedCount(), n)
-			}
-		}
-	}
-}
-
-// TestRunGuardedNilConfigAllocs pins the zero-overhead contract: the
-// disabled overload path adds no allocations over RunFaultyProbed (the
-// OverloadMetrics wrapper replaces the FaultMetrics allocation one for one).
-func TestRunGuardedNilConfigAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	inst := randomInstance(8, 2000, rng)
-	plan := faults.Empty(8).Down(0, 5, 50).Down(3, 20, 80)
-	pol := RetryPolicy{MaxAttempts: 3}
-	if _, _, err := RunGuarded(inst, EFTRouter{}, plan, pol, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunFaultyProbed(inst, EFTRouter{}, plan, pol, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	guarded := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunGuarded(inst, EFTRouter{}, plan, pol, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if guarded > base {
-		t.Errorf("nil-config RunGuarded allocates %v per run vs %v for RunFaulty: the disabled path leaks", guarded, base)
-	}
-}
 
 // TestDeadlineAdmissionBound: with DeadlineAdmit{D}, every completed task
 // has flow ≤ D + p_max no matter how overloaded the cluster is, and the
@@ -106,7 +26,7 @@ func TestDeadlineAdmissionBound(t *testing.T) {
 		cfg := &overload.Config{Admission: overload.DeadlineAdmit{D: d}}
 		for _, kind := range allRouterKinds {
 			r, _ := routerPair(kind, rng.Int63())
-			_, om, err := RunGuarded(inst, r, nil, RetryPolicy{}, cfg, nil)
+			_, om, err := NewArena().Run(inst, r, Config{Overload: cfg})
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
@@ -131,7 +51,7 @@ func TestShedderBoundsQueueAge(t *testing.T) {
 		inst := overloadedInstance(4, 400, 1.8, rng)
 		wm := core.Time(5)
 		cfg := &overload.Config{Shedder: &overload.Shedder{Policy: policy, Watermark: wm, Seed: 5}}
-		_, om, err := RunGuarded(inst, EFTRouter{}, nil, RetryPolicy{}, cfg, nil)
+		_, om, err := NewArena().Run(inst, EFTRouter{}, Config{Overload: cfg})
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
@@ -167,7 +87,7 @@ func TestOutlierEjectionUnderGraySlowdown(t *testing.T) {
 	horizon := inst.Tasks[len(inst.Tasks)-1].Release
 	plan := faults.Empty(m).Slow(0, 0, horizon/2, 8)
 	cfg := &overload.Config{Ejector: &overload.Ejector{K: 2, Cooldown: 5, MinSamples: 5}}
-	_, om, err := RunGuarded(inst, EFTRouter{}, plan, RetryPolicy{}, cfg, nil)
+	_, om, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Overload: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +108,7 @@ func TestGuardBrownoutSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	inst := overloadedInstance(4, 300, 1.5, rng)
 	cfg := &overload.Config{Guard: overload.NewEstimatorCapacity(1)}
-	_, om, err := RunGuarded(inst, EFTRouter{}, nil, RetryPolicy{}, cfg, nil)
+	_, om, err := NewArena().Run(inst, EFTRouter{}, Config{Overload: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +130,7 @@ func TestRunGuardedRejectsBadConfig(t *testing.T) {
 		{Guard: overload.NewEstimatorCapacity(-3)},
 	}
 	for i, cfg := range bad {
-		if _, _, err := RunGuarded(inst, EFTRouter{}, nil, RetryPolicy{}, cfg, nil); err == nil {
+		if _, _, err := NewArena().Run(inst, EFTRouter{}, Config{Overload: cfg}); err == nil {
 			t.Errorf("bad config %d was accepted", i)
 		}
 	}
@@ -296,9 +216,9 @@ func FuzzGuardedDisposition(f *testing.F) {
 		}
 		plan := faults.Generate(mm, inst.Tasks[nn-1].Release+1, 30, 5, rng)
 		r, _ := routerPair(allRouterKinds[int(seed%int64(len(allRouterKinds))+int64(len(allRouterKinds)))%len(allRouterKinds)], seed)
-		_, om, err := RunGuarded(inst, r, plan, RetryPolicy{MaxAttempts: 3}, cfg, nil)
+		_, om, err := NewArena().Run(inst, r, Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 3}, Overload: cfg})
 		if err != nil {
-			t.Fatalf("RunGuarded: %v", err)
+			t.Fatalf("Arena.Run: %v", err)
 		}
 
 		for i := range inst.Tasks {

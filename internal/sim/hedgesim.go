@@ -2,18 +2,17 @@ package sim
 
 import (
 	"flowsched/internal/core"
-	"flowsched/internal/elastic"
 	"flowsched/internal/faults"
 	"flowsched/internal/hedge"
 	"flowsched/internal/obs"
-	"flowsched/internal/overload"
 )
 
 // hdRun is the engine-side runtime of a hedge config: the per-task hedge
 // state machine (issued → won / cancelled / revoked), the live flow-time
 // histogram behind the quantile trigger and the candidate scratch for the
 // alternate-server pick. It exists only when a config is present, so the
-// disabled path touches none of it and stays byte-identical to RunElastic.
+// disabled path touches none of it and stays byte-identical to a run
+// without the layer.
 //
 // A speculative copy of task id is the virtual attempt id n + id (n = task
 // count): the attempt-window / timing-order / FIFO-link arrays are grown to
@@ -63,29 +62,6 @@ func (hd *hdRun) resolveCopy(rid int) bool {
 	}
 	hd.resolved[rid] = true
 	return true
-}
-
-// RunHedged is RunElastic with hedged execution attached: when a dispatched
-// request's in-queue + in-service age crosses the hedge trigger (hcfg — a
-// fixed delay, a live flow-time quantile, or tied-request mode), the engine
-// speculatively re-dispatches a copy to the best *other* eligible server of
-// its processing set (respecting membership remapping, outages, ejection
-// preference and the admission deadline budget); the first completion wins
-// and the losing attempt is cancelled — always before it starts service,
-// mid-service only with hcfg.CancelRunning. A nil hcfg is byte-identical to
-// RunElastic (property-tested by TestRunHedgedNilConfigEquivalence and
-// alloc-pinned by TestRunHedgedNilConfigAllocs).
-//
-// Invariants the auditor re-checks on every hedged chaos trial (audit.
-// Options.Hedge): exactly one effective completion per task, the copy's
-// server dispatch-time eligible, cancelled copies never counted in flow
-// time, and every unit of duplicate busy time accounted in the metrics'
-// DuplicateWork / CancelledWork split.
-//
-// Each call runs in a private Arena; batch callers reuse one arena's
-// RunHedged method to amortize the per-run allocations away.
-func RunHedged(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, ecfg *elastic.Config, hcfg *hedge.Config, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
-	return NewArena().RunHedged(inst, router, plan, policy, cfg, ecfg, hcfg, probe)
 }
 
 // retime recomputes server j's unstarted queue suffix back to back from

@@ -84,86 +84,6 @@ func checkHedgeResolution(t *testing.T, inst *core.Instance, em *ElasticMetrics,
 	}
 }
 
-// TestRunHedgedNilConfigEquivalence is the disabled-path property: for every
-// bundled router, random instances, random fault plans and elastic configs,
-// RunHedged with a nil hedge config produces byte-identical schedules and
-// metrics to RunElastic — the hedge layer must be invisible when off.
-func TestRunHedgedNilConfigEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(977))
-	for trial := 0; trial < 20; trial++ {
-		m := 2 + rng.Intn(8)
-		n := 1 + rng.Intn(150)
-		inst := randomInstance(m, n, rng)
-		var plan *faults.Plan
-		if trial%2 == 1 {
-			horizon := inst.Tasks[n-1].Release + 10
-			plan = faults.Generate(m, horizon, 20, 5, rand.New(rand.NewSource(int64(trial))))
-		}
-		var ecfg *elastic.Config
-		if trial%3 == 2 {
-			mid := inst.Tasks[n/2].Release
-			ecfg = &elastic.Config{Initial: 1 + m/2, Script: []elastic.Event{{At: mid, Delta: 1}}}
-		}
-		pol := RetryPolicy{MaxAttempts: 1 + trial%4, Timeout: float64(trial % 3 * 10)}
-		for _, kind := range allRouterKinds {
-			seed := rng.Int63()
-			ra, rb := routerPair(kind, seed)
-			s1, m1, err := RunElastic(inst, ra, plan, pol, nil, ecfg, nil)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunElastic: %v", trial, kind, err)
-			}
-			s2, m2, err := RunHedged(inst, rb, plan, pol, nil, ecfg, nil, nil)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunHedged: %v", trial, kind, err)
-			}
-			if !reflect.DeepEqual(s1.Machine, s2.Machine) || !sameTimes(s1.Start, s2.Start) {
-				t.Fatalf("trial %d %s: schedules differ with nil hedge config", trial, kind)
-			}
-			if !sameTimes(m1.Flows, m2.Flows) || !sameTimes(m1.Stretches, m2.Stretches) ||
-				!sameTimes(m1.Busy, m2.Busy) || m1.Makespan != m2.Makespan ||
-				!reflect.DeepEqual(m1.Attempts, m2.Attempts) ||
-				!reflect.DeepEqual(m1.Dropped, m2.Dropped) ||
-				!reflect.DeepEqual(m1.Parked, m2.Parked) ||
-				m1.Handoffs != m2.Handoffs || m1.ScaleUps != m2.ScaleUps {
-				t.Fatalf("trial %d %s: metrics differ with nil hedge config", trial, kind)
-			}
-			if m2.Hedged != nil || m2.HedgeCopyServer != nil || m2.HedgeCopyAt != nil || m2.HedgeWonByCopy != nil {
-				t.Fatalf("trial %d %s: nil config allocated hedge state", trial, kind)
-			}
-			if m2.HedgesIssued != 0 || m2.HedgeWinsPrimary != 0 || m2.HedgeWinsCopy != 0 ||
-				m2.HedgesCancelled != 0 || m2.HedgesRevoked != 0 ||
-				m2.CancelledWork != 0 || m2.DuplicateWork != 0 {
-				t.Fatalf("trial %d %s: nil config reported hedge activity", trial, kind)
-			}
-		}
-	}
-}
-
-// TestRunHedgedNilConfigAllocs pins the zero-overhead contract: the disabled
-// hedge path adds no allocations over RunElastic.
-func TestRunHedgedNilConfigAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	inst := randomInstance(8, 2000, rng)
-	plan := faults.Empty(8).Down(0, 5, 50).Down(3, 20, 80)
-	pol := RetryPolicy{MaxAttempts: 3}
-	if _, _, err := RunHedged(inst, EFTRouter{}, plan, pol, nil, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunElastic(inst, EFTRouter{}, plan, pol, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	hd := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunHedged(inst, EFTRouter{}, plan, pol, nil, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if hd > base {
-		t.Errorf("nil-config RunHedged allocates %v per run vs %v for RunElastic: the disabled path leaks", hd, base)
-	}
-}
-
 // TestRunHedgedGrayCopyWins is the canonical hedge story: the router,
 // blind to a gray failure, parks a task on a crawling server; the delay
 // trigger re-dispatches a copy to the healthy one, the copy wins, and the
@@ -175,7 +95,7 @@ func TestRunHedgedGrayCopyWins(t *testing.T) {
 	for _, cancel := range []bool{true, false} {
 		hcfg := &hedge.Config{Delay: 2, CancelRunning: cancel}
 		p := newHedgeCountProbe(1)
-		s, em, err := RunHedged(inst, EFTRouter{}, plan, RetryPolicy{}, nil, nil, hcfg, p)
+		s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,14 +156,14 @@ func TestRunHedgedSingleLiveMember(t *testing.T) {
 	inst := core.NewInstance(2, tasks)
 	hcfg := &hedge.Config{Delay: 0.5}
 	p := newHedgeCountProbe(2)
-	_, em, err := RunHedged(inst, EFTRouter{}, nil, RetryPolicy{}, nil, nil, hcfg, p)
+	_, em, err := NewArena().Run(inst, EFTRouter{}, Config{Hedge: hcfg, Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if em.HedgesIssued != 0 {
 		t.Fatalf("issued %d hedges with no alternate server", em.HedgesIssued)
 	}
-	_, base, err := RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, nil, nil)
+	_, base, err := NewArena().Run(inst, EFTRouter{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +183,7 @@ func TestRunHedgedTargetOutage(t *testing.T) {
 	plan := faults.Empty(2).Slow(0, 0, 1000, 10).Down(1, 5, 1000)
 	hcfg := &hedge.Config{Delay: 2, CancelRunning: true}
 	p := newHedgeCountProbe(1)
-	s, em, err := RunHedged(inst, EFTRouter{}, plan, RetryPolicy{}, nil, nil, hcfg, p)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +219,7 @@ func TestRunHedgedVictimDrainedMidFlight(t *testing.T) {
 	ecfg := &elastic.Config{Script: []elastic.Event{{At: 3, Delta: -1}}, Min: 1}
 	hcfg := &hedge.Config{Delay: 1, CancelRunning: false}
 	p := newHedgeCountProbe(3)
-	_, em, err := RunHedged(inst, JSQRouter{}, plan, RetryPolicy{}, nil, ecfg, hcfg, p)
+	_, em, err := NewArena().Run(inst, JSQRouter{}, Config{Plan: plan, Elastic: ecfg, Hedge: hcfg, Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +257,7 @@ func TestRunHedgedTrimShedsPrimaryAndCopy(t *testing.T) {
 	hcfg := &hedge.Config{Delay: 0.5}
 	p := newHedgeCountProbe(len(tasks))
 	arena := NewArena()
-	_, em, err := arena.RunHedged(inst, EFTRouter{}, nil, RetryPolicy{}, cfg, ecfg, hcfg, p)
+	_, em, err := arena.Run(inst, EFTRouter{}, Config{Overload: cfg, Elastic: ecfg, Hedge: hcfg, Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +299,7 @@ func TestRunHedgedTiedPair(t *testing.T) {
 	inst := core.NewInstance(2, tasks)
 	hcfg := &hedge.Config{Tied: true}
 	p := newHedgeCountProbe(3)
-	_, em, err := RunHedged(inst, &RoundRobinRouter{}, nil, RetryPolicy{}, nil, nil, hcfg, p)
+	_, em, err := NewArena().Run(inst, &RoundRobinRouter{}, Config{Hedge: hcfg, Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +341,7 @@ func TestRunHedgedRetryRace(t *testing.T) {
 		kind := allRouterKinds[trial%len(allRouterKinds)]
 		router, _ := routerPair(kind, rng.Int63())
 		p := newHedgeCountProbe(n)
-		_, em, err := RunHedged(inst, router, plan, pol, nil, nil, hcfg, p)
+		_, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: pol, Hedge: hcfg, Probe: p})
 		if err != nil {
 			t.Fatalf("trial %d %s: %v", trial, kind, err)
 		}
@@ -454,7 +374,7 @@ func TestRunHedgedQuantileTrigger(t *testing.T) {
 	plan := faults.Empty(4).Slow(0, 10, 1e6, 8)
 	hcfg := &hedge.Config{Quantile: 0.95, MinSamples: 50}
 	p := newHedgeCountProbe(n)
-	_, em, err := RunHedged(inst, &RoundRobinRouter{}, plan, RetryPolicy{}, nil, nil, hcfg, p)
+	_, em, err := NewArena().Run(inst, &RoundRobinRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +382,7 @@ func TestRunHedgedQuantileTrigger(t *testing.T) {
 		t.Fatal("p95 trigger never fired under a gray fault")
 	}
 	checkHedgeResolution(t, inst, em, p)
-	_, base, err := RunElastic(inst, &RoundRobinRouter{}, plan, RetryPolicy{}, nil, nil, nil)
+	_, base, err := NewArena().Run(inst, &RoundRobinRouter{}, Config{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,12 +429,12 @@ func TestHedgeConfigValidate(t *testing.T) {
 		}
 	}
 	inst := core.NewInstance(2, []core.Task{{Release: 0, Proc: 1}})
-	if _, _, err := RunHedged(inst, EFTRouter{}, nil, RetryPolicy{}, nil, nil, &hedge.Config{}, nil); err == nil {
-		t.Error("RunHedged accepted a triggerless config")
+	if _, _, err := NewArena().Run(inst, EFTRouter{}, Config{Hedge: &hedge.Config{}}); err == nil {
+		t.Error("Arena.Run accepted a triggerless hedge config")
 	}
 }
 
-// FuzzHedgedDispatch drives RunHedged through randomized instances, fault
+// FuzzHedgedDispatch drives Config.Hedge through randomized instances, fault
 // plans, retry policies and hedge configs, asserting the hedge ledger and
 // the exactly-one-effective-completion invariant on every run.
 func FuzzHedgedDispatch(f *testing.F) {
@@ -548,7 +468,7 @@ func FuzzHedgedDispatch(f *testing.F) {
 		kind := allRouterKinds[int(kind8)%len(allRouterKinds)]
 		router, _ := routerPair(kind, seed)
 		p := newHedgeCountProbe(n)
-		_, em, err := RunHedged(inst, router, plan, pol, nil, nil, hcfg, p)
+		_, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: pol, Hedge: hcfg, Probe: p})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -606,7 +526,7 @@ func TestRunHedgedDeferredTriggerKeepsTieOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			inst := core.NewInstance(4, tasks)
 			p := newHedgeCountProbe(len(tasks))
-			s, em, err := RunHedged(inst, EFTRouter{}, tc.plan, RetryPolicy{}, nil, tc.ecfg, hcfg, p)
+			s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: tc.plan, Elastic: tc.ecfg, Hedge: hcfg, Probe: p})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -641,7 +561,7 @@ func TestHedgeTriggerDeferredOffGrayServers(t *testing.T) {
 	})
 	plan := faults.Empty(2).Slow(1, 100, 200, 2) // M2 is gray only later on
 	a := NewArena()
-	_, em, err := a.RunHedged(inst, EFTRouter{}, plan, RetryPolicy{}, nil, nil, &hedge.Config{Delay: 2}, nil)
+	_, em, err := a.Run(inst, EFTRouter{}, Config{Plan: plan, Hedge: &hedge.Config{Delay: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,12 +95,12 @@ func TestProbedRunFaultyEquivalence(t *testing.T) {
 			Down(rng.Intn(m), 60+10*rng.Float64(), 90+20*rng.Float64())
 		policy := RetryPolicy{MaxAttempts: 4, Backoff: 0.1}
 
-		sPlain, mPlain, err := RunFaulty(inst, EFTRouter{}, plan, policy)
+		sPlain, mPlain, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
 		counters, hist, sampler, sink, _, probe := allProbes(t, m, mPlain.Horizon/23)
-		sProbed, mProbed, err := RunFaultyProbed(inst, EFTRouter{}, plan, policy, probe)
+		sProbed, mProbed, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: policy, Probe: probe})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestProbeNilRunFaultyAllocs(t *testing.T) {
 	inst := randomInstance(8, 2000, rng)
 	plan := faults.Empty(8).Down(0, 5, 50).Down(3, 20, 80)
 	avg := testing.AllocsPerRun(5, func() {
-		if _, _, err := RunFaultyProbed(inst, EFTRouter{}, plan, RetryPolicy{MaxAttempts: 3}, nil); err != nil {
+		if _, _, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 3}}); err != nil {
 			t.Fatal(err)
 		}
 	})

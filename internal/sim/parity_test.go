@@ -112,22 +112,11 @@ func (d *digester) value(v reflect.Value) {
 
 func (d *digester) sum() string { return hex.EncodeToString(d.h.Sum(nil)[:8]) }
 
-// parityCfg is one engine link setting of the parity matrix: the plan,
-// retry policy and layer configs handed to RunResilient.
-type parityCfg struct {
-	plan *faults.Plan
-	pol  RetryPolicy
-	ov   *overload.Config
-	el   *elastic.Config
-	hd   *hedge.Config
-	rs   *resilience.Config
-}
-
 // parityLink names a link setting. Configs carry per-run state, so build
 // makes fresh ones for every run.
 type parityLink struct {
 	name  string
-	build func(m int, horizon core.Time) parityCfg
+	build func(m int, horizon core.Time) Config
 }
 
 // crashGrayPlan is a seeded crash plan merged with a seeded gray plan.
@@ -153,9 +142,9 @@ func parityLinks() []parityLink {
 		}
 	}
 	hedged := func(name string, hc hedge.Config) parityLink {
-		return parityLink{name, func(m int, h core.Time) parityCfg {
+		return parityLink{name, func(m int, h core.Time) Config {
 			c := hc
-			return parityCfg{plan: slowPlan(m, h), hd: &c}
+			return Config{Plan: slowPlan(m, h), Hedge: &c}
 		}}
 	}
 	shed := func(policy overload.ShedPolicy) *overload.Config {
@@ -168,47 +157,47 @@ func parityLinks() []parityLink {
 		}
 	}
 	return []parityLink{
-		{"bare", func(m int, h core.Time) parityCfg { return parityCfg{} }},
-		{"crash+gray", func(m int, h core.Time) parityCfg {
-			return parityCfg{plan: crashGrayPlan(m, h), pol: parityRetry}
+		{"bare", func(m int, h core.Time) Config { return Config{} }},
+		{"crash+gray", func(m int, h core.Time) Config {
+			return Config{Plan: crashGrayPlan(m, h), Retry: parityRetry}
 		}},
-		{"admit-queue", func(m int, h core.Time) parityCfg {
-			return parityCfg{ov: &overload.Config{Admission: overload.QueueBound{MaxQueue: 3}}}
+		{"admit-queue", func(m int, h core.Time) Config {
+			return Config{Overload: &overload.Config{Admission: overload.QueueBound{MaxQueue: 3}}}
 		}},
-		{"admit-deadline", func(m int, h core.Time) parityCfg {
-			return parityCfg{ov: &overload.Config{Admission: overload.DeadlineAdmit{D: 8}}}
+		{"admit-deadline", func(m int, h core.Time) Config {
+			return Config{Overload: &overload.Config{Admission: overload.DeadlineAdmit{D: 8}}}
 		}},
-		{"shed-newest", func(m int, h core.Time) parityCfg { return parityCfg{ov: shed(overload.DropNewest)} }},
-		{"shed-stretch", func(m int, h core.Time) parityCfg { return parityCfg{ov: shed(overload.DropLargestStretch)} }},
-		{"eject", func(m int, h core.Time) parityCfg {
-			return parityCfg{plan: slowPlan(m, h), ov: &overload.Config{Ejector: &overload.Ejector{}}}
+		{"shed-newest", func(m int, h core.Time) Config { return Config{Overload: shed(overload.DropNewest)} }},
+		{"shed-stretch", func(m int, h core.Time) Config { return Config{Overload: shed(overload.DropLargestStretch)} }},
+		{"eject", func(m int, h core.Time) Config {
+			return Config{Plan: slowPlan(m, h), Overload: &overload.Config{Ejector: &overload.Ejector{}}}
 		}},
-		{"guard", func(m int, h core.Time) parityCfg {
-			return parityCfg{ov: &overload.Config{Guard: overload.NewEstimatorCapacity(0.4 * float64(m))}}
+		{"guard", func(m int, h core.Time) Config {
+			return Config{Overload: &overload.Config{Guard: overload.NewEstimatorCapacity(0.4 * float64(m))}}
 		}},
-		{"drain-rejoin", func(m int, h core.Time) parityCfg { return parityCfg{el: script(m, h)} }},
+		{"drain-rejoin", func(m int, h core.Time) Config { return Config{Elastic: script(m, h)} }},
 		hedged("hedge-delay", hedge.Config{Delay: 2}),
 		hedged("hedge-delay-cancel", hedge.Config{Delay: 2, CancelRunning: true}),
 		hedged("hedge-quantile", hedge.Config{Quantile: 0.9, MinSamples: 30}),
 		hedged("hedge-quantile-cancel", hedge.Config{Quantile: 0.9, MinSamples: 30, CancelRunning: true}),
 		hedged("hedge-tied", hedge.Config{Tied: true}),
 		hedged("hedge-tied-cancel", hedge.Config{Tied: true, CancelRunning: true}),
-		{"resilience", func(m int, h core.Time) parityCfg {
-			return parityCfg{plan: crashGrayPlan(m, h), pol: parityRetry, rs: resil()}
+		{"resilience", func(m int, h core.Time) Config {
+			return Config{Plan: crashGrayPlan(m, h), Retry: parityRetry, Resilience: resil()}
 		}},
-		{"all", func(m int, h core.Time) parityCfg {
-			return parityCfg{
-				plan: crashGrayPlan(m, h),
-				pol:  parityRetry,
-				ov: &overload.Config{
+		{"all", func(m int, h core.Time) Config {
+			return Config{
+				Plan:  crashGrayPlan(m, h),
+				Retry: parityRetry,
+				Overload: &overload.Config{
 					Admission: overload.DeadlineAdmit{D: 12},
 					Shedder:   &overload.Shedder{Policy: overload.DropNewest, Watermark: 5, Seed: 3},
 					Ejector:   &overload.Ejector{},
 					Guard:     overload.NewEstimatorCapacity(0.4 * float64(m)),
 				},
-				el: script(m, h),
-				hd: &hedge.Config{Delay: 2, CancelRunning: true},
-				rs: resil(),
+				Elastic:    script(m, h),
+				Hedge:      &hedge.Config{Delay: 2, CancelRunning: true},
+				Resilience: resil(),
 			}
 		}},
 	}
@@ -253,14 +242,21 @@ func parityRuns(f func(name string, inst *core.Instance, link parityLink, router
 }
 
 // parityDigest runs one configuration through the arena with a flight
-// recorder attached and hashes the schedule, every ElasticMetrics field and
-// the full probe event stream.
+// recorder attached and hashes its output (see digestRun).
 func parityDigest(t *testing.T, arena *Arena, rec *obs.FlightRecorder, inst *core.Instance, link parityLink, router Router) string {
 	t.Helper()
-	c := link.build(inst.M, inst.Tasks[inst.N()-1].Release)
+	cfg := link.build(inst.M, inst.Tasks[inst.N()-1].Release)
+	cfg.Probe = rec
 	rec.Reset()
+	s, em, err := arena.Run(inst, router, cfg)
+	return digestRun(t, rec, s, em, err)
+}
+
+// digestRun hashes a run's schedule, every ElasticMetrics field and the full
+// probe event stream the flight recorder kept (or the run's error).
+func digestRun(t *testing.T, rec *obs.FlightRecorder, s *core.Schedule, em *ElasticMetrics, err error) string {
+	t.Helper()
 	d := newDigester()
-	s, em, err := arena.RunResilient(inst, router, c.plan, c.pol, c.ov, c.el, c.hd, c.rs, rec)
 	if err != nil {
 		d.str(err.Error())
 		return d.sum()

@@ -468,14 +468,20 @@ func TestFastPathGate(t *testing.T) {
 
 // FuzzRouterEquivalence drives the optimized and reference routers over
 // fuzz-shaped instances and requires byte-identical schedules. intReleases
-// makes the instance tie-heavy (integer releases, unit tasks).
+// makes the instance tie-heavy (integer releases, unit tasks). The top eight
+// m8 values draw m from [1,000, 1,100] instead of [1, 16], so the fuzzer also
+// reaches the 10- and 11-level ready trees of the scale point (m = 10³).
 func FuzzRouterEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(50), false)
 	f.Add(int64(7), uint8(1), uint8(10), false)
 	f.Add(int64(42), uint8(12), uint8(200), false)
 	f.Add(int64(3), uint8(5), uint8(120), true)
+	f.Add(int64(77), uint8(0xFF), uint8(255), false)
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8 uint8, intReleases bool) {
 		m := 1 + int(m8)%16
+		if m8 >= 0xF8 {
+			m = 1000 + int(uint64(seed)%101)
+		}
 		n := 1 + int(n8)
 		rng := rand.New(rand.NewSource(seed))
 		inst := randomInstance(m, n, rng)

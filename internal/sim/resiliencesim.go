@@ -16,7 +16,8 @@ import (
 // rsRun is the engine-side runtime of a resilience config: the breaker
 // bank, the retry-budget bucket, the jitter state and the per-task probe /
 // disposition vectors. It exists only when a config is present, so the
-// disabled path touches none of it and stays byte-identical to RunHedged.
+// disabled path touches none of it and stays byte-identical to a run without
+// the layer.
 type rsRun struct {
 	cfg *resilience.Config
 	ro  obs.ResilienceObserver
@@ -95,47 +96,9 @@ func (rs *rsRun) failed(inst *core.Instance, task int, start, when core.Time) bo
 	return float64((when-start)/proc) >= sf
 }
 
-// RunResilient is the resilient superset of RunHedged: the same unified
-// fault-replaying, overload-controlled, elastic, hedged simulation with the
-// metastable-failure protections of internal/resilience attached. A nil
-// rcfg is byte-identical to RunHedged — identical schedules and metrics,
-// with nil resilience vectors and zero counters — asserted by
-// TestRunResilientNilConfigEquivalence and alloc-pinned by
-// TestRunResilientNilConfigAllocs.
+// RunResilient is Run with the seven layer inputs passed positionally.
 //
-// With a config:
-//
-//   - Jitter (rcfg.Jitter) randomizes every retry's backoff delay with a
-//     pure hash of (seed, task, attempt) — full, equal or decorrelated —
-//     so synchronized retry waves from a mass outage spread out instead of
-//     re-saturating the recovered servers. Replayable: equal seeds retry
-//     at identical instants.
-//   - The retry budget (rcfg.RetryBudget) is a token bucket refilled by
-//     every first-attempt dispatch and debited by every retry, so retry
-//     traffic can never exceed the configured fraction of live traffic.
-//     An over-budget retry drops its task with the BudgetDropped
-//     disposition (never parked forever); RetriesIssued + RetriesDropped
-//     == RetriesRequested holds exactly and is audited.
-//   - Per-server circuit breakers (rcfg.Breaker) watch a sliding window of
-//     dispatch outcomes — crashes, and completions slower than SlowFactor ×
-//     nominal (how a gray-slow server that never crashes is caught). A
-//     tripped breaker blocks dispatches for the cooldown, then admits a
-//     capped number of half-open probes; a probe success closes it, a probe
-//     failure re-opens it. Failover routing filters breaker-open servers
-//     out of every candidate set (hedge copies go only to closed breakers);
-//     a task whose whole effective set is open parks and wakes at the next
-//     breaker transition — it never livelocks.
-//
-// Each call runs in a private Arena; batch callers reuse one arena's
-// RunResilient method to amortize the per-run allocations away.
-func RunResilient(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, ecfg *elastic.Config, hcfg *hedge.Config, rcfg *resilience.Config, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
-	return NewArena().RunResilient(inst, router, plan, policy, cfg, ecfg, hcfg, rcfg, probe)
-}
-
-// RunHedged is the arena variant of the package-level RunHedged. It is
-// RunResilient with the resilience layer disabled — the engine lives there;
-// a nil resilience config is byte-identical by construction (and
-// property-tested).
-func (a *Arena) RunHedged(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, ecfg *elastic.Config, hcfg *hedge.Config, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
-	return a.RunResilient(inst, router, plan, policy, cfg, ecfg, hcfg, nil, probe)
+// Deprecated: use Run with a Config.
+func (a *Arena) RunResilient(inst *core.Instance, router Router, plan *faults.Plan, policy RetryPolicy, cfg *overload.Config, ecfg *elastic.Config, hcfg *hedge.Config, rcfg *resilience.Config, probe obs.Probe) (*core.Schedule, *ElasticMetrics, error) {
+	return a.Run(inst, router, Config{Plan: plan, Retry: policy, Overload: cfg, Elastic: ecfg, Hedge: hcfg, Resilience: rcfg, Probe: probe})
 }

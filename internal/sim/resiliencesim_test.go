@@ -2,8 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"flowsched/internal/core"
@@ -12,90 +10,6 @@ import (
 	"flowsched/internal/hedge"
 	"flowsched/internal/resilience"
 )
-
-// TestRunResilientNilConfigEquivalence is the disabled-path property: for
-// every bundled router, random instances, random fault plans, elastic and
-// hedge configs, RunResilient with a nil resilience config produces
-// byte-identical schedules and metrics to RunHedged — the resilience layer
-// must be invisible when off.
-func TestRunResilientNilConfigEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(1213))
-	for trial := 0; trial < 20; trial++ {
-		m := 2 + rng.Intn(8)
-		n := 1 + rng.Intn(150)
-		inst := randomInstance(m, n, rng)
-		var plan *faults.Plan
-		if trial%2 == 1 {
-			horizon := inst.Tasks[n-1].Release + 10
-			plan = faults.Generate(m, horizon, 20, 5, rand.New(rand.NewSource(int64(trial))))
-		}
-		var ecfg *elastic.Config
-		if trial%3 == 2 {
-			mid := inst.Tasks[n/2].Release
-			ecfg = &elastic.Config{Initial: 1 + m/2, Script: []elastic.Event{{At: mid, Delta: 1}}}
-		}
-		var hcfg *hedge.Config
-		if trial%4 == 3 {
-			hcfg = &hedge.Config{Delay: 1.5, MaxHedges: 5, CancelRunning: trial%8 == 3}
-		}
-		pol := RetryPolicy{MaxAttempts: 1 + trial%4, Timeout: float64(trial % 3 * 10)}
-		for _, kind := range allRouterKinds {
-			seed := rng.Int63()
-			ra, rb := routerPair(kind, seed)
-			s1, m1, err := RunHedged(inst, ra, plan, pol, nil, ecfg, hcfg, nil)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunHedged: %v", trial, kind, err)
-			}
-			s2, m2, err := RunResilient(inst, rb, plan, pol, nil, ecfg, hcfg, nil, nil)
-			if err != nil {
-				t.Fatalf("trial %d %s: RunResilient: %v", trial, kind, err)
-			}
-			if !reflect.DeepEqual(s1.Machine, s2.Machine) || !sameTimes(s1.Start, s2.Start) {
-				t.Fatalf("trial %d %s: schedules differ with nil resilience config", trial, kind)
-			}
-			if !sameTimes(m1.Flows, m2.Flows) || !sameTimes(m1.Stretches, m2.Stretches) ||
-				!sameTimes(m1.Busy, m2.Busy) || m1.Makespan != m2.Makespan ||
-				!reflect.DeepEqual(m1.Attempts, m2.Attempts) ||
-				!reflect.DeepEqual(m1.Dropped, m2.Dropped) ||
-				!reflect.DeepEqual(m1.Parked, m2.Parked) ||
-				m1.Handoffs != m2.Handoffs || m1.HedgesIssued != m2.HedgesIssued {
-				t.Fatalf("trial %d %s: metrics differ with nil resilience config", trial, kind)
-			}
-			if m2.BudgetDropped != nil || m2.ProbeDispatch != nil || m2.BreakerSpans != nil {
-				t.Fatalf("trial %d %s: nil config allocated resilience state", trial, kind)
-			}
-			if m2.RetriesRequested != 0 || m2.RetriesIssued != 0 || m2.RetriesDropped != 0 ||
-				m2.BreakerOpens != 0 || m2.BreakerCloses != 0 || m2.BreakerProbes != 0 {
-				t.Fatalf("trial %d %s: nil config reported resilience activity", trial, kind)
-			}
-		}
-	}
-}
-
-// TestRunResilientNilConfigAllocs pins the zero-overhead contract: the
-// disabled resilience path adds no allocations over RunHedged.
-func TestRunResilientNilConfigAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	inst := randomInstance(8, 2000, rng)
-	plan := faults.Empty(8).Down(0, 5, 50).Down(3, 20, 80)
-	pol := RetryPolicy{MaxAttempts: 3}
-	if _, _, err := RunResilient(inst, EFTRouter{}, plan, pol, nil, nil, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	base := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunHedged(inst, EFTRouter{}, plan, pol, nil, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	rs := testing.AllocsPerRun(10, func() {
-		if _, _, err := RunResilient(inst, EFTRouter{}, plan, pol, nil, nil, nil, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if rs > base {
-		t.Errorf("nil-config RunResilient allocates %v per run vs %v for RunHedged: the disabled path leaks", rs, base)
-	}
-}
 
 // TestRetryPolicyValidate covers the policy surface: documented zero values
 // pass, and the retry-storm foot-guns — most importantly a BackoffFactor in
@@ -145,7 +59,7 @@ func TestBreakerOpenSoleMemberParks(t *testing.T) {
 			Window: 1, FailureThreshold: 1, Cooldown: 10, HalfOpenProbes: 1,
 		},
 	}
-	s, em, err := RunResilient(inst, EFTRouter{}, plan, RetryPolicy{}, nil, nil, nil, rcfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Resilience: rcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +109,7 @@ func TestRetryBudgetExhaustionZoneOutage(t *testing.T) {
 	})
 	plan := faults.Empty(2).Down(0, 1, 50).Down(1, 1, 50)
 	rcfg := &resilience.Config{RetryBudget: 0.25, BudgetBurst: 2}
-	_, em, err := RunResilient(inst, EFTRouter{}, plan, RetryPolicy{}, nil, nil, nil, rcfg, nil)
+	_, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Resilience: rcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +171,7 @@ func TestBreakerProbeRacingHedgeCopy(t *testing.T) {
 		},
 	}
 	pol := RetryPolicy{Backoff: 3}
-	s, em, err := RunResilient(inst, EFTRouter{}, plan, pol, nil, nil, hcfg, rcfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: pol, Hedge: hcfg, Resilience: rcfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +228,7 @@ func TestBreakerProbeRacingScaleDownDrain(t *testing.T) {
 		},
 	}
 	pol := RetryPolicy{Backoff: 2}
-	s, em, err := RunResilient(inst, EFTRouter{}, plan, pol, nil, ecfg, nil, rcfg, nil)
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Retry: pol, Elastic: ecfg, Resilience: rcfg})
 	if err != nil {
 		t.Fatal(err)
 	}

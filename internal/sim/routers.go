@@ -129,7 +129,7 @@ func (JSQRouter) Pick(st *State, t core.Task) int {
 // the weakest sensible baseline (what a stateless load balancer does).
 //
 // The zero value is ready to use: the generator is lazily seeded from Seed.
-// Reset (called automatically by Run and RunFaulty) rewinds the stream to
+// Reset (called automatically by Run and Arena.Run) rewinds the stream to
 // Seed, so a reused router replays the same decisions on every run, like
 // every other router. An explicitly provided Rng takes precedence over Seed;
 // such a router keeps consuming its external stream across runs and is not

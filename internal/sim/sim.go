@@ -9,6 +9,10 @@
 // The engine processes arrival and completion events in time order
 // (completions before arrivals at equal instants) and collects per-request
 // flow times plus per-server utilization.
+//
+// Run and RunProbed are the paper's fault-free loops. Arena.Run is the
+// layered engine: faults, overload control, elastic membership, hedging and
+// resilience, each armed by one field of a Config.
 package sim
 
 import (
@@ -59,7 +63,7 @@ type Router interface {
 }
 
 // Resettable is implemented by stateful routers (round-robin cursor, noisy
-// EFT beliefs). Run and RunFaulty reset such routers at the start of every
+// EFT beliefs). Run and Arena.Run reset such routers at the start of every
 // run, so one router value can be reused across runs safely.
 type Resettable interface {
 	Reset()
@@ -143,8 +147,8 @@ func Run(inst *core.Instance, router Router) (*core.Schedule, *Metrics, error) {
 // (see obs.Probe for the event-time contract — completions are reported
 // eagerly at dispatch, where they become final in the fault-free model).
 // A nil probe is exactly Run: every hook sits behind a nil guard, so the
-// unobserved hot path stays allocation-free (TestProbeNilRunAllocs, the
-// ProbeOverheadSim benchreg pair).
+// unobserved hot path stays allocation-free (TestProbeNilRunAllocs;
+// benchreg's SimRunEFT is the nil-probe run).
 func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Schedule, *Metrics, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("sim: %w", err)

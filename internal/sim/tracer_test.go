@@ -136,7 +136,7 @@ func checkTraceCompleteness(t *testing.T, label string, inst *core.Instance,
 }
 
 // TestTracerCompleteness is the tentpole property: over randomized
-// RunElastic trials — all seven routers, crash and gray fault plans,
+// elastic trials — all seven routers, crash and gray fault plans,
 // admission + shedding + ejection, membership churn with drains and
 // handoffs — every task's trace reconstructs the engine's disposition
 // exactly. Same trial shapes as TestArenaReuseEquivalence.
@@ -182,7 +182,7 @@ func TestTracerCompleteness(t *testing.T) {
 			seed := rng.Int63()
 			router, _ := routerPair(kind, seed)
 			tracer := obs.NewTracer(obs.KeepAll())
-			s, em, err := RunElastic(inst, router, plan, pol, cfg, ecfg, tracer)
+			s, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: pol, Overload: cfg, Elastic: ecfg, Probe: tracer})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, kind, err)
 			}
@@ -205,7 +205,7 @@ func TestTracerCompleteness(t *testing.T) {
 		for _, kind := range allRouterKinds {
 			router, _ := routerPair(kind, harshRng.Int63())
 			tracer := obs.NewTracer(obs.KeepAll())
-			s, em, err := RunElastic(inst, router, plan, RetryPolicy{MaxAttempts: 1}, cfg, nil, tracer)
+			s, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 1}, Overload: cfg, Probe: tracer})
 			if err != nil {
 				t.Fatalf("harsh %s: %v", kind, err)
 			}
@@ -283,7 +283,7 @@ func stackInstance(n int, seed int64) *core.Instance {
 // admission with stretch shedding and ejection, a drain/rejoin script,
 // quantile hedging with CancelRunning, and circuit breakers. Configs carry
 // per-run state, so every run gets a fresh one.
-func stackMix(horizon core.Time, seed int64) parityCfg {
+func stackMix(horizon core.Time, seed int64) Config {
 	plan := faults.Empty(15)
 	plan.Slow(4, 0, horizon, 6)
 	for f := 0; f < 20; f++ {
@@ -291,18 +291,18 @@ func stackMix(horizon core.Time, seed int64) parityCfg {
 		plan.Down(9, from, from+9)
 		plan.Down(10, from, from+9)
 	}
-	return parityCfg{
-		plan: plan,
-		pol:  RetryPolicy{MaxAttempts: 6, Backoff: 1, BackoffFactor: 2},
-		ov: &overload.Config{
+	return Config{
+		Plan:  plan,
+		Retry: RetryPolicy{MaxAttempts: 6, Backoff: 1, BackoffFactor: 2},
+		Overload: &overload.Config{
 			Admission: overload.QueueBound{MaxQueue: 20},
 			Shedder:   &overload.Shedder{Policy: overload.DropLargestStretch, Watermark: 12, Seed: seed},
 			Ejector:   &overload.Ejector{K: 3, Cooldown: 50},
 		},
-		el: &elastic.Config{Min: 3, WarmUp: 5, Script: []elastic.Event{
+		Elastic: &elastic.Config{Min: 3, WarmUp: 5, Script: []elastic.Event{
 			{At: 0.4 * horizon, Delta: -3}, {At: 0.6 * horizon, Delta: 3}}},
-		hd: &hedge.Config{Quantile: 0.95, MinSamples: 20, CancelRunning: true},
-		rs: &resilience.Config{
+		Hedge: &hedge.Config{Quantile: 0.95, MinSamples: 20, CancelRunning: true},
+		Resilience: &resilience.Config{
 			Jitter: resilience.JitterFull, Seed: seed, RetryBudget: 0.1, BudgetBurst: 3,
 			Breaker: &resilience.BreakerConfig{Window: 5, FailureThreshold: 0.6, Cooldown: 15,
 				HalfOpenProbes: 2, SlowFactor: 3},
@@ -313,8 +313,8 @@ func stackMix(horizon core.Time, seed int64) parityCfg {
 // TestTracerKeepWorstMatchesKeepAll runs each configuration twice — once
 // traced with KeepAll, once with KeepWorst(k) — and checks the bounded
 // tracer retained exactly the k worst traces of the full set, equal in every
-// TaskTrace and AttemptSpan field. The RunElastic trials retry crashes; the
-// stack-mix trials go through Arena.RunResilient with every link armed, so
+// TaskTrace and AttemptSpan field. The elastic trials retry crashes; the
+// stack-mix trials go through Arena.Run with every link armed, so
 // the bounded tracer's traces (recycled across tasks) pass through every
 // attempt outcome and terminal state, which the coverage tally asserts.
 func TestTracerKeepWorstMatchesKeepAll(t *testing.T) {
@@ -344,11 +344,11 @@ func TestTracerKeepWorstMatchesKeepAll(t *testing.T) {
 		seed := rng.Int63()
 		ra, rb := routerPair("EFT-noisy", seed)
 		full := obs.NewTracer(obs.KeepAll())
-		if _, _, err := RunElastic(inst, ra, plan, pol, nil, nil, full); err != nil {
+		if _, _, err := NewArena().Run(inst, ra, Config{Plan: plan, Retry: pol, Probe: full}); err != nil {
 			t.Fatal(err)
 		}
 		bounded := obs.NewTracer(obs.KeepWorst(9))
-		if _, _, err := RunElastic(inst, rb, plan, pol, nil, nil, bounded); err != nil {
+		if _, _, err := NewArena().Run(inst, rb, Config{Plan: plan, Retry: pol, Probe: bounded}); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("elastic trial %d", trial), 9, full, bounded)
@@ -362,7 +362,8 @@ func TestTracerKeepWorstMatchesKeepAll(t *testing.T) {
 		horizon := inst.Tasks[inst.N()-1].Release
 		run := func(tr *obs.Tracer) {
 			c := stackMix(horizon, int64(trial))
-			if _, _, err := arena.RunResilient(inst, EFTRouter{}, c.plan, c.pol, c.ov, c.el, c.hd, c.rs, tr); err != nil {
+			c.Probe = tr
+			if _, _, err := arena.Run(inst, EFTRouter{}, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -393,15 +394,15 @@ func TestTracerKeepWorstMatchesKeepAll(t *testing.T) {
 	}
 }
 
-// TestTracerNilRunAllocs pins the tracing-off contract: RunElastic with a
+// TestTracerNilRunAllocs pins the tracing-off contract: the engine with a
 // nil probe keeps the same steady-state allocation ceiling as before the
 // tracer existed — tracing is pay-for-use, the unobserved hot path is
-// untouched (the benchreg TracerOverheadSimOff pair guards the same line).
+// untouched.
 func TestTracerNilRunAllocs(t *testing.T) {
 	inst := allocInstance(2000, 0.8)
 	arena := NewArena()
 	pinAllocs(t, 50, func() {
-		if _, _, err := arena.RunElastic(inst, EFTRouter{}, nil, RetryPolicy{}, nil, nil, nil); err != nil {
+		if _, _, err := arena.Run(inst, EFTRouter{}, Config{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -430,7 +431,8 @@ func TestStackProbeAllocs(t *testing.T) {
 					probe = obs.Multi(counters, obs.NewTracer(obs.KeepWorst(20)), flight)
 				}
 				c := stackMix(horizon, 47)
-				if _, _, err := arena.RunResilient(inst, EFTRouter{}, c.plan, c.pol, c.ov, c.el, c.hd, c.rs, probe); err != nil {
+				c.Probe = probe
+				if _, _, err := arena.Run(inst, EFTRouter{}, c); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -167,7 +167,7 @@ func Simulate(inst *Instance, router Router) (*Schedule, *SimMetrics, error) {
 	return sim.Run(inst, router)
 }
 
-// Fault injection (internal/faults + internal/sim.RunFaulty).
+// Fault injection (internal/faults + SimConfig.Plan and SimConfig.Retry).
 type (
 	// FaultPlan scripts server outages for a faulty simulation; it
 	// validates, normalizes and round-trips through JSON like instances.
@@ -196,12 +196,3 @@ func GenerateFaultPlan(m int, horizon Time, mtbf, mttr float64, rng *rand.Rand) 
 
 // ReadFaultPlanJSON deserializes and validates a fault plan.
 func ReadFaultPlanJSON(r io.Reader) (*FaultPlan, error) { return faults.ReadPlanJSON(r) }
-
-// SimulateFaulty runs the cluster simulation while replaying the fault
-// plan: failing servers lose their queued and running requests, which fail
-// over to live replicas under the retry policy (requests whose whole
-// processing set is down park until the first replica recovers). A nil or
-// empty plan reproduces Simulate exactly.
-func SimulateFaulty(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy) (*Schedule, *FaultMetrics, error) {
-	return sim.RunFaulty(inst, router, plan, policy)
-}

@@ -1,7 +1,7 @@
 package flowsched
 
 // Facade over the overload-control subsystem (internal/overload +
-// sim.RunGuarded): admission control, load shedding, per-server outlier
+// SimConfig.Overload): admission control, load shedding, per-server outlier
 // ejection and the SLO guard / capacity estimator built on LP (15).
 
 import (
@@ -13,8 +13,8 @@ import (
 
 type (
 	// OverloadConfig bundles the overload controls of one guarded run; any
-	// field may be nil and a nil *OverloadConfig makes SimulateGuarded
-	// byte-identical to SimulateFaulty.
+	// field may be nil, and a nil SimConfig.Overload leaves the run
+	// byte-identical.
 	OverloadConfig = overload.Config
 	// AdmissionPolicy decides, once per arriving task, whether it enters the
 	// system (see AdmitAll, QueueBoundAdmission, DeadlineAdmission).
@@ -65,7 +65,7 @@ func QueueBoundAdmission(maxQueue int, maxBacklog Time) AdmissionPolicy {
 }
 
 // DeadlineAdmission rejects a task when its predicted flow time (earliest
-// finish over its processing set) exceeds d. SimulateGuarded enforces the
+// finish over its processing set) exceeds d. The engine enforces the
 // budget at every dispatch, so completed tasks provably satisfy
 // Fmax ≤ d + p_max — the auditor's "deadline" invariant.
 func DeadlineAdmission(d Time) AdmissionPolicy { return overload.DeadlineAdmit{D: d} }
@@ -92,15 +92,4 @@ func NewCapacityEstimatorAt(capacity float64) *CapacityEstimator {
 // error instead of the late panic inside Strategy.Set.
 func ValidateReplication(s ReplicationStrategy, m int) error {
 	return replicate.Validate(s, m)
-}
-
-// SimulateGuarded is SimulateFaulty with the overload-control subsystem
-// attached: admission control and load shedding keep admitted-task flow
-// times bounded past the capacity λ*, outlier ejection routes around
-// gray-slowed servers, and the SLO guard tracks offered load vs capacity. A
-// nil cfg reproduces SimulateFaulty bit for bit; a nil plan means fault-free.
-// probe may be nil, a Probe, or one that additionally implements
-// OverloadObserver to receive the overload event stream.
-func SimulateGuarded(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, cfg *OverloadConfig, probe Probe) (*Schedule, *OverloadMetrics, error) {
-	return sim.RunGuarded(inst, router, plan, policy, cfg, probe)
 }

@@ -1,14 +1,13 @@
 package flowsched
 
 // Facade over the resilience subsystem (internal/resilience +
-// sim.RunResilient): seeded retry jitter, a cluster-wide retry budget and
+// SimConfig.Resilience): seeded retry jitter, a cluster-wide retry budget and
 // per-server circuit breakers that together keep a healed fault from
 // turning into a metastable retry storm.
 
 import (
 	"flowsched/internal/obs"
 	"flowsched/internal/resilience"
-	"flowsched/internal/sim"
 )
 
 type (
@@ -19,8 +18,7 @@ type (
 	// retries become BudgetDropped tasks instead of parking forever), and
 	// Breaker trips a per-server circuit after a window of failures so
 	// retries stop hammering a down or gray server until a half-open probe
-	// succeeds. A nil *ResilienceConfig makes SimulateResilient
-	// byte-identical to SimulateHedged.
+	// succeeds. A nil SimConfig.Resilience leaves the run byte-identical.
 	ResilienceConfig = resilience.Config
 	// BreakerConfig tunes the per-server circuit breakers: outcome Window,
 	// FailureThreshold fraction that trips, open Cooldown, HalfOpenProbes
@@ -49,20 +47,3 @@ const (
 	JitterEqual        = resilience.JitterEqual
 	JitterDecorrelated = resilience.JitterDecorrelated
 )
-
-// SimulateResilient is SimulateHedged with the resilience layer attached:
-// retry backoff delays are jittered by rcfg.Jitter (seeded, replayable),
-// every retry dispatch first asks the cluster-wide retry budget (a refusal
-// drops the task with the BudgetDropped disposition, keeping the
-// conservation equation RetriesIssued + RetriesDropped == RetriesRequested
-// exact), and each server's circuit breaker gates dispatch: a tripped
-// breaker removes the server from every task's candidate set until the
-// cooldown elapses and a half-open probe dispatch succeeds. Tasks whose
-// only servers sit behind open breakers park and wake on the breaker's
-// state transitions, never spinning.
-//
-// A nil rcfg reproduces SimulateHedged bit for bit; probe may additionally
-// implement ResilienceObserver to receive the resilience event stream.
-func SimulateResilient(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, cfg *OverloadConfig, ecfg *ElasticConfig, hcfg *HedgeConfig, rcfg *ResilienceConfig, probe Probe) (*Schedule, *ElasticMetrics, error) {
-	return sim.RunResilient(inst, router, plan, policy, cfg, ecfg, hcfg, rcfg, probe)
-}

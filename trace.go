@@ -104,12 +104,6 @@ func Observe(inst *Instance, router Router, probe Probe) (*Schedule, *SimMetrics
 	return sim.RunProbed(inst, router, probe)
 }
 
-// ObserveFaulty is SimulateFaulty with a probe attached (completions are
-// reported only when final; crashes surface as failover/retry/drop hooks).
-func ObserveFaulty(inst *Instance, router Router, plan *FaultPlan, policy RetryPolicy, probe Probe) (*Schedule, *FaultMetrics, error) {
-	return sim.RunFaultyProbed(inst, router, plan, policy, probe)
-}
-
 // WriteTimeSeriesSVG renders a sampled run as an SVG chart: backlog area,
 // per-server queue lines, max-flow watermark.
 func WriteTimeSeriesSVG(w io.Writer, samples []TimeSeriesSample, title string) error {
