@@ -39,8 +39,8 @@ type Arena struct {
 
 	// Metrics backing. The metrics value is rebuilt per run; the slices are
 	// recycled. rejected/shedded/reason attach only on guarded runs,
-	// dispatched only on elastic runs — disabled layers keep their nil
-	// fields, exactly as a fresh run would.
+	// dispatched only on elastic or breaker runs — disabled layers keep
+	// their nil fields, exactly as a fresh run would.
 	metrics    ElasticMetrics
 	flows      []core.Time
 	stretches  []core.Time
@@ -57,6 +57,7 @@ type Arena struct {
 
 	// Engine state.
 	live     []bool
+	down     int // servers down right now (live[j] false)
 	curStart []core.Time
 	curEnd   []core.Time
 	busyAdd  []core.Time
@@ -65,11 +66,11 @@ type Arena struct {
 	fq       fifoQueues
 	heads    headIndex
 	parked   []int // requests waiting for any replica to recover
-	wake     []int // swap buffer for wakeAll / restore
+	wake     []int // the tasks a wake walk re-dispatches
 
 	events eventq.Queue[faultEvent]
 
-	liveBuf core.ProcSet // dispatch-time live-subset scratch
+	liveBuf core.ProcSet // candidate-set scratch (candidates)
 
 	// Overload / elastic / hedge / resilience runtimes (their scratch slices
 	// are recycled via the struct fields; see the ocfg/ecfg/hcfg/rcfg setup
@@ -117,6 +118,7 @@ func (a *Arena) Reset(n, m int) {
 	for j := 0; j < m; j++ {
 		a.live[j] = true
 	}
+	a.down = 0
 	a.curStart = resliceZero(a.curStart, n)
 	a.curEnd = resliceZero(a.curEnd, n)
 	a.busyAdd = resliceZero(a.busyAdd, n)

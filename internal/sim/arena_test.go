@@ -156,15 +156,25 @@ func pinAllocs(t *testing.T, ceiling float64, run func()) {
 	}
 }
 
+// TestRunFaultyAllocs pins the reused-arena engine at nil layers: an
+// explicit empty plan and a nil one (the engine substitutes faults.Empty)
+// keep the same steady-state ceiling. A nil probe is part of the contract:
+// tracing is pay-for-use, so the unobserved path allocates no more.
 func TestRunFaultyAllocs(t *testing.T) {
 	inst := allocInstance(2000, 0.8)
-	plan := faults.Empty(15)
-	arena := NewArena()
-	pinAllocs(t, 50, func() {
-		if _, _, err := arena.Run(inst, EFTRouter{}, Config{Plan: plan}); err != nil {
-			t.Fatal(err)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+	}{{"nil-plan", nil}, {"empty-plan", faults.Empty(15)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			arena := NewArena()
+			pinAllocs(t, 50, func() {
+				if _, _, err := arena.Run(inst, EFTRouter{}, Config{Plan: tc.plan}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
 }
 
 func TestRunGuardedAdmitAllocs(t *testing.T) {

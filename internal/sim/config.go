@@ -50,9 +50,12 @@ type Config struct {
 	//     the watermark, in policy order, down to the target backlog. The
 	//     running request is never shed (non-preemptive execution).
 	//   - Ejector observes every final completion and temporarily ejects
-	//     servers whose service-time EWMA is an outlier; dispatch prefers
-	//     non-ejected live replicas but falls back to the live set when the
-	//     whole set is ejected (ejection alone never parks work).
+	//     servers whose service-time EWMA is an outlier. Primaries and hedge
+	//     copies share one candidate rule: the mandatory filters (live,
+	//     breaker-admitted, not the primary's server) apply first, and the
+	//     ejector's preference applies last, keeping the non-ejected
+	//     candidates when any remain and all of them otherwise. Ejection
+	//     alone therefore never parks work.
 	//   - Guard tracks offered load and raises the brownout signal.
 	//   - If Admission implements overload.Budgeted (DeadlineAdmit does),
 	//     the budget is enforced at every dispatch: an attempt that would

@@ -119,8 +119,8 @@ type elRun struct {
 	minM    int
 	maxM    int
 
-	primary []int // per-task ring-walk origin (elastic.RingStart, precomputed)
-	effBuf  core.ProcSet
+	primary []int        // per-task ring-walk origin (elastic.RingStart, precomputed)
+	effBuf  core.ProcSet // effective-set scratch (Arena.candidates)
 
 	ms *elastic.Membership
 }
@@ -208,7 +208,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	if len(plan.Slowdowns) > 0 {
 		slow = plan.ServerSlowdowns()
 	}
-	downCount := 0
 	curStart := a.curStart // start of the current attempt
 	curEnd := a.curEnd     // end of the current attempt
 	busyAdd := a.busyAdd   // busy time credited for the current attempt
@@ -298,12 +297,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		for _, ev := range ecfg.Script {
 			events.Push(ev.At, faultEvent{kind: evScale, task: ev.Delta})
 		}
-		a.dispatched = grow(a.dispatched, n)
-		for i := range a.dispatched {
-			a.dispatched[i] = core.Time(math.NaN())
-		}
 		metrics.Membership = el.ms
-		metrics.Dispatched = a.dispatched
 	}
 
 	// Everything hedging hangs off hd, with the same discipline as ov and
@@ -327,7 +321,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			wonByCopy:  resliceZero(a.hd.wonByCopy, n),
 			copySrv:    grow(a.hd.copySrv, n),
 			copyAt:     grow(a.hd.copyAt, n),
-			effBuf:     a.hd.effBuf,
 			kills:      a.hd.kills[:0],
 			trigAt:     grow(a.hd.trigAt, n),
 			trigSeq:    resliceZero(a.hd.trigSeq, n),
@@ -338,9 +331,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		}
 		for i := range hd.copyAt {
 			hd.copyAt[i] = core.Time(math.NaN())
-		}
-		if cap(hd.effBuf) < m {
-			hd.effBuf = make(core.ProcSet, 0, m)
 		}
 		if hcfg.Quantile > 0 && !hcfg.Tied {
 			hd.hist = obs.NewHistogram()
@@ -370,7 +360,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			probe:   a.rs.probe[:0],
 			curSpan: a.rs.curSpan[:0],
 			spans:   a.rs.spans[:0],
-			brkBuf:  a.rs.brkBuf,
 		}
 		rs.ro, _ = probe.(obs.ResilienceObserver)
 		if rcfg.RetryBudget > 0 {
@@ -387,21 +376,18 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			rs.probe = resliceZero(rs.probe, n)
 			rs.curSpan = resliceZero(rs.curSpan, m)
 			metrics.ProbeDispatch = rs.probe
-			if cap(rs.brkBuf) < m {
-				rs.brkBuf = make(core.ProcSet, 0, m)
-			}
-			if el == nil {
-				// Breaker legality is audited against dispatch instants, so
-				// record them even without an elastic config (which fills
-				// this same arena vector itself).
-				a.dispatched = grow(a.dispatched, n)
-				for i := range a.dispatched {
-					a.dispatched[i] = core.Time(math.NaN())
-				}
-				metrics.Dispatched = a.dispatched
-			}
-			rs.disp = a.dispatched
 		}
+	}
+
+	if el != nil || (rs != nil && rs.brk != nil) {
+		// The auditor checks membership eligibility and breaker legality at
+		// each task's final dispatch instant; dispatch and a winning copy
+		// record it whenever the vector is set.
+		a.dispatched = grow(a.dispatched, n)
+		for i := range a.dispatched {
+			a.dispatched[i] = core.Time(math.NaN())
+		}
+		metrics.Dispatched = a.dispatched
 	}
 
 	// Hedge helpers, assigned only on hedged runs (closure values allocate;
@@ -411,12 +397,52 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		hedgeIssue     func(id int, now core.Time) error
 		hedgeThreshold func() core.Time
 		killCopy       func(rid int, now core.Time)
-		copyGone       func(rid int, now core.Time)
+		settleCopy     func(rid, j int, now core.Time, started bool)
 		tiedResolve    func(id int, when core.Time)
 	)
 
+	// feed reports the effective completion of attempt id on srv at when to
+	// the ejector (as a service-time factor) and to srv's breaker: on time
+	// is a success, SlowFactor-late is a failure (how a gray-slow server
+	// trips without ever crashing). A completing probe settles the
+	// half-open state instead; its probe mark stays set — that is the
+	// ProbeDispatch metric the auditor reads. A copy (id ≥ n) is never a
+	// probe: it goes only to closed breakers.
+	feed := func(id, srv int, when core.Time) {
+		rid := id
+		if rid >= n {
+			rid -= n
+		}
+		if ov != nil && ov.cfg.Ejector != nil {
+			if proc := inst.Tasks[rid].Proc; proc > 0 {
+				factor := float64((when - curStart[id]) / proc)
+				if ov.cfg.Ejector.Observe(srv, factor, when) {
+					metrics.Ejections++
+					if ov.op != nil {
+						ov.op.OnEject(srv, when)
+					}
+				}
+			}
+		}
+		if rs != nil && rs.brk != nil {
+			f := rs.failed(inst, rid, curStart[id], when)
+			if id < n && rs.probe[id] {
+				closedNow, openedNow := rs.brk.ObserveProbe(srv, f, when)
+				if closedNow {
+					rs.closed(srv, when, metrics, events)
+				}
+				if openedNow {
+					rs.opened(srv, when, metrics, events)
+				}
+			} else if rs.brk.Observe(srv, f, when) {
+				rs.opened(srv, when, metrics, events)
+			}
+		}
+	}
+
 	// drain settles completions up to instant upTo in time order: the next
-	// one is always the head of the server the head index ranks first.
+	// one is always the head of the server the head index ranks first. The
+	// latest effective completion is the run's makespan.
 	drain := func(upTo core.Time) {
 		for {
 			srv, when, ok := a.heads.min()
@@ -435,8 +461,8 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 				}
 			}
 			id := fq.head[srv] // the completing attempt
+			rid := id
 			if hd != nil {
-				rid := id
 				if rid >= n {
 					rid -= n
 				}
@@ -454,84 +480,59 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 					continue
 				}
 				hd.done[rid] = true
-				if when > hd.maxEnd {
-					hd.maxEnd = when
-				}
 				if hd.hist != nil {
 					hd.hist.Observe(float64(when - inst.Tasks[rid].Release))
 				}
-				if id >= n {
-					// The speculative copy finished first: it is the
-					// effective completion. Record it as the task's schedule
-					// entry, then cancel (or abandon) the primary attempt.
-					t := inst.Tasks[rid]
-					pj := a.machine[rid] // primary's server, before the winner overwrites it
-					if probe != nil {
-						probe.OnComplete(rid, srv, t.Release, t.Proc, when)
-					}
-					a.popHead(srv)
-					hd.copyLive[rid] = false
-					hd.wonByCopy[rid] = true
-					if hd.resolveCopy(rid) {
-						metrics.HedgeWinsCopy++
-					}
-					metrics.Flows[rid] = when - t.Release
-					metrics.Stretches[rid] = stretchOf(when-t.Release, t.Proc)
-					sched.Assign(rid, srv, curStart[id])
-					if el != nil {
-						metrics.Dispatched[rid] = hd.copyAt[rid]
-					} else if rs != nil && rs.disp != nil {
-						rs.disp[rid] = hd.copyAt[rid]
-					}
-					if hd.priIn[rid] {
-						started := curStart[rid] < when
-						a.cancelAttempt(inst, slow, rid, pj, when, hd.cfg.CancelRunning)
-						hd.priIn[rid] = false
-						if rs != nil && rs.brk != nil && rs.probe[rid] {
-							// The cancelled primary was a half-open probe:
-							// refund its slot, it resolves without an outcome.
-							// The freed slot is admissible capacity — wake
-							// parked work via a same-instant breaker event.
-							rs.brk.AbortProbe(pj)
-							rs.probe[rid] = false
-							events.Push(when, faultEvent{kind: evBreaker, server: pj})
-						}
-						if hd.ho != nil {
-							hd.ho.OnHedgeCancel(rid, pj, when, started)
-						}
-					}
-					if ov != nil && ov.cfg.Ejector != nil {
-						if proc := t.Proc; proc > 0 {
-							factor := float64((when - curStart[id]) / proc)
-							if ov.cfg.Ejector.Observe(srv, factor, when) {
-								metrics.Ejections++
-								if ov.op != nil {
-									ov.op.OnEject(srv, when)
-								}
-							}
-						}
-					}
-					if rs != nil && rs.brk != nil {
-						// A copy is never a probe (it goes only to closed
-						// breakers), so its completion feeds the window.
-						if rs.brk.Observe(srv, rs.failed(inst, rid, curStart[id], when), when) {
-							rs.opened(srv, when, metrics, events)
-						}
-					}
+			}
+			if when > metrics.Makespan {
+				metrics.Makespan = when
+			}
+			if id >= n {
+				// The speculative copy finished first: it is the effective
+				// completion. Record it as the task's schedule entry, then
+				// cancel (or abandon) the primary attempt.
+				t := inst.Tasks[rid]
+				pj := a.machine[rid] // primary's server, before the winner overwrites it
+				if probe != nil {
+					probe.OnComplete(rid, srv, t.Release, t.Proc, when)
+				}
+				a.popHead(srv)
+				hd.copyLive[rid] = false
+				hd.wonByCopy[rid] = true
+				if hd.resolveCopy(rid) {
+					metrics.HedgeWinsCopy++
+				}
+				metrics.Flows[rid] = when - t.Release
+				metrics.Stretches[rid] = stretchOf(when-t.Release, t.Proc)
+				sched.Assign(rid, srv, curStart[id])
+				if metrics.Dispatched != nil {
+					metrics.Dispatched[rid] = hd.copyAt[rid]
+				}
+				if hd.priIn[rid] {
+					started := curStart[rid] < when
+					a.cancelAttempt(inst, slow, rid, pj, when, hd.cfg.CancelRunning)
+					hd.priIn[rid] = false
+					rs.refundProbe(rid, pj, when, events)
 					if hd.ho != nil {
-						hd.ho.OnHedgeWin(rid, srv, true, when)
+						hd.ho.OnHedgeCancel(rid, pj, when, started)
 					}
-					continue
 				}
+				feed(id, srv, when)
+				if hd.ho != nil {
+					hd.ho.OnHedgeWin(rid, srv, true, when)
+				}
+				continue
+			}
+			if hd != nil {
 				// The primary finished first: first-win cancels the copy.
-				hd.priIn[rid] = false
-				if hd.copyLive[rid] {
-					killCopy(rid, when)
+				hd.priIn[id] = false
+				if hd.copyLive[id] {
+					killCopy(id, when)
 				}
-				if hd.hedged[rid] {
+				if hd.hedged[id] {
 					metrics.HedgeWinsPrimary++
 					if hd.ho != nil {
-						hd.ho.OnHedgeWin(rid, srv, false, when)
+						hd.ho.OnHedgeWin(id, srv, false, when)
 					}
 				}
 			}
@@ -540,36 +541,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 				probe.OnComplete(id, srv, t.Release, t.Proc, when)
 			}
 			a.popHead(srv)
-			if ov != nil && ov.cfg.Ejector != nil {
-				if proc := inst.Tasks[id].Proc; proc > 0 {
-					factor := float64((when - curStart[id]) / proc)
-					if ov.cfg.Ejector.Observe(srv, factor, when) {
-						metrics.Ejections++
-						if ov.op != nil {
-							ov.op.OnEject(srv, when)
-						}
-					}
-				}
-			}
-			if rs != nil && rs.brk != nil {
-				// An effective completion feeds the server's breaker: on time
-				// is a success, SlowFactor-late is a failure (how a gray-slow
-				// server trips without ever crashing). A completing probe
-				// settles the half-open state instead; its probe mark stays
-				// set — that is the ProbeDispatch metric the auditor reads.
-				f := rs.failed(inst, id, curStart[id], when)
-				if rs.probe[id] {
-					closedNow, openedNow := rs.brk.ObserveProbe(srv, f, when)
-					if closedNow {
-						rs.closed(srv, when, metrics, events)
-					}
-					if openedNow {
-						rs.opened(srv, when, metrics, events)
-					}
-				} else if rs.brk.Observe(srv, f, when) {
-					rs.opened(srv, when, metrics, events)
-				}
-			}
+			feed(id, srv, when)
 		}
 	}
 
@@ -605,61 +577,29 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		}
 	}
 
-	// liveBuf is reused across dispatches: the live view handed to the
-	// router is only read within the Pick call, never retained.
-	liveSubset := func(set core.ProcSet) core.ProcSet {
-		out := a.liveBuf[:0]
-		if set == nil {
-			for j := 0; j < m; j++ {
-				if live[j] {
-					out = append(out, j)
-				}
-			}
-		} else {
-			for _, j := range set {
-				if live[j] {
-					out = append(out, j)
-				}
-			}
+	// dropOrDefer drops request id at instant now, unless its hedge copy is
+	// still live and may yet complete the task: then the drop waits until
+	// the copy resolves (settleCopy).
+	dropOrDefer := func(id int, now core.Time) {
+		if hd != nil && hd.copyLive[id] {
+			hd.priDropped[id] = true
+			return
 		}
-		return out
+		drop(id, now)
 	}
 
 	// dispatch routes request id at instant now (its release, a failover
 	// instant, a recovery instant, or a drain handoff). The arithmetic
-	// mirrors Run exactly so an empty plan reproduces it bit for bit.
+	// mirrors Run exactly so an empty plan reproduces it bit for bit. A
+	// request no server may take parks; a recovery, join or breaker
+	// transition wakes it (the breakers arm an event for every transition,
+	// so a breaker-blocked request never livelocks).
 	dispatch := func(id int, now core.Time) error {
 		if hd != nil && hd.done[id] {
 			// Already completed by its hedge copy: a retry, wake or handoff
 			// racing the win resolves to a no-op (never a second completion).
 			return nil
 		}
-		task := inst.Tasks[id]
-		view := task
-		if el != nil {
-			// Remap the static set onto the active subring. With at least one
-			// active member (members ≥ minM ≥ 1) the walk always yields a
-			// non-empty set, so parking here is defensive only; crashed
-			// machines are filtered below, exactly as in the static engine.
-			k := len(task.Set)
-			if task.Set == nil {
-				k = el.members
-			} else if k == 0 {
-				return fmt.Errorf("sim: task %d has an empty processing set: no eligible server", id)
-			}
-			eff := elastic.Effective(el.active, el.primary[id], k, el.effBuf)
-			el.effBuf = eff
-			if len(eff) == 0 {
-				if hd != nil {
-					hd.priIn[id] = false
-				}
-				metrics.Parked[id] = true
-				parked = append(parked, id)
-				return nil
-			}
-			view.Set = eff
-		}
-		ejecting := false
 		if ov != nil && ov.cfg.Ejector != nil {
 			ov.cfg.Ejector.Readmit(now, func(j int) {
 				metrics.Readmissions++
@@ -667,88 +607,21 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 					ov.op.OnReadmit(j, now)
 				}
 			})
-			ejecting = ov.cfg.Ejector.NumEjected() > 0
 		}
-		if downCount > 0 || ejecting {
-			eff := liveSubset(view.Set)
-			if len(eff) == 0 {
-				if hd != nil {
-					hd.priIn[id] = false
-				}
-				metrics.Parked[id] = true
-				parked = append(parked, id)
-				return nil
+		cands, ok := a.candidates(inst, el, ov, rs, id, -1)
+		if !ok {
+			if hd != nil {
+				hd.priIn[id] = false
 			}
-			if ejecting {
-				// Prefer non-ejected live replicas; if the whole live set is
-				// ejected, fall back to it — ejection is advisory and never
-				// parks work on its own.
-				keep := ov.ejBuf[:0]
-				for _, j := range eff {
-					if !ov.view.Ejected[j] {
-						keep = append(keep, j)
-					}
-				}
-				if len(keep) > 0 {
-					eff = keep
-				}
-			}
-			view.Set = eff
+			metrics.Parked[id] = true
+			parked = append(parked, id)
+			return nil
 		}
-		if rs != nil && rs.brk != nil {
-			// Failover routing consults the breakers: open servers leave the
-			// candidate set, half-open ones stay only while a probe slot is
-			// free. Unlike ejection this is mandatory, so a task whose whole
-			// set is breaker-blocked parks — it wakes at the next breaker
-			// transition (every open arms a cooldown event and every close
-			// pushes one), never livelocks.
-			out := rs.brkBuf[:0]
-			if view.Set == nil {
-				for j := 0; j < m; j++ {
-					if live[j] && rs.brk.Allow(j) {
-						out = append(out, j)
-					}
-				}
-			} else {
-				for _, j := range view.Set {
-					if rs.brk.Allow(j) {
-						out = append(out, j)
-					}
-				}
-			}
-			if len(out) == 0 {
-				if hd != nil {
-					hd.priIn[id] = false
-				}
-				metrics.Parked[id] = true
-				parked = append(parked, id)
-				return nil
-			}
-			view.Set = out
+		j, start, end, busy, err := a.place(inst, router, slow, cands, id, now)
+		if err != nil {
+			return err
 		}
-		view.Release = now // failover re-dispatches cannot start before now
-		j := router.Pick(st, view)
-		if j < 0 || j >= m || !view.Eligible(j) {
-			return fmt.Errorf("sim: router %s picked invalid server M%d for task %d (live set %v)",
-				router.Name(), j+1, id, view.Set)
-		}
-		if !live[j] {
-			return fmt.Errorf("sim: router %s picked dead server M%d for task %d at t=%v",
-				router.Name(), j+1, id, now)
-		}
-		start := st.Completion[j]
-		if now > start {
-			start = now
-		}
-		end := start + task.Proc
-		busy := task.Proc
-		if slow != nil && len(slow[j]) > 0 {
-			// Gray failure: work on j advances at rate 1/Factor inside its
-			// slowdown segments, so the attempt occupies [start, end) with
-			// end from the piecewise integration, and all of it is busy time.
-			end = faults.FinishTime(slow[j], start, task.Proc)
-			busy = end - start
-		}
+		task := inst.Tasks[id]
 		if ov != nil && ov.budget > 0 && end-task.Release > ov.budget+task.Proc {
 			// Deadline enforcement: this attempt would already blow the
 			// admitted-task budget, so completing it is pointless — shed
@@ -763,10 +636,8 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			return nil
 		}
 		metrics.Attempts[id]++
-		if el != nil {
+		if metrics.Dispatched != nil {
 			metrics.Dispatched[id] = now
-		} else if rs != nil && rs.disp != nil {
-			rs.disp[id] = now
 		}
 		if rs != nil {
 			if rs.budgetOn && metrics.Attempts[id] == 1 {
@@ -774,8 +645,8 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			}
 			if rs.brk != nil {
 				if rs.brk.State(j) == resilience.HalfOpen {
-					// Every half-open dispatch is a probe (Allow admitted it
-					// into a probe slot above).
+					// Every half-open dispatch is a probe (the candidate
+					// rule admitted it into a free probe slot).
 					rs.brk.StartProbe(j)
 					rs.probe[id] = true
 					metrics.BreakerProbes++
@@ -834,13 +705,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	// RetriesIssued + RetriesDropped == RetriesRequested is exact.
 	requeue := func(id int, now core.Time) {
 		if policy.MaxAttempts > 0 && metrics.Attempts[id] >= policy.MaxAttempts {
-			if hd != nil && hd.copyLive[id] {
-				// The copy is still in flight and may yet complete the task:
-				// defer the drop until the copy resolves (copyGone).
-				hd.priDropped[id] = true
-				return
-			}
-			drop(id, now)
+			dropOrDefer(id, now)
 			return
 		}
 		d := policy.delay(metrics.Attempts[id])
@@ -856,11 +721,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		}
 		next := now + d
 		if policy.Timeout > 0 && next-inst.Tasks[id].Release > policy.Timeout {
-			if hd != nil && hd.copyLive[id] {
-				hd.priDropped[id] = true
-				return
-			}
-			drop(id, now)
+			dropOrDefer(id, now)
 			return
 		}
 		if rs != nil {
@@ -871,12 +732,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 				if rs.ro != nil {
 					rs.ro.OnRetryBudgetDrop(id, metrics.Attempts[id], now)
 				}
-				if hd != nil && hd.copyLive[id] {
-					// Dropped unless its live hedge copy completes it.
-					hd.priDropped[id] = true
-					return
-				}
-				drop(id, now)
+				dropOrDefer(id, now)
 				return
 			}
 			metrics.RetriesIssued++
@@ -903,12 +759,23 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			}
 			return -1
 		}
-		// copyGone resolves the primary's deferred fate once its copy is gone:
-		// a drop decision postponed while the copy was live, or a tied-mode
-		// revocation that left the copy as the sole attempt. Callers settle
-		// the copy's own bookkeeping (copyLive, HedgesCancelled, OnHedgeCancel)
-		// before calling.
-		copyGone = func(rid int, now core.Time) {
+		// settleCopy books task rid's copy, lost on server j at instant now to
+		// a crash, drain or trim, as cancelled (once); callers book its time
+		// as duplicate or cancelled work. Unless the task is done, the
+		// primary's deferred fate then resolves: a drop postponed while the
+		// copy was live, or a tied-mode revocation that left the copy as the
+		// sole attempt.
+		settleCopy = func(rid, j int, now core.Time, started bool) {
+			hd.copyLive[rid] = false
+			if hd.done[rid] {
+				return
+			}
+			if hd.resolveCopy(rid) {
+				metrics.HedgesCancelled++
+				if hd.ho != nil {
+					hd.ho.OnHedgeCancel(rid, j, now, started)
+				}
+			}
 			if hd.priDropped[rid] {
 				hd.priDropped[rid] = false
 				drop(rid, now)
@@ -953,83 +820,19 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			if hd.cfg.MaxHedges > 0 && metrics.HedgesIssued >= hd.cfg.MaxHedges {
 				return nil
 			}
-			task := inst.Tasks[id]
-			view := task
-			set := task.Set
-			if el != nil {
-				// Remap onto the active subring, exactly as dispatch does.
-				k := len(set)
-				if set == nil {
-					k = el.members
-				}
-				set = elastic.Effective(el.active, el.primary[id], k, hd.effBuf)
-				hd.effBuf = set
-			}
-			ejecting := false
-			if ov != nil && ov.cfg.Ejector != nil {
-				ejecting = ov.cfg.Ejector.NumEjected() > 0
-			}
 			pj := -1
 			if hd.priIn[id] {
 				pj = a.machine[id]
 			}
-			// Candidates: the (effective) set minus the primary's server, the
-			// dead, and (on resilient runs) servers whose breaker is not
-			// closed — a speculative copy is never spent as a half-open
-			// probe. When set aliases hd.effBuf the filter runs in place.
-			cands := hd.effBuf[:0]
-			if set == nil {
-				for j := 0; j < m; j++ {
-					if j != pj && live[j] && (rs == nil || rs.brk == nil || rs.brk.State(j) == resilience.Closed) {
-						cands = append(cands, j)
-					}
-				}
-			} else {
-				for _, j := range set {
-					if j != pj && live[j] && (rs == nil || rs.brk == nil || rs.brk.State(j) == resilience.Closed) {
-						cands = append(cands, j)
-					}
-				}
-			}
-			hd.effBuf = cands
-			if ejecting {
-				// Prefer non-ejected candidates, with the same advisory
-				// fallback as dispatch.
-				keep := ov.ejBuf[:0]
-				for _, j := range cands {
-					if !ov.view.Ejected[j] {
-						keep = append(keep, j)
-					}
-				}
-				if len(keep) > 0 {
-					cands = keep
-				}
-			}
-			if len(cands) == 0 {
+			cands, ok := a.candidates(inst, el, ov, rs, n+id, pj)
+			if !ok {
 				return nil // no alternate server exists: skip the hedge
 			}
-			view.Set = cands
-			view.Release = now
-			j := router.Pick(st, view)
-			if j < 0 || j >= m || !view.Eligible(j) {
-				return fmt.Errorf("sim: router %s picked invalid server M%d for hedge copy of task %d (live set %v)",
-					router.Name(), j+1, id, view.Set)
+			j, start, end, busy, err := a.place(inst, router, slow, cands, n+id, now)
+			if err != nil {
+				return err
 			}
-			if !live[j] {
-				return fmt.Errorf("sim: router %s picked dead server M%d for hedge copy of task %d at t=%v",
-					router.Name(), j+1, id, now)
-			}
-			start := st.Completion[j]
-			if now > start {
-				start = now
-			}
-			end := start + task.Proc
-			busy := task.Proc
-			if slow != nil && len(slow[j]) > 0 {
-				end = faults.FinishTime(slow[j], start, task.Proc)
-				busy = end - start
-			}
-			if ov != nil && ov.budget > 0 && end-task.Release > ov.budget+task.Proc {
+			if t := inst.Tasks[id]; ov != nil && ov.budget > 0 && end-t.Release > ov.budget+t.Proc {
 				return nil // the copy could not beat the admitted budget either
 			}
 			a.enqueue(j, n+id, start, end, busy)
@@ -1087,13 +890,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			if a.cancelAttempt(inst, slow, id, pj, when, hd.cfg.CancelRunning) {
 				hd.priIn[id] = false
 				hd.priRevoked[id] = true
-				if rs != nil && rs.brk != nil && rs.probe[id] {
-					// The revoked primary was a half-open probe: refund,
-					// and wake parked work — the slot is free again.
-					rs.brk.AbortProbe(pj)
-					rs.probe[id] = false
-					events.Push(when, faultEvent{kind: evBreaker, server: pj})
-				}
+				rs.refundProbe(id, pj, when, events)
 				if hd.ho != nil {
 					hd.ho.OnHedgeCancel(id, pj, when, started)
 				}
@@ -1103,7 +900,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 
 	fail := func(j int, now core.Time) {
 		live[j] = false
-		downCount++
+		a.down++
 		lost := 0
 		for id := fq.head[j]; id >= 0; id = fq.next[id] {
 			lost++
@@ -1139,20 +936,9 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			if hd != nil {
 				if id >= n {
 					// A crashed speculative copy: its executed part is burned
-					// duplicate work; a copy is never retried. Resolve the
-					// primary's deferred fate if the copy was its last hope.
-					rid := id - n
+					// duplicate work; a copy is never retried.
 					metrics.DuplicateWork += executed
-					hd.copyLive[rid] = false
-					if !hd.done[rid] {
-						if hd.resolveCopy(rid) {
-							metrics.HedgesCancelled++
-							if hd.ho != nil {
-								hd.ho.OnHedgeCancel(rid, j, now, curStart[id] < now)
-							}
-						}
-						copyGone(rid, now)
-					}
+					settleCopy(id-n, j, now, curStart[id] < now)
 					id = nxt
 					continue
 				}
@@ -1171,31 +957,28 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		}
 	}
 
-	// wakeAll re-dispatches every parked task (membership changes remap
-	// effective sets, so the static per-machine eligibility filter would wake
-	// too few; dispatch re-parks the still-unservable ones). The parked and
-	// wake buffers ping-pong: re-parks during the walk land in the other
-	// backing array, so nothing is overwritten mid-iteration.
-	wakeAll := func(now core.Time) error {
-		wake := parked
-		parked = a.wake[:0]
-		a.wake = wake[:0] // recycled once the walk below has consumed it
-		// Re-anchor a.parked immediately: a breaker-closing final drain runs
-		// wakeAll after the loop-exit a.parked assignment, and leaving the
-		// swap unrecorded would hand the NEXT run a.parked and a.wake on the
-		// same backing array — restore would then build its still/wake lists
-		// aliased, waking tasks that are already queued.
-		a.parked = parked
-		for _, id := range wake {
+	// wake re-dispatches parked tasks at instant now: every one (j < 0), or
+	// only those eligible on recovered server j. A membership change remaps
+	// effective sets and a breaker transition frees capacity anywhere, so
+	// both wake everything; dispatch re-parks the still-unservable ones.
+	// The woken tasks move to a.wake, apart from parked, so re-parks during
+	// the walk overwrite nothing it has yet to read.
+	wake := func(j int, now core.Time) error {
+		still, woken := parked[:0], a.wake[:0]
+		for _, id := range parked {
+			if j < 0 || inst.Tasks[id].Eligible(j) {
+				woken = append(woken, id)
+			} else {
+				still = append(still, id)
+			}
+		}
+		parked, a.wake = still, woken
+		for _, id := range woken {
 			if hd != nil && hd.done[id] {
 				continue // completed by its copy while parked
 			}
 			if policy.Timeout > 0 && now-inst.Tasks[id].Release > policy.Timeout {
-				if hd != nil && hd.copyLive[id] {
-					hd.priDropped[id] = true
-					continue
-				}
-				drop(id, now)
+				dropOrDefer(id, now)
 				continue
 			}
 			if err := dispatch(id, now); err != nil {
@@ -1207,38 +990,11 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 
 	restore := func(j int, now core.Time) error {
 		live[j] = true
-		downCount--
+		a.down--
 		if el != nil {
-			return wakeAll(now)
+			j = -1 // effective sets depend on membership, not on j alone
 		}
-		still := parked[:0]
-		wake := a.wake[:0]
-		for _, id := range parked {
-			if inst.Tasks[id].Eligible(j) {
-				wake = append(wake, id)
-			} else {
-				still = append(still, id)
-			}
-		}
-		parked = still
-		a.wake = wake // keep (possibly re-grown) backing for the next restore
-		for _, id := range wake {
-			if hd != nil && hd.done[id] {
-				continue // completed by its copy while parked
-			}
-			if policy.Timeout > 0 && now-inst.Tasks[id].Release > policy.Timeout {
-				if hd != nil && hd.copyLive[id] {
-					hd.priDropped[id] = true
-					continue
-				}
-				drop(id, now)
-				continue
-			}
-			if err := dispatch(id, now); err != nil {
-				return err
-			}
-		}
-		return nil
+		return wake(j, now)
 	}
 
 	// scaleUp commits to activating d machines at instant now: each picks the
@@ -1284,7 +1040,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		if el.mo != nil {
 			el.mo.OnJoin(j, now, el.members)
 		}
-		return wakeAll(now)
+		return wake(-1, now)
 	}
 
 	// scaleDown drains d machines at instant now, highest active slot first:
@@ -1339,30 +1095,15 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			for id := movedHead; id >= 0; {
 				nxt := fq.next[id] // before dispatch: a re-queue relinks id
 				metrics.Busy[victim] -= busyAdd[id]
-				if rs != nil && rs.brk != nil && id < n && rs.probe[id] {
-					// A half-open probe racing the drain: the attempt hands
-					// off without an outcome, so refund the probe slot and
-					// wake parked work — the slot is free again.
-					rs.brk.AbortProbe(victim)
-					rs.probe[id] = false
-					events.Push(now, faultEvent{kind: evBreaker, server: victim})
-				}
+				// A half-open probe racing the drain hands off without an
+				// outcome.
+				rs.refundProbe(id, victim, now, events)
 				if hd != nil {
 					if id >= n {
 						// A drained speculative copy is cancelled, not handed
 						// off — the primary (wherever it is) carries the task.
-						rid := id - n
-						hd.copyLive[rid] = false
 						metrics.CancelledWork += busyAdd[id]
-						if !hd.done[rid] {
-							if hd.resolveCopy(rid) {
-								metrics.HedgesCancelled++
-								if hd.ho != nil {
-									hd.ho.OnHedgeCancel(rid, victim, now, false)
-								}
-							}
-							copyGone(rid, now)
-						}
+						settleCopy(id-n, victim, now, false)
 						id = nxt
 						continue
 					}
@@ -1454,28 +1195,14 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			if hd != nil && c.ID >= n {
 				// Trimming a speculative copy cancels just the copy; the task
 				// keeps its primary attempt and no shed disposition is taken.
-				rid := c.ID - n
-				hd.copyLive[rid] = false
 				metrics.CancelledWork += busyAdd[c.ID]
-				if !hd.done[rid] {
-					if hd.resolveCopy(rid) {
-						metrics.HedgesCancelled++
-						if hd.ho != nil {
-							hd.ho.OnHedgeCancel(rid, j, now, false)
-						}
-					}
-					copyGone(rid, now)
-				}
+				settleCopy(c.ID-n, j, now, false)
 				dropped++
 				continue
 			}
-			if rs != nil && rs.brk != nil && rs.probe[c.ID] {
-				// A queued probe trimmed by the shedder: no outcome, refund
-				// and wake parked work — the slot is free again.
-				rs.brk.AbortProbe(j)
-				rs.probe[c.ID] = false
-				events.Push(now, faultEvent{kind: evBreaker, server: j})
-			}
+			// A queued probe trimmed by the shedder resolves without an
+			// outcome.
+			rs.refundProbe(c.ID, j, now, events)
 			shed(c.ID, j, now, ov.shedReason)
 			if hd != nil {
 				hd.priIn[c.ID] = false
@@ -1570,7 +1297,17 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	}
 
 	next := 0 // next arrival index
-	for next < n || events.Len() > 0 {
+	for {
+		if next >= n && events.Len() == 0 {
+			// Only completions remain. Settling them can still move a
+			// breaker — a close wakes parked work (whose fresh completions
+			// extend the run), an open arms a cooldown — so the loop goes
+			// on while events appear.
+			drain(core.Time(math.Inf(1)))
+			if events.Len() == 0 {
+				break
+			}
+		}
 		if events.Len() > 0 {
 			when, _ := events.Peek()
 			if next >= n || when <= inst.Tasks[next].Release {
@@ -1623,7 +1360,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 						if rs.brk.Tick(ev.server, when) {
 							rs.halfOpened(ev.server, when)
 						}
-						if err := wakeAll(when); err != nil {
+						if err := wake(-1, when); err != nil {
 							return nil, nil, err
 						}
 					}
@@ -1660,78 +1397,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	}
 	a.parked = parked[:0] // keep a re-grown backing for the next run
 
-	if rs != nil && rs.brk != nil {
-		// Completions in the final drain can still move breakers — a close
-		// wakes parked work (whose fresh completions extend the run), an
-		// open arms a cooldown that must fire in time order — so the drain
-		// re-enters event processing until both queues are dry. Only
-		// breaker, retry, and hedge timer events can appear here: the
-		// fault plan and the membership script were consumed by the main
-		// loop. The makespan is derived afterwards, from what actually
-		// completed.
-		for {
-			drain(core.Time(math.Inf(1)))
-			if events.Len() == 0 {
-				break
-			}
-			when, ev := events.Pop()
-			st.Now = when
-			switch ev.kind {
-			case evRetry:
-				if err := dispatch(ev.task, when); err != nil {
-					return nil, nil, err
-				}
-			case evHedge:
-				if err := hedgeIssue(ev.task, when); err != nil {
-					return nil, nil, err
-				}
-			case evTied:
-				tiedResolve(ev.task, when)
-			case evBreaker:
-				if rs.brk.Tick(ev.server, when) {
-					rs.halfOpened(ev.server, when)
-				}
-				if err := wakeAll(when); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		if hd != nil {
-			metrics.Makespan = hd.maxEnd
-		} else {
-			for id := 0; id < n; id++ {
-				if metrics.Dropped[id] {
-					continue
-				}
-				if ov != nil && (metrics.Rejected[id] || metrics.Shed[id]) {
-					continue
-				}
-				if curEnd[id] > metrics.Makespan {
-					metrics.Makespan = curEnd[id]
-				}
-			}
-		}
-	} else if hd != nil {
-		// Under hedging a task's curEnd may belong to a losing attempt, so
-		// the makespan is the latest *effective* completion, tracked by
-		// drain; draining to +Inf also settles losing attempts that ran to
-		// completion after the last effective one.
-		drain(core.Time(math.Inf(1)))
-		metrics.Makespan = hd.maxEnd
-	} else {
-		for id := 0; id < n; id++ {
-			if metrics.Dropped[id] {
-				continue
-			}
-			if ov != nil && (metrics.Rejected[id] || metrics.Shed[id]) {
-				continue
-			}
-			if curEnd[id] > metrics.Makespan {
-				metrics.Makespan = curEnd[id]
-			}
-		}
-		drain(metrics.Makespan)
-	}
 	metrics.Horizon = metrics.Makespan
 	if end := plan.End(); end > metrics.Horizon {
 		metrics.Horizon = end
@@ -1749,4 +1414,110 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		probe.OnDone(metrics.Makespan)
 	}
 	return sched, metrics, nil
+}
+
+// candidates returns the servers attempt aid (task id, or its hedge copy
+// n + id) may be placed on at this instant: the one candidate rule, shared
+// by primaries and copies. On elastic runs the task's set is first
+// remapped onto the active subring. The mandatory filters then drop
+// crashed servers, servers whose breaker refuses the attempt (a primary
+// may take a free half-open probe slot, a copy only a closed breaker) and
+// the primary's own server pj (−1: none). The ejector's advisory
+// preference applies last: it keeps the non-ejected candidates when any
+// exist, so ejection alone never parks work. ok is false when no server
+// may take the attempt. With nothing to filter the set passes through (nil
+// is the full set; sets are validated non-empty and a remap keeps at least
+// one active member); otherwise the result is arena scratch, valid until
+// the next call.
+func (a *Arena) candidates(inst *core.Instance, el *elRun, ov *ovRun, rs *rsRun, aid, pj int) (cands core.ProcSet, ok bool) {
+	id := aid
+	if id >= len(inst.Tasks) {
+		id -= len(inst.Tasks)
+	}
+	hedgeCopy := id != aid
+	set := inst.Tasks[id].Set
+	if el != nil {
+		k := len(set)
+		if set == nil {
+			k = el.members
+		}
+		set = elastic.Effective(el.active, el.primary[id], k, el.effBuf)
+		el.effBuf = set
+	}
+	ejecting := ov != nil && ov.cfg.Ejector != nil && ov.cfg.Ejector.NumEjected() > 0
+	var brk *resilience.Breakers
+	if rs != nil {
+		brk = rs.brk
+	}
+	if !hedgeCopy && a.down == 0 && brk == nil && !ejecting {
+		return set, true
+	}
+	out := a.liveBuf[:0]
+	size := len(set)
+	if set == nil {
+		size = a.st.M
+	}
+	for i := 0; i < size; i++ {
+		j := i
+		if set != nil {
+			j = set[i]
+		}
+		if j == pj || !a.live[j] {
+			continue
+		}
+		if brk != nil && brk.State(j) != resilience.Closed && (hedgeCopy || !brk.Allow(j)) {
+			continue
+		}
+		out = append(out, j)
+	}
+	if ejecting {
+		keep := ov.ejBuf[:0]
+		for _, j := range out {
+			if !ov.view.Ejected[j] {
+				keep = append(keep, j)
+			}
+		}
+		if len(keep) > 0 {
+			out = keep
+		}
+	}
+	return out, len(out) > 0
+}
+
+// place picks the server of attempt aid (task id, or its hedge copy n + id)
+// among cands at instant now and times the attempt there: the one
+// placement path, shared by dispatch and copy issue. The router sees the
+// task released at now (an attempt cannot start earlier) with cands as its
+// set; a pick outside cands or of a crashed server is a routing error. On a
+// gray server work advances at rate 1/Factor inside its slowdown segments,
+// so the end comes from the piecewise integration and all of [start, end)
+// is busy time.
+func (a *Arena) place(inst *core.Instance, router Router, slow [][]faults.Slowdown, cands core.ProcSet, aid int, now core.Time) (j int, start, end, busy core.Time, err error) {
+	id, what := aid, "task"
+	if id >= len(inst.Tasks) {
+		id, what = id-len(inst.Tasks), "hedge copy of task"
+	}
+	view := inst.Tasks[id]
+	view.Set = cands
+	view.Release = now
+	j = router.Pick(&a.st, view)
+	if j < 0 || j >= a.st.M || !view.Eligible(j) {
+		return j, 0, 0, 0, fmt.Errorf("sim: router %s picked invalid server M%d for %s %d (live set %v)",
+			router.Name(), j+1, what, id, view.Set)
+	}
+	if !a.live[j] {
+		return j, 0, 0, 0, fmt.Errorf("sim: router %s picked dead server M%d for %s %d at t=%v",
+			router.Name(), j+1, what, id, now)
+	}
+	start = a.st.Completion[j]
+	if now > start {
+		start = now
+	}
+	end = start + view.Proc
+	busy = view.Proc
+	if slow != nil && len(slow[j]) > 0 {
+		end = faults.FinishTime(slow[j], start, view.Proc)
+		busy = end - start
+	}
+	return j, start, end, busy, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"flowsched/internal/core"
 	"flowsched/internal/faults"
-	"flowsched/internal/stats"
 )
 
 // RetryPolicy governs what happens to a request whose server fails while
@@ -130,18 +129,6 @@ func (m *FaultMetrics) TotalRetries() int {
 	return total
 }
 
-// MeanAttempts returns the average number of dispatch attempts per request.
-func (m *FaultMetrics) MeanAttempts() float64 {
-	if len(m.Attempts) == 0 {
-		return 0
-	}
-	total := 0
-	for _, a := range m.Attempts {
-		total += a
-	}
-	return float64(total) / float64(len(m.Attempts))
-}
-
 // Availability returns the fraction of server·time the cluster was up over
 // the run's horizon.
 func (m *FaultMetrics) Availability() float64 { return m.plan.Availability(m.Horizon) }
@@ -206,22 +193,3 @@ const (
 	evTied    // a tied pair reaches service start: revoke the loser (task = id)
 	evBreaker // a breaker's state may have changed: tick the cooldown, wake parked work (server = slot)
 )
-
-// SpikeQuantile returns the q-quantile of flows among non-dropped requests
-// released inside outage/recovery windows (window after each recovery).
-func (m *FaultMetrics) SpikeQuantile(window core.Time, q float64) core.Time {
-	outages := m.plan.Normalize().Outages
-	var spike []core.Time
-	for i, r := range m.releases {
-		if m.Dropped[i] {
-			continue
-		}
-		for _, o := range outages {
-			if r >= o.From && r < o.Until+window {
-				spike = append(spike, m.Flows[i])
-				break
-			}
-		}
-	}
-	return stats.Quantile(spike, q)
-}

@@ -331,9 +331,6 @@ func TestRecoverySpikeMaxFlow(t *testing.T) {
 	if mf := m.MaxFlow(); mf != 19 {
 		t.Fatalf("max flow = %v, want 19", mf)
 	}
-	if q := m.SpikeQuantile(5, 1); q != 19 {
-		t.Fatalf("spike quantile = %v, want 19", q)
-	}
 }
 
 // TestRunFaultyRejects: invalid plans, mismatched m, bad routers.

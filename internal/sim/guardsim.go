@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sort"
-
 	"flowsched/internal/core"
 	"flowsched/internal/obs"
 	"flowsched/internal/overload"
@@ -78,17 +76,6 @@ func (m *OverloadMetrics) AdmittedMaxFlow() core.Time {
 	return mx
 }
 
-// AdmittedMaxStretch returns the maximum stretch over completed tasks.
-func (m *OverloadMetrics) AdmittedMaxStretch() core.Time {
-	var mx core.Time
-	for i, s := range m.Stretches {
-		if !m.excluded(i) && s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
 // AdmittedFlows returns a fresh slice of the completed tasks' flow times
 // (for quantile summaries).
 func (m *OverloadMetrics) AdmittedFlows() []core.Time {
@@ -99,32 +86,6 @@ func (m *OverloadMetrics) AdmittedFlows() []core.Time {
 		}
 	}
 	return out
-}
-
-// ReasonCounts aggregates the rejected/shed tasks by reason, sorted by name
-// via Reasons.
-func (m *OverloadMetrics) ReasonCounts() map[string]int {
-	if m.Reason == nil {
-		return nil
-	}
-	counts := make(map[string]int)
-	for _, r := range m.Reason {
-		if r != "" {
-			counts[r]++
-		}
-	}
-	return counts
-}
-
-// Reasons returns the distinct reject/shed reasons, sorted.
-func (m *OverloadMetrics) Reasons() []string {
-	counts := m.ReasonCounts()
-	names := make([]string, 0, len(counts))
-	for r := range counts {
-		names = append(names, r)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ovRun is the engine-side runtime of an overload config: the live view

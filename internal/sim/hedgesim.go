@@ -8,11 +8,10 @@ import (
 )
 
 // hdRun is the engine-side runtime of a hedge config: the per-task hedge
-// state machine (issued → won / cancelled / revoked), the live flow-time
-// histogram behind the quantile trigger and the candidate scratch for the
-// alternate-server pick. It exists only when a config is present, so the
-// disabled path touches none of it and stays byte-identical to a run
-// without the layer.
+// state machine (issued → won / cancelled / revoked) and the live flow-time
+// histogram behind the quantile trigger. It exists only when a config is
+// present, so the disabled path touches none of it and stays byte-identical
+// to a run without the layer.
 //
 // A speculative copy of task id is the virtual attempt id n + id (n = task
 // count): the attempt-window / timing-order / FIFO-link arrays are grown to
@@ -24,7 +23,6 @@ type hdRun struct {
 	ho         obs.HedgeObserver
 	hist       *obs.Histogram // live flow-time stream for the quantile trigger
 	minSamples int
-	maxEnd     core.Time // latest effective completion: the hedged run's makespan
 
 	done       []bool // effective completion recorded (first win)
 	hedged     []bool // a copy was issued (at most one hedge per task)
@@ -36,8 +34,7 @@ type hdRun struct {
 	wonByCopy  []bool
 	copySrv    []int
 	copyAt     core.Times
-	effBuf     core.ProcSet // alternate-server candidate scratch
-	kills      []int        // copies to cancel after a trim's queue surgery
+	kills      []int // copies to cancel after a trim's queue surgery
 
 	// Deferred triggers (see rearmHedge): a first attempt timed to end by its
 	// trigger instant trigAt[id] pushes no event; trigSeq[id] holds the event

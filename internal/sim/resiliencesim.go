@@ -31,8 +31,6 @@ type rsRun struct {
 	probe   []bool // per-task: the in-flight attempt is a half-open probe
 	curSpan []int  // per-server: 1 + index into spans of the open episode (0 = none)
 	spans   []resilience.Span
-	disp    core.Times   // dispatch instants for the breaker-legality audit
-	brkBuf  core.ProcSet // dispatch-time breaker-filter scratch
 }
 
 // opened books a breaker open episode at now: it ends the previous span
@@ -52,6 +50,20 @@ func (rs *rsRun) opened(j int, now core.Time, metrics *ElasticMetrics, events *e
 	if rs.ro != nil {
 		rs.ro.OnBreakerOpen(j, now)
 	}
+}
+
+// refundProbe returns the half-open probe slot attempt id holds on server
+// j when the attempt resolves without an outcome (cancelled, revoked,
+// handed off or shed), and pushes a same-instant breaker event so parked
+// work wakes onto the freed slot. It is a no-op unless id holds a probe —
+// a copy (id ≥ n) never does — so callers need no layer guard.
+func (rs *rsRun) refundProbe(id, j int, now core.Time, events *eventq.Queue[faultEvent]) {
+	if rs == nil || rs.brk == nil || id >= len(rs.probe) || !rs.probe[id] {
+		return
+	}
+	rs.brk.AbortProbe(j)
+	rs.probe[id] = false
+	events.Push(now, faultEvent{kind: evBreaker, server: j})
 }
 
 // halfOpened stamps the open episode's half-open instant.

@@ -8,6 +8,7 @@ import (
 	"flowsched/internal/elastic"
 	"flowsched/internal/faults"
 	"flowsched/internal/hedge"
+	"flowsched/internal/overload"
 	"flowsched/internal/resilience"
 )
 
@@ -93,6 +94,49 @@ func TestBreakerOpenSoleMemberParks(t *testing.T) {
 	}
 	if em.Makespan != 13 {
 		t.Fatalf("makespan %v, want 13", em.Makespan)
+	}
+}
+
+// TestCandidateRuleEjectionLast pins the one candidate rule: the mandatory
+// filters (live, breaker) apply before the ejector's advisory preference,
+// so ejection alone never parks a task a breaker-admitted server can take.
+// Server 0 is gray (factor 10 on [0, 10)): A's completion at t=10 ejects
+// it. D and E are crashed at t=12 on servers 1 and 2, which opens both
+// breakers until t=112, and are dropped (one attempt). The full-set task F
+// arrives at t=20: servers 1 and 2 are live but breaker-open, server 0 is
+// live, idle, ejected and closed. Preferring non-ejected servers first
+// would leave only the blocked ones and park F until t=112.
+func TestCandidateRuleEjectionLast(t *testing.T) {
+	inst := core.NewInstance(3, []core.Task{
+		{Release: 0, Proc: 1, Set: core.ProcSet{0}},  // A
+		{Release: 0, Proc: 1, Set: core.ProcSet{1}},  // B
+		{Release: 0, Proc: 1, Set: core.ProcSet{2}},  // C
+		{Release: 11, Proc: 5, Set: core.ProcSet{1}}, // D
+		{Release: 11, Proc: 5, Set: core.ProcSet{2}}, // E
+		{Release: 20, Proc: 1},                       // F
+	})
+	plan := faults.Empty(3).Slow(0, 0, 10, 10).Down(1, 12, 13).Down(2, 12, 13)
+	cfg := Config{
+		Plan:     plan,
+		Retry:    RetryPolicy{MaxAttempts: 1},
+		Overload: &overload.Config{Ejector: &overload.Ejector{K: 3, Cooldown: 1000, MinSamples: 1}},
+		Resilience: &resilience.Config{Breaker: &resilience.BreakerConfig{
+			Window: 1, FailureThreshold: 0.5, Cooldown: 100, HalfOpenProbes: 1,
+		}},
+	}
+	s, em, err := NewArena().Run(inst, EFTRouter{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em.Ejections != 1 || em.BreakerOpens != 2 {
+		t.Fatalf("ejections %d, breaker opens %d; want 1 and 2", em.Ejections, em.BreakerOpens)
+	}
+	const f = 5
+	if em.Parked[f] {
+		t.Fatal("F parked although server 0 is live and its breaker closed")
+	}
+	if s.Machine[f] != 0 || s.Start[f] != 20 {
+		t.Fatalf("F ran on M%d at %v, want M0 at 20", s.Machine[f], s.Start[f])
 	}
 }
 

@@ -394,20 +394,6 @@ func TestTracerKeepWorstMatchesKeepAll(t *testing.T) {
 	}
 }
 
-// TestTracerNilRunAllocs pins the tracing-off contract: the engine with a
-// nil probe keeps the same steady-state allocation ceiling as before the
-// tracer existed — tracing is pay-for-use, the unobserved hot path is
-// untouched.
-func TestTracerNilRunAllocs(t *testing.T) {
-	inst := allocInstance(2000, 0.8)
-	arena := NewArena()
-	pinAllocs(t, 50, func() {
-		if _, _, err := arena.Run(inst, EFTRouter{}, Config{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestStackProbeAllocs pins what the always-on probes cost in allocations.
 // A reused arena runs the stack link mix at n = 2,000 and n = 20,000, bare
 // and with obs.Multi(Counters, Tracer(KeepWorst(20)), FlightRecorder).
