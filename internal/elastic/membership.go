@@ -41,13 +41,16 @@ func Effective(active []bool, start, k int, buf core.ProcSet) core.ProcSet {
 	if k <= 0 || capacity == 0 {
 		return out
 	}
-	if start < 0 {
-		start = 0
+	j := 0
+	if start > 0 {
+		j = start % capacity
 	}
 	for i := 0; i < capacity && len(out) < k; i++ {
-		j := (start + i) % capacity
 		if active[j] {
 			out = append(out, j)
+		}
+		if j++; j == capacity {
+			j = 0 // the ring wraps
 		}
 	}
 	// The walk emits at most one descending step (the ring wrap); insertion

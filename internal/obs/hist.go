@@ -19,6 +19,10 @@ var DefaultGrowth = math.Pow(2, 0.125)
 // no longer need the full Metrics.Flows slice retained to answer quantile
 // queries. Observations ≤ 0 land in a dedicated zero bucket.
 //
+// Quantile resumes its bucket walk from where the previous query stopped
+// (a cursor that Observe keeps current), so a query moves the cursor: a
+// histogram, unlike a frozen snapshot, is not safe for concurrent queries.
+//
 // The zero value is not usable; construct with NewHistogram or
 // NewHistogramGrowth.
 type Histogram struct {
@@ -45,6 +49,21 @@ type Histogram struct {
 	minSeen  float64
 	maxSeen  float64
 	observed bool
+
+	cur quantileCursor // valid once counts is allocated
+}
+
+// quantileCursor is where the last Quantile query stopped: bucket b, the
+// number of positive observations in buckets below it, and the bucket's
+// representative (rep, for bucket repB). Observe counts a value below b
+// into below, so a query steps from b to its bucket instead of walking from
+// the lowest one; consecutive queries for a slowly moving rank take O(1)
+// steps and at most one math.Exp.
+type quantileCursor struct {
+	b     int
+	below uint64
+	repB  int
+	rep   float64
 }
 
 // exemplar ties a bucket to one representative task: the task of the
@@ -116,6 +135,10 @@ func (h *Histogram) Observe(v float64) {
 	if h.counts == nil {
 		h.counts = make([]uint64, 1, 64)
 		h.lo = idx
+		h.cur = quantileCursor{b: idx, repB: math.MinInt}
+	}
+	if idx < h.cur.b {
+		h.cur.below++
 	}
 	switch {
 	case idx < h.lo:
@@ -172,27 +195,9 @@ func (h *Histogram) Exemplars() int { return h.exN }
 // recorded value, or −1 when the bucket carries no exemplar (values
 // recorded through plain Observe, or an empty histogram).
 func (h *Histogram) QuantileExemplar(q float64) (float64, int) {
-	v := h.Quantile(q)
+	v, idx := h.quantile(q)
 	if h.count == 0 || h.exN == 0 {
 		return v, -1
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Floor(q * float64(h.count-1)))
-	idx := exZeroBucket
-	if rank >= h.zeros {
-		cum := h.zeros
-		for i, c := range h.counts {
-			cum += c
-			if cum > rank {
-				idx = h.lo + i
-				break
-			}
-		}
 	}
 	e := h.exZero
 	if idx != exZeroBucket {
@@ -250,8 +255,18 @@ func (h *Histogram) Buckets() int { return len(h.counts) }
 // log-bucket's error away (property-tested against stats.Quantile in
 // internal/sim).
 func (h *Histogram) Quantile(q float64) float64 {
+	v, _ := h.quantile(q)
+	return v
+}
+
+// quantile returns Quantile(q) and the bucket the order statistic falls in
+// (exZeroBucket for the zero bucket or an empty histogram). It moves the
+// cursor to that bucket: down while observations below it outnumber the
+// rank, then up while the rank lies past it. The bucket holding the rank is
+// unique, so the cursor lands where a walk from the lowest bucket would.
+func (h *Histogram) quantile(q float64) (float64, int) {
 	if h.count == 0 {
-		return 0
+		return 0, exZeroBucket
 	}
 	if q < 0 {
 		q = 0
@@ -261,17 +276,21 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	rank := uint64(math.Floor(q * float64(h.count-1))) // 0-based order statistic
 	if rank < h.zeros {
-		return h.clamp(0)
+		return h.clamp(0), exZeroBucket
 	}
-	cum := h.zeros
-	for i, c := range h.counts {
-		cum += c
-		if cum > rank {
-			rep := math.Exp(h.logBase + (float64(h.lo+i)+0.5)*h.logG)
-			return h.clamp(rep)
-		}
+	r, c := rank-h.zeros, &h.cur // rank among the positive observations
+	for c.below > r {
+		c.b--
+		c.below -= h.counts[c.b-h.lo]
 	}
-	return h.maxSeen // unreachable unless counts drifted; fail toward the max
+	for c.below+h.counts[c.b-h.lo] <= r {
+		c.below += h.counts[c.b-h.lo]
+		c.b++
+	}
+	if c.repB != c.b {
+		c.repB, c.rep = c.b, math.Exp(h.logBase+(float64(c.b)+0.5)*h.logG)
+	}
+	return h.clamp(c.rep), c.b
 }
 
 // clamp bounds a bucket representative by the exactly-tracked extremes.

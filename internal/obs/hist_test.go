@@ -138,3 +138,86 @@ func TestHistogramProbeStretch(t *testing.T) {
 		t.Errorf("flow max %v stretch max %v min %v", p.Flow.Max(), p.Stretch.Max(), p.Stretch.Min())
 	}
 }
+
+// fullWalkQuantile is Quantile as a walk from the lowest bucket on every
+// query, with the exemplar bucket QuantileExemplar reads: the reference
+// the resumable cursor must match bit for bit.
+func fullWalkQuantile(h *Histogram, q float64) (float64, int) {
+	if h.count == 0 {
+		return 0, -1
+	}
+	q = math.Max(0, math.Min(1, q))
+	rank := uint64(math.Floor(q * float64(h.count-1)))
+	e := h.exZero
+	v := h.clamp(0)
+	if rank >= h.zeros {
+		cum := h.zeros
+		for i, c := range h.counts {
+			if cum += c; cum > rank {
+				v = h.clamp(math.Exp(h.logBase + (float64(h.lo+i)+0.5)*h.logG))
+				e = exemplar{}
+				if j := h.lo + i - h.exLo; h.ex != nil && j >= 0 && j < len(h.ex) {
+					e = h.ex[j]
+				}
+				break
+			}
+		}
+	}
+	if h.exN == 0 || !e.ok {
+		return v, -1
+	}
+	return v, e.task
+}
+
+// TestHistogramQuantileCursor checks Quantile and QuantileExemplar after
+// every observation against fullWalkQuantile. The streams mix values ≤ 0
+// and NaN (the zero bucket), values below every bucket so far (counts grow
+// downward and the cursor's bucket shifts in the slice), and plain and
+// exemplar observations; the queries change q between calls, leave [0, 1],
+// and repeat with no observation in between.
+func TestHistogramQuantileCursor(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := NewHistogram()
+		floor := 1.0
+		for i := 0; i < 3000; i++ {
+			var v float64
+			switch r := rng.Intn(20); {
+			case r == 0:
+				v = -rng.Float64()
+			case r == 1:
+				v = 0
+			case r == 2:
+				v = math.NaN()
+			case r == 3: // below every bucket so far
+				floor /= 1 + 3*rng.Float64()
+				v = floor
+			default:
+				v = math.Exp(rng.NormFloat64() * 2)
+			}
+			if rng.Intn(3) == 0 {
+				h.ObserveExemplar(v, i)
+			} else {
+				h.Observe(v)
+			}
+			q := rng.Float64()
+			for k := rng.Intn(4); k >= 0; k-- {
+				switch rng.Intn(6) {
+				case 0:
+					q = -0.5 + 2*rng.Float64() // often outside [0, 1]
+				case 1:
+					q = rng.Float64()
+				} // otherwise the same q again
+				want, wantTask := fullWalkQuantile(h, q)
+				got := h.Quantile(q)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("seed %d obs %d: Quantile(%v) = %v, full walk %v", seed, i, q, got, want)
+				}
+				if gotV, gotTask := h.QuantileExemplar(q); gotTask != wantTask || math.Float64bits(gotV) != math.Float64bits(got) {
+					t.Fatalf("seed %d obs %d: QuantileExemplar(%v) = %v, task %d; want %v, task %d",
+						seed, i, q, gotV, gotTask, want, wantTask)
+				}
+			}
+		}
+	}
+}

@@ -279,11 +279,10 @@ func KeepWorst(k int) Retention {
 type Tracer struct {
 	retain Retention
 
-	live     map[int]*TaskTrace // tasks with no terminal event yet
-	all      []*TaskTrace       // KeepAll: every trace in arrival order
-	heap     []*TaskTrace       // KeepWorst: min-heap by (rank, task)
-	retained map[int]*TaskTrace // KeepWorst: heap membership by task
-	free     []*TaskTrace       // KeepWorst: discarded traces OnArrival reuses
+	live traceIndex   // tasks with no terminal event yet (KeepAll: every task)
+	all  []*TaskTrace // KeepAll: every trace in arrival order
+	heap []*TaskTrace // KeepWorst: min-heap by (rank, task)
+	free []*TaskTrace // KeepWorst: discarded traces OnArrival reuses
 
 	makespan core.Time
 	done     bool
@@ -292,12 +291,165 @@ type Tracer struct {
 // NewTracer returns a tracer with the given retention policy (KeepAll() or
 // KeepWorst(k)).
 func NewTracer(r Retention) *Tracer {
-	t := &Tracer{retain: r, live: make(map[int]*TaskTrace)}
+	t := &Tracer{retain: r, live: newTraceIndex()}
 	if r.k > 0 {
 		t.heap = make([]*TaskTrace, 0, r.k)
-		t.retained = make(map[int]*TaskTrace, r.k)
 	}
 	return t
+}
+
+// traceIndex maps task ids to their live traces without hashing: open
+// addressing with linear probing over a power-of-two table, where a task's
+// home slot is its id modulo the table size. The engine's live ids are a
+// window of recent arrivals, so most land in their home slot. A delete
+// leaves a tombstone, which lookups probe past, so it moves nothing.
+// (Shifting the probe run back instead would walk the whole cluster that
+// consecutive ids form.) The table doubles once live traces pass half its
+// slots, purges its tombstones in place once live traces and tombstones
+// together pass three quarters, and never shrinks.
+type traceIndex struct {
+	slots []traceSlot
+	live  int // traces in the table
+	dead  int // tombstones
+}
+
+// traceSlot is one table entry: tr is nil when the slot is empty and
+// tombstone where a trace was deleted. id is the task id, kept beside the
+// pointer so that probing and purging never load a trace.
+type traceSlot struct {
+	id int
+	tr *TaskTrace
+}
+
+// tombstone marks a deleted slot; it is never a task's trace.
+var tombstone = new(TaskTrace)
+
+// traceIndexMin is a new index's slot count: a power of two, and at least
+// 8, so the purge threshold always leaves an empty slot (see purge). 256
+// slots take 128 live traces before the first doubling, about what a
+// paper-sized run with every engine link armed keeps unresolved at once.
+const traceIndexMin = 256
+
+func newTraceIndex() traceIndex {
+	return traceIndex{slots: make([]traceSlot, traceIndexMin)}
+}
+
+// get returns task id's trace, nil if the table holds none.
+func (x *traceIndex) get(id int) *TaskTrace {
+	mask := len(x.slots) - 1
+	for i := id & mask; ; i = (i + 1) & mask {
+		s := x.slots[i]
+		if s.tr == nil {
+			return nil
+		}
+		if s.id == id && s.tr != tombstone {
+			return s.tr
+		}
+	}
+}
+
+// put stores tr under its task id, replacing any trace the table holds
+// for that id. A new entry takes the first tombstone on its probe path, or
+// else the empty slot that ends it.
+func (x *traceIndex) put(tr *TaskTrace) {
+	id, mask := tr.Task, len(x.slots)-1
+	at := -1 // first tombstone on the probe path
+	i := id & mask
+	for ; x.slots[i].tr != nil; i = (i + 1) & mask {
+		if s := x.slots[i]; s.tr == tombstone {
+			if at < 0 {
+				at = i
+			}
+		} else if s.id == id {
+			x.slots[i].tr = tr
+			return
+		}
+	}
+	if at >= 0 {
+		i = at
+		x.dead--
+	}
+	x.slots[i] = traceSlot{id: id, tr: tr}
+	x.live++
+	switch {
+	case 2*x.live > len(x.slots):
+		x.rehash(2 * len(x.slots))
+	case 4*(x.live+x.dead) > 3*len(x.slots):
+		x.purge()
+	}
+}
+
+// del removes task id's trace, leaving a tombstone; an absent id is a
+// no-op.
+func (x *traceIndex) del(id int) {
+	mask := len(x.slots) - 1
+	for i := id & mask; x.slots[i].tr != nil; i = (i + 1) & mask {
+		if s := x.slots[i]; s.id == id && s.tr != tombstone {
+			x.slots[i].tr = tombstone
+			x.live--
+			x.dead++
+			return
+		}
+	}
+}
+
+// rehash moves every trace into a fresh table of the given size.
+func (x *traceIndex) rehash(size int) {
+	old := x.slots
+	x.slots, x.dead = make([]traceSlot, size), 0
+	mask := size - 1
+	for _, s := range old {
+		if s.tr == nil || s.tr == tombstone {
+			continue
+		}
+		i := s.id & mask
+		for x.slots[i].tr != nil {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = s
+	}
+}
+
+// purge clears every tombstone without allocating. It empties them, then
+// walks the ring once, starting after a slot that was already empty (no
+// probe run crosses such a slot), and moves each trace back to the first
+// empty slot from its home. A trace only moves toward its home, and the
+// slots between its home and its new place stay full, so every lookup
+// still reaches its trace.
+func (x *traceIndex) purge() {
+	mask := len(x.slots) - 1
+	from := -1
+	for i, s := range x.slots {
+		if s.tr == tombstone {
+			x.slots[i].tr = nil
+		} else if s.tr == nil && from < 0 {
+			from = i
+		}
+	}
+	x.dead = 0
+	for k := 1; k < len(x.slots); k++ {
+		p := (from + k) & mask
+		s := x.slots[p]
+		if s.tr == nil {
+			continue
+		}
+		q := s.id & mask
+		for q != p && x.slots[q].tr != nil {
+			q = (q + 1) & mask
+		}
+		if q != p {
+			x.slots[q], x.slots[p] = s, traceSlot{}
+		}
+	}
+}
+
+// each calls f for every trace in the table, in slot order.
+func (x *traceIndex) each(f func(*TaskTrace)) {
+	for _, s := range x.slots {
+		if s.tr != nil && s.tr != tombstone {
+			f(s.tr)
+		}
+	}
 }
 
 // Done reports whether the traced run has finished (OnDone fired).
@@ -311,11 +463,13 @@ func (t *Tracer) Makespan() core.Time { return t.makespan }
 // later arrival, so mid-run the returned pointer describes task only until
 // the tracer's next OnArrival; after OnDone it stays valid.
 func (t *Tracer) Trace(task int) *TaskTrace {
-	if tr, ok := t.live[task]; ok {
+	if tr := t.live.get(task); tr != nil {
 		return tr
 	}
-	if t.retained != nil {
-		return t.retained[task]
+	for _, tr := range t.heap {
+		if tr.Task == task {
+			return tr
+		}
 	}
 	return nil
 }
@@ -326,9 +480,7 @@ func (t *Tracer) Traces() []*TaskTrace {
 	var out []*TaskTrace
 	if t.retain.k > 0 {
 		out = append(out, t.heap...)
-		for _, tr := range t.live {
-			out = append(out, tr)
-		}
+		t.live.each(func(tr *TaskTrace) { out = append(out, tr) })
 	} else {
 		out = append(out, t.all...)
 	}
@@ -398,10 +550,9 @@ func (t *Tracer) terminal(tr *TaskTrace) {
 	if t.retain.k == 0 {
 		return // KeepAll: the trace already lives in t.all
 	}
-	delete(t.live, tr.Task)
+	t.live.del(tr.Task)
 	if len(t.heap) < t.retain.k {
 		t.heap = append(t.heap, tr)
-		t.retained[tr.Task] = tr
 		t.siftUp(len(t.heap) - 1)
 		return
 	}
@@ -409,11 +560,8 @@ func (t *Tracer) terminal(tr *TaskTrace) {
 		t.free = append(t.free, tr) // benign: not among the k worst seen so far
 		return
 	}
-	evicted := t.heap[0]
-	delete(t.retained, evicted.Task)
-	t.free = append(t.free, evicted)
+	t.free = append(t.free, t.heap[0])
 	t.heap[0] = tr
-	t.retained[tr.Task] = tr
 	t.siftDown(0)
 }
 
@@ -433,7 +581,7 @@ func (t *Tracer) OnArrival(task int, release core.Time) {
 		EndAt: core.Time(math.NaN()), Flow: core.Time(math.NaN()),
 		Attempts: tr.Attempts[:0],
 	}
-	t.live[task] = tr
+	t.live.put(tr)
 	if t.retain.k == 0 {
 		t.all = append(t.all, tr)
 	}
@@ -442,7 +590,7 @@ func (t *Tracer) OnArrival(task int, release core.Time) {
 // OnDispatch implements Probe: it opens attempt k with the engine's
 // forecast service interval.
 func (t *Tracer) OnDispatch(task, server int, at, start, end core.Time) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return // tracer attached mid-run; ignore tasks we never saw arrive
 	}
@@ -456,7 +604,7 @@ func (t *Tracer) OnDispatch(task, server int, at, start, end core.Time) {
 // a silent watermark re-time — the completion end is exact, so a forecast
 // mismatch flags Retimed and reconstructs the start as end − proc.
 func (t *Tracer) OnComplete(task, server int, release, proc, end core.Time) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}
@@ -490,7 +638,7 @@ func (t *Tracer) OnComplete(task, server int, release, proc, end core.Time) {
 // triggered the retry decision) closes as crashed and the task resolves
 // dropped.
 func (t *Tracer) OnDrop(task int, release, at core.Time) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}
@@ -504,7 +652,7 @@ func (t *Tracer) OnDrop(task int, release, at core.Time) {
 // OnRetry implements Probe: the crash-aborted attempt closes and the task
 // re-enters the queued state until its re-dispatch.
 func (t *Tracer) OnRetry(task, attempt int, at core.Time) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}
@@ -524,20 +672,18 @@ func (t *Tracer) OnDone(makespan core.Time) {
 	if t.retain.k == 0 {
 		return
 	}
-	ids := make([]int, 0, len(t.live))
-	for id := range t.live {
-		ids = append(ids, id)
-	}
+	ids := make([]int, 0, t.live.live)
+	t.live.each(func(tr *TaskTrace) { ids = append(ids, tr.Task) })
 	sort.Ints(ids)
 	for _, id := range ids {
-		t.terminal(t.live[id])
+		t.terminal(t.live.get(id))
 	}
 }
 
 // OnReject implements OverloadObserver: the task resolves rejected with no
 // attempts.
 func (t *Tracer) OnReject(task int, at core.Time, reason string) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}
@@ -552,7 +698,7 @@ func (t *Tracer) OnReject(task int, at core.Time, reason string) {
 // deadline shed happens before dispatch and has none) closes as shed and
 // the task resolves shed.
 func (t *Tracer) OnShed(task, server int, release, at core.Time, reason string) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}
@@ -586,7 +732,7 @@ func (t *Tracer) OnScaleDown(machine int, at core.Time, members, handoffs int) {
 // OnHandoff implements MembershipObserver: the pending attempt closes as
 // handed-off; the re-dispatch (or parking) follows through OnDispatch.
 func (t *Tracer) OnHandoff(task, from int, at core.Time) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}
@@ -596,7 +742,7 @@ func (t *Tracer) OnHandoff(task, from int, at core.Time) {
 // OnHedge implements HedgeObserver: the speculative copy opens as a sibling
 // span racing the pending primary attempt.
 func (t *Tracer) OnHedge(task, from, to int, at, start, end core.Time) {
-	tr := t.live[task]
+	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}

@@ -350,3 +350,109 @@ func TestTracerKeepWorstAllocs(t *testing.T) {
 		t.Fatalf("steady-state KeepWorst batch allocated %.1f times, want 0", allocs)
 	}
 }
+
+// TestTraceIndexMatchesMap drives the tracer's id-keyed index and a Go map
+// through the same random put/get/delete sequences and checks every answer,
+// the table's accounting and its size rules after each step. Arrivals take
+// consecutive ids (one long probe cluster), completions retire them roughly
+// oldest first, and some ids straggle: they stay live for thousands of
+// steps, or arrive far ahead of the window at an id that collides with it
+// modulo the table size, so probe runs pass over stragglers and over the
+// tombstones that completions leave.
+func TestTraceIndexMatchesMap(t *testing.T) {
+	purges, grows := 0, 0
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		x := newTraceIndex()
+		ref := map[int]*TaskTrace{}
+		var fifo, seen []int // live ids in arrival order; every id ever stored
+		next, window := 0, 50+rng.Intn(400)
+		verify := func(step int, op string, id int) {
+			t.Helper()
+			if got, want := x.get(id), ref[id]; got != want {
+				t.Fatalf("seed %d step %d %s(%d): get = %p, map = %p", seed, step, op, id, got, want)
+			}
+		}
+		for step := 0; step < 20000; step++ {
+			if step%4000 == 0 {
+				window = 20 + rng.Intn(600) // the backlog swings, so the table grows in stages
+			}
+			size, dead := len(x.slots), x.dead
+			var op string
+			var id int
+			switch r := rng.Intn(100); {
+			case r < 45 && len(fifo) < window: // an arrival
+				op, id = "put", next
+				next++
+				if rng.Intn(40) > 0 {
+					fifo = append(fifo, id) // a straggler stays off the FIFO
+				}
+			case r < 48: // far ahead of the window, colliding with it
+				op, id = "put", next+(1+rng.Intn(3))*len(x.slots)
+			case r < 50 && len(seen) > 0: // a re-arrival replaces the stored trace
+				op, id = "put", seen[rng.Intn(len(seen))]
+			case r < 85 && len(fifo) > 0: // a completion, oldest first
+				op, id = "del", fifo[0]
+				fifo = fifo[1:]
+			case r < 90 && len(seen) > 0: // any id: live, deleted, or a straggler
+				op, id = "del", seen[rng.Intn(len(seen))]
+			default:
+				op, id = "get", rng.Intn(next+1)-1
+			}
+			switch op {
+			case "put":
+				tr := &TaskTrace{Task: id}
+				x.put(tr)
+				ref[id] = tr
+				seen = append(seen, id)
+			case "del":
+				x.del(id)
+				delete(ref, id)
+			}
+			verify(step, op, id)
+
+			switch {
+			case len(x.slots) < size:
+				t.Fatalf("seed %d step %d: table shrank from %d to %d slots", seed, step, size, len(x.slots))
+			case len(x.slots) > size:
+				grows++
+				if len(x.slots) != 2*size {
+					t.Fatalf("seed %d step %d: table grew from %d to %d slots, want doubling", seed, step, size, len(x.slots))
+				}
+			case dead > 1 && x.dead == 0: // reusing a tombstone frees one at most
+				purges++
+			}
+			if x.live != len(ref) {
+				t.Fatalf("seed %d step %d: index counts %d live, map holds %d", seed, step, x.live, len(ref))
+			}
+			if 2*x.live > len(x.slots) || 4*(x.live+x.dead) > 3*len(x.slots) {
+				t.Fatalf("seed %d step %d: %d live + %d tombstones in %d slots", seed, step, x.live, x.dead, len(x.slots))
+			}
+			if step%501 == 0 || dead > 1 && x.dead == 0 {
+				tombs, stored := 0, 0
+				for _, s := range x.slots {
+					if s.tr == tombstone {
+						tombs++
+					}
+				}
+				x.each(func(tr *TaskTrace) {
+					stored++
+					if ref[tr.Task] != tr {
+						t.Fatalf("seed %d step %d: index holds a stale trace for %d", seed, step, tr.Task)
+					}
+				})
+				if tombs != x.dead || stored != len(ref) {
+					t.Fatalf("seed %d step %d: %d tombstones (counted %d), %d traces (map %d)",
+						seed, step, tombs, x.dead, stored, len(ref))
+				}
+				for id := range ref {
+					verify(step, "get", id)
+				}
+			}
+		}
+	}
+	if purges < 50 || grows < 20 {
+		t.Fatalf("sequences purged %d times and grew %d times; want many of both", purges, grows)
+	}
+	t.Logf("%d purges, %d doublings", purges, grows)
+}

@@ -65,12 +65,26 @@ type Arena struct {
 	timed    uint64   // timings so far this run; seq's clock
 	fq       fifoQueues
 	heads    headIndex
-	parked   []int // requests waiting for any replica to recover
-	wake     []int // the tasks a wake walk re-dispatches
+	// headFloor is at most the release of every queue head's task: the
+	// watermark shedder scans the heads only when an arrival is older than
+	// it by more than the watermark (Arena.Run's arrive). rekey and enqueue,
+	// the only places a head is keyed, lower it; a head leaving its queue
+	// can only raise the true minimum, so the bound stays valid. Only runs
+	// with a shedder (shedding) keep it.
+	headFloor core.Time
+	shedding  bool
+	parked    []int // requests waiting for any replica to recover
+	wake      []int // the tasks a wake walk re-dispatches
 
 	events eventq.Queue[faultEvent]
 
 	liveBuf core.ProcSet // candidate-set scratch (candidates)
+
+	// memberEFT is set for a run whose router is an EFTRouter with the Min
+	// or Max tie-break (nil is Min), decided once per run as sim.Run's
+	// eftLoop decides; eftLast selects Max. place then picks from a
+	// candidate set with memberPick, the EFT loop's own member scan.
+	memberEFT, eftLast bool
 
 	// Overload / elastic / hedge / resilience runtimes (their scratch slices
 	// are recycled via the struct fields; see the ocfg/ecfg/hcfg/rcfg setup
@@ -126,6 +140,7 @@ func (a *Arena) Reset(n, m int) {
 	a.timed = 0
 	a.fq.reset(n, m)
 	a.heads.reset(m)
+	a.headFloor, a.shedding = core.Time(math.Inf(1)), false
 	a.parked = a.parked[:0]
 	a.wake = a.wake[:0]
 
@@ -344,8 +359,23 @@ func (h *headIndex) fix(i int) {
 func (a *Arena) rekey(j int) {
 	if h := a.fq.head[j]; h >= 0 {
 		a.heads.set(j, a.curEnd[h], a.seq[h])
+		a.lowerFloor(h)
 	} else {
 		a.heads.remove(j)
+	}
+}
+
+// lowerFloor folds the release of attempt id's task (id, or its hedge copy
+// n + id), which just became a queue head, into headFloor.
+func (a *Arena) lowerFloor(id int) {
+	if !a.shedding {
+		return
+	}
+	if n := len(a.releases); id >= n {
+		id -= n
+	}
+	if r := a.releases[id]; r < a.headFloor {
+		a.headFloor = r
 	}
 }
 
@@ -371,5 +401,6 @@ func (a *Arena) enqueue(j, id int, start, end, busy core.Time) {
 	a.seq[id] = a.timed
 	if a.fq.head[j] == id {
 		a.heads.set(j, end, a.timed)
+		a.lowerFloor(id)
 	}
 }

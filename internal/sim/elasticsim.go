@@ -10,6 +10,7 @@ import (
 	"flowsched/internal/obs"
 	"flowsched/internal/overload"
 	"flowsched/internal/resilience"
+	"flowsched/internal/sched"
 )
 
 // ElasticMetrics extends OverloadMetrics with the membership observables of
@@ -168,6 +169,12 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	m := inst.M
 	n := inst.N()
 	a.Reset(n, m)
+	a.memberEFT, a.eftLast = false, false
+	if r, ok := eftLoop(router); ok {
+		_, isMin := r.Tie.(sched.MinTie)
+		_, a.eftLast = r.Tie.(sched.MaxTie)
+		a.memberEFT = r.Tie == nil || isMin || a.eftLast
+	}
 	if hcfg != nil {
 		// Speculative copies are virtual attempts n..2n−1: grow the
 		// attempt-indexed engine state so a copy can occupy a queue
@@ -245,7 +252,8 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			ov.budget = b.Budget()
 		}
 		ov.op, _ = probe.(obs.OverloadObserver)
-		if ocfg.Shedder.Enabled() {
+		a.shedding = ocfg.Shedder.Enabled()
+		if a.shedding {
 			if ov.cands == nil {
 				ov.cands = make([]overload.Candidate, 0, 16)
 			}
@@ -324,7 +332,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 			kills:      a.hd.kills[:0],
 			trigAt:     grow(a.hd.trigAt, n),
 			trigSeq:    resliceZero(a.hd.trigSeq, n),
-			thrCount:   -1,
 		}
 		for i := range hd.copySrv {
 			hd.copySrv[i] = -1
@@ -749,10 +756,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		// with no fixed delay backing it).
 		hedgeThreshold = func() core.Time {
 			if hd.hist != nil && hd.hist.Count() >= hd.minSamples {
-				if c := hd.hist.Count(); c != hd.thrCount {
-					hd.thr, hd.thrCount = core.Time(hd.hist.Quantile(hd.cfg.Quantile)), c
-				}
-				return hd.thr
+				return core.Time(hd.hist.Quantile(hd.cfg.Quantile))
 			}
 			if hd.cfg.Delay > 0 {
 				return hd.cfg.Delay
@@ -1272,18 +1276,28 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 				}
 			}
 		}
-		if sh := ov.cfg.Shedder; sh.Enabled() {
+		// Every head's release is at least headFloor and float subtraction
+		// is monotone, so an arrival within the watermark of the floor finds
+		// no head to trim: the scan runs only past it, and recomputes the
+		// floor as it goes (a trim's rekey lowers it for the heads it moves).
+		if sh := ov.cfg.Shedder; sh.Enabled() && task.Release-a.headFloor > sh.Watermark {
+			a.headFloor = core.Time(math.Inf(1))
 			for j := 0; j < m; j++ {
 				h := fq.head[j]
 				if h < 0 {
 					continue
 				}
-				if hd != nil && h >= n {
-					h -= n // the waiting head may be a speculative copy
+				rid := h
+				if rid >= n {
+					rid -= n // the waiting head may be a speculative copy
 				}
-				if task.Release-inst.Tasks[h].Release > sh.Watermark {
+				if task.Release-a.releases[rid] > sh.Watermark {
 					trim(j, task.Release)
+					if h = fq.head[j]; h < 0 {
+						continue
+					}
 				}
+				a.lowerFloor(h)
 			}
 		}
 		if ap := ov.cfg.Admission; ap != nil {
@@ -1500,7 +1514,11 @@ func (a *Arena) place(inst *core.Instance, router Router, slow [][]faults.Slowdo
 	view := inst.Tasks[id]
 	view.Set = cands
 	view.Release = now
-	j = router.Pick(&a.st, view)
+	if a.memberEFT && cands != nil {
+		j = memberPick(cands, now, a.st.Completion, a.eftLast)
+	} else {
+		j = router.Pick(&a.st, view)
+	}
 	if j < 0 || j >= a.st.M || !view.Eligible(j) {
 		return j, 0, 0, 0, fmt.Errorf("sim: router %s picked invalid server M%d for %s %d (live set %v)",
 			router.Name(), j+1, what, id, view.Set)

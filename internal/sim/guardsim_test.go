@@ -7,7 +7,9 @@ import (
 
 	"flowsched/internal/core"
 	"flowsched/internal/faults"
+	"flowsched/internal/hedge"
 	"flowsched/internal/overload"
+	"flowsched/internal/resilience"
 )
 
 // TestDeadlineAdmissionBound: with DeadlineAdmit{D}, every completed task
@@ -74,6 +76,50 @@ func TestShedderBoundsQueueAge(t *testing.T) {
 		if om.Goodput() < 0.3 {
 			t.Errorf("%v: goodput %v collapsed under shedding", policy, om.Goodput())
 		}
+	}
+}
+
+// TestShedFloorDropsForRetriedHead pins the case where the shedder's head
+// floor must fall. X (release 0) crashes on M2 at t = 1 and retries at
+// 11.5. The arrival of B at t = 10 scans the empty heads and raises the
+// floor to 10, and Y (release 11) heads M2 when X re-queues behind it, so
+// X is not a head on entry. Y completes at 14 and X, 14.5 past its
+// release, heads M2 with Z1 and Z2 queued behind it. C's arrival at 14.5
+// must scan and trim M2 down to the watermark: X runs on, Z1 (the oldest
+// queued) is shed, Z2 is re-timed. Were the floor still 10, C would be
+// within the watermark of it and skip the scan.
+func TestShedFloorDropsForRetriedHead(t *testing.T) {
+	m0, m1 := core.ProcSet{0}, core.ProcSet{1}
+	inst := core.NewInstance(2, []core.Task{
+		{Release: 0, Proc: 2, Set: m1},    // 0: X
+		{Release: 10, Proc: 1, Set: m0},   // 1: B
+		{Release: 11, Proc: 3, Set: m1},   // 2: Y
+		{Release: 12, Proc: 4, Set: m1},   // 3: Z1
+		{Release: 12.5, Proc: 2, Set: m1}, // 4: Z2
+		{Release: 14.5, Proc: 0.5, Set: m0},
+	})
+	plan := faults.Empty(2).Down(1, 1, 1.5)
+	sh := &overload.Shedder{Policy: overload.DropOldest, Watermark: 5}
+	s, om, err := NewArena().Run(inst, EFTRouter{}, Config{
+		Plan: plan, Retry: RetryPolicy{MaxAttempts: 3, Backoff: 10.5}, Overload: &overload.Config{Shedder: sh},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if om.Attempts[0] != 2 || s.Machine[0] != 1 || s.Start[0] != 14 {
+		t.Fatalf("X: %d attempts, on M%d from %v; want 2 attempts, on M2 from 14",
+			om.Attempts[0], s.Machine[0]+1, s.Start[0])
+	}
+	for i, wantShed := range []bool{false, false, false, true, false, false} {
+		if om.Shed[i] != wantShed {
+			t.Errorf("task %d: shed %v, want %v", i, om.Shed[i], wantShed)
+		}
+	}
+	if om.Reason[3] != "shed-oldest" || om.Flows[3] != 2.5 {
+		t.Errorf("Z1: reason %q, flow %v; want %q, 2.5", om.Reason[3], om.Flows[3], "shed-oldest")
+	}
+	if s.Start[4] != 16 || om.Flows[4] != 5.5 {
+		t.Errorf("Z2: start %v, flow %v; want re-timed to start 16, flow 5.5", s.Start[4], om.Flows[4])
 	}
 }
 
@@ -169,12 +215,16 @@ func overloadedInstance(m, n int, load float64, rng *rand.Rand) *core.Instance {
 // FuzzGuardedDisposition fuzzes admission, shedding and deadline
 // enforcement against the disposition invariants: every task is completed,
 // dropped, rejected or shed — exactly one of the four — and completed flow
-// never exceeds the admission budget plus p_max.
+// never exceeds the admission budget plus p_max. Bit 7 of maxQ, which the
+// mode decoding ignores, also arms a delay hedge and circuit breakers, so
+// hedge copies reach queue heads, trims and the breaker-filtered candidate
+// rule.
 func FuzzGuardedDisposition(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint16(60), uint8(0), 5.0, uint8(3), 4.0)
 	f.Add(int64(2), uint8(3), uint16(80), uint8(1), 8.0, uint8(0), 0.0)
 	f.Add(int64(3), uint8(6), uint16(120), uint8(2), 0.0, uint8(2), 3.0)
 	f.Add(int64(4), uint8(2), uint16(40), uint8(3), 2.0, uint8(5), 1.0)
+	f.Add(int64(5), uint8(5), uint16(150), uint8(3), 0.0, uint8(0x80|2), 3.0)
 	f.Fuzz(func(t *testing.T, seed int64, m uint8, n uint16, mode uint8, deadline float64, maxQ uint8, watermark float64) {
 		mm := 1 + int(m)%10
 		nn := 1 + int(n)%200
@@ -216,7 +266,13 @@ func FuzzGuardedDisposition(f *testing.F) {
 		}
 		plan := faults.Generate(mm, inst.Tasks[nn-1].Release+1, 30, 5, rng)
 		r, _ := routerPair(allRouterKinds[int(seed%int64(len(allRouterKinds))+int64(len(allRouterKinds)))%len(allRouterKinds)], seed)
-		_, om, err := NewArena().Run(inst, r, Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 3}, Overload: cfg})
+		run := Config{Plan: plan, Retry: RetryPolicy{MaxAttempts: 3}, Overload: cfg}
+		if maxQ&0x80 != 0 {
+			run.Hedge = &hedge.Config{Delay: 1, CancelRunning: maxQ&0x40 != 0}
+			run.Resilience = &resilience.Config{Breaker: &resilience.BreakerConfig{
+				Window: 4, FailureThreshold: 0.5, Cooldown: 3, HalfOpenProbes: 1, SlowFactor: 2}}
+		}
+		_, om, err := NewArena().Run(inst, r, run)
 		if err != nil {
 			t.Fatalf("Arena.Run: %v", err)
 		}

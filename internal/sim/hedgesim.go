@@ -41,11 +41,6 @@ type hdRun struct {
 	// queue position it claimed instead (0 = nothing deferred).
 	trigAt  []core.Time
 	trigSeq []uint64
-
-	// The quantile trigger's threshold, recomputed only when the histogram
-	// has changed: thrCount is its Count at the last computation.
-	thr      core.Time
-	thrCount int
 }
 
 // resolveCopy marks task rid's copy resolved and reports whether it was

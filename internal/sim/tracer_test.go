@@ -1,10 +1,15 @@
 package sim
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flowsched/internal/core"
@@ -441,3 +446,62 @@ func TestStackProbeAllocs(t *testing.T) {
 // stackAllocGrowth bounds TestStackProbeAllocs' allocation ratio between the
 // n = 20,000 and n = 2,000 runs.
 const stackAllocGrowth = 1.25
+
+// tracerGoldenFile pins the tracer's JSON output for one run with every
+// engine link armed, as the SHA-256 of Tracer.WriteJSON under each
+// retention policy. It is regenerated only for an intended change to the
+// engine's event stream or to the trace format:
+//
+//	go test ./internal/sim -run TestTracerGolden -update-tracer
+const tracerGoldenFile = "testdata/tracer_golden.digest"
+
+var updateTracer = flag.Bool("update-tracer", false, "rewrite "+tracerGoldenFile+" from the current tracer")
+
+// TestTracerGolden runs the stack link mix (n = 2,000) through one arena
+// twice, traced with KeepAll and with KeepWorst(20), and compares the hash
+// of each WriteJSON document with the recorded one. The tracer's internal
+// index may change; what it writes may not.
+func TestTracerGolden(t *testing.T) {
+	inst := stackInstance(2000, 4242)
+	horizon := inst.Tasks[inst.N()-1].Release
+	arena := NewArena()
+	var b strings.Builder
+	for _, ret := range []struct {
+		name string
+		r    obs.Retention
+	}{{"keep-all", obs.KeepAll()}, {"keep-worst-20", obs.KeepWorst(20)}} {
+		tracer := obs.NewTracer(ret.r)
+		c := stackMix(horizon, 4242)
+		c.Probe = tracer
+		if _, _, err := arena.Run(inst, EFTRouter{}, c); err != nil {
+			t.Fatal(err)
+		}
+		var doc bytes.Buffer
+		if err := tracer.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %x %d\n", ret.name, sha256.Sum256(doc.Bytes()), doc.Len())
+	}
+	if *updateTracer {
+		head := "# SHA-256 and byte length of Tracer.WriteJSON for the stack link mix\n" +
+			"# (TestTracerGolden). Regenerate only for an intended output change:\n" +
+			"#   go test ./internal/sim -run TestTracerGolden -update-tracer\n"
+		if err := os.WriteFile(tracerGoldenFile, []byte(head+b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(tracerGoldenFile)
+	if err != nil {
+		t.Fatalf("%v (generate it with -update-tracer)", err)
+	}
+	var want strings.Builder
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			want.WriteString(line + "\n")
+		}
+	}
+	if got := b.String(); got != want.String() {
+		t.Fatalf("tracer output differs from %s:\n--- got\n%s--- want\n%s", tracerGoldenFile, got, want.String())
+	}
+}
