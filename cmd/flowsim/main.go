@@ -564,21 +564,21 @@ type cellObserver struct {
 	probe    flowsched.Probe
 }
 
-// attach opens the outputs and builds the fan-out probe.
+// attach opens the outputs and builds the probe feeding every sink.
 func (o *obsFlags) attach(m int) (*cellObserver, error) {
 	c := &cellObserver{
 		flags:    o,
 		counters: &flowsched.ProbeCounters{},
 		hist:     flowsched.NewHistogramProbe(),
 	}
-	probes := []flowsched.Probe{c.counters, c.hist}
+	sinks := []flowsched.ProbeSink{c.counters, c.hist}
 	if o.sample > 0 {
 		series, err := flowsched.NewTimeSeries(m, o.sample)
 		if err != nil {
 			return nil, err
 		}
 		c.series = series
-		probes = append(probes, series)
+		sinks = append(sinks, series)
 	}
 	if o.events != "" {
 		f, err := os.Create(o.events)
@@ -587,7 +587,7 @@ func (o *obsFlags) attach(m int) (*cellObserver, error) {
 		}
 		c.eventsF = f
 		c.sink = flowsched.NewJSONLSink(f)
-		probes = append(probes, c.sink)
+		sinks = append(sinks, c.sink)
 	}
 	if o.tracing() {
 		retain := flowsched.TraceKeepAll()
@@ -595,9 +595,9 @@ func (o *obsFlags) attach(m int) (*cellObserver, error) {
 			retain = flowsched.TraceKeepWorst(o.traceWorst)
 		}
 		c.tracer = flowsched.NewTracer(retain)
-		probes = append(probes, c.tracer)
+		sinks = append(sinks, c.tracer)
 	}
-	c.probe = flowsched.MultiProbe(probes...)
+	c.probe = flowsched.MultiProbe(sinks...)
 	return c, nil
 }
 

@@ -7,7 +7,6 @@ package flowsched
 
 import (
 	"flowsched/internal/elastic"
-	"flowsched/internal/obs"
 	"flowsched/internal/sim"
 )
 
@@ -36,9 +35,6 @@ type (
 	// per-task dispatch instants, scale/handoff counts and the
 	// machine-hours integral ∫ members dt.
 	ElasticMetrics = sim.ElasticMetrics
-	// MembershipObserver is the optional probe extension receiving the
-	// membership event stream (scale-ups, joins, drains, handoffs).
-	MembershipObserver = obs.MembershipObserver
 )
 
 // EffectiveSet returns the first k active machines walking the slot ring

@@ -7,27 +7,29 @@ import (
 	"flowsched"
 )
 
-// hedgeCounter counts the facade's hedge event stream.
+// hedgeCounter is a custom sink counting the facade's hedge event stream.
 type hedgeCounter struct {
-	flowsched.BaseProbe
 	hedges, wins, copyWins, cancels int
 }
 
-func (h *hedgeCounter) OnHedge(task, from, to int, at, start, end flowsched.Time) { h.hedges++ }
-func (h *hedgeCounter) OnHedgeWin(task, server int, byCopy bool, at flowsched.Time) {
-	h.wins++
-	if byCopy {
-		h.copyWins++
+func (h *hedgeCounter) Observe(e flowsched.ProbeEvent) {
+	switch e.Kind.String() {
+	case "hedge":
+		h.hedges++
+	case "hedge-win":
+		h.wins++
+		if e.Flag {
+			h.copyWins++
+		}
+	case "hedge-cancel":
+		h.cancels++
 	}
-}
-func (h *hedgeCounter) OnHedgeCancel(task, server int, at flowsched.Time, started bool) {
-	h.cancels++
 }
 
 // TestFacadeHedged exercises the hedged-execution facade end to end: a nil
 // config leaves no hedge state, and a delay-triggered hedge
 // under a gray fault issues copies, wins by copy, and reports the
-// duplicate-work cost — with the event stream visible through HedgeObserver.
+// duplicate-work cost — with the event stream visible to a custom sink.
 func TestFacadeHedged(t *testing.T) {
 	inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
 		M: 4, N: 200, Rate: flowsched.RateForLoad(0.5, 4),
@@ -52,7 +54,7 @@ func TestFacadeHedged(t *testing.T) {
 	plan := flowsched.EmptyFaultPlan(4).Slow(0, 0, 1e6, 25)
 	hcfg := &flowsched.HedgeConfig{Delay: 2, CancelRunning: true}
 	probe := &hedgeCounter{}
-	_, em, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Plan: plan, Hedge: hcfg, Probe: probe})
+	_, em, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Plan: plan, Hedge: hcfg, Probe: flowsched.MultiProbe(probe)})
 	if err != nil {
 		t.Fatal(err)
 	}

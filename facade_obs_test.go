@@ -104,7 +104,7 @@ func TestFacadeObservability(t *testing.T) {
 
 	// The engine with only a probe reproduces Observe's flows.
 	counters2 := &flowsched.ProbeCounters{}
-	_, mf, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{Probe: counters2})
+	_, mf, err := flowsched.NewRunArena().Run(inst, router, flowsched.SimConfig{Probe: flowsched.MultiProbe(counters2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,26 +7,29 @@ import (
 	"flowsched"
 )
 
-// resilienceCounter counts the facade's resilience event stream.
+// resilienceCounter is a custom sink counting the facade's resilience
+// event stream.
 type resilienceCounter struct {
-	flowsched.BaseProbe
 	opens, probes, closes, budgetDrops int
 }
 
-func (r *resilienceCounter) OnBreakerOpen(server int, at flowsched.Time) { r.opens++ }
-func (r *resilienceCounter) OnBreakerProbe(server, task int, at flowsched.Time) {
-	r.probes++
-}
-func (r *resilienceCounter) OnBreakerClose(server int, at flowsched.Time) { r.closes++ }
-func (r *resilienceCounter) OnRetryBudgetDrop(task, attempts int, at flowsched.Time) {
-	r.budgetDrops++
+func (r *resilienceCounter) Observe(e flowsched.ProbeEvent) {
+	switch e.Kind.String() {
+	case "breaker-open":
+		r.opens++
+	case "breaker-probe":
+		r.probes++
+	case "breaker-close":
+		r.closes++
+	case "retry-budget-drop":
+		r.budgetDrops++
+	}
 }
 
 // TestFacadeResilient exercises the resilience facade end to end: a nil
 // config leaves no resilience state, and a flapping outage under
 // a retry budget plus breakers trips the breaker, drops over-budget retries
-// and reports the ledger — with the event stream visible through
-// ResilienceObserver.
+// and reports the ledger — with the event stream visible to a custom sink.
 func TestFacadeResilient(t *testing.T) {
 	inst, err := flowsched.GenerateWorkload(flowsched.WorkloadConfig{
 		M: 4, N: 300, Rate: flowsched.RateForLoad(0.6, 4),
@@ -63,7 +66,7 @@ func TestFacadeResilient(t *testing.T) {
 		},
 	}
 	probe := &resilienceCounter{}
-	_, em, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Plan: plan, Retry: policy, Resilience: rcfg, Probe: probe})
+	_, em, err := flowsched.NewRunArena().Run(inst, flowsched.RoundRobinRouter(), flowsched.SimConfig{Plan: plan, Retry: policy, Resilience: rcfg, Probe: flowsched.MultiProbe(probe)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ package flowsched
 
 import (
 	"flowsched/internal/hedge"
-	"flowsched/internal/obs"
 )
 
 type (
@@ -19,8 +18,4 @@ type (
 	// with CancelRunning). MaxHedges caps the copies issued per run. A nil
 	// SimConfig.Hedge leaves the run byte-identical.
 	HedgeConfig = hedge.Config
-	// HedgeObserver is the optional probe extension receiving the hedged
-	// execution event stream (copy dispatches, first-win decisions, loser
-	// cancellations).
-	HedgeObserver = obs.HedgeObserver
 )

@@ -263,9 +263,10 @@ func TestAuditAttachesEvidence(t *testing.T) {
 	s.Assign(1, 0, 3) // before release → violation names task 1
 
 	rec := obs.NewFlightRecorder(16)
-	rec.OnArrival(0, 0)
-	rec.OnArrival(1, 5)
-	rec.OnDispatch(1, 0, 5, 3, 4)
+	probe := obs.Multi(rec)
+	probe.OnArrival(0, 0)
+	probe.OnArrival(1, 5)
+	probe.OnDispatch(1, 0, 5, 3, 4)
 
 	opts := Options{SkipLowerBound: true, SkipFIFOEquiv: true, Recorder: rec}
 	r := Audit(inst, s, opts)

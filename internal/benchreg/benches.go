@@ -183,15 +183,15 @@ func benchSimRunProbed(b *testing.B, newProbe func() obs.Probe) {
 // benchProbeOverheadSimHist prices the streaming flow/stretch histogram
 // probe against SimRunEFT.
 func benchProbeOverheadSimHist(b *testing.B) {
-	hist := obs.NewHistogramProbe()
-	benchSimRunProbed(b, func() obs.Probe { return hist })
+	probe := obs.Multi(obs.NewHistogramProbe())
+	benchSimRunProbed(b, func() obs.Probe { return probe })
 }
 
 // benchSimRunTracedKeepWorst prices span tracing against SimRunEFT: a
 // bounded tail tracer, fresh per run as in real use (retention state is per
 // run, not reusable).
 func benchSimRunTracedKeepWorst(b *testing.B) {
-	benchSimRunProbed(b, func() obs.Probe { return obs.NewTracer(obs.KeepWorst(20)) })
+	benchSimRunProbed(b, func() obs.Probe { return obs.Multi(obs.NewTracer(obs.KeepWorst(20))) })
 }
 
 // benchSimRunFlightRecorded prices the always-on flight recorder on the
@@ -199,7 +199,8 @@ func benchSimRunTracedKeepWorst(b *testing.B) {
 // as chaos and the stack workload use it.
 func benchSimRunFlightRecorded(b *testing.B) {
 	rec := obs.NewFlightRecorder(4096)
-	benchSimRunProbed(b, func() obs.Probe { rec.Reset(); return rec })
+	probe := obs.Multi(rec)
+	benchSimRunProbed(b, func() obs.Probe { rec.Reset(); return probe })
 }
 
 // benchEngine times one engine run per iteration on the SimRunEFT

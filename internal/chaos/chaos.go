@@ -603,10 +603,10 @@ func Check(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Params) []
 func CheckRecorded(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Params, rec *obs.FlightRecorder) []audit.Violation {
 	router := spec.New(p.RouterSeed)
 	probe := newCountProbe(inst.N())
-	var simProbe obs.Probe = probe
+	sinks := []obs.Sink{probe}
 	if rec != nil {
 		rec.Reset()
-		simProbe = obs.Multi(probe, rec)
+		sinks = append(sinks, rec)
 	}
 	cfg, err := p.overloadConfig()
 	if err != nil {
@@ -617,7 +617,7 @@ func CheckRecorded(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Pa
 	rcfg := p.resilienceConfig()
 	arena := arenas.Get().(*sim.Arena)
 	defer arenas.Put(arena)
-	s, em, err := arena.Run(inst, router, sim.Config{Plan: plan, Retry: p.Policy, Overload: cfg, Elastic: ecfg, Hedge: hcfg, Resilience: rcfg, Probe: simProbe})
+	s, em, err := arena.Run(inst, router, sim.Config{Plan: plan, Retry: p.Policy, Overload: cfg, Elastic: ecfg, Hedge: hcfg, Resilience: rcfg, Probe: obs.Multi(sinks...)})
 	if err != nil {
 		return []audit.Violation{{Invariant: InvSimError, Task: -1, Machine: -1, Detail: err.Error()}}
 	}

@@ -547,9 +547,10 @@ func TestRunAttachesFlightEvents(t *testing.T) {
 
 // TestCheckedInReprosReplayClean replays the shrunk soak failures kept
 // under testdata/ — two lower-bound failures of elastic runs, two hedge
-// copies counted in more than one resolution, and a trim that shed a hedged
+// copies counted in more than one resolution, a trim that shed a hedged
 // primary and its copy together and reclaimed the copy's busy time twice
-// (trial 2180) — and requires each to audit clean now. Each file still
+// (trial 2180), and a parked task dispatched between two same-instant joins
+// (trial 1006) — and requires each to audit clean now. Each file still
 // records the violations it used to produce.
 func TestCheckedInReprosReplayClean(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "repro-*.json"))

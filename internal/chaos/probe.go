@@ -14,52 +14,19 @@ import (
 // stream independently and compares its totals against the metrics the run
 // reports. Any disagreement means the simulator's bookkeeping and its event
 // stream have diverged — a bug neither the schedule auditor nor the metrics
-// alone would catch. It also observes the overload-control stream
-// (obs.OverloadObserver), so guarded trials cross-check rejections, sheds
-// and ejections the same way, and the membership stream
-// (obs.MembershipObserver), so churn trials cross-check scale-ups, joins,
-// drains and handoffs against the run's metrics and membership log, and the
-// resilience stream (obs.ResilienceObserver), so resilient trials
-// cross-check breaker transitions, probe dispatches and retry-budget drops
-// against the run's metrics.
+// alone would catch. The totals are obs.Counters'; on top of them it keeps
+// the per-task marks (final completion, rejected, shed, hedged, won by
+// copy, probed, budget-dropped) and the drains' own handoff totals, so
+// guarded, churn, hedged and resilient trials cross-check their
+// dispositions, membership log and ledgers as well as their counts.
 type countProbe struct {
-	obs.BaseProbe
-	arrivals   int
-	dispatches int
-	completes  int
-	drops      int
-	retries    int
-	ends       []core.Time // per-task final completion; NaN = never completed
-	makespan   core.Time
-	doneCalls  int
-
-	rejects      int
-	sheds        int
-	ejections    int
-	readmissions int
-	rejected     []bool
-	shed         []bool
-
-	scaleUps      int
-	joins         int
-	scaleDowns    int
-	handoffs      int
+	obs.Counters
+	ends          []core.Time // per-task final completion; NaN = never completed
+	makespan      core.Time
+	doneCalls     int
 	drainHandoffs int // handoff totals as reported by the drain events
-	warmUp        core.Time
 
-	hedges       int
-	hedgeWins    int
-	copyWins     int
-	hedgeCancels int
-	hedged       []bool
-	wonByCopy    []bool
-
-	breakerOpens  int
-	breakerCloses int
-	breakerProbes int
-	budgetDrops   int
-	probed        []bool
-	budgetDropped []bool
+	rejected, shed, hedged, wonByCopy, probed, budgetDropped []bool
 }
 
 func newCountProbe(n int) *countProbe {
@@ -74,110 +41,38 @@ func newCountProbe(n int) *countProbe {
 	}
 }
 
-func (c *countProbe) OnArrival(task int, release core.Time) { c.arrivals++ }
-
-func (c *countProbe) OnDispatch(task, server int, at, start, end core.Time) { c.dispatches++ }
-
-func (c *countProbe) OnComplete(task, server int, release, proc, end core.Time) {
-	c.completes++
-	if task >= 0 && task < len(c.ends) {
-		c.ends[task] = end
-	}
-}
-
-func (c *countProbe) OnDrop(task int, release, at core.Time) { c.drops++ }
-
-func (c *countProbe) OnRetry(task, attempt int, at core.Time) { c.retries++ }
-
-func (c *countProbe) OnDone(makespan core.Time) {
-	c.makespan = makespan
-	c.doneCalls++
-}
-
-// OnReject implements obs.OverloadObserver.
-func (c *countProbe) OnReject(task int, at core.Time, reason string) {
-	c.rejects++
-	if task >= 0 && task < len(c.rejected) {
-		c.rejected[task] = true
-	}
-}
-
-// OnShed implements obs.OverloadObserver.
-func (c *countProbe) OnShed(task, server int, release, at core.Time, reason string) {
-	c.sheds++
-	if task >= 0 && task < len(c.shed) {
-		c.shed[task] = true
-	}
-}
-
-// OnEject implements obs.OverloadObserver.
-func (c *countProbe) OnEject(server int, at core.Time) { c.ejections++ }
-
-// OnReadmit implements obs.OverloadObserver.
-func (c *countProbe) OnReadmit(server int, at core.Time) { c.readmissions++ }
-
-// OnBrownout implements obs.OverloadObserver.
-func (c *countProbe) OnBrownout(at core.Time, active bool) {}
-
-// OnScaleUp implements obs.MembershipObserver.
-func (c *countProbe) OnScaleUp(machine int, at, ready core.Time) {
-	c.scaleUps++
-	c.warmUp += ready - at
-}
-
-// OnJoin implements obs.MembershipObserver.
-func (c *countProbe) OnJoin(machine int, at core.Time, members int) { c.joins++ }
-
-// OnScaleDown implements obs.MembershipObserver.
-func (c *countProbe) OnScaleDown(machine int, at core.Time, members, handoffs int) {
-	c.scaleDowns++
-	c.drainHandoffs += handoffs
-}
-
-// OnHandoff implements obs.MembershipObserver.
-func (c *countProbe) OnHandoff(task, from int, at core.Time) { c.handoffs++ }
-
-// OnHedge implements obs.HedgeObserver.
-func (c *countProbe) OnHedge(task, from, to int, at, start, end core.Time) {
-	c.hedges++
-	if task >= 0 && task < len(c.hedged) {
-		c.hedged[task] = true
-	}
-}
-
-// OnHedgeWin implements obs.HedgeObserver.
-func (c *countProbe) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	c.hedgeWins++
-	if byCopy {
-		c.copyWins++
-		if task >= 0 && task < len(c.wonByCopy) {
-			c.wonByCopy[task] = true
+// Observe implements obs.Sink.
+func (c *countProbe) Observe(e obs.Event) {
+	c.Counters.Observe(e)
+	mark := func(flags []bool) {
+		if e.Task >= 0 && e.Task < len(flags) {
+			flags[e.Task] = true
 		}
 	}
-}
-
-// OnHedgeCancel implements obs.HedgeObserver.
-func (c *countProbe) OnHedgeCancel(task, server int, at core.Time, started bool) { c.hedgeCancels++ }
-
-// OnBreakerOpen implements obs.ResilienceObserver.
-func (c *countProbe) OnBreakerOpen(server int, at core.Time) { c.breakerOpens++ }
-
-// OnBreakerProbe implements obs.ResilienceObserver.
-func (c *countProbe) OnBreakerProbe(server, task int, at core.Time) {
-	c.breakerProbes++
-	if task >= 0 && task < len(c.probed) {
-		c.probed[task] = true
-	}
-}
-
-// OnBreakerClose implements obs.ResilienceObserver.
-func (c *countProbe) OnBreakerClose(server int, at core.Time) { c.breakerCloses++ }
-
-// OnRetryBudgetDrop implements obs.ResilienceObserver.
-func (c *countProbe) OnRetryBudgetDrop(task, attempts int, at core.Time) {
-	c.budgetDrops++
-	if task >= 0 && task < len(c.budgetDropped) {
-		c.budgetDropped[task] = true
+	switch e.Kind {
+	case obs.Complete:
+		if e.Task >= 0 && e.Task < len(c.ends) {
+			c.ends[e.Task] = e.At
+		}
+	case obs.Done:
+		c.makespan = e.At
+		c.doneCalls++
+	case obs.Reject:
+		mark(c.rejected)
+	case obs.Shed:
+		mark(c.shed)
+	case obs.ScaleDown:
+		c.drainHandoffs += int(e.T1)
+	case obs.Hedge:
+		mark(c.hedged)
+	case obs.HedgeWin:
+		if e.Flag {
+			mark(c.wonByCopy)
+		}
+	case obs.BreakerProbe:
+		mark(c.probed)
+	case obs.RetryBudgetDrop:
+		mark(c.budgetDropped)
 	}
 }
 
@@ -190,33 +85,33 @@ func (c *countProbe) crossCheck(inst *core.Instance, om *sim.OverloadMetrics) []
 			Detail: fmt.Sprintf(format, args...)})
 	}
 	n := inst.N()
-	if c.arrivals != n {
-		bad("probe saw %d arrivals for %d tasks", c.arrivals, n)
+	if c.Arrivals != int64(n) {
+		bad("probe saw %d arrivals for %d tasks", c.Arrivals, n)
 	}
 	attempts := 0
 	for _, a := range om.Attempts {
 		attempts += a
 	}
-	if c.dispatches != attempts {
-		bad("probe saw %d dispatches, metrics report %d attempts", c.dispatches, attempts)
+	if c.Dispatches != int64(attempts) {
+		bad("probe saw %d dispatches, metrics report %d attempts", c.Dispatches, attempts)
 	}
-	if rejected := om.RejectedCount(); c.rejects != rejected {
-		bad("probe saw %d rejections, metrics report %d", c.rejects, rejected)
+	if rejected := om.RejectedCount(); c.Rejections != int64(rejected) {
+		bad("probe saw %d rejections, metrics report %d", c.Rejections, rejected)
 	}
-	if shed := om.ShedCount(); c.sheds != shed {
-		bad("probe saw %d sheds, metrics report %d", c.sheds, shed)
+	if shed := om.ShedCount(); c.Sheds != int64(shed) {
+		bad("probe saw %d sheds, metrics report %d", c.Sheds, shed)
 	}
-	if c.ejections != om.Ejections {
-		bad("probe saw %d ejections, metrics report %d", c.ejections, om.Ejections)
+	if c.Ejections != int64(om.Ejections) {
+		bad("probe saw %d ejections, metrics report %d", c.Ejections, om.Ejections)
 	}
-	if c.readmissions != om.Readmissions {
-		bad("probe saw %d readmissions, metrics report %d", c.readmissions, om.Readmissions)
+	if c.Readmissions != int64(om.Readmissions) {
+		bad("probe saw %d readmissions, metrics report %d", c.Readmissions, om.Readmissions)
 	}
 	excluded := om.DroppedCount() + om.RejectedCount() + om.ShedCount()
-	if dropped := om.DroppedCount(); c.drops != dropped {
-		bad("probe saw %d drops, metrics report %d", c.drops, dropped)
-	} else if c.completes != n-excluded {
-		bad("probe saw %d completions for %d completed tasks", c.completes, n-excluded)
+	if dropped := om.DroppedCount(); c.Drops != int64(dropped) {
+		bad("probe saw %d drops, metrics report %d", c.Drops, dropped)
+	} else if c.Completions != int64(n-excluded) {
+		bad("probe saw %d completions for %d completed tasks", c.Completions, n-excluded)
 	}
 	if c.doneCalls != 1 {
 		bad("OnDone fired %d times", c.doneCalls)
@@ -274,8 +169,8 @@ func (c *countProbe) crossCheckHedge(inst *core.Instance, em *sim.ElasticMetrics
 			Detail: fmt.Sprintf(format, args...)})
 	}
 	if !hedged {
-		if c.hedges != 0 || c.hedgeWins != 0 || c.hedgeCancels != 0 {
-			bad("unhedged run emitted hedge events (%d/%d/%d)", c.hedges, c.hedgeWins, c.hedgeCancels)
+		if c.Hedges != 0 || c.HedgeWins != 0 || c.HedgeCancels != 0 {
+			bad("unhedged run emitted hedge events (%d/%d/%d)", c.Hedges, c.HedgeWins, c.HedgeCancels)
 		}
 		if em.HedgesIssued != 0 || em.Hedged != nil {
 			bad("unhedged run carries hedge metrics (issued=%d)", em.HedgesIssued)
@@ -288,20 +183,20 @@ func (c *countProbe) crossCheckHedge(inst *core.Instance, em *sim.ElasticMetrics
 		bad("hedge resolution broken: issued %d ≠ copy-wins %d + cancelled %d + revoked %d",
 			em.HedgesIssued, em.HedgeWinsCopy, em.HedgesCancelled, em.HedgesRevoked)
 	}
-	if c.hedges != em.HedgesIssued {
-		bad("probe saw %d hedges, metrics report %d", c.hedges, em.HedgesIssued)
+	if c.Hedges != int64(em.HedgesIssued) {
+		bad("probe saw %d hedges, metrics report %d", c.Hedges, em.HedgesIssued)
 	}
-	if wins := em.HedgeWinsPrimary + em.HedgeWinsCopy; c.hedgeWins != wins {
-		bad("probe saw %d hedge wins, metrics report %d", c.hedgeWins, wins)
+	if wins := em.HedgeWinsPrimary + em.HedgeWinsCopy; c.HedgeWins != int64(wins) {
+		bad("probe saw %d hedge wins, metrics report %d", c.HedgeWins, wins)
 	}
-	if c.copyWins != em.HedgeWinsCopy {
-		bad("probe saw %d copy wins, metrics report %d", c.copyWins, em.HedgeWinsCopy)
+	if c.HedgeCopyWins != int64(em.HedgeWinsCopy) {
+		bad("probe saw %d copy wins, metrics report %d", c.HedgeCopyWins, em.HedgeWinsCopy)
 	}
 	// Cancel events cover every losing copy plus at most one primary-side
 	// cancellation per hedged task (a copy win, or a tied revocation).
-	if lo := em.HedgesCancelled + em.HedgesRevoked; c.hedgeCancels < lo || c.hedgeCancels > lo+em.HedgesIssued {
+	if lo := int64(em.HedgesCancelled + em.HedgesRevoked); c.HedgeCancels < lo || c.HedgeCancels > lo+int64(em.HedgesIssued) {
 		bad("probe saw %d hedge cancels for %d cancelled + %d revoked copies (%d issued)",
-			c.hedgeCancels, em.HedgesCancelled, em.HedgesRevoked, em.HedgesIssued)
+			c.HedgeCancels, em.HedgesCancelled, em.HedgesRevoked, em.HedgesIssued)
 	}
 	if em.DuplicateWork < 0 || em.CancelledWork < 0 {
 		bad("negative hedge work accounting: duplicate %v, cancelled %v", em.DuplicateWork, em.CancelledWork)
@@ -329,9 +224,9 @@ func (c *countProbe) crossCheckResilience(inst *core.Instance, em *sim.ElasticMe
 			Detail: fmt.Sprintf(format, args...)})
 	}
 	if !resilient {
-		if c.breakerOpens != 0 || c.breakerProbes != 0 || c.breakerCloses != 0 || c.budgetDrops != 0 {
+		if c.BreakerOpens != 0 || c.BreakerProbes != 0 || c.BreakerCloses != 0 || c.RetryBudgetDrops != 0 {
 			bad("unprotected run emitted resilience events (%d/%d/%d/%d)",
-				c.breakerOpens, c.breakerProbes, c.breakerCloses, c.budgetDrops)
+				c.BreakerOpens, c.BreakerProbes, c.BreakerCloses, c.RetryBudgetDrops)
 		}
 		if em.RetriesRequested != 0 || em.RetriesIssued != 0 || em.RetriesDropped != 0 {
 			bad("unprotected run carries a retry-budget ledger (%d/%d/%d)",
@@ -346,17 +241,17 @@ func (c *countProbe) crossCheckResilience(inst *core.Instance, em *sim.ElasticMe
 		bad("budget conservation broken: issued %d + dropped %d ≠ requested %d",
 			em.RetriesIssued, em.RetriesDropped, em.RetriesRequested)
 	}
-	if c.budgetDrops != em.RetriesDropped {
-		bad("probe saw %d budget drops, metrics report %d", c.budgetDrops, em.RetriesDropped)
+	if c.RetryBudgetDrops != int64(em.RetriesDropped) {
+		bad("probe saw %d budget drops, metrics report %d", c.RetryBudgetDrops, em.RetriesDropped)
 	}
-	if c.breakerOpens != em.BreakerOpens {
-		bad("probe saw %d breaker opens, metrics report %d", c.breakerOpens, em.BreakerOpens)
+	if c.BreakerOpens != int64(em.BreakerOpens) {
+		bad("probe saw %d breaker opens, metrics report %d", c.BreakerOpens, em.BreakerOpens)
 	}
-	if c.breakerCloses != em.BreakerCloses {
-		bad("probe saw %d breaker closes, metrics report %d", c.breakerCloses, em.BreakerCloses)
+	if c.BreakerCloses != int64(em.BreakerCloses) {
+		bad("probe saw %d breaker closes, metrics report %d", c.BreakerCloses, em.BreakerCloses)
 	}
-	if c.breakerProbes != em.BreakerProbes {
-		bad("probe saw %d breaker probes, metrics report %d", c.breakerProbes, em.BreakerProbes)
+	if c.BreakerProbes != int64(em.BreakerProbes) {
+		bad("probe saw %d breaker probes, metrics report %d", c.BreakerProbes, em.BreakerProbes)
 	}
 	if em.BreakerOpens != len(em.BreakerSpans) {
 		bad("metrics report %d breaker opens for %d recorded spans", em.BreakerOpens, len(em.BreakerSpans))
@@ -384,23 +279,23 @@ func (c *countProbe) crossCheckElastic(inst *core.Instance, em *sim.ElasticMetri
 		vs = append(vs, audit.Violation{Invariant: InvProbe, Task: -1, Machine: -1,
 			Detail: fmt.Sprintf(format, args...)})
 	}
-	if c.scaleUps != em.ScaleUps {
-		bad("probe saw %d scale-ups, metrics report %d", c.scaleUps, em.ScaleUps)
+	if c.ScaleUps != int64(em.ScaleUps) {
+		bad("probe saw %d scale-ups, metrics report %d", c.ScaleUps, em.ScaleUps)
 	}
-	if c.scaleDowns != em.ScaleDowns {
-		bad("probe saw %d scale-downs, metrics report %d", c.scaleDowns, em.ScaleDowns)
+	if c.ScaleDowns != int64(em.ScaleDowns) {
+		bad("probe saw %d scale-downs, metrics report %d", c.ScaleDowns, em.ScaleDowns)
 	}
-	if c.handoffs != em.Handoffs {
-		bad("probe saw %d handoffs, metrics report %d", c.handoffs, em.Handoffs)
+	if c.Handoffs != int64(em.Handoffs) {
+		bad("probe saw %d handoffs, metrics report %d", c.Handoffs, em.Handoffs)
 	}
-	if c.drainHandoffs != c.handoffs {
-		bad("drain events total %d handoffs, per-task events total %d", c.drainHandoffs, c.handoffs)
+	if int64(c.drainHandoffs) != c.Handoffs {
+		bad("drain events total %d handoffs, per-task events total %d", c.drainHandoffs, c.Handoffs)
 	}
-	if c.joins > c.scaleUps {
-		bad("probe saw %d joins for %d scale-ups", c.joins, c.scaleUps)
+	if c.Joins > c.ScaleUps {
+		bad("probe saw %d joins for %d scale-ups", c.Joins, c.ScaleUps)
 	}
-	if math.Abs(float64(c.warmUp-em.WarmUpTime)) > 1e-9*(1+math.Abs(float64(em.WarmUpTime))) {
-		bad("probe accumulated warm-up %v, metrics report %v", c.warmUp, em.WarmUpTime)
+	if math.Abs(float64(c.WarmUpTime-em.WarmUpTime)) > 1e-9*(1+math.Abs(float64(em.WarmUpTime))) {
+		bad("probe accumulated warm-up %v, metrics report %v", c.WarmUpTime, em.WarmUpTime)
 	}
 	ms := em.Membership
 	if ms == nil {
@@ -418,11 +313,11 @@ func (c *countProbe) crossCheckElastic(inst *core.Instance, em *sim.ElasticMetri
 			drains++
 		}
 	}
-	if joins != c.joins {
-		bad("membership log has %d joins, probe saw %d", joins, c.joins)
+	if int64(joins) != c.Joins {
+		bad("membership log has %d joins, probe saw %d", joins, c.Joins)
 	}
-	if drains != c.scaleDowns {
-		bad("membership log has %d drains, probe saw %d", drains, c.scaleDowns)
+	if int64(drains) != c.ScaleDowns {
+		bad("membership log has %d drains, probe saw %d", drains, c.ScaleDowns)
 	}
 	if len(em.Dispatched) != inst.N() {
 		bad("dispatch log has %d entries for %d tasks", len(em.Dispatched), inst.N())

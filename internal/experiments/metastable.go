@@ -105,18 +105,16 @@ type MetastableResult struct {
 	Gray  []MetastableGrayRow
 }
 
-// ejectClock records the first ejection instant of a run (the overload
-// observer hook rides along on the standard probe interface).
+// ejectClock records the first ejection instant of a run.
 type ejectClock struct {
-	obs.BaseProbe
-	obs.BaseOverloadObserver
 	first core.Time
 	seen  bool
 }
 
-func (e *ejectClock) OnEject(server int, at core.Time) {
-	if !e.seen {
-		e.first, e.seen = at, true
+// Observe implements obs.Sink.
+func (e *ejectClock) Observe(ev obs.Event) {
+	if ev.Kind == obs.Eject && !e.seen {
+		e.first, e.seen = ev.At, true
 	}
 }
 
@@ -274,7 +272,7 @@ func Metastable(w io.Writer, cfg MetastableConfig) (*MetastableResult, error) {
 			} else {
 				clock := &ejectClock{}
 				ocfg := &overload.Config{Ejector: &overload.Ejector{K: 3, Cooldown: 1e9}}
-				_, em2, err2 := arena.Run(inst, &sim.RoundRobinRouter{}, sim.Config{Plan: grayPlan, Overload: ocfg, Probe: clock})
+				_, em2, err2 := arena.Run(inst, &sim.RoundRobinRouter{}, sim.Config{Plan: grayPlan, Overload: ocfg, Probe: obs.Multi(clock)})
 				if err2 != nil {
 					arenas.Put(arena)
 					return nil, err2

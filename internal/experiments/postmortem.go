@@ -77,7 +77,7 @@ func Postmortem(w io.Writer, cfg PostmortemConfig) error {
 		}
 		tracer := obs.NewTracer(obs.KeepWorst(cfg.Worst))
 		arena := arenas.Get().(*sim.Arena)
-		_, _, err = arena.Run(inst, sim.EFTRouter{}, sim.Config{Overload: pol.mk(), Probe: tracer})
+		_, _, err = arena.Run(inst, sim.EFTRouter{}, sim.Config{Overload: pol.mk(), Probe: obs.Multi(tracer)})
 		arenas.Put(arena)
 		if err != nil {
 			return err

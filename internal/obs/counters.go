@@ -7,11 +7,10 @@ import (
 	"flowsched/internal/core"
 )
 
-// Counters is a Probe that tallies the run's event totals — the counter set
+// Counters is a Sink that tallies the run's event totals — the counter set
 // a production scheduler would export. WriteProm renders them in the
 // Prometheus text exposition format.
 type Counters struct {
-	BaseProbe
 	Arrivals    int64 // requests released
 	Dispatches  int64 // dispatch attempts (> Arrivals under failover)
 	Completions int64 // final completions
@@ -47,86 +46,62 @@ type Counters struct {
 	RetryBudgetDrops int64 // retries refused by the retry budget
 }
 
-// OnArrival implements Probe.
-func (c *Counters) OnArrival(task int, release core.Time) { c.Arrivals++ }
-
-// OnDispatch implements Probe.
-func (c *Counters) OnDispatch(task, server int, at, start, end core.Time) { c.Dispatches++ }
-
-// OnComplete implements Probe.
-func (c *Counters) OnComplete(task, server int, release, proc, end core.Time) { c.Completions++ }
-
-// OnDrop implements Probe.
-func (c *Counters) OnDrop(task int, release, at core.Time) { c.Drops++ }
-
-// OnRetry implements Probe.
-func (c *Counters) OnRetry(task, attempt int, at core.Time) { c.Retries++ }
-
-// OnFailover implements Probe.
-func (c *Counters) OnFailover(server int, at core.Time, lost int) {
-	c.Failovers++
-	c.Lost += int64(lost)
-}
-
-// OnReject implements OverloadObserver.
-func (c *Counters) OnReject(task int, at core.Time, reason string) { c.Rejections++ }
-
-// OnShed implements OverloadObserver.
-func (c *Counters) OnShed(task, server int, release, at core.Time, reason string) { c.Sheds++ }
-
-// OnEject implements OverloadObserver.
-func (c *Counters) OnEject(server int, at core.Time) { c.Ejections++ }
-
-// OnReadmit implements OverloadObserver.
-func (c *Counters) OnReadmit(server int, at core.Time) { c.Readmissions++ }
-
-// OnBrownout implements OverloadObserver.
-func (c *Counters) OnBrownout(at core.Time, active bool) {
-	if active {
-		c.Brownouts++
+// Observe implements Sink: it counts the event under its kind.
+func (c *Counters) Observe(e Event) {
+	switch e.Kind {
+	case Arrival:
+		c.Arrivals++
+	case Dispatch:
+		c.Dispatches++
+	case Complete:
+		c.Completions++
+	case Drop:
+		c.Drops++
+	case Retry:
+		c.Retries++
+	case Failover:
+		c.Failovers++
+		c.Lost += int64(e.Aux)
+	case Reject:
+		c.Rejections++
+	case Shed:
+		c.Sheds++
+	case Eject:
+		c.Ejections++
+	case Readmit:
+		c.Readmissions++
+	case Brownout:
+		if e.Flag {
+			c.Brownouts++
+		}
+	case ScaleUp:
+		c.ScaleUps++
+		c.WarmUpTime += e.T1 - e.At
+	case Join:
+		c.Joins++
+	case ScaleDown:
+		c.ScaleDowns++
+	case Handoff:
+		c.Handoffs++
+	case Hedge:
+		c.Hedges++
+	case HedgeWin:
+		c.HedgeWins++
+		if e.Flag {
+			c.HedgeCopyWins++
+		}
+	case HedgeCancel:
+		c.HedgeCancels++
+	case BreakerOpen:
+		c.BreakerOpens++
+	case BreakerProbe:
+		c.BreakerProbes++
+	case BreakerClose:
+		c.BreakerCloses++
+	case RetryBudgetDrop:
+		c.RetryBudgetDrops++
 	}
 }
-
-// OnScaleUp implements MembershipObserver.
-func (c *Counters) OnScaleUp(machine int, at, ready core.Time) {
-	c.ScaleUps++
-	c.WarmUpTime += ready - at
-}
-
-// OnJoin implements MembershipObserver.
-func (c *Counters) OnJoin(machine int, at core.Time, members int) { c.Joins++ }
-
-// OnScaleDown implements MembershipObserver.
-func (c *Counters) OnScaleDown(machine int, at core.Time, members, handoffs int) { c.ScaleDowns++ }
-
-// OnHandoff implements MembershipObserver.
-func (c *Counters) OnHandoff(task, from int, at core.Time) { c.Handoffs++ }
-
-// OnHedge implements HedgeObserver.
-func (c *Counters) OnHedge(task, from, to int, at, start, end core.Time) { c.Hedges++ }
-
-// OnHedgeWin implements HedgeObserver.
-func (c *Counters) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	c.HedgeWins++
-	if byCopy {
-		c.HedgeCopyWins++
-	}
-}
-
-// OnHedgeCancel implements HedgeObserver.
-func (c *Counters) OnHedgeCancel(task, server int, at core.Time, started bool) { c.HedgeCancels++ }
-
-// OnBreakerOpen implements ResilienceObserver.
-func (c *Counters) OnBreakerOpen(server int, at core.Time) { c.BreakerOpens++ }
-
-// OnBreakerProbe implements ResilienceObserver.
-func (c *Counters) OnBreakerProbe(server, task int, at core.Time) { c.BreakerProbes++ }
-
-// OnBreakerClose implements ResilienceObserver.
-func (c *Counters) OnBreakerClose(server int, at core.Time) { c.BreakerCloses++ }
-
-// OnRetryBudgetDrop implements ResilienceObserver.
-func (c *Counters) OnRetryBudgetDrop(task, attempts int, at core.Time) { c.RetryBudgetDrops++ }
 
 // WriteProm writes the counters in the Prometheus text exposition format
 // under the flowsched_ namespace.

@@ -77,8 +77,9 @@ func TestQuantileExemplarWithoutExemplars(t *testing.T) {
 
 func TestHistogramProbeExemplars(t *testing.T) {
 	p := NewHistogramProbe()
-	p.OnComplete(3, 0, 0, 2, 10)  // flow 10, stretch 5
-	p.OnComplete(4, 0, 5, 1, 105) // flow 100, stretch 100
+	h := hooks(p)
+	h.OnComplete(3, 0, 0, 2, 10)  // flow 10, stretch 5
+	h.OnComplete(4, 0, 5, 1, 105) // flow 100, stretch 100
 	if _, task := p.Flow.QuantileExemplar(1); task != 4 {
 		t.Fatalf("flow tail exemplar = T%d, want T4", task)
 	}
@@ -87,7 +88,7 @@ func TestHistogramProbeExemplars(t *testing.T) {
 	}
 	// Zero-proc completions mirror sim.stretchOf (stretch 0) and land in the
 	// zero bucket with the task attached.
-	p.OnComplete(7, 0, 0, 0, 1)
+	h.OnComplete(7, 0, 0, 0, 1)
 	if _, task := p.Stretch.QuantileExemplar(0); task != 7 {
 		t.Fatalf("zero-proc stretch exemplar = T%d, want T7", task)
 	}

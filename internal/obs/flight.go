@@ -10,12 +10,11 @@ import (
 	"flowsched/internal/core"
 )
 
-// FlightEvent is one raw engine event of the flight recorder: the flat
-// union of every hook's payload, keyed by Ev. The kinds are the JSONLSink
-// record kinds plus the overload, membership, hedge and resilience event
-// streams — 23 in all, one per hook. Fields that do not apply to a kind
-// carry -1 (ids/counts) or NaN (instants), so records round-trip through
-// JSON Lines unambiguously.
+// FlightEvent is an Event in the flight recorder's dump form, keyed by Ev
+// (the kind's wire name) with each field under the name of the hook
+// parameter it holds. Fields that do not apply to a kind carry -1
+// (ids/counts) or NaN (instants), so records round-trip through JSON Lines
+// unambiguously.
 type FlightEvent struct {
 	Ev       string        `json:"ev"`
 	T        core.NullTime `json:"t"`
@@ -41,7 +40,7 @@ type FlightEvent struct {
 func nanT() core.NullTime { return core.NullTime(math.NaN()) }
 
 // blankEvent is a FlightEvent with every optional field at its absent
-// sentinel; hook recorders fill in what applies.
+// sentinel; Event.flight fills in what applies.
 func blankEvent(ev string, t core.Time) FlightEvent {
 	return FlightEvent{
 		Ev: ev, T: core.NullTime(t),
@@ -50,108 +49,38 @@ func blankEvent(ev string, t core.Time) FlightEvent {
 	}
 }
 
-// flightKind is a FlightEvent's Ev in the ring's compact record.
-type flightKind uint8
-
-const (
-	evArrival flightKind = iota
-	evDispatch
-	evComplete
-	evDrop
-	evRetry
-	evFailover
-	evDone
-	evReject
-	evShed
-	evEject
-	evReadmit
-	evBrownout
-	evScaleUp
-	evJoin
-	evScaleDown
-	evHandoff
-	evHedge
-	evHedgeWin
-	evHedgeCancel
-	evBreakerOpen
-	evBreakerProbe
-	evBreakerClose
-	evRetryBudgetDrop
-)
-
-// flightKindNames maps each kind to its wire name (FlightEvent.Ev).
-var flightKindNames = [...]string{
-	evArrival: "arrival", evDispatch: "dispatch", evComplete: "complete", evDrop: "drop",
-	evRetry: "retry", evFailover: "failover", evDone: "done",
-	evReject: "reject", evShed: "shed", evEject: "eject", evReadmit: "readmit", evBrownout: "brownout",
-	evScaleUp: "scale-up", evJoin: "join", evScaleDown: "scale-down", evHandoff: "handoff",
-	evHedge: "hedge", evHedgeWin: "hedge-win", evHedgeCancel: "hedge-cancel",
-	evBreakerOpen: "breaker-open", evBreakerProbe: "breaker-probe", evBreakerClose: "breaker-close",
-	evRetryBudgetDrop: "retry-budget-drop",
-}
-
-// flightRecord is one ring slot: a FlightEvent's payload in 72 bytes
-// instead of 152. It keeps the kind, the event instant t, the kind's ints in
-// a, b, c and its other instants in t1, t2 — a is the task for kinds that
-// name one — plus the one flag and the reason any kind carries. Hooks write
-// it in place; event expands it.
-type flightRecord struct {
-	kind      flightKind
-	flag      bool
-	a, b, c   int
-	t, t1, t2 core.Time
-	reason    string
-}
-
-// task returns the task the record names, -1 for kinds that name none.
-func (rec *flightRecord) task() int {
-	switch rec.kind {
-	case evFailover, evDone, evEject, evReadmit, evBrownout, evScaleUp, evJoin, evScaleDown,
-		evBreakerOpen, evBreakerClose:
-		return -1
-	}
-	return rec.a
-}
-
-// event expands the record into the FlightEvent its hook describes.
-func (rec *flightRecord) event() FlightEvent {
-	ev := blankEvent(flightKindNames[rec.kind], rec.t)
-	t1, t2 := core.NullTime(rec.t1), core.NullTime(rec.t2)
-	switch rec.kind {
-	case evArrival:
-		ev.Task = rec.a
-	case evDispatch:
-		ev.Task, ev.Server, ev.Start, ev.End = rec.a, rec.b, t1, t2
-	case evComplete:
-		ev.Task, ev.Server, ev.Release, ev.Proc = rec.a, rec.b, t1, t2
-	case evDrop:
-		ev.Task, ev.Release = rec.a, t1
-	case evRetry, evRetryBudgetDrop:
-		ev.Task, ev.Attempt = rec.a, rec.b
-	case evFailover:
-		ev.Server, ev.Lost = rec.a, rec.b
-	case evReject:
-		ev.Task, ev.Reason = rec.a, rec.reason
-	case evShed:
-		ev.Task, ev.Server, ev.Release, ev.Reason = rec.a, rec.b, t1, rec.reason
-	case evEject, evReadmit, evBreakerOpen, evBreakerClose:
-		ev.Server = rec.a
-	case evBrownout:
-		ev.Active = rec.flag
-	case evScaleUp:
-		ev.Server, ev.Ready = rec.a, t1
-	case evJoin:
-		ev.Server, ev.Members = rec.a, rec.b
-	case evScaleDown:
-		ev.Server, ev.Members, ev.Handoffs = rec.a, rec.b, rec.c
-	case evHandoff, evBreakerProbe:
-		ev.Task, ev.Server = rec.a, rec.b
-	case evHedge:
-		ev.Task, ev.Server, ev.From, ev.Start, ev.End = rec.a, rec.b, rec.c, t1, t2
-	case evHedgeWin:
-		ev.Task, ev.Server, ev.Copy = rec.a, rec.b, rec.flag
-	case evHedgeCancel:
-		ev.Task, ev.Server, ev.Started = rec.a, rec.b, rec.flag
+// flight expands the event into the FlightEvent of its kind. Task, Server
+// and Reason carry over as they are: the kinds that name no task or server
+// hold −1 there, and only rejections and sheds carry a reason.
+func (e *Event) flight() FlightEvent {
+	ev := blankEvent(e.Kind.String(), e.At)
+	ev.Task, ev.Server, ev.Reason = e.Task, e.Server, e.Reason
+	t1, t2 := core.NullTime(e.T1), core.NullTime(e.T2)
+	switch e.Kind {
+	case Dispatch:
+		ev.Start, ev.End = t1, t2
+	case Complete:
+		ev.Release, ev.Proc = t1, t2
+	case Drop, Shed:
+		ev.Release = t1
+	case Retry, RetryBudgetDrop:
+		ev.Attempt = e.Aux
+	case Failover:
+		ev.Lost = e.Aux
+	case Brownout:
+		ev.Active = e.Flag
+	case ScaleUp:
+		ev.Ready = t1
+	case Join:
+		ev.Members = e.Aux
+	case ScaleDown:
+		ev.Members, ev.Handoffs = e.Aux, int(e.T1)
+	case Hedge:
+		ev.From, ev.Start, ev.End = e.Aux, t1, t2
+	case HedgeWin:
+		ev.Copy = e.Flag
+	case HedgeCancel:
+		ev.Started = e.Flag
 	}
 	return ev
 }
@@ -160,21 +89,19 @@ func (rec *flightRecord) event() FlightEvent {
 // constructed with size ≤ 0.
 const DefaultFlightSize = 4096
 
-// FlightRecorder is a Probe (plus OverloadObserver, MembershipObserver,
-// HedgeObserver and ResilienceObserver)
-// keeping the last N raw events of a run in a fixed-size ring — the
-// always-on crash recorder. When a soak trial fails or an audit violation
+// FlightRecorder is a Sink keeping the last N events of a run, of every
+// kind, in a fixed-size ring — the always-on crash recorder. When a soak trial fails or an audit violation
 // names a task, the ring holds the causal context without anyone having
 // planned to trace that run; internal/chaos dumps it next to the shrunk
 // repro and internal/audit attaches per-task evidence to its report.
 //
-// Recording allocates nothing: each hook writes a compact record into its
-// ring slot, and only Events, TaskEvents and WriteJSONL expand records into
+// Recording allocates nothing: Observe copies the Event into its ring slot,
+// and only Events, TaskEvents and WriteJSONL expand events into
 // FlightEvents.
 //
 // A FlightRecorder is not safe for concurrent use; attach one per run.
 type FlightRecorder struct {
-	ring  []flightRecord
+	ring  []Event
 	next  int // ring slot the next event is written to
 	total int // events ever recorded
 }
@@ -185,18 +112,21 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	if size <= 0 {
 		size = DefaultFlightSize
 	}
-	return &FlightRecorder{ring: make([]flightRecord, size)}
+	return &FlightRecorder{ring: make([]Event, size)}
 }
 
-// put returns the ring slot the next event is written to, overwriting the
-// oldest once the ring is full.
-func (r *FlightRecorder) put() *flightRecord {
-	rec := &r.ring[r.next]
+// Observe implements Sink: it writes e into the next ring slot, overwriting
+// the oldest event once the ring is full. It stores field by field: a
+// whole-struct copy reloads the spilled argument in 16-byte pieces that
+// straddle its narrower spills, which defeats store-to-load forwarding.
+func (r *FlightRecorder) Observe(e Event) {
+	slot := &r.ring[r.next]
+	slot.Kind, slot.Flag, slot.Task, slot.Server, slot.Aux = e.Kind, e.Flag, e.Task, e.Server, e.Aux
+	slot.At, slot.T1, slot.T2, slot.Reason = e.At, e.T1, e.T2, e.Reason
 	if r.next++; r.next == len(r.ring) {
 		r.next = 0
 	}
 	r.total++
-	return rec
 }
 
 // Len returns the number of events currently held (≤ the ring capacity).
@@ -208,8 +138,8 @@ func (r *FlightRecorder) Dropped() int { return r.total - r.Len() }
 // Reset empties the ring for reuse across runs.
 func (r *FlightRecorder) Reset() { r.next, r.total = 0, 0 }
 
-// at returns the i-th oldest held record.
-func (r *FlightRecorder) at(i int) *flightRecord {
+// at returns the i-th oldest held event.
+func (r *FlightRecorder) at(i int) *Event {
 	if r.Dropped() > 0 {
 		i += r.next // the ring is full: the oldest sits where the next goes
 	}
@@ -220,7 +150,7 @@ func (r *FlightRecorder) at(i int) *flightRecord {
 func (r *FlightRecorder) Events() []FlightEvent {
 	out := make([]FlightEvent, r.Len())
 	for i := range out {
-		out[i] = r.at(i).event()
+		out[i] = r.at(i).flight()
 	}
 	return out
 }
@@ -229,8 +159,8 @@ func (r *FlightRecorder) Events() []FlightEvent {
 func (r *FlightRecorder) TaskEvents(task int) []FlightEvent {
 	var out []FlightEvent
 	for i := 0; i < r.Len(); i++ {
-		if rec := r.at(i); rec.task() == task {
-			out = append(out, rec.event())
+		if e := r.at(i); e.Task == task {
+			out = append(out, e.flight())
 		}
 	}
 	return out
@@ -242,7 +172,7 @@ func (r *FlightRecorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	enc := json.NewEncoder(bw)
 	for i := 0; i < r.Len(); i++ {
-		if err := enc.Encode(r.at(i).event()); err != nil {
+		if err := enc.Encode(r.at(i).flight()); err != nil {
 			return fmt.Errorf("obs: writing flight events: %w", err)
 		}
 	}
@@ -287,119 +217,4 @@ func ReadFlightEvents(rd io.Reader) ([]FlightEvent, error) {
 		return nil, fmt.Errorf("obs: reading flight events: %w", err)
 	}
 	return out, nil
-}
-
-// OnArrival implements Probe.
-func (r *FlightRecorder) OnArrival(task int, release core.Time) {
-	*r.put() = flightRecord{kind: evArrival, t: release, a: task}
-}
-
-// OnDispatch implements Probe.
-func (r *FlightRecorder) OnDispatch(task, server int, at, start, end core.Time) {
-	*r.put() = flightRecord{kind: evDispatch, t: at, a: task, b: server, t1: start, t2: end}
-}
-
-// OnComplete implements Probe.
-func (r *FlightRecorder) OnComplete(task, server int, release, proc, end core.Time) {
-	*r.put() = flightRecord{kind: evComplete, t: end, a: task, b: server, t1: release, t2: proc}
-}
-
-// OnDrop implements Probe.
-func (r *FlightRecorder) OnDrop(task int, release, at core.Time) {
-	*r.put() = flightRecord{kind: evDrop, t: at, a: task, t1: release}
-}
-
-// OnRetry implements Probe.
-func (r *FlightRecorder) OnRetry(task, attempt int, at core.Time) {
-	*r.put() = flightRecord{kind: evRetry, t: at, a: task, b: attempt}
-}
-
-// OnFailover implements Probe.
-func (r *FlightRecorder) OnFailover(server int, at core.Time, lost int) {
-	*r.put() = flightRecord{kind: evFailover, t: at, a: server, b: lost}
-}
-
-// OnDone implements Probe.
-func (r *FlightRecorder) OnDone(makespan core.Time) {
-	*r.put() = flightRecord{kind: evDone, t: makespan}
-}
-
-// OnReject implements OverloadObserver.
-func (r *FlightRecorder) OnReject(task int, at core.Time, reason string) {
-	*r.put() = flightRecord{kind: evReject, t: at, a: task, reason: reason}
-}
-
-// OnShed implements OverloadObserver.
-func (r *FlightRecorder) OnShed(task, server int, release, at core.Time, reason string) {
-	*r.put() = flightRecord{kind: evShed, t: at, a: task, b: server, t1: release, reason: reason}
-}
-
-// OnEject implements OverloadObserver.
-func (r *FlightRecorder) OnEject(server int, at core.Time) {
-	*r.put() = flightRecord{kind: evEject, t: at, a: server}
-}
-
-// OnReadmit implements OverloadObserver.
-func (r *FlightRecorder) OnReadmit(server int, at core.Time) {
-	*r.put() = flightRecord{kind: evReadmit, t: at, a: server}
-}
-
-// OnBrownout implements OverloadObserver.
-func (r *FlightRecorder) OnBrownout(at core.Time, active bool) {
-	*r.put() = flightRecord{kind: evBrownout, t: at, flag: active}
-}
-
-// OnScaleUp implements MembershipObserver.
-func (r *FlightRecorder) OnScaleUp(machine int, at, ready core.Time) {
-	*r.put() = flightRecord{kind: evScaleUp, t: at, a: machine, t1: ready}
-}
-
-// OnJoin implements MembershipObserver.
-func (r *FlightRecorder) OnJoin(machine int, at core.Time, members int) {
-	*r.put() = flightRecord{kind: evJoin, t: at, a: machine, b: members}
-}
-
-// OnScaleDown implements MembershipObserver.
-func (r *FlightRecorder) OnScaleDown(machine int, at core.Time, members, handoffs int) {
-	*r.put() = flightRecord{kind: evScaleDown, t: at, a: machine, b: members, c: handoffs}
-}
-
-// OnHandoff implements MembershipObserver.
-func (r *FlightRecorder) OnHandoff(task, from int, at core.Time) {
-	*r.put() = flightRecord{kind: evHandoff, t: at, a: task, b: from}
-}
-
-// OnHedge implements HedgeObserver.
-func (r *FlightRecorder) OnHedge(task, from, to int, at, start, end core.Time) {
-	*r.put() = flightRecord{kind: evHedge, t: at, a: task, b: to, c: from, t1: start, t2: end}
-}
-
-// OnHedgeWin implements HedgeObserver.
-func (r *FlightRecorder) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	*r.put() = flightRecord{kind: evHedgeWin, t: at, a: task, b: server, flag: byCopy}
-}
-
-// OnHedgeCancel implements HedgeObserver.
-func (r *FlightRecorder) OnHedgeCancel(task, server int, at core.Time, started bool) {
-	*r.put() = flightRecord{kind: evHedgeCancel, t: at, a: task, b: server, flag: started}
-}
-
-// OnBreakerOpen implements ResilienceObserver.
-func (r *FlightRecorder) OnBreakerOpen(server int, at core.Time) {
-	*r.put() = flightRecord{kind: evBreakerOpen, t: at, a: server}
-}
-
-// OnBreakerProbe implements ResilienceObserver.
-func (r *FlightRecorder) OnBreakerProbe(server, task int, at core.Time) {
-	*r.put() = flightRecord{kind: evBreakerProbe, t: at, a: task, b: server}
-}
-
-// OnBreakerClose implements ResilienceObserver.
-func (r *FlightRecorder) OnBreakerClose(server int, at core.Time) {
-	*r.put() = flightRecord{kind: evBreakerClose, t: at, a: server}
-}
-
-// OnRetryBudgetDrop implements ResilienceObserver.
-func (r *FlightRecorder) OnRetryBudgetDrop(task, attempts int, at core.Time) {
-	*r.put() = flightRecord{kind: evRetryBudgetDrop, t: at, a: task, b: attempts}
 }

@@ -10,37 +10,41 @@ import (
 	"unsafe"
 )
 
-// drive pushes one event of every kind through the recorder (23 hooks).
-func drive(r *FlightRecorder) {
-	r.OnArrival(0, 1)
-	r.OnDispatch(0, 2, 1, 3, 5)
-	r.OnComplete(0, 2, 1, 2, 5)
-	r.OnDrop(1, 0, 6)
-	r.OnRetry(2, 1, 7)
-	r.OnFailover(3, 8, 2)
-	r.OnReject(4, 9, "queue-bound")
-	r.OnShed(5, 1, 2, 10, "watermark")
-	r.OnEject(2, 11)
-	r.OnReadmit(2, 12)
-	r.OnBrownout(13, true)
-	r.OnScaleUp(6, 14, 15)
-	r.OnJoin(6, 15, 4)
-	r.OnScaleDown(1, 16, 3, 2)
-	r.OnHandoff(7, 1, 16)
-	r.OnHedge(8, 0, 3, 16.5, 17, 19)
-	r.OnHedgeWin(8, 3, true, 16.75)
-	r.OnHedgeCancel(8, 0, 16.75, true)
-	r.OnBreakerOpen(4, 16.8)
-	r.OnBreakerProbe(4, 9, 16.85)
-	r.OnBreakerClose(4, 16.9)
-	r.OnRetryBudgetDrop(10, 3, 16.95)
-	r.OnDone(17)
+// drive pushes one event of every kind through Multi's adapter (23 hooks),
+// reaching the extension hooks by type assertion as the engine does.
+func drive(p Probe) {
+	ov, ms := p.(OverloadObserver), p.(MembershipObserver)
+	hd, rs := p.(HedgeObserver), p.(ResilienceObserver)
+	p.OnArrival(0, 1)
+	p.OnDispatch(0, 2, 1, 3, 5)
+	p.OnComplete(0, 2, 1, 2, 5)
+	p.OnDrop(1, 0, 6)
+	p.OnRetry(2, 1, 7)
+	p.OnFailover(3, 8, 2)
+	ov.OnReject(4, 9, "queue-bound")
+	ov.OnShed(5, 1, 2, 10, "watermark")
+	ov.OnEject(2, 11)
+	ov.OnReadmit(2, 12)
+	ov.OnBrownout(13, true)
+	ms.OnScaleUp(6, 14, 15)
+	ms.OnJoin(6, 15, 4)
+	ms.OnScaleDown(1, 16, 3, 2)
+	ms.OnHandoff(7, 1, 16)
+	hd.OnHedge(8, 0, 3, 16.5, 17, 19)
+	hd.OnHedgeWin(8, 3, true, 16.75)
+	hd.OnHedgeCancel(8, 0, 16.75, true)
+	rs.OnBreakerOpen(4, 16.8)
+	rs.OnBreakerProbe(4, 9, 16.85)
+	rs.OnBreakerClose(4, 16.9)
+	rs.OnRetryBudgetDrop(10, 3, 16.95)
+	p.OnDone(17)
 }
 
 func TestFlightRecorderRingWrap(t *testing.T) {
 	r := NewFlightRecorder(8)
+	h := hooks(r)
 	for i := 0; i < 20; i++ {
-		r.OnArrival(i, float64(i))
+		h.OnArrival(i, float64(i))
 	}
 	if r.Len() != 8 || r.Dropped() != 12 {
 		t.Fatalf("Len=%d Dropped=%d, want 8/12", r.Len(), r.Dropped())
@@ -63,8 +67,9 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 
 func TestFlightRecorderDefaultSize(t *testing.T) {
 	r := NewFlightRecorder(0)
+	h := hooks(r)
 	for i := 0; i < DefaultFlightSize+5; i++ {
-		r.OnArrival(i, 0)
+		h.OnArrival(i, 0)
 	}
 	if r.Len() != DefaultFlightSize || r.Dropped() != 5 {
 		t.Fatalf("Len=%d Dropped=%d", r.Len(), r.Dropped())
@@ -73,7 +78,7 @@ func TestFlightRecorderDefaultSize(t *testing.T) {
 
 func TestFlightRecorderAllKindsRoundTrip(t *testing.T) {
 	r := NewFlightRecorder(64)
-	drive(r)
+	drive(Multi(r))
 	if r.Len() != 23 {
 		t.Fatalf("recorded %d events, want 23", r.Len())
 	}
@@ -112,7 +117,7 @@ func TestFlightRecorderAllKindsRoundTrip(t *testing.T) {
 
 func TestFlightRecorderTaskEvents(t *testing.T) {
 	r := NewFlightRecorder(64)
-	drive(r)
+	drive(Multi(r))
 	evs := r.TaskEvents(0)
 	if len(evs) != 3 || evs[0].Ev != "arrival" || evs[1].Ev != "dispatch" || evs[2].Ev != "complete" {
 		t.Fatalf("task 0 events = %+v", evs)
@@ -177,7 +182,7 @@ func TestFlightRecorderGolden(t *testing.T) {
 	var b bytes.Buffer
 	for _, size := range []int{32, 8, 5} {
 		r := NewFlightRecorder(size)
-		drive(r)
+		drive(Multi(r))
 		renderFlight(t, &b, size, r, 0, 8, 9, -1)
 	}
 	if *updateFlight {
@@ -196,14 +201,14 @@ func TestFlightRecorderGolden(t *testing.T) {
 }
 
 // TestFlightRecorderHookAllocs pins the recorder's hot path: every hook
-// writes its compact record in place, so recording allocates nothing, and a
-// record stays within 72 bytes.
+// builds one Event that the recorder copies into its ring, so recording
+// allocates nothing, and an Event stays within 72 bytes.
 func TestFlightRecorderHookAllocs(t *testing.T) {
-	if size := unsafe.Sizeof(flightRecord{}); size > 72 {
-		t.Errorf("flight record is %d bytes, want at most 72", size)
+	if size := unsafe.Sizeof(Event{}); size > 72 {
+		t.Errorf("Event is %d bytes, want at most 72", size)
 	}
-	r := NewFlightRecorder(16)
-	if allocs := testing.AllocsPerRun(100, func() { drive(r) }); allocs != 0 {
+	p := Multi(NewFlightRecorder(16))
+	if allocs := testing.AllocsPerRun(100, func() { drive(p) }); allocs != 0 {
 		t.Fatalf("recording every hook once allocated %.1f times, want 0", allocs)
 	}
 }

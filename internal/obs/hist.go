@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"flowsched/internal/core"
 )
 
 // DefaultGrowth is the default per-bucket growth factor of a Histogram:
@@ -117,7 +115,11 @@ func (h *Histogram) bucketOf(v float64) int {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.observe(v) }
+
+// observe records one value and returns its bucket index, or ok = false
+// for a value in the zero bucket.
+func (h *Histogram) observe(v float64) (idx int, ok bool) {
 	h.count++
 	h.sum += v
 	if !h.observed || v < h.minSeen {
@@ -129,9 +131,9 @@ func (h *Histogram) Observe(v float64) {
 	h.observed = true
 	if v <= 0 || math.IsNaN(v) {
 		h.zeros++
-		return
+		return 0, false
 	}
-	idx := h.bucketOf(v)
+	idx = h.bucketOf(v)
 	if h.counts == nil {
 		h.counts = make([]uint64, 1, 64)
 		h.lo = idx
@@ -151,6 +153,7 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 	h.counts[idx-h.lo]++
+	return idx, true
 }
 
 // ObserveExemplar records one value attributed to a task, additionally
@@ -159,12 +162,11 @@ func (h *Histogram) Observe(v float64) {
 // Ties keep the first-seen task, so a deterministic event stream yields
 // deterministic exemplars.
 func (h *Histogram) ObserveExemplar(v float64, task int) {
-	h.Observe(v)
-	if v <= 0 || math.IsNaN(v) {
+	idx, ok := h.observe(v)
+	if !ok {
 		h.setExemplar(&h.exZero, v, task)
 		return
 	}
-	idx := h.bucketOf(v)
 	if h.exLo != h.lo || len(h.ex) != len(h.counts) {
 		// counts grew (or this is the first exemplar): re-align the mirror.
 		if h.ex == nil {
@@ -320,28 +322,30 @@ func (h *Histogram) WriteProm(w io.Writer, name string) error {
 	return err
 }
 
-// HistogramProbe streams completed requests' flow times and stretches into
-// two histograms.
+// HistogramProbe is a Sink streaming completed requests' flow times and
+// stretches into two histograms.
 type HistogramProbe struct {
-	BaseProbe
 	Flow    *Histogram // flow time C_i − r_i
 	Stretch *Histogram // stretch (C_i − r_i) / p_i
 }
 
-// NewHistogramProbe returns a probe with DefaultGrowth histograms.
+// NewHistogramProbe returns a sink with DefaultGrowth histograms.
 func NewHistogramProbe() *HistogramProbe {
 	return &HistogramProbe{Flow: NewHistogram(), Stretch: NewHistogram()}
 }
 
-// OnComplete implements Probe. Observations carry the task id as the
-// bucket exemplar, so the tail quantiles always name a concrete task whose
-// trace explains them.
-func (p *HistogramProbe) OnComplete(task, server int, release, proc, end core.Time) {
-	flow := end - release
-	p.Flow.ObserveExemplar(flow, task)
+// Observe implements Sink: each completion is observed with its task id as
+// the bucket exemplar, so the tail quantiles always name a concrete task
+// whose trace explains them. Other kinds are ignored.
+func (p *HistogramProbe) Observe(e Event) {
+	if e.Kind != Complete {
+		return
+	}
+	flow, proc := e.At-e.T1, e.T2
+	p.Flow.ObserveExemplar(flow, e.Task)
 	if proc > 0 {
-		p.Stretch.ObserveExemplar(flow/proc, task)
+		p.Stretch.ObserveExemplar(flow/proc, e.Task)
 	} else {
-		p.Stretch.ObserveExemplar(0, task) // mirrors sim.stretchOf: zero-proc stretch is 0
+		p.Stretch.ObserveExemplar(0, e.Task) // mirrors sim.stretchOf: zero-proc stretch is 0
 	}
 }

@@ -129,8 +129,9 @@ func TestHistogramWriteProm(t *testing.T) {
 
 func TestHistogramProbeStretch(t *testing.T) {
 	p := NewHistogramProbe()
-	p.OnComplete(0, 0, 1, 2, 5) // flow 4, stretch 2
-	p.OnComplete(1, 1, 0, 0, 3) // zero-proc: flow 3, stretch 0
+	h := hooks(p)
+	h.OnComplete(0, 0, 1, 2, 5) // flow 4, stretch 2
+	h.OnComplete(1, 1, 0, 0, 3) // zero-proc: flow 3, stretch 0
 	if p.Flow.Count() != 2 || p.Stretch.Count() != 2 {
 		t.Fatalf("counts %d/%d", p.Flow.Count(), p.Stretch.Count())
 	}

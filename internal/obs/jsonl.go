@@ -11,9 +11,10 @@ import (
 	"flowsched/internal/trace"
 )
 
-// JSONLSink is a Probe that writes one JSON object per event, newline
-// delimited, through a buffered writer — the structured event log for
-// offline analysis. Schema (one record kind per line, keyed by "ev"):
+// JSONLSink is a Sink that writes one JSON object per event of the base
+// stream, newline delimited, through a buffered writer — the structured
+// event log for offline analysis. Schema (one record kind per line, keyed
+// by "ev"):
 //
 //	{"ev":"arrival","t":<release>,"task":<id>}
 //	{"ev":"dispatch","t":<at>,"task":<id>,"server":<j>,"start":<s>,"end":<e>}
@@ -61,76 +62,64 @@ func (s *JSONLSink) emit(rec interface{}) {
 	s.err = s.enc.Encode(rec)
 }
 
-// OnArrival implements Probe.
-func (s *JSONLSink) OnArrival(task int, release core.Time) {
-	s.emit(struct {
-		Ev   string        `json:"ev"`
-		T    core.NullTime `json:"t"`
-		Task int           `json:"task"`
-	}{"arrival", core.NullTime(release), task})
-}
-
-// OnDispatch implements Probe.
-func (s *JSONLSink) OnDispatch(task, server int, at, start, end core.Time) {
-	s.emit(struct {
-		Ev     string        `json:"ev"`
-		T      core.NullTime `json:"t"`
-		Task   int           `json:"task"`
-		Server int           `json:"server"`
-		Start  core.NullTime `json:"start"`
-		End    core.NullTime `json:"end"`
-	}{"dispatch", core.NullTime(at), task, server, core.NullTime(start), core.NullTime(end)})
-}
-
-// OnComplete implements Probe.
-func (s *JSONLSink) OnComplete(task, server int, release, proc, end core.Time) {
-	s.emit(struct {
-		Ev      string        `json:"ev"`
-		T       core.NullTime `json:"t"`
-		Task    int           `json:"task"`
-		Server  int           `json:"server"`
-		Release core.NullTime `json:"release"`
-		Proc    core.NullTime `json:"proc"`
-	}{"complete", core.NullTime(end), task, server, core.NullTime(release), core.NullTime(proc)})
-}
-
-// OnDrop implements Probe.
-func (s *JSONLSink) OnDrop(task int, release, at core.Time) {
-	s.emit(struct {
-		Ev      string        `json:"ev"`
-		T       core.NullTime `json:"t"`
-		Task    int           `json:"task"`
-		Release core.NullTime `json:"release"`
-	}{"drop", core.NullTime(at), task, core.NullTime(release)})
-}
-
-// OnRetry implements Probe.
-func (s *JSONLSink) OnRetry(task, attempt int, at core.Time) {
-	s.emit(struct {
-		Ev      string        `json:"ev"`
-		T       core.NullTime `json:"t"`
-		Task    int           `json:"task"`
-		Attempt int           `json:"attempt"`
-	}{"retry", core.NullTime(at), task, attempt})
-}
-
-// OnFailover implements Probe.
-func (s *JSONLSink) OnFailover(server int, at core.Time, lost int) {
-	s.emit(struct {
-		Ev     string        `json:"ev"`
-		T      core.NullTime `json:"t"`
-		Server int           `json:"server"`
-		Lost   int           `json:"lost"`
-	}{"failover", core.NullTime(at), server, lost})
-}
-
-// OnDone implements Probe: it writes the trailer record and flushes.
-func (s *JSONLSink) OnDone(makespan core.Time) {
-	s.emit(struct {
-		Ev string        `json:"ev"`
-		T  core.NullTime `json:"t"`
-	}{"done", core.NullTime(makespan)})
-	s.Flush()
+// Observe implements Sink: it writes the base stream's kinds, one record
+// each, and ignores the others. The done record is the trailer: it also
+// flushes.
+func (s *JSONLSink) Observe(e Event) {
+	ev, t := e.Kind.String(), core.NullTime(e.At)
+	switch e.Kind {
+	case Arrival:
+		s.emit(struct {
+			Ev   string        `json:"ev"`
+			T    core.NullTime `json:"t"`
+			Task int           `json:"task"`
+		}{ev, t, e.Task})
+	case Dispatch:
+		s.emit(struct {
+			Ev     string        `json:"ev"`
+			T      core.NullTime `json:"t"`
+			Task   int           `json:"task"`
+			Server int           `json:"server"`
+			Start  core.NullTime `json:"start"`
+			End    core.NullTime `json:"end"`
+		}{ev, t, e.Task, e.Server, core.NullTime(e.T1), core.NullTime(e.T2)})
+	case Complete:
+		s.emit(struct {
+			Ev      string        `json:"ev"`
+			T       core.NullTime `json:"t"`
+			Task    int           `json:"task"`
+			Server  int           `json:"server"`
+			Release core.NullTime `json:"release"`
+			Proc    core.NullTime `json:"proc"`
+		}{ev, t, e.Task, e.Server, core.NullTime(e.T1), core.NullTime(e.T2)})
+	case Drop:
+		s.emit(struct {
+			Ev      string        `json:"ev"`
+			T       core.NullTime `json:"t"`
+			Task    int           `json:"task"`
+			Release core.NullTime `json:"release"`
+		}{ev, t, e.Task, core.NullTime(e.T1)})
+	case Retry:
+		s.emit(struct {
+			Ev      string        `json:"ev"`
+			T       core.NullTime `json:"t"`
+			Task    int           `json:"task"`
+			Attempt int           `json:"attempt"`
+		}{ev, t, e.Task, e.Aux})
+	case Failover:
+		s.emit(struct {
+			Ev     string        `json:"ev"`
+			T      core.NullTime `json:"t"`
+			Server int           `json:"server"`
+			Lost   int           `json:"lost"`
+		}{ev, t, e.Server, e.Aux})
+	case Done:
+		s.emit(struct {
+			Ev string        `json:"ev"`
+			T  core.NullTime `json:"t"`
+		}{ev, t})
+		s.Flush()
+	}
 }
 
 // jsonlRecord is the union read-side schema of a sink line.

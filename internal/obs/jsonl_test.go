@@ -16,13 +16,14 @@ import (
 func TestJSONLSinkSchema(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
-	s.OnArrival(3, 1.5)
-	s.OnDispatch(3, 2, 1.5, 1.5, 4.5)
-	s.OnComplete(3, 2, 1.5, 3, 4.5)
-	s.OnRetry(3, 1, 5)
-	s.OnDrop(3, 1.5, 6)
-	s.OnFailover(2, 5, 4)
-	s.OnDone(7.25)
+	h := hooks(s)
+	h.OnArrival(3, 1.5)
+	h.OnDispatch(3, 2, 1.5, 1.5, 4.5)
+	h.OnComplete(3, 2, 1.5, 3, 4.5)
+	h.OnRetry(3, 1, 5)
+	h.OnDrop(3, 1.5, 6)
+	h.OnFailover(2, 5, 4)
+	h.OnDone(7.25)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +49,11 @@ func TestJSONLSinkSchema(t *testing.T) {
 
 func TestJSONLSinkStickyError(t *testing.T) {
 	s := NewJSONLSink(failWriter{})
+	h := hooks(s)
 	for i := 0; i < 20000; i++ { // exceed the buffer so a flush is forced
-		s.OnArrival(i, 0)
+		h.OnArrival(i, 0)
 	}
-	s.OnDone(1)
+	h.OnDone(1)
 	if s.Err() == nil {
 		t.Fatal("write error not surfaced")
 	}
@@ -126,12 +128,13 @@ func TestJSONLSinkNonFiniteInstants(t *testing.T) {
 	nan := core.Time(math.NaN())
 	var buf bytes.Buffer
 	s := NewJSONLSink(&buf)
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 1, 0, 0, 2)
-	s.OnComplete(0, 1, 0, 2, 2)
-	s.OnArrival(1, 1)
-	s.OnDrop(1, 1, nan) // dropped with no final instant
-	s.OnDone(nan)       // e.g. a run with no completed work
+	h := hooks(s)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 1, 0, 0, 2)
+	h.OnComplete(0, 1, 0, 2, 2)
+	h.OnArrival(1, 1)
+	h.OnDrop(1, 1, nan) // dropped with no final instant
+	h.OnDone(nan)       // e.g. a run with no completed work
 	if err := s.Flush(); err != nil {
 		t.Fatalf("non-finite instants poisoned the sink: %v", err)
 	}

@@ -1,136 +1,108 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
-
-	"flowsched/internal/core"
 )
 
-// extProbe records every hook it sees, including the extension interfaces.
-type extProbe struct {
-	BaseProbe
-	events []string
+// hooks returns Multi's adapter over one sink: the 23 hook methods the
+// engine calls, for tests that drive a sink by hand.
+func hooks(s Sink) *multi { return Multi(s).(*multi) }
+
+// recSink records every event it observes.
+type recSink struct{ events []Event }
+
+func (s *recSink) Observe(e Event) { s.events = append(s.events, e) }
+
+func (s *recSink) kinds() []string {
+	out := make([]string, len(s.events))
+	for i, e := range s.events {
+		out[i] = e.Kind.String()
+	}
+	return out
 }
 
-func (p *extProbe) OnDone(makespan core.Time)                  { p.events = append(p.events, "done") }
-func (p *extProbe) OnReject(task int, at core.Time, r string)  { p.events = append(p.events, "reject") }
-func (p *extProbe) OnShed(t, s int, r, at core.Time, x string) { p.events = append(p.events, "shed") }
-func (p *extProbe) OnEject(server int, at core.Time)           { p.events = append(p.events, "eject") }
-func (p *extProbe) OnReadmit(server int, at core.Time)         { p.events = append(p.events, "readmit") }
-func (p *extProbe) OnBrownout(at core.Time, active bool)       { p.events = append(p.events, "brownout") }
-func (p *extProbe) OnScaleUp(m int, at, ready core.Time)       { p.events = append(p.events, "scale-up") }
-func (p *extProbe) OnJoin(m int, at core.Time, members int)    { p.events = append(p.events, "join") }
-func (p *extProbe) OnScaleDown(m int, at core.Time, mm, h int) {
-	p.events = append(p.events, "scale-down")
-}
-func (p *extProbe) OnHandoff(task, from int, at core.Time) { p.events = append(p.events, "handoff") }
+// allKinds is drive's event order.
+var allKinds = []string{"arrival", "dispatch", "complete", "drop", "retry", "failover",
+	"reject", "shed", "eject", "readmit", "brownout",
+	"scale-up", "join", "scale-down", "handoff",
+	"hedge", "hedge-win", "hedge-cancel",
+	"breaker-open", "breaker-probe", "breaker-close", "retry-budget-drop", "done"}
 
-// fireExtensions drives every extension hook through the simulator's
-// type-assert pattern, exactly as the engine (sim.Arena.Run) does.
-func fireExtensions(p Probe) (overload, membership bool) {
-	if ov, ok := p.(OverloadObserver); ok {
-		overload = true
-		ov.OnReject(0, 1, "r")
-		ov.OnShed(1, 0, 0, 2, "s")
-		ov.OnEject(0, 3)
-		ov.OnReadmit(0, 4)
-		ov.OnBrownout(5, true)
-	}
-	if ms, ok := p.(MembershipObserver); ok {
-		membership = true
-		ms.OnScaleUp(1, 6, 7)
-		ms.OnJoin(1, 7, 3)
-		ms.OnScaleDown(2, 8, 2, 1)
-		ms.OnHandoff(3, 2, 8)
-	}
-	return
-}
-
-var allExtEvents = []string{"reject", "shed", "eject", "readmit", "brownout",
-	"scale-up", "join", "scale-down", "handoff"}
-
-func eqStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestMultiSingleForwardsExtensions pins the kept[0] fast path: Multi with
-// one live probe returns it unwrapped, so its extension interfaces survive
-// the simulator's type assertion.
+// TestMultiSingleForwardsExtensions pins the single-sink case: Multi with
+// one live sink still returns the adapter, so the engine's type assertions
+// find all four extension interfaces and every hook reaches the sink.
 func TestMultiSingleForwardsExtensions(t *testing.T) {
-	p := &extProbe{}
-	m := Multi(nil, p, nil)
-	if m != Probe(p) {
-		t.Fatal("single live probe not returned unwrapped")
-	}
-	ov, ms := fireExtensions(m)
-	if !ov || !ms {
-		t.Fatalf("extension interfaces lost through Multi: overload=%v membership=%v", ov, ms)
-	}
-	if !eqStrings(p.events, allExtEvents) {
-		t.Fatalf("events = %v", p.events)
+	s := &recSink{}
+	drive(Multi(nil, s, nil)) // drive panics on a missing extension interface
+	if got := s.kinds(); !reflect.DeepEqual(got, allKinds) {
+		t.Fatalf("kinds = %v, want %v", got, allKinds)
 	}
 }
 
-// TestMultiForwardsExtensionsSelectively checks that a fan-out forwards each
-// extension hook only to the members that implement it — a plain Probe next
-// to an extended one must not break the stream.
-func TestMultiForwardsExtensionsSelectively(t *testing.T) {
-	ext := &extProbe{}
-	plain := &countingProbe{}
-	m := Multi(plain, ext)
-	ov, ms := fireExtensions(m)
-	if !ov || !ms {
-		t.Fatalf("multi dropped extension interfaces: overload=%v membership=%v", ov, ms)
+// TestMultiEventFields pins the Event each hook builds: the field table in
+// Event's doc comment, one row per kind.
+func TestMultiEventFields(t *testing.T) {
+	s := &recSink{}
+	drive(Multi(s))
+	want := []Event{
+		{Kind: Arrival, Task: 0, Server: -1, At: 1},
+		{Kind: Dispatch, Task: 0, Server: 2, At: 1, T1: 3, T2: 5},
+		{Kind: Complete, Task: 0, Server: 2, At: 5, T1: 1, T2: 2},
+		{Kind: Drop, Task: 1, Server: -1, At: 6, T1: 0},
+		{Kind: Retry, Task: 2, Server: -1, Aux: 1, At: 7},
+		{Kind: Failover, Task: -1, Server: 3, Aux: 2, At: 8},
+		{Kind: Reject, Task: 4, Server: -1, At: 9, Reason: "queue-bound"},
+		{Kind: Shed, Task: 5, Server: 1, At: 10, T1: 2, Reason: "watermark"},
+		{Kind: Eject, Task: -1, Server: 2, At: 11},
+		{Kind: Readmit, Task: -1, Server: 2, At: 12},
+		{Kind: Brownout, Task: -1, Server: -1, At: 13, Flag: true},
+		{Kind: ScaleUp, Task: -1, Server: 6, At: 14, T1: 15},
+		{Kind: Join, Task: -1, Server: 6, Aux: 4, At: 15},
+		{Kind: ScaleDown, Task: -1, Server: 1, Aux: 3, At: 16, T1: 2},
+		{Kind: Handoff, Task: 7, Server: 1, At: 16},
+		{Kind: Hedge, Task: 8, Server: 3, Aux: 0, At: 16.5, T1: 17, T2: 19},
+		{Kind: HedgeWin, Task: 8, Server: 3, At: 16.75, Flag: true},
+		{Kind: HedgeCancel, Task: 8, Server: 0, At: 16.75, Flag: true},
+		{Kind: BreakerOpen, Task: -1, Server: 4, At: 16.8},
+		{Kind: BreakerProbe, Task: 9, Server: 4, At: 16.85},
+		{Kind: BreakerClose, Task: -1, Server: 4, At: 16.9},
+		{Kind: RetryBudgetDrop, Task: 10, Server: -1, Aux: 3, At: 16.95},
+		{Kind: Done, Task: -1, Server: -1, At: 17},
 	}
-	if !eqStrings(ext.events, allExtEvents) {
-		t.Fatalf("extended member events = %v", ext.events)
-	}
-	if len(plain.events) != 0 {
-		t.Fatalf("plain member saw extension traffic: %v", plain.events)
-	}
-}
-
-// TestMultiNested pins Multi(Multi(...), ...): base and extension hooks
-// reach every leaf through the inner fan-out.
-func TestMultiNested(t *testing.T) {
-	a, b, c := &extProbe{}, &extProbe{}, &extProbe{}
-	m := Multi(Multi(a, b), c)
-	m.OnDone(1)
-	fireExtensions(m)
-	want := append([]string{"done"}, allExtEvents...)
-	for i, p := range []*extProbe{a, b, c} {
-		if !eqStrings(p.events, want) {
-			t.Fatalf("leaf %d events = %v, want %v", i, p.events, want)
+	if !reflect.DeepEqual(s.events, want) {
+		for i := range want {
+			if i >= len(s.events) || s.events[i] != want[i] {
+				t.Errorf("event %d (%v): got %+v, want %+v", i, want[i].Kind, s.events[min(i, len(s.events)-1)], want[i])
+			}
 		}
+		t.FailNow()
+	}
+	if got := Kind(numKinds).String(); got != "unknown" {
+		t.Errorf("out-of-range kind prints %q", got)
 	}
 }
 
-// TestMultiOnDoneOrdering pins the fan-out order: members observe OnDone in
-// registration order, so a sink flushed by OnDone sees upstream aggregates
+// TestMultiOnDoneOrdering pins the fan-out order: sinks observe the done
+// event in argument order, so a sink flushed by it sees upstream aggregates
 // final.
 func TestMultiOnDoneOrdering(t *testing.T) {
 	var order []int
-	mk := func(id int) Probe {
-		return &funcProbe{onDone: func() { order = append(order, id) }}
+	mk := func(id int) Sink {
+		return funcSink(func(e Event) {
+			if e.Kind == Done {
+				order = append(order, id)
+			}
+		})
 	}
 	m := Multi(mk(0), nil, mk(1), mk(2))
+	m.OnArrival(0, 0)
 	m.OnDone(1)
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("OnDone order = %v", order)
+		t.Fatalf("done order = %v", order)
 	}
 }
 
-type funcProbe struct {
-	BaseProbe
-	onDone func()
-}
+type funcSink func(Event)
 
-func (p *funcProbe) OnDone(makespan core.Time) { p.onDone() }
+func (f funcSink) Observe(e Event) { f(e) }

@@ -1,19 +1,10 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-
-	"flowsched/internal/core"
 )
-
-type countingProbe struct {
-	BaseProbe
-	events []string
-}
-
-func (p *countingProbe) OnArrival(task int, release core.Time) { p.events = append(p.events, "arr") }
-func (p *countingProbe) OnDone(makespan core.Time)             { p.events = append(p.events, "done") }
 
 func TestMulti(t *testing.T) {
 	if Multi() != nil {
@@ -22,11 +13,7 @@ func TestMulti(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Error("Multi(nil, nil) != nil")
 	}
-	single := &countingProbe{}
-	if Multi(nil, single) != Probe(single) {
-		t.Error("Multi with one live probe should return it unwrapped")
-	}
-	a, b := &countingProbe{}, &countingProbe{}
+	a, b := &recSink{}, &recSink{}
 	m := Multi(a, nil, b)
 	m.OnArrival(0, 0)
 	m.OnDispatch(0, 0, 0, 0, 1)
@@ -35,24 +22,26 @@ func TestMulti(t *testing.T) {
 	m.OnRetry(2, 1, 1)
 	m.OnFailover(0, 1, 3)
 	m.OnDone(1)
-	for _, p := range []*countingProbe{a, b} {
-		if len(p.events) != 2 || p.events[0] != "arr" || p.events[1] != "done" {
-			t.Errorf("fan-out events = %v", p.events)
+	want := []string{"arrival", "dispatch", "complete", "drop", "retry", "failover", "done"}
+	for _, s := range []*recSink{a, b} {
+		if got := s.kinds(); !reflect.DeepEqual(got, want) {
+			t.Errorf("fan-out events = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestCounters(t *testing.T) {
 	var c Counters
-	c.OnArrival(0, 0)
-	c.OnArrival(1, 1)
-	c.OnDispatch(0, 0, 0, 0, 1)
-	c.OnDispatch(1, 1, 1, 1, 2)
-	c.OnDispatch(1, 0, 3, 3, 4) // failover re-dispatch
-	c.OnComplete(0, 0, 0, 1, 1)
-	c.OnFailover(1, 2, 1)
-	c.OnRetry(1, 1, 2)
-	c.OnComplete(1, 0, 1, 1, 4)
+	h := hooks(&c)
+	h.OnArrival(0, 0)
+	h.OnArrival(1, 1)
+	h.OnDispatch(0, 0, 0, 0, 1)
+	h.OnDispatch(1, 1, 1, 1, 2)
+	h.OnDispatch(1, 0, 3, 3, 4) // failover re-dispatch
+	h.OnComplete(0, 0, 0, 1, 1)
+	h.OnFailover(1, 2, 1)
+	h.OnRetry(1, 1, 2)
+	h.OnComplete(1, 0, 1, 1, 4)
 	if c.Arrivals != 2 || c.Dispatches != 3 || c.Completions != 2 ||
 		c.Retries != 1 || c.Failovers != 1 || c.Lost != 1 || c.Drops != 0 {
 		t.Fatalf("counters = %+v", c)

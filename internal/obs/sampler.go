@@ -26,7 +26,7 @@ func (s Sample) Utilization() float64 {
 	return float64(s.Busy) / float64(len(s.Queue))
 }
 
-// Sampler is a Probe recording the cluster state at a fixed interval dt:
+// Sampler is a Sink recording the cluster state at a fixed interval dt:
 // per-server queue lengths, the total backlog, the in-flight max-flow
 // watermark (age of the oldest unfinished request — the live counterpart of
 // Fmax) and utilization. Over the stable adversarial prefixes of the
@@ -82,14 +82,14 @@ func NewSampler(m int, dt core.Time) (*Sampler, error) {
 }
 
 // SetMembers primes the membership gauge for an elastic run that starts with
-// fewer than m active machines (the simulator only reports *changes* through
-// MembershipObserver). Call it before the run; the default is m.
+// fewer than m active machines (the simulator only reports *changes*, as
+// join and scale-down events). Call it before the run; the default is m.
 func (s *Sampler) SetMembers(n int) { s.members = n }
 
 // Interval returns the sampling interval dt.
 func (s *Sampler) Interval() core.Time { return s.dt }
 
-// Samples returns the recorded time series (valid after OnDone).
+// Samples returns the recorded time series (valid after the done event).
 func (s *Sampler) Samples() []Sample { return s.samples }
 
 // PeakBacklog returns the largest sampled backlog and the sample instant it
@@ -187,71 +187,50 @@ func (s *Sampler) markFinished(task int) {
 	}
 }
 
-// OnArrival implements Probe.
-func (s *Sampler) OnArrival(task int, release core.Time) {
-	s.advance(release)
-	s.posOf[task] = len(s.arrived)
-	s.arrived = append(s.arrived, task)
-	s.releases = append(s.releases, release)
-	s.finished = append(s.finished, false)
-	s.inFlight++
-	s.backlog++
-}
-
-// OnDispatch implements Probe.
-func (s *Sampler) OnDispatch(task, server int, at, start, end core.Time) {
-	s.advance(at)
-	if server >= 0 && server < s.m {
-		s.queue[server]++
+// Observe implements Sink. It applies the base stream and the membership
+// changes; overload, hedge and resilience events do not move it.
+func (s *Sampler) Observe(e Event) {
+	switch e.Kind {
+	case Arrival:
+		s.advance(e.At)
+		s.posOf[e.Task] = len(s.arrived)
+		s.arrived = append(s.arrived, e.Task)
+		s.releases = append(s.releases, e.At)
+		s.finished = append(s.finished, false)
+		s.inFlight++
+		s.backlog++
+	case Dispatch:
+		s.advance(e.At)
+		if e.Server >= 0 && e.Server < s.m {
+			s.queue[e.Server]++
+		}
+	case Complete:
+		// The fault-free simulator reports completions at dispatch with a
+		// future end; buffer and apply in time order.
+		s.pending.Push(e.At, sampDone{task: e.Task, server: e.Server})
+	case Drop:
+		s.advance(e.At)
+		s.markFinished(e.Task)
+	case Retry, ScaleUp, Handoff:
+		// A scale-up changes the membership only at its join.
+		s.advance(e.At)
+	case Failover:
+		// A crashing server loses its whole queue.
+		s.advance(e.At)
+		if e.Server >= 0 && e.Server < s.m {
+			s.queue[e.Server] = 0
+		}
+	case Join, ScaleDown:
+		s.advance(e.At)
+		s.members = e.Aux
+	case Done:
+		s.done(e.At)
 	}
 }
 
-// OnComplete implements Probe.
-func (s *Sampler) OnComplete(task, server int, release, proc, end core.Time) {
-	// The fault-free simulator reports completions at dispatch with a
-	// future end; buffer and apply in time order.
-	s.pending.Push(end, sampDone{task: task, server: server})
-}
-
-// OnDrop implements Probe.
-func (s *Sampler) OnDrop(task int, release, at core.Time) {
-	s.advance(at)
-	s.markFinished(task)
-}
-
-// OnRetry implements Probe.
-func (s *Sampler) OnRetry(task, attempt int, at core.Time) { s.advance(at) }
-
-// OnFailover implements Probe: a crashing server loses its whole queue.
-func (s *Sampler) OnFailover(server int, at core.Time, lost int) {
-	s.advance(at)
-	if server >= 0 && server < s.m {
-		s.queue[server] = 0
-	}
-}
-
-// OnScaleUp implements MembershipObserver (membership only changes at the
-// join, warm-up later).
-func (s *Sampler) OnScaleUp(machine int, at, ready core.Time) { s.advance(at) }
-
-// OnJoin implements MembershipObserver.
-func (s *Sampler) OnJoin(machine int, at core.Time, members int) {
-	s.advance(at)
-	s.members = members
-}
-
-// OnScaleDown implements MembershipObserver.
-func (s *Sampler) OnScaleDown(machine int, at core.Time, members, handoffs int) {
-	s.advance(at)
-	s.members = members
-}
-
-// OnHandoff implements MembershipObserver.
-func (s *Sampler) OnHandoff(task, from int, at core.Time) { s.advance(at) }
-
-// OnDone implements Probe: it flushes pending completions and emits every
-// remaining boundary up to and including the makespan.
-func (s *Sampler) OnDone(makespan core.Time) {
+// done flushes pending completions and emits every remaining boundary up
+// to and including the makespan.
+func (s *Sampler) done(makespan core.Time) {
 	if s.doneEmits {
 		return
 	}

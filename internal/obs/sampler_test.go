@@ -37,13 +37,14 @@ func TestSamplerHandRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 2)
-	s.OnComplete(0, 0, 0, 2, 2) // eager: end is in the future
-	s.OnArrival(1, 1)
-	s.OnDispatch(1, 1, 1, 1, 3)
-	s.OnComplete(1, 1, 1, 2, 3)
-	s.OnDone(3)
+	h := hooks(s)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 0, 0, 0, 2)
+	h.OnComplete(0, 0, 0, 2, 2) // eager: end is in the future
+	h.OnArrival(1, 1)
+	h.OnDispatch(1, 1, 1, 1, 3)
+	h.OnComplete(1, 1, 1, 2, 3)
+	h.OnDone(3)
 
 	want := []Sample{
 		{Time: 0, Queue: []int{1, 0}, Backlog: 1, MaxAge: 0, Busy: 1},
@@ -84,16 +85,17 @@ func TestSamplerCoarseInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 1)
-	s.OnComplete(0, 0, 0, 1, 1)
-	s.OnDone(1)
+	h := hooks(s)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 0, 0, 0, 1)
+	h.OnComplete(0, 0, 0, 1, 1)
+	h.OnDone(1)
 	got := s.Samples()
 	if len(got) != 1 || got[0].Time != 0 || got[0].Backlog != 1 || got[0].Busy != 1 {
 		t.Fatalf("samples = %+v, want single t=0 sample with backlog 1", got)
 	}
 	// OnDone must be idempotent — the facade may call it defensively.
-	s.OnDone(1)
+	h.OnDone(1)
 	if len(s.Samples()) != 1 {
 		t.Errorf("second OnDone appended samples: %+v", s.Samples())
 	}
@@ -106,15 +108,16 @@ func TestSamplerFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 5)
+	h := hooks(s)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 0, 0, 0, 5)
 	// Faulty runs report completions only when final: none here. Server 0
 	// crashes at t = 2 losing the request, which retries onto server 1.
-	s.OnFailover(0, 2, 1)
-	s.OnRetry(0, 1, 2)
-	s.OnDispatch(0, 1, 2, 2, 7)
-	s.OnComplete(0, 1, 0, 5, 7)
-	s.OnDone(7)
+	h.OnFailover(0, 2, 1)
+	h.OnRetry(0, 1, 2)
+	h.OnDispatch(0, 1, 2, 2, 7)
+	h.OnComplete(0, 1, 0, 5, 7)
+	h.OnDone(7)
 
 	got := s.Samples()
 	// t=0,1: queued on M1. t=2..6: queued on M2. t=7: done.
@@ -150,11 +153,12 @@ func TestSamplerDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.OnArrival(0, 0)
-	s.OnDispatch(0, 0, 0, 0, 4)
-	s.OnFailover(0, 1, 1)
-	s.OnDrop(0, 0, 1)
-	s.OnDone(2)
+	h := hooks(s)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 0, 0, 0, 4)
+	h.OnFailover(0, 1, 1)
+	h.OnDrop(0, 0, 1)
+	h.OnDone(2)
 	got := s.Samples()
 	if len(got) != 3 {
 		t.Fatalf("got %d samples: %+v", len(got), got)

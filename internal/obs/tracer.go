@@ -207,7 +207,7 @@ func (t *TaskTrace) rank() float64 {
 
 // open returns the task's pending primary attempt — hedge sibling spans are
 // skipped: crash/shed/handoff events always target the primary, while hedge
-// spans resolve only through OnComplete or OnHedgeCancel.
+// spans resolve only through a completion or a hedge cancellation.
 func (t *TaskTrace) open() *AttemptSpan {
 	for i := len(t.Attempts) - 1; i >= 0; i-- {
 		a := &t.Attempts[i]
@@ -265,13 +265,13 @@ func KeepWorst(k int) Retention {
 	return Retention{k: k}
 }
 
-// Tracer is a Probe (plus OverloadObserver and MembershipObserver) that
-// assembles per-task causal span trees from the engine's event stream with
-// zero engine changes: queued → attempt[k] (server, [start,end),
-// aborted-by-crash / handed-off / shed) → complete | drop | reject.
+// Tracer is a Sink that assembles per-task causal span trees from the
+// engine's event stream with zero engine changes: queued → attempt[k]
+// (server, [start,end), aborted-by-crash / handed-off / shed) → complete |
+// drop | reject.
 //
-// The engine re-times attempts queued behind a watermark shed without a
-// probe event; the tracer reconciles at completion time — the completion
+// The engine re-times attempts queued behind a watermark shed without an
+// event; the tracer reconciles at completion time — the completion
 // instant is always exact, and a mismatch with the forecast interval marks
 // the attempt Retimed (see AttemptSpan.Retimed).
 //
@@ -282,7 +282,7 @@ type Tracer struct {
 	live traceIndex   // tasks with no terminal event yet (KeepAll: every task)
 	all  []*TaskTrace // KeepAll: every trace in arrival order
 	heap []*TaskTrace // KeepWorst: min-heap by (rank, task)
-	free []*TaskTrace // KeepWorst: discarded traces OnArrival reuses
+	free []*TaskTrace // KeepWorst: discarded traces an arrival reuses
 
 	makespan core.Time
 	done     bool
@@ -452,16 +452,16 @@ func (x *traceIndex) each(f func(*TaskTrace)) {
 	}
 }
 
-// Done reports whether the traced run has finished (OnDone fired).
+// Done reports whether the traced run has finished (its done event arrived).
 func (t *Tracer) Done() bool { return t.done }
 
-// Makespan returns the traced run's makespan (0 before OnDone).
+// Makespan returns the traced run's makespan (0 before the done event).
 func (t *Tracer) Makespan() core.Time { return t.makespan }
 
 // Trace returns the task's trace, nil if it was never seen or was discarded
 // by KeepWorst retention. Under KeepWorst a discarded trace is reused for a
 // later arrival, so mid-run the returned pointer describes task only until
-// the tracer's next OnArrival; after OnDone it stays valid.
+// the tracer's next arrival event; after the done event it stays valid.
 func (t *Tracer) Trace(task int) *TaskTrace {
 	if tr := t.live.get(task); tr != nil {
 		return tr
@@ -475,7 +475,7 @@ func (t *Tracer) Trace(task int) *TaskTrace {
 }
 
 // Traces returns every retained trace sorted by task id. Mid-run under
-// KeepWorst the pointers are valid until the next OnArrival (see Trace).
+// KeepWorst the pointers are valid until the next arrival (see Trace).
 func (t *Tracer) Traces() []*TaskTrace {
 	var out []*TaskTrace
 	if t.retain.k > 0 {
@@ -565,10 +565,46 @@ func (t *Tracer) terminal(tr *TaskTrace) {
 	t.siftDown(0)
 }
 
-// OnArrival implements Probe: it opens the task's queued root span, in a
-// recycled trace when KeepWorst has discarded one (keeping its Attempts
-// capacity).
-func (t *Tracer) OnArrival(task int, release core.Time) {
+// Observe implements Sink. Events with no per-task consequence — failovers
+// (their crashes arrive as retries and drops), ejections, brownouts, scale
+// events other than handoffs, hedge wins (the winner closes through its
+// completion) and the resilience stream — are ignored.
+func (t *Tracer) Observe(e Event) {
+	switch e.Kind {
+	case Arrival:
+		t.arrival(e.Task, e.At)
+	case Dispatch:
+		t.dispatch(e.Task, e.Server, e.At, e.T1, e.T2, false)
+	case Hedge:
+		t.dispatch(e.Task, e.Server, e.At, e.T1, e.T2, true)
+	case Complete:
+		t.complete(e.Task, e.Server, e.T1, e.T2, e.At)
+	case Drop:
+		t.resolve(e.Task, TraceDropped, AttemptCrashed, e.T1, e.At, "")
+	case Shed:
+		t.resolve(e.Task, TraceShed, AttemptShed, e.T1, e.At, e.Reason)
+	case Reject:
+		t.reject(e.Task, e.At, e.Reason)
+	case Retry:
+		if tr := t.live.get(e.Task); tr != nil {
+			tr.abort(AttemptCrashed, e.At)
+			tr.Retries++
+		}
+	case Handoff:
+		// The re-dispatch (or parking) follows as a dispatch event.
+		if tr := t.live.get(e.Task); tr != nil {
+			tr.abort(AttemptHandedOff, e.At)
+		}
+	case HedgeCancel:
+		t.hedgeCancel(e.Task, e.Server, e.At)
+	case Done:
+		t.finish(e.At)
+	}
+}
+
+// arrival opens the task's queued root span, in a recycled trace when
+// KeepWorst has discarded one (keeping its Attempts capacity).
+func (t *Tracer) arrival(task int, release core.Time) {
 	var tr *TaskTrace
 	if n := len(t.free); n > 0 {
 		tr = t.free[n-1]
@@ -587,23 +623,24 @@ func (t *Tracer) OnArrival(task int, release core.Time) {
 	}
 }
 
-// OnDispatch implements Probe: it opens attempt k with the engine's
-// forecast service interval.
-func (t *Tracer) OnDispatch(task, server int, at, start, end core.Time) {
+// dispatch opens an attempt with the engine's forecast service interval:
+// the next primary attempt, or, for a hedge, the speculative copy's sibling
+// span racing the pending primary.
+func (t *Tracer) dispatch(task, server int, at, start, end core.Time, hedge bool) {
 	tr := t.live.get(task)
 	if tr == nil {
 		return // tracer attached mid-run; ignore tasks we never saw arrive
 	}
 	tr.Attempts = append(tr.Attempts, AttemptSpan{
 		Server: server, At: at, Start: start, End: end,
-		AbortAt: core.Time(math.NaN()),
+		AbortAt: core.Time(math.NaN()), Hedge: hedge,
 	})
 }
 
-// OnComplete implements Probe: it closes the pending attempt, reconciling
-// a silent watermark re-time — the completion end is exact, so a forecast
-// mismatch flags Retimed and reconstructs the start as end − proc.
-func (t *Tracer) OnComplete(task, server int, release, proc, end core.Time) {
+// complete closes the pending attempt, reconciling a silent watermark
+// re-time — the completion end is exact, so a forecast mismatch flags
+// Retimed and reconstructs the start as end − proc.
+func (t *Tracer) complete(task, server int, release, proc, end core.Time) {
 	tr := t.live.get(task)
 	if tr == nil {
 		return
@@ -634,39 +671,26 @@ func (t *Tracer) OnComplete(task, server int, release, proc, end core.Time) {
 	t.terminal(tr)
 }
 
-// OnDrop implements Probe: the pending attempt (aborted by the crash that
-// triggered the retry decision) closes as crashed and the task resolves
-// dropped.
-func (t *Tracer) OnDrop(task int, release, at core.Time) {
+// resolve ends a dropped or shed task: its pending attempt (aborted by the
+// crash behind the drop, or queued where the shedder found it; a deadline
+// shed happens before dispatch and has none) closes with the outcome, and
+// the task resolves at instant at.
+func (t *Tracer) resolve(task int, state TraceState, o AttemptOutcome, release, at core.Time, reason string) {
 	tr := t.live.get(task)
 	if tr == nil {
 		return
 	}
-	tr.abort(AttemptCrashed, at)
-	tr.State = TraceDropped
+	tr.abort(o, at)
+	tr.State = state
+	tr.Reason = reason
 	tr.EndAt = at
 	tr.Flow = at - release
 	t.terminal(tr)
 }
 
-// OnRetry implements Probe: the crash-aborted attempt closes and the task
-// re-enters the queued state until its re-dispatch.
-func (t *Tracer) OnRetry(task, attempt int, at core.Time) {
-	tr := t.live.get(task)
-	if tr == nil {
-		return
-	}
-	tr.abort(AttemptCrashed, at)
-	tr.Retries++
-}
-
-// OnFailover implements Probe. Per-task crash consequences arrive through
-// OnRetry/OnDrop, so the tracer needs nothing here.
-func (t *Tracer) OnFailover(server int, at core.Time, lost int) {}
-
-// OnDone implements Probe: unresolved tasks are flushed into retention
-// (ranking above every finite flow) in task order.
-func (t *Tracer) OnDone(makespan core.Time) {
+// finish flushes unresolved tasks into retention (ranking above every
+// finite flow) in task order.
+func (t *Tracer) finish(makespan core.Time) {
 	t.makespan = makespan
 	t.done = true
 	if t.retain.k == 0 {
@@ -680,9 +704,8 @@ func (t *Tracer) OnDone(makespan core.Time) {
 	}
 }
 
-// OnReject implements OverloadObserver: the task resolves rejected with no
-// attempts.
-func (t *Tracer) OnReject(task int, at core.Time, reason string) {
+// reject resolves the task rejected, with no attempts.
+func (t *Tracer) reject(task int, at core.Time, reason string) {
 	tr := t.live.get(task)
 	if tr == nil {
 		return
@@ -694,75 +717,12 @@ func (t *Tracer) OnReject(task int, at core.Time, reason string) {
 	t.terminal(tr)
 }
 
-// OnShed implements OverloadObserver: the pending attempt (if any — a
-// deadline shed happens before dispatch and has none) closes as shed and
-// the task resolves shed.
-func (t *Tracer) OnShed(task, server int, release, at core.Time, reason string) {
-	tr := t.live.get(task)
-	if tr == nil {
-		return
-	}
-	tr.abort(AttemptShed, at)
-	tr.State = TraceShed
-	tr.Reason = reason
-	tr.EndAt = at
-	tr.Flow = at - release
-	t.terminal(tr)
-}
-
-// OnEject implements OverloadObserver (no per-task consequence).
-func (t *Tracer) OnEject(server int, at core.Time) {}
-
-// OnReadmit implements OverloadObserver (no per-task consequence).
-func (t *Tracer) OnReadmit(server int, at core.Time) {}
-
-// OnBrownout implements OverloadObserver (no per-task consequence).
-func (t *Tracer) OnBrownout(at core.Time, active bool) {}
-
-// OnScaleUp implements MembershipObserver (no per-task consequence).
-func (t *Tracer) OnScaleUp(machine int, at, ready core.Time) {}
-
-// OnJoin implements MembershipObserver (no per-task consequence).
-func (t *Tracer) OnJoin(machine int, at core.Time, members int) {}
-
-// OnScaleDown implements MembershipObserver (per-task consequences arrive
-// through OnHandoff).
-func (t *Tracer) OnScaleDown(machine int, at core.Time, members, handoffs int) {}
-
-// OnHandoff implements MembershipObserver: the pending attempt closes as
-// handed-off; the re-dispatch (or parking) follows through OnDispatch.
-func (t *Tracer) OnHandoff(task, from int, at core.Time) {
-	tr := t.live.get(task)
-	if tr == nil {
-		return
-	}
-	tr.abort(AttemptHandedOff, at)
-}
-
-// OnHedge implements HedgeObserver: the speculative copy opens as a sibling
-// span racing the pending primary attempt.
-func (t *Tracer) OnHedge(task, from, to int, at, start, end core.Time) {
-	tr := t.live.get(task)
-	if tr == nil {
-		return
-	}
-	tr.Attempts = append(tr.Attempts, AttemptSpan{
-		Server: to, At: at, Start: start, End: end,
-		AbortAt: core.Time(math.NaN()), Hedge: true,
-	})
-}
-
-// OnHedgeWin implements HedgeObserver. The winning attempt closes through
-// OnComplete (server-matched) and the loser through OnHedgeCancel, so the
-// tracer needs nothing here.
-func (t *Tracer) OnHedgeWin(task, server int, byCopy bool, at core.Time) {}
-
-// OnHedgeCancel implements HedgeObserver: the losing attempt on the given
-// server (primary or copy) closes as hedge-cancelled. It is the one hook
-// that can follow the task's terminal event — the primary is cancelled
-// after its copy completes, the copy after the primary is shed — so it
-// also reaches traces KeepWorst has already retained.
-func (t *Tracer) OnHedgeCancel(task, server int, at core.Time, started bool) {
+// hedgeCancel closes the losing attempt on the given server (primary or
+// copy) as hedge-cancelled. It is the one event that can follow the task's
+// terminal event — the primary is cancelled after its copy completes, the
+// copy after the primary is shed — so it also reaches traces KeepWorst has
+// already retained.
+func (t *Tracer) hedgeCancel(task, server int, at core.Time) {
 	tr := t.Trace(task)
 	if tr == nil {
 		return

@@ -14,26 +14,27 @@ import (
 
 func TestTracerSpanAssembly(t *testing.T) {
 	tr := NewTracer(KeepAll())
+	h := hooks(tr)
 
 	// Task 0: clean single-attempt completion.
-	tr.OnArrival(0, 1)
-	tr.OnDispatch(0, 2, 1, 3, 5)
-	tr.OnComplete(0, 2, 1, 2, 5)
+	h.OnArrival(0, 1)
+	h.OnDispatch(0, 2, 1, 3, 5)
+	h.OnComplete(0, 2, 1, 2, 5)
 
 	// Task 1: crash-aborted attempt, retry, second attempt completes.
-	tr.OnArrival(1, 2)
-	tr.OnDispatch(1, 0, 2, 2, 6)
-	tr.OnFailover(0, 4, 1)
-	tr.OnRetry(1, 1, 4)
-	tr.OnDispatch(1, 1, 4, 7, 11)
-	tr.OnComplete(1, 1, 2, 4, 11)
+	h.OnArrival(1, 2)
+	h.OnDispatch(1, 0, 2, 2, 6)
+	h.OnFailover(0, 4, 1)
+	h.OnRetry(1, 1, 4)
+	h.OnDispatch(1, 1, 4, 7, 11)
+	h.OnComplete(1, 1, 2, 4, 11)
 
 	// Task 2: crash then drop.
-	tr.OnArrival(2, 3)
-	tr.OnDispatch(2, 0, 3, 8, 9)
-	tr.OnDrop(2, 3, 10)
+	h.OnArrival(2, 3)
+	h.OnDispatch(2, 0, 3, 8, 9)
+	h.OnDrop(2, 3, 10)
 
-	tr.OnDone(11)
+	h.OnDone(11)
 	if !tr.Done() || tr.Makespan() != 11 {
 		t.Fatalf("Done=%v Makespan=%v", tr.Done(), tr.Makespan())
 	}
@@ -72,11 +73,12 @@ func TestTracerSpanAssembly(t *testing.T) {
 
 func TestTracerRetimeReconciliation(t *testing.T) {
 	tr := NewTracer(KeepAll())
-	tr.OnArrival(0, 0)
-	tr.OnDispatch(0, 1, 0, 5, 8) // forecast [5, 8)
+	h := hooks(tr)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 1, 0, 5, 8) // forecast [5, 8)
 	// A watermark shed ahead in the queue silently re-timed the attempt; the
 	// completion arrives with a different end.
-	tr.OnComplete(0, 1, 0, 3, 7)
+	h.OnComplete(0, 1, 0, 3, 7)
 	a := tr.Trace(0).Attempts[0]
 	if !a.Retimed {
 		t.Fatal("forecast-end mismatch not flagged Retimed")
@@ -86,9 +88,9 @@ func TestTracerRetimeReconciliation(t *testing.T) {
 	}
 
 	// Matching forecast stays untouched.
-	tr.OnArrival(1, 0)
-	tr.OnDispatch(1, 0, 0, 2, 6)
-	tr.OnComplete(1, 0, 0, 4, 6)
+	h.OnArrival(1, 0)
+	h.OnDispatch(1, 0, 0, 2, 6)
+	h.OnComplete(1, 0, 0, 4, 6)
 	if a := tr.Trace(1).Attempts[0]; a.Retimed || a.Start != 2 {
 		t.Fatalf("clean completion mangled: %+v", a)
 	}
@@ -96,10 +98,11 @@ func TestTracerRetimeReconciliation(t *testing.T) {
 
 func TestTracerOverloadAndMembershipHooks(t *testing.T) {
 	tr := NewTracer(KeepAll())
+	h := hooks(tr)
 
 	// Rejection on arrival: no attempts, reason recorded.
-	tr.OnArrival(0, 1)
-	tr.OnReject(0, 1, "queue-bound")
+	h.OnArrival(0, 1)
+	h.OnReject(0, 1, "queue-bound")
 	t0 := tr.Trace(0)
 	if t0.State != TraceRejected || t0.Reason != "queue-bound" || len(t0.Attempts) != 0 || t0.Flow != 0 {
 		t.Fatalf("rejected trace = %+v", t0)
@@ -107,28 +110,28 @@ func TestTracerOverloadAndMembershipHooks(t *testing.T) {
 
 	// Watermark shed closes the open attempt; deadline shed (no dispatch)
 	// leaves none.
-	tr.OnArrival(1, 0)
-	tr.OnDispatch(1, 2, 0, 5, 6)
-	tr.OnShed(1, 2, 0, 9, "watermark")
+	h.OnArrival(1, 0)
+	h.OnDispatch(1, 2, 0, 5, 6)
+	h.OnShed(1, 2, 0, 9, "watermark")
 	t1 := tr.Trace(1)
 	if t1.State != TraceShed || t1.Flow != 9 || t1.Attempts[0].Outcome != AttemptShed ||
 		t1.Attempts[0].AbortAt != 9 {
 		t.Fatalf("shed trace = %+v", t1)
 	}
-	tr.OnArrival(2, 4)
-	tr.OnShed(2, 3, 4, 7, "deadline")
+	h.OnArrival(2, 4)
+	h.OnShed(2, 3, 4, 7, "deadline")
 	if t2 := tr.Trace(2); t2.State != TraceShed || len(t2.Attempts) != 0 || t2.Flow != 3 {
 		t.Fatalf("deadline-shed trace = %+v", t2)
 	}
 
 	// Handoff closes the attempt as handed-off; the re-dispatch opens a new
 	// one and the completion closes it.
-	tr.OnArrival(3, 0)
-	tr.OnDispatch(3, 0, 0, 1, 4)
-	tr.OnScaleDown(0, 2, 3, 1)
-	tr.OnHandoff(3, 0, 2)
-	tr.OnDispatch(3, 1, 2, 2, 5)
-	tr.OnComplete(3, 1, 0, 3, 5)
+	h.OnArrival(3, 0)
+	h.OnDispatch(3, 0, 0, 1, 4)
+	h.OnScaleDown(0, 2, 3, 1)
+	h.OnHandoff(3, 0, 2)
+	h.OnDispatch(3, 1, 2, 2, 5)
+	h.OnComplete(3, 1, 0, 3, 5)
 	t3 := tr.Trace(3)
 	if len(t3.Attempts) != 2 || t3.Attempts[0].Outcome != AttemptHandedOff ||
 		t3.Attempts[0].AbortAt != 2 || t3.Attempts[1].Outcome != AttemptCompleted {
@@ -147,6 +150,7 @@ func TestTracerKeepWorstExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
 		tr := NewTracer(KeepWorst(k))
+		h := hooks(tr)
 		flows := make([]float64, n)
 		order := rng.Perm(n)
 		for _, id := range order {
@@ -154,11 +158,11 @@ func TestTracerKeepWorstExact(t *testing.T) {
 			// exercised, not just the float order.
 			flow := float64(rng.Intn(12))
 			flows[id] = flow
-			tr.OnArrival(id, 0)
-			tr.OnDispatch(id, 0, 0, 0, core.Time(flow))
-			tr.OnComplete(id, 0, 0, 1, core.Time(flow))
+			h.OnArrival(id, 0)
+			h.OnDispatch(id, 0, 0, 0, core.Time(flow))
+			h.OnComplete(id, 0, 0, 1, core.Time(flow))
 		}
-		tr.OnDone(100)
+		h.OnDone(100)
 
 		// Oracle: sort all tasks by (flow desc, id asc), take the first k.
 		ids := make([]int, n)
@@ -197,13 +201,14 @@ func TestTracerKeepWorstExact(t *testing.T) {
 
 func TestTracerKeepWorstUnfinishedRanksWorst(t *testing.T) {
 	tr := NewTracer(KeepWorst(2))
+	h := hooks(tr)
 	for id := 0; id < 5; id++ {
-		tr.OnArrival(id, 0)
-		tr.OnDispatch(id, 0, 0, 0, core.Time(100+id))
-		tr.OnComplete(id, 0, 0, 1, core.Time(100+id))
+		h.OnArrival(id, 0)
+		h.OnDispatch(id, 0, 0, 0, core.Time(100+id))
+		h.OnComplete(id, 0, 0, 1, core.Time(100+id))
 	}
-	tr.OnArrival(9, 50) // never resolves
-	tr.OnDone(200)
+	h.OnArrival(9, 50) // never resolves
+	h.OnDone(200)
 
 	worst := tr.Worst(2)
 	if len(worst) != 2 || worst[0].Task != 9 || worst[0].State != TraceUnfinished {
@@ -219,11 +224,12 @@ func TestTracerKeepWorstUnfinishedRanksWorst(t *testing.T) {
 
 func TestTracerWriteJSON(t *testing.T) {
 	tr := NewTracer(KeepAll())
-	tr.OnArrival(0, 1)
-	tr.OnDispatch(0, 2, 1, 3, 5)
-	tr.OnComplete(0, 2, 1, 2, 5)
-	tr.OnArrival(1, 2) // unfinished: NaN instants must encode as null
-	tr.OnDone(5)
+	h := hooks(tr)
+	h.OnArrival(0, 1)
+	h.OnDispatch(0, 2, 1, 3, 5)
+	h.OnComplete(0, 2, 1, 2, 5)
+	h.OnArrival(1, 2) // unfinished: NaN instants must encode as null
+	h.OnDone(5)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -263,14 +269,15 @@ func TestTracerWriteJSON(t *testing.T) {
 
 func TestTracerHedgeSiblingSpans(t *testing.T) {
 	tr := NewTracer(KeepAll())
+	h := hooks(tr)
 
 	// Task 0: hedge issued, the copy wins, the primary is hedge-cancelled.
-	tr.OnArrival(0, 0)
-	tr.OnDispatch(0, 1, 0, 5, 15) // slow primary
-	tr.OnHedge(0, 1, 2, 3, 4, 7)  // sibling copy on server 2
-	tr.OnHedgeWin(0, 2, true, 7)
-	tr.OnComplete(0, 2, 0, 3, 7)
-	tr.OnHedgeCancel(0, 1, 7, true)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 1, 0, 5, 15) // slow primary
+	h.OnHedge(0, 1, 2, 3, 4, 7)  // sibling copy on server 2
+	h.OnHedgeWin(0, 2, true, 7)
+	h.OnComplete(0, 2, 0, 3, 7)
+	h.OnHedgeCancel(0, 1, 7, true)
 
 	t0 := tr.Trace(0)
 	if t0.State != TraceCompleted || len(t0.Attempts) != 2 {
@@ -287,12 +294,12 @@ func TestTracerHedgeSiblingSpans(t *testing.T) {
 	// Task 1: hedge issued, the primary wins, the copy is hedge-cancelled
 	// before service — the cancellation must close the copy span, not the
 	// pending primary.
-	tr.OnArrival(1, 0)
-	tr.OnDispatch(1, 0, 0, 0, 4)
-	tr.OnHedge(1, 0, 3, 2, 6, 10)
-	tr.OnHedgeWin(1, 0, false, 4)
-	tr.OnComplete(1, 0, 0, 4, 4)
-	tr.OnHedgeCancel(1, 3, 4, false)
+	h.OnArrival(1, 0)
+	h.OnDispatch(1, 0, 0, 0, 4)
+	h.OnHedge(1, 0, 3, 2, 6, 10)
+	h.OnHedgeWin(1, 0, false, 4)
+	h.OnComplete(1, 0, 0, 4, 4)
+	h.OnHedgeCancel(1, 3, 4, false)
 
 	t1 := tr.Trace(1)
 	if len(t1.Attempts) != 2 {
@@ -307,11 +314,11 @@ func TestTracerHedgeSiblingSpans(t *testing.T) {
 
 	// Task 2: a crash aborts the primary while a copy is pending — the
 	// crash must close the primary span, skipping the hedge sibling.
-	tr.OnArrival(2, 0)
-	tr.OnDispatch(2, 0, 0, 0, 9)
-	tr.OnHedge(2, 0, 1, 2, 5, 14)
-	tr.OnFailover(0, 3, 1)
-	tr.OnRetry(2, 1, 3)
+	h.OnArrival(2, 0)
+	h.OnDispatch(2, 0, 0, 0, 9)
+	h.OnHedge(2, 0, 1, 2, 5, 14)
+	h.OnFailover(0, 3, 1)
+	h.OnRetry(2, 1, 3)
 	t2 := tr.Trace(2)
 	if a := t2.Attempts[0]; a.Hedge || a.Outcome != AttemptCrashed || a.AbortAt != 3 {
 		t.Fatalf("task 2 primary after crash = %+v", a)
@@ -332,17 +339,18 @@ func TestTracerHedgeSiblingSpans(t *testing.T) {
 // Attempts capacity, allocating nothing.
 func TestTracerKeepWorstAllocs(t *testing.T) {
 	tr := NewTracer(KeepWorst(5))
+	h := hooks(tr)
 	next := 0
 	batch := func() {
 		for i := 0; i < 200; i++ {
 			id, at := next, core.Time(next)
 			next++
 			flow := core.Time((id*37)%101) / 10 // rejects and evictions both
-			tr.OnArrival(id, at)
-			tr.OnDispatch(id, 0, at, at, at+1)
-			tr.OnRetry(id, 1, at+0.5)
-			tr.OnDispatch(id, 1, at+0.5, at+0.5, at+flow)
-			tr.OnComplete(id, 1, at, 1, at+flow)
+			h.OnArrival(id, at)
+			h.OnDispatch(id, 0, at, at, at+1)
+			h.OnRetry(id, 1, at+0.5)
+			h.OnDispatch(id, 1, at+0.5, at+0.5, at+flow)
+			h.OnComplete(id, 1, at, 1, at+flow)
 		}
 	}
 	batch() // warm: fills the heap and the free list

@@ -142,13 +142,15 @@ type Config struct {
 	//
 	// Nil leaves the resilience vectors nil and its counters zero.
 	Resilience *resilience.Config
-	// Probe observes the run. Unlike sim.RunProbed, completions are
-	// reported only when they become final (crash-invalidated attempts
-	// never complete), in time order; crashes surface as OnFailover
-	// followed by OnRetry/OnDrop for each lost request. A probe that also
-	// implements obs.OverloadObserver, obs.MembershipObserver,
-	// obs.HedgeObserver or obs.ResilienceObserver sees the events of those
-	// layers. Every hook sits behind a nil guard, so a nil probe allocates
-	// nothing extra (TestProbeNilRunFaultyAllocs).
+	// Probe observes the run: obs.Multi(sinks...) feeds every event, of
+	// every layer, to each sink as one obs.Event. Unlike sim.RunProbed,
+	// completions are reported only when they become final
+	// (crash-invalidated attempts never complete), in time order; crashes
+	// surface as a failover followed by a retry or drop for each lost
+	// request. The engine reaches the layers' hooks by asserting the probe
+	// to obs.OverloadObserver, obs.MembershipObserver, obs.HedgeObserver
+	// and obs.ResilienceObserver, which Multi implements. Every hook sits
+	// behind a nil guard, so a nil probe allocates nothing extra
+	// (TestProbeNilRunFaultyAllocs).
 	Probe obs.Probe
 }

@@ -132,7 +132,7 @@ func TestRunResilientForwards(t *testing.T) {
 		want := parityDigest(t, NewArena(), rec, inst, all, ra)
 		c := all.build(inst.M, horizon)
 		rec.Reset()
-		s, em, err := NewArena().RunResilient(inst, rb, c.Plan, c.Retry, c.Overload, c.Elastic, c.Hedge, c.Resilience, rec)
+		s, em, err := NewArena().RunResilient(inst, rb, c.Plan, c.Retry, c.Overload, c.Elastic, c.Hedge, c.Resilience, obs.Multi(rec))
 		if got := digestRun(t, rec, s, em, err); got != want {
 			t.Errorf("%s: RunResilient digest %s, Run %s", kind, got, want)
 		}

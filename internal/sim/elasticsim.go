@@ -1031,7 +1031,9 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		}
 	}
 
-	// join activates a warmed-up machine and wakes parked work.
+	// join activates a warmed-up machine and wakes parked work. Every join
+	// at an instant applies before parked work dispatches (DESIGN.md §11):
+	// when the next event is another join at now, that join wakes instead.
 	join := func(j int, now core.Time) error {
 		if el == nil || !el.warming[j] {
 			return nil
@@ -1043,6 +1045,11 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		el.ms.Changes = append(el.ms.Changes, elastic.Change{At: now, Machine: j, Join: true, Members: el.members})
 		if el.mo != nil {
 			el.mo.OnJoin(j, now, el.members)
+		}
+		if events.Len() > 0 {
+			if at, ev := events.Peek(); at == now && ev.kind == evJoin && el.warming[ev.server] {
+				return nil
+			}
 		}
 		return wake(-1, now)
 	}

@@ -17,8 +17,6 @@ import (
 // hedgeCountProbe counts effective completions per task (the
 // exactly-one-effective-completion invariant) and the hedge event stream.
 type hedgeCountProbe struct {
-	obs.BaseProbe
-	obs.BaseHedgeObserver
 	completions []int
 	hedges      int
 	wins        int
@@ -30,21 +28,20 @@ func newHedgeCountProbe(n int) *hedgeCountProbe {
 	return &hedgeCountProbe{completions: make([]int, n)}
 }
 
-func (p *hedgeCountProbe) OnComplete(task, server int, release, proc, end core.Time) {
-	p.completions[task]++
-}
-
-func (p *hedgeCountProbe) OnHedge(task, from, to int, at, start, end core.Time) { p.hedges++ }
-
-func (p *hedgeCountProbe) OnHedgeWin(task, server int, byCopy bool, at core.Time) {
-	p.wins++
-	if byCopy {
-		p.winsByCopy++
+func (p *hedgeCountProbe) Observe(e obs.Event) {
+	switch e.Kind {
+	case obs.Complete:
+		p.completions[e.Task]++
+	case obs.Hedge:
+		p.hedges++
+	case obs.HedgeWin:
+		p.wins++
+		if e.Flag {
+			p.winsByCopy++
+		}
+	case obs.HedgeCancel:
+		p.cancels++
 	}
-}
-
-func (p *hedgeCountProbe) OnHedgeCancel(task, server int, at core.Time, started bool) {
-	p.cancels++
 }
 
 // checkHedgeResolution asserts the hedge ledger: every issued copy resolved
@@ -95,7 +92,7 @@ func TestRunHedgedGrayCopyWins(t *testing.T) {
 	for _, cancel := range []bool{true, false} {
 		hcfg := &hedge.Config{Delay: 2, CancelRunning: cancel}
 		p := newHedgeCountProbe(1)
-		s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: p})
+		s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: obs.Multi(p)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +153,7 @@ func TestRunHedgedSingleLiveMember(t *testing.T) {
 	inst := core.NewInstance(2, tasks)
 	hcfg := &hedge.Config{Delay: 0.5}
 	p := newHedgeCountProbe(2)
-	_, em, err := NewArena().Run(inst, EFTRouter{}, Config{Hedge: hcfg, Probe: p})
+	_, em, err := NewArena().Run(inst, EFTRouter{}, Config{Hedge: hcfg, Probe: obs.Multi(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +180,7 @@ func TestRunHedgedTargetOutage(t *testing.T) {
 	plan := faults.Empty(2).Slow(0, 0, 1000, 10).Down(1, 5, 1000)
 	hcfg := &hedge.Config{Delay: 2, CancelRunning: true}
 	p := newHedgeCountProbe(1)
-	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: p})
+	s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: obs.Multi(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +216,7 @@ func TestRunHedgedVictimDrainedMidFlight(t *testing.T) {
 	ecfg := &elastic.Config{Script: []elastic.Event{{At: 3, Delta: -1}}, Min: 1}
 	hcfg := &hedge.Config{Delay: 1, CancelRunning: false}
 	p := newHedgeCountProbe(3)
-	_, em, err := NewArena().Run(inst, JSQRouter{}, Config{Plan: plan, Elastic: ecfg, Hedge: hcfg, Probe: p})
+	_, em, err := NewArena().Run(inst, JSQRouter{}, Config{Plan: plan, Elastic: ecfg, Hedge: hcfg, Probe: obs.Multi(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +254,7 @@ func TestRunHedgedTrimShedsPrimaryAndCopy(t *testing.T) {
 	hcfg := &hedge.Config{Delay: 0.5}
 	p := newHedgeCountProbe(len(tasks))
 	arena := NewArena()
-	_, em, err := arena.Run(inst, EFTRouter{}, Config{Overload: cfg, Elastic: ecfg, Hedge: hcfg, Probe: p})
+	_, em, err := arena.Run(inst, EFTRouter{}, Config{Overload: cfg, Elastic: ecfg, Hedge: hcfg, Probe: obs.Multi(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +296,7 @@ func TestRunHedgedTiedPair(t *testing.T) {
 	inst := core.NewInstance(2, tasks)
 	hcfg := &hedge.Config{Tied: true}
 	p := newHedgeCountProbe(3)
-	_, em, err := NewArena().Run(inst, &RoundRobinRouter{}, Config{Hedge: hcfg, Probe: p})
+	_, em, err := NewArena().Run(inst, &RoundRobinRouter{}, Config{Hedge: hcfg, Probe: obs.Multi(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +338,7 @@ func TestRunHedgedRetryRace(t *testing.T) {
 		kind := allRouterKinds[trial%len(allRouterKinds)]
 		router, _ := routerPair(kind, rng.Int63())
 		p := newHedgeCountProbe(n)
-		_, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: pol, Hedge: hcfg, Probe: p})
+		_, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: pol, Hedge: hcfg, Probe: obs.Multi(p)})
 		if err != nil {
 			t.Fatalf("trial %d %s: %v", trial, kind, err)
 		}
@@ -374,7 +371,7 @@ func TestRunHedgedQuantileTrigger(t *testing.T) {
 	plan := faults.Empty(4).Slow(0, 10, 1e6, 8)
 	hcfg := &hedge.Config{Quantile: 0.95, MinSamples: 50}
 	p := newHedgeCountProbe(n)
-	_, em, err := NewArena().Run(inst, &RoundRobinRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: p})
+	_, em, err := NewArena().Run(inst, &RoundRobinRouter{}, Config{Plan: plan, Hedge: hcfg, Probe: obs.Multi(p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +465,7 @@ func FuzzHedgedDispatch(f *testing.F) {
 		kind := allRouterKinds[int(kind8)%len(allRouterKinds)]
 		router, _ := routerPair(kind, seed)
 		p := newHedgeCountProbe(n)
-		_, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: pol, Hedge: hcfg, Probe: p})
+		_, em, err := NewArena().Run(inst, router, Config{Plan: plan, Retry: pol, Hedge: hcfg, Probe: obs.Multi(p)})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -526,7 +523,7 @@ func TestRunHedgedDeferredTriggerKeepsTieOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			inst := core.NewInstance(4, tasks)
 			p := newHedgeCountProbe(len(tasks))
-			s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: tc.plan, Elastic: tc.ecfg, Hedge: hcfg, Probe: p})
+			s, em, err := NewArena().Run(inst, EFTRouter{}, Config{Plan: tc.plan, Elastic: tc.ecfg, Hedge: hcfg, Probe: obs.Multi(p)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -190,7 +190,7 @@ func TestHistogramMatchesStatsQuantile(t *testing.T) {
 		rng := rand.New(rand.NewSource(200 + seed))
 		inst := randomInstance(2+rng.Intn(7), 1000, rng)
 		hist := obs.NewHistogramProbe()
-		_, metrics, err := RunProbed(inst, EFTRouter{}, hist)
+		_, metrics, err := RunProbed(inst, EFTRouter{}, obs.Multi(hist))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func TestJSONLReplayMatchesTrace(t *testing.T) {
 		} {
 			var buf bytes.Buffer
 			sink := obs.NewJSONLSink(&buf)
-			sched, _, err := RunProbed(inst, EFTRouter{}, sink)
+			sched, _, err := RunProbed(inst, EFTRouter{}, obs.Multi(sink))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +280,7 @@ func TestSamplerMatchesQueueProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched, _, err := RunProbed(inst, EFTRouter{}, sampler)
+		sched, _, err := RunProbed(inst, EFTRouter{}, obs.Multi(sampler))
 		if err != nil {
 			t.Fatal(err)
 		}

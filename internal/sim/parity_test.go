@@ -246,7 +246,7 @@ func parityRuns(f func(name string, inst *core.Instance, link parityLink, router
 func parityDigest(t *testing.T, arena *Arena, rec *obs.FlightRecorder, inst *core.Instance, link parityLink, router Router) string {
 	t.Helper()
 	cfg := link.build(inst.M, inst.Tasks[inst.N()-1].Release)
-	cfg.Probe = rec
+	cfg.Probe = obs.Multi(rec)
 	rec.Reset()
 	s, em, err := arena.Run(inst, router, cfg)
 	return digestRun(t, rec, s, em, err)

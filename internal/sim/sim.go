@@ -142,8 +142,9 @@ func Run(inst *core.Instance, router Router) (*core.Schedule, *Metrics, error) {
 	return RunProbed(inst, router, nil)
 }
 
-// RunProbed is Run with an observability probe attached: the probe receives
-// OnArrival/OnDispatch/OnComplete for every request plus a final OnDone
+// RunProbed is Run with an observability probe attached (obs.Multi of the
+// sinks): the probe receives OnArrival/OnDispatch/OnComplete for every
+// request plus a final OnDone
 // (see obs.Probe for the event-time contract — completions are reported
 // eagerly at dispatch, where they become final in the fault-free model).
 // A nil probe is exactly Run: every hook sits behind a nil guard, so the

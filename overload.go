@@ -5,7 +5,6 @@ package flowsched
 // ejection and the SLO guard / capacity estimator built on LP (15).
 
 import (
-	"flowsched/internal/obs"
 	"flowsched/internal/overload"
 	"flowsched/internal/replicate"
 	"flowsched/internal/sim"
@@ -40,9 +39,6 @@ type (
 	// dispositions by reason, ejector activity and the conditional
 	// Fmax/stretch of admitted tasks.
 	OverloadMetrics = sim.OverloadMetrics
-	// OverloadObserver is the optional probe extension receiving the
-	// overload event stream (rejections, sheds, ejections, brownouts).
-	OverloadObserver = obs.OverloadObserver
 )
 
 // Shedding victim orders.

@@ -6,7 +6,6 @@ package flowsched
 // turning into a metastable retry storm.
 
 import (
-	"flowsched/internal/obs"
 	"flowsched/internal/resilience"
 )
 
@@ -31,10 +30,6 @@ type (
 	// BreakerSpan records one breaker open episode (open, half-open,
 	// close) in ElasticMetrics.BreakerSpans.
 	BreakerSpan = resilience.Span
-	// ResilienceObserver is the optional probe extension receiving the
-	// resilience event stream (breaker opens/probes/closes, retry budget
-	// drops).
-	ResilienceObserver = obs.ResilienceObserver
 )
 
 // Jitter modes for ResilienceConfig.Jitter: none keeps the deterministic

@@ -47,14 +47,18 @@ func WriteHeatmapSVG(w io.Writer, rows, cols []string, values [][]float64, lo, h
 	return viz.HeatmapSVG(w, rows, cols, values, lo, hi, title)
 }
 
-// In-flight observability (internal/obs): probes that watch a simulation
+// In-flight observability (internal/obs): sinks that watch a simulation
 // while it runs, instead of post-processing the finished schedule.
 type (
-	// Probe observes a simulation run in flight; see internal/obs.Probe
-	// for the hook set and event-time contract.
+	// Probe is what a simulation run reports to: build one from sinks with
+	// MultiProbe. See internal/obs.Probe for the event-time contract.
 	Probe = obs.Probe
-	// BaseProbe is a no-op Probe for embedding in custom probes.
-	BaseProbe = obs.BaseProbe
+	// ProbeSink receives a run's events, one ProbeEvent per engine event;
+	// every observer below is one. Implement it for a custom observer.
+	ProbeSink = obs.Sink
+	// ProbeEvent is one engine event: its kind (Kind.String() is the wire
+	// name) and the fields internal/obs.Event's table lists per kind.
+	ProbeEvent = obs.Event
 	// Histogram is a streaming log-bucketed distribution with bounded
 	// memory and quantile queries (max relative error √growth − 1).
 	Histogram = obs.Histogram
@@ -85,17 +89,18 @@ func NewHistogramProbe() *HistogramProbe { return obs.NewHistogramProbe() }
 // positive).
 func NewTimeSeries(m int, dt Time) (*TimeSeries, error) { return obs.NewSampler(m, dt) }
 
-// NewJSONLSink returns a probe writing one JSON event per line to w
-// (buffered; flushed at OnDone, or call Flush).
+// NewJSONLSink returns a sink writing one JSON event per line to w
+// (buffered; flushed by the run's done event, or call Flush).
 func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
 
 // ReplayJSONL reconstructs the trace of a run from its JSONL event stream;
 // for a fault-free run it equals Trace of the run's schedule exactly.
 func ReplayJSONL(r io.Reader) ([]TraceEvent, error) { return obs.ReplayTrace(r) }
 
-// MultiProbe fans one event stream out to several probes in order (nil
-// entries are skipped; all-nil yields nil, which simulates unobserved).
-func MultiProbe(probes ...Probe) Probe { return obs.Multi(probes...) }
+// MultiProbe returns the probe that feeds a run's events to the given sinks
+// in order (nil entries are skipped; all-nil yields nil, which simulates
+// unobserved).
+func MultiProbe(sinks ...ProbeSink) Probe { return obs.Multi(sinks...) }
 
 // Observe is Simulate with a probe attached. A nil probe is exactly
 // Simulate: the hooks are nil-guarded, so the unobserved hot path stays
@@ -111,11 +116,11 @@ func WriteTimeSeriesSVG(w io.Writer, samples []TimeSeriesSample, title string) e
 }
 
 // Causal span tracing (internal/obs.Tracer): per-task span trees assembled
-// from the probe hooks, bounded-memory tail retention, and a flight recorder
+// from the event stream, bounded-memory tail retention, and a flight recorder
 // keeping the last raw events of a run.
 type (
 	// Tracer assembles per-task causal traces (queued → attempts → terminal
-	// state) from the probe stream; attach it like any other Probe.
+	// state) from the event stream; attach it through MultiProbe.
 	Tracer = obs.Tracer
 	// TaskTrace is one task's causal history: release, attempts, terminal
 	// state and flow.
@@ -141,7 +146,7 @@ func TraceKeepAll() TraceRetention { return obs.KeepAll() }
 // (unfinished tasks rank worst), in O(k) memory.
 func TraceKeepWorst(k int) TraceRetention { return obs.KeepWorst(k) }
 
-// NewTracer returns a span-tracing probe with the given retention.
+// NewTracer returns a span-tracing sink with the given retention.
 func NewTracer(r TraceRetention) *Tracer { return obs.NewTracer(r) }
 
 // NewFlightRecorder returns a flight recorder keeping the last size events
