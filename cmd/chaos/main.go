@@ -137,7 +137,7 @@ func replayRepro(path string) int {
 		fmt.Fprintf(os.Stderr, "chaos: %s: %v\n", path, err)
 		return 3
 	}
-	vs, err := repro.Replay(nil)
+	vs, err := repro.Replay(nil, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		return 2

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"flowsched"
+	"flowsched/internal/stats"
 )
 
 // hedgeFlags collects the hedged-execution flags (-hedge, -tied, -cancel)
@@ -82,7 +83,7 @@ func hedgedRow(strat, router string, em *flowsched.ElasticMetrics) []any {
 	return []any{strat, router,
 		float64(em.AdmittedMaxFlow()),
 		float64(em.MeanFlow()),
-		admittedQuantile(em, 0.99),
+		stats.Quantile(em.AdmittedFlows(), 0.99),
 		em.HedgesIssued,
 		em.HedgeWinsCopy,
 		em.HedgesCancelled + em.HedgesRevoked,

@@ -2,11 +2,11 @@ package main
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"flowsched"
+	"flowsched/internal/stats"
 )
 
 // ovFlags collects the overload-control flags (-admit, -shed, -eject, -slo)
@@ -119,38 +119,12 @@ func guardedRow(strat, router string, om *flowsched.ElasticMetrics) []any {
 	return []any{strat, router,
 		fmt.Sprintf("%.2f", om.Goodput()*100),
 		float64(om.AdmittedMaxFlow()),
-		admittedQuantile(om, 0.99),
+		stats.Quantile(om.AdmittedFlows(), 0.99),
 		om.RejectedCount(),
 		om.ShedCount(),
 		om.Ejections,
 		om.Brownouts,
 	}
-}
-
-// admittedQuantile returns the q-quantile of completed tasks' flow times.
-func admittedQuantile(om *flowsched.ElasticMetrics, q float64) float64 {
-	flows := om.AdmittedFlows()
-	if len(flows) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(flows))
-	for i, f := range flows {
-		xs[i] = float64(f)
-	}
-	sort.Float64s(xs)
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(xs) {
-		return xs[len(xs)-1]
-	}
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }
 
 // describeOverload summarizes the active controls for the run banner.

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"flowsched"
+	"flowsched/internal/stats"
 )
 
 // resilienceFlags collects the resilience-layer flags (-jitter,
@@ -136,7 +137,7 @@ func resilientRow(strat, router string, em *flowsched.ElasticMetrics) []any {
 	return []any{strat, router,
 		float64(em.AdmittedMaxFlow()),
 		float64(em.MeanFlow()),
-		admittedQuantile(em, 0.99),
+		stats.Quantile(em.AdmittedFlows(), 0.99),
 		em.RetriesIssued,
 		em.RetriesDropped,
 		em.BreakerOpens,

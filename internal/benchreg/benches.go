@@ -504,8 +504,7 @@ func benchLoadLPMaxLoad(b *testing.B) {
 }
 
 // benchEstimatorBuildM1000 times building the SLO guard for m = 10³
-// machines (k = 3 overlapping, Shuffled Zipf s = 1): one LP (15) solve plus
-// the per-set index.
+// machines (k = 3 overlapping, Shuffled Zipf s = 1): one LP (15) solve.
 func benchEstimatorBuildM1000(b *testing.B) {
 	w := popularity.Weights(popularity.Shuffled, 1000, 1, rand.New(rand.NewSource(1)))
 	b.ReportAllocs()

@@ -132,11 +132,11 @@ type Params struct {
 	// warm-up) and drain (with handoff) mid-run on the described script, and
 	// the audit membership invariants replace the static eligibility check.
 	Elastic *ElasticParams `json:"elastic,omitempty"`
-	// Hedge, when non-nil, arms sim.Config.Hedge with the described
-	// speculative-execution config, and the audit hedge invariants
+	// Hedge, when non-nil, is passed as sim.Config.Hedge (speculative
+	// execution), and the audit hedge invariants
 	// (exactly-one-effective-completion, copy eligibility, duplicate-work
 	// accounting) join the check.
-	Hedge *HedgeParams `json:"hedge,omitempty"`
+	Hedge *hedge.Config `json:"hedge,omitempty"`
 	// Resilience, when non-nil, arms sim.Config.Resilience with the
 	// described retry-storm protections (seeded jitter, retry budget,
 	// circuit breakers), and the audit resilience invariants (budget
@@ -170,17 +170,6 @@ type ElasticParams struct {
 	Script  []elastic.Event `json:"script,omitempty"`
 	// Auto attaches a capacity-bound autoscaler on top of the script.
 	Auto bool `json:"auto,omitempty"`
-}
-
-// HedgeParams pins the hedged-execution side of a trial; everything needed
-// to rebuild the hedge.Config deterministically.
-type HedgeParams struct {
-	Delay         float64 `json:"delay,omitempty"`
-	Quantile      float64 `json:"quantile,omitempty"`
-	MinSamples    int     `json:"minSamples,omitempty"`
-	MaxHedges     int     `json:"maxHedges,omitempty"`
-	Tied          bool    `json:"tied,omitempty"`
-	CancelRunning bool    `json:"cancelRunning,omitempty"`
 }
 
 // ResilienceParams pins the resilience side of a trial; everything needed to
@@ -313,7 +302,7 @@ func SampleParams(cfg Config, trial int) Params {
 	// perturbs none of the draws above — a trial seed reproduces the same
 	// workload, faults and churn with or without this block.
 	if rng.Intn(3) == 0 {
-		hp := &HedgeParams{CancelRunning: rng.Intn(2) == 0}
+		hp := &hedge.Config{CancelRunning: rng.Intn(2) == 0}
 		switch rng.Intn(3) {
 		case 0:
 			hp.Delay = 0.2 + rng.Float64()*3
@@ -365,11 +354,11 @@ func SampleParams(cfg Config, trial int) Params {
 }
 
 // estimator builds the SLO guard for a trial. Only the none, overlapping
-// and disjoint strategies get the LP (15) per-set estimator; the offset,
-// random and unrestricted ones keep a plain capacity of m, so recorded
-// trials replay unchanged. With the uniform weights used here every
-// primary's set contains the primary, so λ* = m for every strategy and the
-// fallback loses only the per-set tracking behind HottestSet.
+// and disjoint strategies get the LP (15) estimator; the offset, random and
+// unrestricted ones keep a plain capacity of m, so recorded trials replay
+// unchanged. With the uniform weights used here every primary's set
+// contains the primary, so λ* = m for every strategy, and the two differ
+// only in the LP estimator refusing a run on other than its m machines.
 func (p Params) estimator() *overload.Estimator {
 	switch p.Strategy {
 	case "none", "overlapping", "disjoint":
@@ -455,23 +444,6 @@ func (p Params) elasticConfig(m int) *elastic.Config {
 		cfg.Auto = &elastic.Autoscaler{Guard: overload.NewEstimatorCapacity(float64(m))}
 	}
 	return cfg
-}
-
-// hedgeConfig rebuilds the trial's hedge.Config (nil when the trial does not
-// hedge).
-func (p Params) hedgeConfig() *hedge.Config {
-	hp := p.Hedge
-	if hp == nil {
-		return nil
-	}
-	return &hedge.Config{
-		Delay:         core.Time(hp.Delay),
-		Quantile:      hp.Quantile,
-		MinSamples:    hp.MinSamples,
-		MaxHedges:     hp.MaxHedges,
-		Tied:          hp.Tied,
-		CancelRunning: hp.CancelRunning,
-	}
 }
 
 // resilienceConfig rebuilds the trial's resilience.Config (nil when the
@@ -589,18 +561,13 @@ var arenas = sync.Pool{New: func() any { return sim.NewArena() }}
 
 // Check simulates (inst, plan) under the params' router and policy, audits
 // the outcome and cross-checks the counting probe. It returns the combined
-// violations (nil when the trial is clean).
-func Check(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Params) []audit.Violation {
-	return CheckRecorded(inst, plan, spec, p, nil)
-}
-
-// CheckRecorded is Check with a flight recorder riding the run: rec (reset
-// first) receives the raw event stream, and audit violations naming a task
-// carry that task's events as evidence. A nil rec is plain Check. The event
-// stream is deterministic in (inst, plan, spec, p), so re-running a failing
-// configuration with a fresh recorder reproduces the violating sequence
-// exactly — the property make chaos-short asserts.
-func CheckRecorded(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Params, rec *obs.FlightRecorder) []audit.Violation {
+// violations, audit's first (nil when the trial is clean). A non-nil rec
+// (reset first) rides the run as a flight recorder: it receives the raw
+// event stream, and audit violations naming a task carry that task's events
+// as evidence. The event stream is deterministic in (inst, plan, spec, p),
+// so re-running a failing configuration with a fresh recorder reproduces the
+// violating sequence exactly — the property make chaos-short asserts.
+func Check(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Params, rec *obs.FlightRecorder) []audit.Violation {
 	router := spec.New(p.RouterSeed)
 	probe := newCountProbe(inst.N())
 	sinks := []obs.Sink{probe}
@@ -612,12 +579,10 @@ func CheckRecorded(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Pa
 	if err != nil {
 		return []audit.Violation{{Invariant: InvSimError, Task: -1, Machine: -1, Detail: err.Error()}}
 	}
-	ecfg := p.elasticConfig(inst.M)
-	hcfg := p.hedgeConfig()
-	rcfg := p.resilienceConfig()
+	ecfg, rcfg := p.elasticConfig(inst.M), p.resilienceConfig()
 	arena := arenas.Get().(*sim.Arena)
 	defer arenas.Put(arena)
-	s, em, err := arena.Run(inst, router, sim.Config{Plan: plan, Retry: p.Policy, Overload: cfg, Elastic: ecfg, Hedge: hcfg, Resilience: rcfg, Probe: obs.Multi(sinks...)})
+	s, em, err := arena.Run(inst, router, sim.Config{Plan: plan, Retry: p.Policy, Overload: cfg, Elastic: ecfg, Hedge: p.Hedge, Resilience: rcfg, Probe: obs.Multi(sinks...)})
 	if err != nil {
 		return []audit.Violation{{Invariant: InvSimError, Task: -1, Machine: -1, Detail: err.Error()}}
 	}
@@ -645,7 +610,7 @@ func CheckRecorded(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Pa
 		// FIFO ≡ EFT spot-check).
 		opts.Membership = &audit.MembershipInfo{Membership: em.Membership, Dispatched: em.Dispatched}
 	}
-	if hcfg != nil {
+	if p.Hedge != nil {
 		opts.Hedge = &audit.HedgeInfo{
 			Hedged: em.Hedged, CopyServer: em.HedgeCopyServer, CopyAt: em.HedgeCopyAt,
 			WonByCopy: em.HedgeWonByCopy, Busy: em.Busy, DuplicateWork: em.DuplicateWork,
@@ -665,13 +630,7 @@ func CheckRecorded(inst *core.Instance, plan *faults.Plan, spec RouterSpec, p Pa
 		}
 	}
 	r := audit.Audit(inst, s, opts)
-	vs := append(r.Violations, probe.crossCheck(inst, om)...)
-	if ecfg != nil {
-		vs = append(vs, probe.crossCheckElastic(inst, em)...)
-	}
-	vs = append(vs, probe.crossCheckHedge(inst, em, hcfg != nil)...)
-	vs = append(vs, probe.crossCheckResilience(inst, em, rcfg != nil)...)
-	return vs
+	return append(r.Violations, probe.crossCheck(inst, em, ecfg != nil, p.Hedge != nil, rcfg != nil)...)
 }
 
 // Failure is one failing trial: its parameters, the violations of the
@@ -723,7 +682,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (*Summary, error) {
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{params: p, violations: Check(inst, plan, spec, p)}, nil
+		return outcome{params: p, violations: Check(inst, plan, spec, p, nil)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -744,7 +703,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (*Summary, error) {
 			// Flight-record the shrunk configuration so the failure ships
 			// with its raw event sequence.
 			rec := obs.NewFlightRecorder(0)
-			if _, err := repro.ReplayRecorded(cfg.Routers, rec); err != nil {
+			if _, err := repro.Replay(cfg.Routers, rec); err != nil {
 				say("chaos: trial %d: flight recording failed: %v", res.params.Trial, err)
 			} else {
 				f.Events = rec.Events()

@@ -3,7 +3,10 @@ package chaos
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
+
+	"flowsched/internal/hedge"
 )
 
 // TestSampleParamsHedgeCoverage: the sampler exercises every hedge trigger
@@ -32,7 +35,7 @@ func TestSampleParamsHedgeCoverage(t *testing.T) {
 		if p.Hedge.CancelRunning {
 			cancel++
 		}
-		if err := p.hedgeConfig().Validate(); err != nil {
+		if err := p.Hedge.Validate(); err != nil {
 			t.Fatalf("trial %d: sampled hedge config invalid: %v (%+v)", trial, err, p.Hedge)
 		}
 	}
@@ -56,7 +59,7 @@ func TestHedgedTrialCaughtAndShrunk(t *testing.T) {
 		M: 5, N: 50, K: 2,
 		Load: 1.5, Dist: "constant", Strategy: "overlapping",
 		Router: "corrupting", FaultMode: "none",
-		Hedge: &HedgeParams{Quantile: 0.9, MinSamples: 5, MaxHedges: 10, CancelRunning: true},
+		Hedge: &hedge.Config{Quantile: 0.9, MinSamples: 5, MaxHedges: 10, CancelRunning: true},
 	}
 	inst, plan, err := p.Build()
 	if err != nil {
@@ -66,7 +69,7 @@ func TestHedgedTrialCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := Check(inst, plan, spec, p)
+	vs := Check(inst, plan, spec, p, nil)
 	if len(vs) == 0 {
 		t.Fatal("corrupting router not caught on a hedged trial")
 	}
@@ -80,7 +83,7 @@ func TestHedgedTrialCaughtAndShrunk(t *testing.T) {
 	if repro.Params.Hedge != nil {
 		t.Fatalf("hedge-independent failure kept its hedge config: %+v", repro.Params.Hedge)
 	}
-	vs2, err := repro.Replay(cfg.Routers)
+	vs2, err := repro.Replay(cfg.Routers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,17 +93,21 @@ func TestHedgedTrialCaughtAndShrunk(t *testing.T) {
 }
 
 // TestHedgeParamsRoundTrip: hedge params survive the repro JSON round trip
-// bit for bit, so a shrunk hedged failure replays under the same config.
+// bit for bit, under the field names repro files carry, so a shrunk hedged
+// failure replays under the same config.
 func TestHedgeParamsRoundTrip(t *testing.T) {
 	p := Params{
 		Trial: 1, Seed: 2, M: 4, N: 8, K: 2,
 		Load: 0.9, Dist: "constant", Strategy: "disjoint",
 		Router: "EFT-Min", FaultMode: "none",
-		Hedge: &HedgeParams{Delay: 1.25, MaxHedges: 3, Tied: false, CancelRunning: true},
+		Hedge: &hedge.Config{Delay: 1.25, MaxHedges: 3, Tied: false, CancelRunning: true},
 	}
 	raw, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := `"hedge":{"delay":1.25,"maxHedges":3,"cancelRunning":true}`; !strings.Contains(string(raw), want) {
+		t.Fatalf("hedge params encode as %s, want %s", raw, want)
 	}
 	var back Params
 	if err := json.Unmarshal(raw, &back); err != nil {
@@ -108,12 +115,5 @@ func TestHedgeParamsRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(back, p) {
 		t.Fatalf("params changed in round trip:\n%+v\n%+v", back, p)
-	}
-	cfg := p.hedgeConfig()
-	if cfg == nil || cfg.Delay != 1.25 || cfg.MaxHedges != 3 || !cfg.CancelRunning {
-		t.Fatalf("hedgeConfig = %+v", cfg)
-	}
-	if (Params{}).hedgeConfig() != nil {
-		t.Fatal("unhedged params built a hedge config")
 	}
 }

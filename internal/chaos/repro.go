@@ -118,17 +118,12 @@ func ReadRepro(rd io.Reader) (*Repro, error) {
 }
 
 // Replay re-runs the repro's configuration and returns the violations it
-// produces now (empty means the underlying bug no longer reproduces).
-func (r *Repro) Replay(routers []RouterSpec) ([]audit.Violation, error) {
-	return r.ReplayRecorded(routers, nil)
-}
-
-// ReplayRecorded is Replay with a flight recorder riding the re-run: rec
-// (reset first) ends up holding the repro's raw event sequence. The engine
-// is deterministic in the repro's configuration, so successive recorded
-// replays produce identical event streams — the property the chaos tests
-// pin.
-func (r *Repro) ReplayRecorded(routers []RouterSpec, rec *obs.FlightRecorder) ([]audit.Violation, error) {
+// produces now (empty means the underlying bug no longer reproduces). A
+// non-nil rec (reset first) rides the re-run and ends up holding the
+// repro's raw event sequence; the engine is deterministic in the repro's
+// configuration, so successive recorded replays produce identical event
+// streams.
+func (r *Repro) Replay(routers []RouterSpec, rec *obs.FlightRecorder) ([]audit.Violation, error) {
 	if len(routers) == 0 {
 		routers = DefaultRouters()
 	}
@@ -140,5 +135,5 @@ func (r *Repro) ReplayRecorded(routers []RouterSpec, rec *obs.FlightRecorder) ([
 	if err != nil {
 		return nil, err
 	}
-	return CheckRecorded(inst, r.Plan, spec, r.Params, rec), nil
+	return Check(inst, r.Plan, spec, r.Params, rec), nil
 }

@@ -76,7 +76,7 @@ func TestResilientTrialCaughtAndShrunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := Check(inst, plan, spec, p)
+	vs := Check(inst, plan, spec, p, nil)
 	if len(vs) == 0 {
 		t.Fatal("corrupting router not caught on a resilient trial")
 	}
@@ -90,7 +90,7 @@ func TestResilientTrialCaughtAndShrunk(t *testing.T) {
 	if repro.Params.Resilience != nil {
 		t.Fatalf("resilience-independent failure kept its resilience config: %+v", repro.Params.Resilience)
 	}
-	vs2, err := repro.Replay(cfg.Routers)
+	vs2, err := repro.Replay(cfg.Routers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

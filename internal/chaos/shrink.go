@@ -6,132 +6,125 @@ import (
 	"flowsched/internal/core"
 	"flowsched/internal/elastic"
 	"flowsched/internal/faults"
+	"flowsched/internal/hedge"
 )
 
-// Shrink minimizes a failing configuration with a ddmin-style greedy loop:
-// it repeatedly tries to drop task chunks, drop outage and slowdown
-// segments, and halve the cluster, keeping any change under which failing
-// still reports a failure, until a full pass makes no progress. failing is
-// the oracle — typically a closure over Check with the trial's router and
-// policy; it must be deterministic for the result to be minimal and
-// reproducible.
-func Shrink(inst *core.Instance, plan *faults.Plan, failing func(*core.Instance, *faults.Plan) bool) (*core.Instance, *faults.Plan) {
-	cur, curPlan := inst, plan
-	for {
-		changed := false
-		if c, ok := shrinkTasks(cur, curPlan, failing); ok {
-			cur, changed = c, true
-		}
-		if p, ok := shrinkSegments(cur, curPlan, failing); ok {
-			curPlan, changed = p, true
-		}
-		if c, p, ok := shrinkMachines(cur, curPlan, failing); ok {
-			cur, curPlan, changed = c, p, true
-		}
-		if !changed {
-			return cur, curPlan
-		}
-	}
-}
-
-// shrinkTasks drops chunks of tasks, halving the chunk size down to single
-// tasks, keeping every removal that preserves the failure.
-func shrinkTasks(inst *core.Instance, plan *faults.Plan, failing func(*core.Instance, *faults.Plan) bool) (*core.Instance, bool) {
-	tasks := inst.Tasks
-	shrunk := false
-	for chunk := (len(tasks) + 1) / 2; chunk >= 1; chunk /= 2 {
-		for i := 0; i < len(tasks); {
-			end := i + chunk
-			if end > len(tasks) {
-				end = len(tasks)
+// dropChunks is the ddmin step every list of a configuration shrinks
+// through: it tries dropping chunks of xs, halving the chunk size from half
+// the list down to single elements, and keeps each removal under which fails
+// still reports the failure. fails receives a fresh slice, nil when empty.
+func dropChunks[T any](xs []T, fails func([]T) bool) bool {
+	dropped := false
+	for chunk := (len(xs) + 1) / 2; chunk >= 1; chunk /= 2 {
+		for i := 0; i < len(xs); {
+			end := min(i+chunk, len(xs))
+			var cand []T
+			if rest := len(xs) - (end - i); rest > 0 {
+				cand = append(append(make([]T, 0, rest), xs[:i]...), xs[end:]...)
 			}
-			cand := make([]core.Task, 0, len(tasks)-(end-i))
-			cand = append(cand, tasks[:i]...)
-			cand = append(cand, tasks[end:]...)
-			ni := core.NewInstance(inst.M, cand)
-			if failing(ni, plan) {
-				tasks = ni.Tasks
-				shrunk = true
-				// Do not advance: the next chunk slid into position i.
+			if fails(cand) {
+				xs, dropped = cand, true // the next chunk slid into position i
 			} else {
 				i += chunk
 			}
 		}
 	}
-	if !shrunk {
-		return inst, false
-	}
-	return core.NewInstance(inst.M, tasks), true
+	return dropped
 }
 
-// shrinkSegments drops outages and slowdowns from the plan one chunk at a
-// time, same policy as shrinkTasks.
-func shrinkSegments(inst *core.Instance, plan *faults.Plan, failing func(*core.Instance, *faults.Plan) bool) (*faults.Plan, bool) {
-	if plan.IsEmpty() {
-		return plan, false
-	}
-	cur := plan.Clone()
-	shrunk := false
-	for chunk := (len(cur.Outages) + 1) / 2; chunk >= 1; chunk /= 2 {
-		for i := 0; i < len(cur.Outages); {
-			end := i + chunk
-			if end > len(cur.Outages) {
-				end = len(cur.Outages)
-			}
-			cand := cur.Clone()
-			cand.Outages = append(cand.Outages[:i], cand.Outages[end:]...)
-			if failing(inst, cand) {
-				cur = cand
-				shrunk = true
-			} else {
-				i += chunk
-			}
-		}
-	}
-	for chunk := (len(cur.Slowdowns) + 1) / 2; chunk >= 1; chunk /= 2 {
-		for i := 0; i < len(cur.Slowdowns); {
-			end := i + chunk
-			if end > len(cur.Slowdowns) {
-				end = len(cur.Slowdowns)
-			}
-			cand := cur.Clone()
-			cand.Slowdowns = append(cand.Slowdowns[:i], cand.Slowdowns[end:]...)
-			if failing(inst, cand) {
-				cur = cand
-				shrunk = true
-			} else {
-				i += chunk
-			}
-		}
-	}
-	if !shrunk {
-		return plan, false
-	}
-	return cur, true
+// shrinker holds the configuration being minimized. Each step proposes
+// candidates derived from it and adopts every one the oracle still sees
+// failing; a step reports whether it adopted any.
+type shrinker struct {
+	inst  *core.Instance
+	plan  *faults.Plan
+	p     Params
+	fails func(*core.Instance, *faults.Plan, Params) bool
 }
 
-// shrinkMachines halves the cluster: tasks whose processing set does not
-// fit in the smaller cluster are dropped, fault segments on removed servers
-// are clipped. Repeats while the halved configuration still fails.
-func shrinkMachines(inst *core.Instance, plan *faults.Plan, failing func(*core.Instance, *faults.Plan) bool) (*core.Instance, *faults.Plan, bool) {
-	cur, curPlan := inst, plan
-	shrunk := false
-	for m2 := cur.M / 2; m2 >= 1; m2 /= 2 {
-		var cand []core.Task
-		for _, t := range cur.Tasks {
+// try adopts the candidate when it still fails.
+func (s *shrinker) try(inst *core.Instance, plan *faults.Plan, p Params) bool {
+	if !s.fails(inst, plan, p) {
+		return false
+	}
+	s.inst, s.plan, s.p = inst, plan, p
+	return true
+}
+
+// pass runs steps in order and reports whether any of them adopted a
+// candidate.
+func pass(steps []func() bool) bool {
+	kept := false
+	for _, step := range steps {
+		if step() {
+			kept = true
+		}
+	}
+	return kept
+}
+
+// structure is the structural pass: drop tasks, outages and slowdowns, then
+// halve the cluster.
+func (s *shrinker) structure() []func() bool {
+	return []func() bool{
+		s.tasks,
+		func() bool { return segments(s, func(p *faults.Plan) *[]faults.Outage { return &p.Outages }) },
+		func() bool { return segments(s, func(p *faults.Plan) *[]faults.Slowdown { return &p.Slowdowns }) },
+		s.machines,
+	}
+}
+
+// params is the params pass: drop scale events, then peel the hedge and
+// resilience layers (paramEdits).
+func (s *shrinker) params() []func() bool {
+	steps := []func() bool{s.script}
+	for _, edit := range paramEdits {
+		steps = append(steps, func() bool {
+			p := s.p
+			return edit(&p) && s.try(s.inst, s.plan, p)
+		})
+	}
+	return steps
+}
+
+// tasks drops chunks of the instance's tasks.
+func (s *shrinker) tasks() bool {
+	m := s.inst.M
+	return dropChunks(s.inst.Tasks, func(ts []core.Task) bool {
+		return s.try(core.NewInstance(m, ts), s.plan, s.p)
+	})
+}
+
+// segments drops chunks of one of the plan's segment lists.
+func segments[T any](s *shrinker, list func(*faults.Plan) *[]T) bool {
+	if s.plan == nil {
+		return false
+	}
+	return dropChunks(*list(s.plan), func(xs []T) bool {
+		plan := *s.plan
+		*list(&plan) = xs
+		return s.try(s.inst, &plan, s.p)
+	})
+}
+
+// machines halves the cluster while the halved configuration still fails:
+// tasks whose processing set does not fit the smaller cluster are dropped,
+// and fault segments on removed servers are clipped.
+func (s *shrinker) machines() bool {
+	kept := false
+	for m2 := s.inst.M / 2; m2 >= 1; m2 /= 2 {
+		var fit []core.Task
+		for _, t := range s.inst.Tasks {
 			if t.Set == nil || t.Set.Max() < m2 {
-				cand = append(cand, t)
+				fit = append(fit, t)
 			}
 		}
-		ni := core.NewInstance(m2, cand)
-		np := clipPlan(curPlan, m2)
-		if !failing(ni, np) {
+		if !s.try(core.NewInstance(m2, fit), clipPlan(s.plan, m2), s.p) {
 			break
 		}
-		cur, curPlan = ni, np
-		shrunk = true
+		kept = true
 	}
-	return cur, curPlan, shrunk
+	return kept
 }
 
 // clipPlan restricts a plan to the first m2 servers (nil stays nil).
@@ -153,177 +146,94 @@ func clipPlan(plan *faults.Plan, m2 int) *faults.Plan {
 	return out
 }
 
-// shrinkScript drops scale events from the params' membership script,
-// chunked like shrinkTasks, keeping every removal that preserves the
-// failure. It returns the (possibly) reduced params and whether anything was
-// dropped.
-func shrinkScript(p Params, failing func(Params) bool) (Params, bool) {
-	if p.Elastic == nil || len(p.Elastic.Script) == 0 {
-		return p, false
+// script drops chunks of the membership script's scale events.
+func (s *shrinker) script() bool {
+	if s.p.Elastic == nil {
+		return false
 	}
-	events := p.Elastic.Script
-	shrunk := false
-	for chunk := (len(events) + 1) / 2; chunk >= 1; chunk /= 2 {
-		for i := 0; i < len(events); {
-			end := i + chunk
-			if end > len(events) {
-				end = len(events)
-			}
-			var cand []elastic.Event // nil when empty, matching a JSON round trip
-			if len(events) > end-i {
-				cand = make([]elastic.Event, 0, len(events)-(end-i))
-				cand = append(cand, events[:i]...)
-				cand = append(cand, events[end:]...)
-			}
-			cp := p
-			ce := *p.Elastic
-			ce.Script = cand
-			cp.Elastic = &ce
-			if failing(cp) {
-				events = cand
-				p = cp
-				shrunk = true
-			} else {
-				i += chunk
-			}
-		}
-	}
-	return p, shrunk
+	return dropChunks(s.p.Elastic.Script, func(events []elastic.Event) bool {
+		p, ep := s.p, *s.p.Elastic
+		ep.Script = events
+		p.Elastic = &ep
+		return s.try(s.inst, s.plan, p)
+	})
 }
 
-// shrinkHedge simplifies the params' hedge config with a ddmin-style pass:
-// drop hedging entirely (proving the failure is not hedge-related), then
-// peel individual knobs — the MaxHedges cap, cancel-mid-service, the
-// quantile trigger (replaced by a plain delay), tied mode — keeping every
-// simplification under which the trial still fails.
-func shrinkHedge(p Params, failing func(Params) bool) (Params, bool) {
-	if p.Hedge == nil {
-		return p, false
-	}
-	shrunk := false
-	try := func(mutate func(*HedgeParams) bool) {
-		if p.Hedge == nil {
-			return
-		}
-		cp := p
-		hp := *p.Hedge
-		if !mutate(&hp) {
-			return // knob not set; nothing to peel
-		}
-		cp.Hedge = &hp
-		if failing(cp) {
-			p = cp
-			shrunk = true
-		}
-	}
-	// Dropping the hedge outright dominates every other simplification.
-	cp := p
-	cp.Hedge = nil
-	if failing(cp) {
-		return cp, true
-	}
-	try(func(hp *HedgeParams) bool {
-		if hp.MaxHedges == 0 {
-			return false
-		}
-		hp.MaxHedges = 0
-		return true
-	})
-	try(func(hp *HedgeParams) bool {
-		if !hp.CancelRunning {
-			return false
-		}
-		hp.CancelRunning = false
-		return true
-	})
-	try(func(hp *HedgeParams) bool {
-		if hp.Quantile == 0 {
-			return false
-		}
-		hp.Quantile, hp.MinSamples, hp.Delay = 0, 0, 1
-		return true
-	})
-	try(func(hp *HedgeParams) bool {
-		if !hp.Tied {
-			return false
-		}
-		hp.Tied = false
-		hp.Delay = 1
-		return true
-	})
-	return p, shrunk
+// paramEdits are the params simplifications, tried once each in order: drop
+// the hedge layer, then peel its knobs — the MaxHedges cap,
+// cancel-mid-service, the quantile trigger (replaced by a plain delay), tied
+// mode; then the same for the resilience layer — the circuit breakers, the
+// slow-completion classifier, the retry budget, the jitter. Dropping a layer
+// leaves its knobs nothing to peel.
+var paramEdits = []func(*Params) bool{
+	drop(hedgeLayer),
+	peel(hedgeLayer, func(h *hedge.Config) bool { on := h.MaxHedges != 0; h.MaxHedges = 0; return on }),
+	peel(hedgeLayer, func(h *hedge.Config) bool { on := h.CancelRunning; h.CancelRunning = false; return on }),
+	peel(hedgeLayer, func(h *hedge.Config) bool {
+		on := h.Quantile != 0
+		h.Quantile, h.MinSamples, h.Delay = 0, 0, 1
+		return on
+	}),
+	peel(hedgeLayer, func(h *hedge.Config) bool { on := h.Tied; h.Tied, h.Delay = false, 1; return on }),
+	drop(resilienceLayer),
+	peel(resilienceLayer, func(r *ResilienceParams) bool {
+		on := r.BreakerWindow != 0
+		r.BreakerWindow, r.FailureThreshold, r.Cooldown, r.HalfOpenProbes, r.SlowFactor = 0, 0, 0, 0, 0
+		return on
+	}),
+	peel(resilienceLayer, func(r *ResilienceParams) bool { on := r.SlowFactor != 0; r.SlowFactor = 0; return on }),
+	peel(resilienceLayer, func(r *ResilienceParams) bool {
+		on := r.RetryBudget != 0
+		r.RetryBudget, r.BudgetBurst = 0, 0
+		return on
+	}),
+	peel(resilienceLayer, func(r *ResilienceParams) bool { on := r.Jitter != ""; r.Jitter = ""; return on }),
 }
 
-// shrinkResilience simplifies the params' resilience config with a
-// ddmin-style pass: drop the protections entirely (proving the failure is
-// not resilience-related), then peel individual mechanisms — the circuit
-// breakers, the slow-completion classifier, the retry budget, the jitter —
-// keeping every simplification under which the trial still fails.
-func shrinkResilience(p Params, failing func(Params) bool) (Params, bool) {
-	if p.Resilience == nil {
-		return p, false
+// hedgeLayer and resilienceLayer locate the optional layers drop and peel edit.
+func hedgeLayer(p *Params) **hedge.Config          { return &p.Hedge }
+func resilienceLayer(p *Params) **ResilienceParams { return &p.Resilience }
+
+// drop is the params edit that switches an optional layer off.
+func drop[L any](layer func(*Params) **L) func(*Params) bool {
+	return func(p *Params) bool {
+		l := layer(p)
+		if *l == nil {
+			return false
+		}
+		*l = nil
+		return true
 	}
-	shrunk := false
-	try := func(mutate func(*ResilienceParams) bool) {
-		cp := p
-		rp := *p.Resilience
-		if !mutate(&rp) {
-			return // mechanism not enabled; nothing to peel
+}
+
+// peel is the params edit that turns one knob of an optional layer off on a
+// copy of the layer; knob turns it off and reports whether it was on.
+func peel[L any](layer func(*Params) **L, knob func(*L) bool) func(*Params) bool {
+	return func(p *Params) bool {
+		l := layer(p)
+		if *l == nil {
+			return false
 		}
-		cp.Resilience = &rp
-		if failing(cp) {
-			p = cp
-			shrunk = true
+		c := **l
+		if !knob(&c) {
+			return false
 		}
+		*l = &c
+		return true
 	}
-	// Dropping the protections outright dominates every other simplification.
-	cp := p
-	cp.Resilience = nil
-	if failing(cp) {
-		return cp, true
-	}
-	try(func(rp *ResilienceParams) bool {
-		if rp.BreakerWindow == 0 {
-			return false
-		}
-		rp.BreakerWindow, rp.FailureThreshold, rp.Cooldown = 0, 0, 0
-		rp.HalfOpenProbes, rp.SlowFactor = 0, 0
-		return true
-	})
-	try(func(rp *ResilienceParams) bool {
-		if rp.SlowFactor == 0 {
-			return false
-		}
-		rp.SlowFactor = 0
-		return true
-	})
-	try(func(rp *ResilienceParams) bool {
-		if rp.RetryBudget == 0 {
-			return false
-		}
-		rp.RetryBudget, rp.BudgetBurst = 0, 0
-		return true
-	})
-	try(func(rp *ResilienceParams) bool {
-		if rp.Jitter == "" {
-			return false
-		}
-		rp.Jitter = ""
-		return true
-	})
-	return p, shrunk
 }
 
 // ShrinkFailure rebuilds the failing trial from its params, shrinks it and
-// packages the result as a replayable repro. The shrink oracle re-runs the
-// full Check (simulate + audit + probe cross-check) under the trial's
-// router and policy, capped at cfg.ShrinkBudget candidate simulations, and
+// packages the result as a replayable repro. The schedule is the structural
+// pass until a pass keeps nothing, the params pass once, and the structural
+// pass again to a fixpoint if the params pass kept anything. The oracle
+// re-runs the full Check (simulate + audit + probe cross-check) under the
+// trial's router, capped at cfg.ShrinkBudget candidate simulations, and
 // accepts a candidate only when its first violation names the same
 // invariant as the trial's: a smaller configuration that fails some other
 // way (a cluster halved below what an overload estimator was built for,
 // say) is a different bug, and following it would leave a repro that
-// replays that bug instead. Membership-churn trials additionally get their
-// scale script minimized, and the repro's params carry the reduced script.
+// replays that bug instead.
 func ShrinkFailure(cfg Config, p Params) (*Repro, error) {
 	cfg = cfg.withDefaults()
 	inst, plan, err := p.Build()
@@ -334,41 +244,29 @@ func ShrinkFailure(cfg Config, p Params) (*Repro, error) {
 	if err != nil {
 		return nil, err
 	}
-	orig := Check(inst, plan, spec, p)
+	orig := Check(inst, plan, spec, p, nil)
 	if len(orig) == 0 {
 		return nil, fmt.Errorf("chaos: trial %d is not failing under its own params", p.Trial)
 	}
 	budget := cfg.ShrinkBudget - 1
-	reproduces := func(i *core.Instance, pl *faults.Plan, cand Params) bool {
+	s := &shrinker{inst: inst, plan: plan, p: p, fails: func(i *core.Instance, pl *faults.Plan, cand Params) bool {
 		if budget <= 0 {
 			return false
 		}
 		budget--
-		vs := Check(i, pl, spec, cand)
+		vs := Check(i, pl, spec, cand, nil)
 		return len(vs) > 0 && vs[0].Invariant == orig[0].Invariant
+	}}
+	structure := s.structure()
+	for pass(structure) {
 	}
-	failing := func(i *core.Instance, pl *faults.Plan) bool { return reproduces(i, pl, p) }
-	mi, mp := Shrink(inst, plan, failing)
-	// Minimize the membership script, the hedge config and the resilience
-	// config too, then give the structural shrinker one more pass under the
-	// reduced params (failing closes over p, so it sees the updates).
-	paramsFail := func(cand Params) bool { return reproduces(mi, mp, cand) }
-	reduced := false
-	if p2, ok := shrinkScript(p, paramsFail); ok {
-		p, reduced = p2, true
+	if pass(s.params()) {
+		for pass(structure) {
+		}
 	}
-	if p2, ok := shrinkHedge(p, paramsFail); ok {
-		p, reduced = p2, true
-	}
-	if p2, ok := shrinkResilience(p, paramsFail); ok {
-		p, reduced = p2, true
-	}
-	if reduced {
-		mi, mp = Shrink(mi, mp, failing)
-	}
-	violations := Check(mi, mp, spec, p)
+	violations := Check(s.inst, s.plan, spec, s.p, nil)
 	if len(violations) == 0 {
 		return nil, fmt.Errorf("chaos: trial %d: shrunk configuration no longer fails", p.Trial)
 	}
-	return NewRepro(p, mi, mp, violations)
+	return NewRepro(s.p, s.inst, s.plan, violations)
 }

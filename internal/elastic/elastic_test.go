@@ -247,7 +247,7 @@ func TestControllerHysteresis(t *testing.T) {
 	var ups, downs int
 	for i := 0; i < 40; i++ {
 		now += 0.25
-		guard.Observe(now, -1)
+		guard.Observe(now)
 		switch d := ctrl.Decide(now, 2+ups, 0, 1, 8); {
 		case d > 0:
 			ups += d
@@ -271,7 +271,7 @@ func TestControllerHysteresis(t *testing.T) {
 	members := 2 + ups
 	for i := 0; i < 30 && downs == 0; i++ {
 		now += 10
-		guard.Observe(now, -1)
+		guard.Observe(now)
 		if d := ctrl.Decide(now, members, 0, 1, 8); d < 0 {
 			downs -= d
 			members += d
@@ -296,7 +296,7 @@ func TestControllerClampsToBounds(t *testing.T) {
 	now := core.Time(0)
 	for i := 0; i < 10; i++ {
 		now += 0.1
-		guard.Observe(now, -1)
+		guard.Observe(now)
 	}
 	if d := ctrl.Decide(now, 3, 0, 1, 4); d != 1 {
 		t.Fatalf("step 5 against max 4 with 3 members: delta %d, want 1", d)
@@ -343,7 +343,7 @@ func TestControllerResetMatchesNew(t *testing.T) {
 
 	// Accumulate streak state, then re-target a different config/capacity.
 	for i := 0; i < 20; i++ {
-		cfgA.Auto.Guard.Observe(core.Time(i)*0.05, i%8)
+		cfgA.Auto.Guard.Observe(core.Time(i) * 0.05)
 		c.Decide(core.Time(i)*0.05, 4, 0, 2, 8)
 	}
 	if !c.Reset(cfgB, 5) {

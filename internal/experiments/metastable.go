@@ -207,7 +207,9 @@ func Metastable(w io.Writer, cfg MetastableConfig) (*MetastableResult, error) {
 			pre = append(pre, windowP99(inst, em, 0, cfg.OutageStart-20))
 			post = append(post, windowP99(inst, em, cfg.OutageEnd(), core.Time(math.Inf(1))))
 			goodput = append(goodput, em.Goodput()*100)
-			issued = append(issued, float64(retryDispatches(em)))
+			// Re-dispatches count alike with and without the resilience
+			// layer, whose RetriesIssued ledger exists only when enabled.
+			issued = append(issued, float64(em.TotalRetries()))
 			drops = append(drops, float64(em.RetriesDropped))
 			opens = append(opens, float64(em.BreakerOpens))
 			arenas.Put(arena)
@@ -306,19 +308,6 @@ func Metastable(w io.Writer, cfg MetastableConfig) (*MetastableResult, error) {
 	fmt.Fprintln(w, "gray cell the breaker trips after one outcome window of slow completions,")
 	fmt.Fprintln(w, "well before the ejector's EWMA clears its sample and median thresholds.")
 	return res, nil
-}
-
-// retryDispatches counts re-dispatches after crash aborts (attempts beyond
-// each task's first) — comparable across runs with and without the
-// resilience layer, whose RetriesIssued ledger exists only when enabled.
-func retryDispatches(em *sim.ElasticMetrics) int {
-	total := 0
-	for _, a := range em.Attempts {
-		if a > 1 {
-			total += a - 1
-		}
-	}
-	return total
 }
 
 // windowP99 returns the p99 flow of tasks released in [from, to) that

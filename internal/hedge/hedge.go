@@ -54,24 +54,24 @@ type Config struct {
 	// Delay is the fixed-age trigger: hedge a request once it has waited
 	// Delay since its first dispatch. Also the warm-up fallback of the
 	// quantile trigger.
-	Delay core.Time
+	Delay core.Time `json:"delay,omitempty"`
 	// Quantile, when in (0,1), triggers off the live flow-time quantile of
 	// the run's completions (e.g. 0.95 hedges requests older than the
 	// current p95 flow).
-	Quantile float64
+	Quantile float64 `json:"quantile,omitempty"`
 	// MinSamples is the completion count below which the quantile trigger
 	// is not trusted (default DefaultMinSamples).
-	MinSamples int
+	MinSamples int `json:"minSamples,omitempty"`
 	// MaxHedges caps the total number of hedges issued per run (0 =
 	// unlimited) — a duplicate-work budget.
-	MaxHedges int
+	MaxHedges int `json:"maxHedges,omitempty"`
 	// Tied enqueues the copy up front and revokes the loser at service
 	// start instead of waiting for a trigger.
-	Tied bool
+	Tied bool `json:"tied,omitempty"`
 	// CancelRunning also cancels a losing attempt that has already entered
 	// service, reclaiming its remaining busy time (cancel-mid-service).
 	// Off, a started loser runs to completion as pure duplicate work.
-	CancelRunning bool
+	CancelRunning bool `json:"cancelRunning,omitempty"`
 }
 
 // minSamples resolves the quantile warm-up threshold.

@@ -187,8 +187,9 @@ func (s *Sampler) markFinished(task int) {
 	}
 }
 
-// Observe implements Sink. It applies the base stream and the membership
-// changes; overload, hedge and resilience events do not move it.
+// Observe implements Sink. It applies the base stream, the tasks overload
+// control rejects or sheds, and the membership changes; the other overload
+// events and the hedge and resilience events do not move it.
 func (s *Sampler) Observe(e Event) {
 	switch e.Kind {
 	case Arrival:
@@ -208,7 +209,8 @@ func (s *Sampler) Observe(e Event) {
 		// The fault-free simulator reports completions at dispatch with a
 		// future end; buffer and apply in time order.
 		s.pending.Push(e.At, sampDone{task: e.Task, server: e.Server})
-	case Drop:
+	case Drop, Reject, Shed:
+		// A dropped, rejected or shed task leaves the system unfinished.
 		s.advance(e.At)
 		s.markFinished(e.Task)
 	case Retry, ScaleUp, Handoff:

@@ -1,7 +1,6 @@
 package overload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -11,11 +10,11 @@ import (
 )
 
 // Estimator is the SLO guard's capacity side: it tracks the offered load —
-// an EWMA over observed inter-arrival times, globally and per replication
-// set — and compares it against the cluster capacity λ* from LP (15)
-// (loadlp.Model.MaxLoad). When the estimated arrival rate exceeds
-// Headroom × λ*, the guard raises a brownout signal that admission policies,
-// probes and operators can consume; the estimator itself rejects nothing.
+// an EWMA over observed inter-arrival times — and compares it against the
+// cluster capacity λ* from LP (15) (loadlp.Model.MaxLoad). When the
+// estimated arrival rate exceeds Headroom × λ*, the guard raises a brownout
+// signal that admission policies, probes and operators can consume; the
+// estimator itself rejects nothing.
 type Estimator struct {
 	// Capacity is λ*, the maximal sustainable arrival rate. NewEstimator
 	// fills it from LP (15); it can also be set directly (tasks per time
@@ -31,22 +30,17 @@ type Estimator struct {
 	// assert (default 20).
 	MinSamples int
 
-	sets  []core.ProcSet // deduplicated replication sets; nil when untracked
-	setOf []int          // primary machine -> index into sets (−1 untracked)
+	m int // machines the LP capacity was computed for; 0 when set directly
 
-	last    core.Time
-	seen    int
-	ia      float64 // EWMA inter-arrival time, all tasks
-	setLast []core.Time
-	setSeen []int
-	setIA   []float64
-	brown   bool
+	last  core.Time
+	seen  int
+	ia    float64 // EWMA inter-arrival time
+	brown bool
 }
 
 // NewEstimator builds the guard for a popularity weight vector and a
-// replication strategy: capacity comes from LP (15) (loadlp.Model.MaxLoad)
-// and the offered load is additionally tracked per distinct replication set,
-// so HottestSet can point at the saturating shard. A nil set from the
+// replication strategy: capacity comes from LP (15) (loadlp.Model.MaxLoad),
+// and the guard only fits runs on len(weights) machines. A nil set from the
 // strategy means all machines. The weights must pass loadlp.CheckWeights.
 func NewEstimator(weights []float64, strategy replicate.Strategy) (*Estimator, error) {
 	if err := loadlp.CheckWeights(weights); err != nil {
@@ -59,44 +53,11 @@ func NewEstimator(weights []float64, strategy replicate.Strategy) (*Estimator, e
 	if err := replicate.Validate(strategy, m); err != nil {
 		return nil, fmt.Errorf("overload: %w", err)
 	}
-	model := loadlp.NewModel(weights, strategy)
-	e := &Estimator{Capacity: model.MaxLoad()}
-	e.setOf = make([]int, m)
-	index := make(map[string]int, m) // setKey → index into e.sets
-	var key []byte
-	for u := 0; u < m; u++ {
-		set := model.Sets[u]
-		key = setKey(key[:0], set)
-		idx, ok := index[string(key)]
-		if !ok {
-			idx = len(e.sets) // first-seen order: HottestSet breaks ties by it
-			index[string(key)] = idx
-			e.sets = append(e.sets, set)
-		}
-		e.setOf[u] = idx
-	}
-	e.setLast = make([]core.Time, len(e.sets))
-	e.setSeen = make([]int, len(e.sets))
-	e.setIA = make([]float64, len(e.sets))
-	return e, nil
+	return &Estimator{Capacity: loadlp.NewModel(weights, strategy).MaxLoad(), m: m}, nil
 }
 
-// setKey appends set's members to buf, encoded so that two sets get the
-// same key exactly when ProcSet.Equal holds: members in order as varints
-// behind a marker byte, and no bytes at all for the nil set.
-func setKey(buf []byte, set core.ProcSet) []byte {
-	if set == nil {
-		return buf
-	}
-	buf = append(buf, 's')
-	for _, j := range set {
-		buf = binary.AppendVarint(buf, int64(j))
-	}
-	return buf
-}
-
-// NewEstimatorCapacity builds a guard with a known capacity and no per-set
-// tracking (HottestSet reports nothing).
+// NewEstimatorCapacity builds a guard with a known capacity, for a cluster
+// of any size.
 func NewEstimatorCapacity(capacity float64) *Estimator {
 	return &Estimator{Capacity: capacity}
 }
@@ -111,8 +72,8 @@ func (e *Estimator) validate(m int) error {
 	if e.Alpha < 0 || e.Alpha > 1 {
 		return fmt.Errorf("overload: estimator alpha %v outside [0,1]", e.Alpha)
 	}
-	if e.setOf != nil && len(e.setOf) != m {
-		return fmt.Errorf("overload: estimator built for %d machines, run has %d", len(e.setOf), m)
+	if e.m > 0 && e.m != m {
+		return fmt.Errorf("overload: estimator built for %d machines, run has %d", e.m, m)
 	}
 	return nil
 }
@@ -140,9 +101,6 @@ func (e *Estimator) minSamples() int {
 
 func (e *Estimator) reset() {
 	e.last, e.seen, e.ia, e.brown = 0, 0, 0, false
-	for i := range e.setIA {
-		e.setLast[i], e.setSeen[i], e.setIA[i] = 0, 0, 0
-	}
 }
 
 // Reset clears the per-run tracking state so the estimator can be reused
@@ -151,9 +109,8 @@ func (e *Estimator) reset() {
 // simulator directly.
 func (e *Estimator) Reset() { e.reset() }
 
-// Observe records one arrival at instant now whose key's primary machine is
-// primary (−1 or out of range skips the per-set tracking).
-func (e *Estimator) Observe(now core.Time, primary int) {
+// Observe records one arrival at instant now.
+func (e *Estimator) Observe(now core.Time) {
 	if e.seen > 0 {
 		gap := float64(now - e.last)
 		if e.seen == 1 {
@@ -165,20 +122,6 @@ func (e *Estimator) Observe(now core.Time, primary int) {
 	}
 	e.last = now
 	e.seen++
-	if e.setOf != nil && primary >= 0 && primary < len(e.setOf) {
-		i := e.setOf[primary]
-		if e.setSeen[i] > 0 {
-			gap := float64(now - e.setLast[i])
-			if e.setSeen[i] == 1 {
-				e.setIA[i] = gap
-			} else {
-				a := e.alpha()
-				e.setIA[i] = a*gap + (1-a)*e.setIA[i]
-			}
-		}
-		e.setLast[i] = now
-		e.setSeen[i]++
-	}
 	if e.seen >= e.minSamples() && e.Capacity > 0 {
 		e.brown = e.OfferedLoad() > e.headroom()*e.Capacity
 	}
@@ -204,21 +147,3 @@ func (e *Estimator) Utilization() float64 {
 // Brownout reports whether the offered load currently exceeds
 // Headroom × Capacity.
 func (e *Estimator) Brownout() bool { return e.brown }
-
-// HottestSet returns the replication set with the highest estimated load
-// per replica and that load (λ̂_S / |S|). It returns (nil, 0) when per-set
-// tracking is off or no set has seen two arrivals.
-func (e *Estimator) HottestSet() (core.ProcSet, float64) {
-	var best core.ProcSet
-	bestLoad := 0.0
-	for i, s := range e.sets {
-		if e.setSeen[i] < 2 || e.setIA[i] <= 0 || len(s) == 0 {
-			continue
-		}
-		load := 1 / e.setIA[i] / float64(len(s))
-		if load > bestLoad {
-			best, bestLoad = s, load
-		}
-	}
-	return best, bestLoad
-}

@@ -2,14 +2,10 @@ package overload
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"flowsched/internal/core"
-	"flowsched/internal/loadlp"
-	"flowsched/internal/popularity"
 	"flowsched/internal/replicate"
 )
 
@@ -250,7 +246,7 @@ func TestEstimatorBrownout(t *testing.T) {
 	now := core.Time(0)
 	for i := 0; i < 40; i++ {
 		now += 0.2 // λ = 5: healthy
-		e.Observe(now, -1)
+		e.Observe(now)
 	}
 	if e.Brownout() {
 		t.Fatalf("brownout at λ=%v under capacity 10", e.OfferedLoad())
@@ -260,7 +256,7 @@ func TestEstimatorBrownout(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		now += 0.05 // λ = 20: overload
-		e.Observe(now, -1)
+		e.Observe(now)
 	}
 	if !e.Brownout() {
 		t.Fatalf("no brownout at λ=%v over capacity 10", e.OfferedLoad())
@@ -276,16 +272,6 @@ func TestNewEstimatorFromLP(t *testing.T) {
 	// Uniform weights with replication: the LP sustains the full cluster.
 	if math.Abs(e.Capacity-4) > 1e-6 {
 		t.Errorf("capacity %v, want 4", e.Capacity)
-	}
-	e.reset()
-	now := core.Time(0)
-	for i := 0; i < 100; i++ {
-		now += 0.1
-		e.Observe(now, i%4)
-	}
-	set, load := e.HottestSet()
-	if set == nil || load <= 0 {
-		t.Errorf("HottestSet = (%v, %v) after per-set arrivals", set, load)
 	}
 
 	if _, err := NewEstimator(nil, nil); err == nil {
@@ -339,53 +325,6 @@ func TestNewEstimatorNilSetIsAllMachines(t *testing.T) {
 	}
 	if math.Abs(e.Capacity-4) > 1e-9 {
 		t.Fatalf("capacity %v, want 4", e.Capacity)
-	}
-}
-
-// TestEstimatorSetIndexMatchesEqualScan: the per-set index built through
-// setKey gives every primary the set, and e.sets the order, that a linear
-// ProcSet.Equal scan over the distinct sets seen so far gives.
-func TestEstimatorSetIndexMatchesEqualScan(t *testing.T) {
-	for _, m := range []int{1, 4, 7, 30, 200} {
-		k := min(3, m)
-		for _, strat := range []replicate.Strategy{
-			replicate.None{}, replicate.Overlapping{K: k}, replicate.Disjoint{K: k},
-			replicate.OffsetDisjoint{K: k, Offset: 1}, replicate.NewRandomK(k, rand.New(rand.NewSource(int64(m)))),
-			allMachines{},
-		} {
-			w := popularity.Weights(popularity.Shuffled, m, 1, rand.New(rand.NewSource(1)))
-			e, err := NewEstimator(w, strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sets []core.ProcSet
-			for u, set := range loadlp.NewModel(w, strat).Sets {
-				idx := len(sets)
-				for x, s := range sets {
-					if s.Equal(set) {
-						idx = x
-						break
-					}
-				}
-				if idx == len(sets) {
-					sets = append(sets, set)
-				}
-				if e.setOf[u] != idx {
-					t.Fatalf("m=%d %s: primary %d indexed to set %d, the Equal scan gives %d", m, strat.Name(), u, e.setOf[u], idx)
-				}
-			}
-			if !reflect.DeepEqual(e.sets, sets) {
-				t.Fatalf("m=%d %s: sets %v, the Equal scan gives %v", m, strat.Name(), e.sets, sets)
-			}
-		}
-	}
-	seen := map[string]core.ProcSet{}
-	for _, s := range []core.ProcSet{nil, {}, {0}, {1}, {0, 1}, {1, 0}, {128}, {0, 128}, {300}, {1, 44}} {
-		key := string(setKey(nil, s))
-		if prev, ok := seen[key]; ok {
-			t.Errorf("sets %v and %v share the key %q", prev, s, key)
-		}
-		seen[key] = s
 	}
 }
 

@@ -109,13 +109,13 @@ func TestEjectorResetBitForBit(t *testing.T) {
 	}
 }
 
-// TestEstimatorResetBitForBit: the capacity guard's arrival trackers (global
-// and per-set EWMAs, brownout latch) must clear completely.
+// TestEstimatorResetBitForBit: the capacity guard's arrival tracker (the
+// inter-arrival EWMA and the brownout latch) must clear completely.
 func TestEstimatorResetBitForBit(t *testing.T) {
 	fresh := NewEstimatorCapacity(10)
 	used := NewEstimatorCapacity(10)
 	for i := 0; i < 50; i++ {
-		used.Observe(core.Time(i)*0.01, i%3)
+		used.Observe(core.Time(i) * 0.01)
 	}
 	used.Reset()
 	if !reflect.DeepEqual(fresh, used) {

@@ -1156,7 +1156,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	// the overload config's arrival path already does) and apply its decision.
 	elArrive := func(task core.Task) error {
 		if el.ownGuard {
-			el.guard.Observe(task.Release, task.Key)
+			el.guard.Observe(task.Release)
 		}
 		return applyScale(el.ctrl.Decide(task.Release, el.members, el.heating, el.minM, el.maxM), task.Release)
 	}
@@ -1272,7 +1272,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	// rejected.
 	arrive := func(id int, task core.Task) bool {
 		if g := ov.cfg.Guard; g != nil {
-			g.Observe(task.Release, task.Key)
+			g.Observe(task.Release)
 			if b := g.Brownout(); b != ov.brown {
 				ov.brown = b
 				if b {

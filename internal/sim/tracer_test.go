@@ -443,6 +443,35 @@ func TestStackProbeAllocs(t *testing.T) {
 	}
 }
 
+// TestSamplerRetiresOverloadDispositions runs the tracer golden's stack link
+// mix, whose admission bound and shedder reject and shed tasks, under a
+// Sampler: a rejected or shed task leaves the system, so the backlog drains
+// to 0 by the makespan and the in-flight watermark never exceeds the run's
+// Fmax.
+func TestSamplerRetiresOverloadDispositions(t *testing.T) {
+	inst := stackInstance(2000, 4242)
+	sampler, err := obs.NewSampler(inst.M, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := stackMix(inst.Tasks[inst.N()-1].Release, 4242)
+	c.Probe = obs.Multi(sampler)
+	_, em, err := NewArena().Run(inst, EFTRouter{}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if em.RejectedCount() == 0 || em.ShedCount() == 0 {
+		t.Fatalf("stack mix rejected %d and shed %d tasks; the test needs both", em.RejectedCount(), em.ShedCount())
+	}
+	samples := sampler.Samples()
+	if last := samples[len(samples)-1]; last.Backlog != 0 {
+		t.Errorf("backlog %d at the last sample (t=%v), want 0", last.Backlog, last.Time)
+	}
+	if peak, at := sampler.PeakMaxAge(); peak > em.MaxFlow() {
+		t.Errorf("peak in-flight age %v at t=%v exceeds Fmax %v", peak, at, em.MaxFlow())
+	}
+}
+
 // stackAllocGrowth bounds TestStackProbeAllocs' allocation ratio between the
 // n = 20,000 and n = 2,000 runs.
 const stackAllocGrowth = 1.25

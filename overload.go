@@ -31,9 +31,8 @@ type (
 	// per-server service-time inflation ejects gray-slowed servers from
 	// processing sets, with cooldown re-admission.
 	OutlierEjector = overload.Ejector
-	// CapacityEstimator is the SLO guard: offered-load EWMAs per replication
-	// set compared against the LP (15) capacity λ*, exposing a brownout
-	// signal.
+	// CapacityEstimator is the SLO guard: an offered-load EWMA compared
+	// against the LP (15) capacity λ*, exposing a brownout signal.
 	CapacityEstimator = overload.Estimator
 	// OverloadMetrics extends FaultMetrics with goodput, reject/shed
 	// dispositions by reason, ejector activity and the conditional
@@ -71,14 +70,14 @@ func DeadlineAdmission(d Time) AdmissionPolicy { return overload.DeadlineAdmit{D
 func ParseShedPolicy(name string) (ShedPolicy, error) { return overload.ShedPolicyByName(name) }
 
 // NewCapacityEstimator builds the SLO guard for a popularity weight vector
-// and replication strategy: capacity comes from the max-load LP (15) and
-// offered load is tracked per distinct replication set.
+// and replication strategy: capacity comes from the max-load LP (15), and
+// the guard fits only runs on len(weights) machines.
 func NewCapacityEstimator(weights []float64, strategy ReplicationStrategy) (*CapacityEstimator, error) {
 	return overload.NewEstimator(weights, strategy)
 }
 
-// NewCapacityEstimatorAt builds an SLO guard with a known capacity λ* and no
-// per-set tracking.
+// NewCapacityEstimatorAt builds an SLO guard with a known capacity λ*, for a
+// cluster of any size.
 func NewCapacityEstimatorAt(capacity float64) *CapacityEstimator {
 	return overload.NewEstimatorCapacity(capacity)
 }
