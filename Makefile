@@ -113,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadScheduleJSON -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzReadPlanJSON -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzRouterEquivalence -fuzztime=30s ./internal/sim/
+	$(GO) test -fuzz=FuzzRunRejectsLikeValidate -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzGuardedDisposition -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzElasticMembership -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzHedgedDispatch -fuzztime=30s ./internal/sim/

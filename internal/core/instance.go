@@ -52,14 +52,15 @@ func (in *Instance) N() int { return len(in.Tasks) }
 // positive processing times, non-decreasing release order, IDs equal to
 // positions, and processing sets that are non-empty subsets of 0..m-1
 // listed in strictly increasing order, as ProcSet documents (Contains and
-// the EFT tie-breaks rely on it).
+// the EFT tie-breaks rely on it). A task is valid when Task.ValidAt and
+// ProcSet.ValidOn accept it; Validate names the first check that the first
+// invalid task breaks.
 //
 // Every call checks every task: Instance's fields are exported and may
-// change between calls, so no verdict is kept. A task's ID, release and
-// processing time take three comparisons, which NaN fails like any value
-// out of range; since the running release bound prev is ≥ 0, the release
-// comparison also rejects negative releases. taskError then names the
-// first check the failing task breaks.
+// change between calls, so no verdict is kept. sim.Run does not call
+// Validate up front: it applies the same two checks to each task in the
+// iteration that dispatches it, and on the first failure returns
+// Validate's error.
 func (in *Instance) Validate() error {
 	if in.M < 1 {
 		return fmt.Errorf("instance: need at least one machine, got %d", in.M)
@@ -67,31 +68,38 @@ func (in *Instance) Validate() error {
 	prev := Time(0)
 	for i := range in.Tasks {
 		t := &in.Tasks[i]
-		if t.ID != i || !(t.Release >= prev && t.Release <= math.MaxFloat64) ||
-			!(t.Proc > 0 && t.Proc <= math.MaxFloat64) {
+		if !t.ValidAt(i, prev) {
 			return taskError(i, t, prev)
 		}
 		prev = t.Release
-		if s := t.Set; s != nil {
-			if len(s) == 0 {
+		if s := t.Set; !s.ValidOn(in.M) {
+			switch {
+			case len(s) == 0:
 				return fmt.Errorf("task %d: empty processing set", i)
-			}
-			if s[0] < 0 || s[len(s)-1] >= in.M {
+			case s[0] < 0 || s[len(s)-1] >= in.M:
 				return fmt.Errorf("task %d: processing set %v out of machine range [0,%d)", i, s, in.M)
-			}
-			for k := 1; k < len(s); k++ {
-				if s[k] <= s[k-1] {
-					return fmt.Errorf("task %d: processing set %v is not strictly increasing", i, s)
-				}
+			default:
+				return fmt.Errorf("task %d: processing set %v is not strictly increasing", i, s)
 			}
 		}
 	}
 	return nil
 }
 
+// ValidAt reports whether the task's ID, release and processing time are
+// valid for task i of an instance whose task i−1 is released at prev (0
+// for the first task): ID i, a finite release of at least prev, and a
+// finite positive processing time. That is three comparisons, which NaN
+// fails like any value out of range; since prev is ≥ 0, the release
+// comparison also rejects negative releases.
+func (t *Task) ValidAt(i int, prev Time) bool {
+	return t.ID == i && t.Release >= prev && t.Release <= math.MaxFloat64 &&
+		t.Proc > 0 && t.Proc <= math.MaxFloat64
+}
+
 // taskError reports why task i, which must be released no earlier than
-// prev, failed Validate's comparisons: a bad ID, an invalid release, a
-// release below prev or an invalid processing time, checked in that order.
+// prev, failed ValidAt: a bad ID, an invalid release, a release below prev
+// or an invalid processing time, checked in that order.
 func taskError(i int, t *Task, prev Time) error {
 	switch {
 	case t.ID != i:

@@ -77,6 +77,24 @@ func MustRingInterval(start, k, m int) ProcSet {
 	return s
 }
 
+// ValidOn reports whether the set is a valid processing set on m machines:
+// nil (every machine), or non-empty with members in [0, m) listed in
+// strictly increasing order.
+func (s ProcSet) ValidOn(m int) bool {
+	if s == nil {
+		return true
+	}
+	if len(s) == 0 || s[0] < 0 || s[len(s)-1] >= m {
+		return false
+	}
+	for k := 1; k < len(s); k++ {
+		if s[k] <= s[k-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // Len reports the number of machines in the set; a nil set has length 0 but
 // means "unrestricted" (use IsAll to distinguish).
 func (s ProcSet) Len() int { return len(s) }

@@ -11,7 +11,7 @@ import (
 // event at Time ≤ the sample instant has been applied.
 type Sample struct {
 	Time    core.Time
-	Queue   []int     // per-server unfinished requests (queued + running)
+	Queue   []int     // per-server unfinished requests (queued + running), see Sampler
 	Backlog int       // total released-but-unfinished requests (Σ queues + parked/failing-over)
 	MaxAge  core.Time // age of the oldest in-flight request — the max-flow watermark
 	Busy    int       // servers with a non-empty queue
@@ -38,6 +38,12 @@ func (s Sample) Utilization() float64 {
 // reflects every event with time ≤ b. The fault-free simulator reports
 // completions eagerly at dispatch (see Probe), so the sampler reorders them
 // through an internal pending-completion heap.
+//
+// A server's queue counts each unfinished task once, on the server of its
+// latest dispatch, until the task completes, is dropped, shed or rejected,
+// or is handed off, or until that server fails over and loses its queue.
+// Hedge copies are not counted: a task completed by its copy leaves its
+// primary's server. So Σ queues ≤ Backlog in every sample.
 type Sampler struct {
 	dt      core.Time
 	m       int
@@ -48,19 +54,20 @@ type Sampler struct {
 	backlog int
 	members int // active membership; updated by elastic join/drain events
 
-	pending eventq.Queue[sampDone] // future completions, keyed by end time
+	pending eventq.Queue[int] // tasks of future completions, keyed by end time
 
 	releases  []core.Time // arrival order ⇒ non-decreasing
 	arrived   []int       // task ids in arrival order
 	finished  []bool      // indexed like arrived (by arrival position)
+	on        []int       // indexed like arrived: the server counting the task, or −1
+	gen       []int       // indexed like arrived: that server's failovers when it counted the task
+	failovers []int       // per server: failovers so far
 	posOf     map[int]int // task id → arrival position
 	oldest    int         // arrival position of the oldest in-flight candidate
 	inFlight  int
 	clockMax  core.Time
 	doneEmits bool
 }
-
-type sampDone struct{ task, server int }
 
 // NewSampler returns a sampler for m servers at interval dt. dt ≤ 0 and
 // m ≤ 0 are rejected: a non-positive interval would make the sample
@@ -73,11 +80,12 @@ func NewSampler(m int, dt core.Time) (*Sampler, error) {
 		return nil, fmt.Errorf("obs: sampling interval must be positive, got dt=%v", dt)
 	}
 	return &Sampler{
-		dt:      dt,
-		m:       m,
-		members: m,
-		queue:   make([]int, m),
-		posOf:   make(map[int]int),
+		dt:        dt,
+		m:         m,
+		members:   m,
+		queue:     make([]int, m),
+		failovers: make([]int, m),
+		posOf:     make(map[int]int),
 	}, nil
 }
 
@@ -154,9 +162,9 @@ func (s *Sampler) advance(to core.Time) {
 		if when > to {
 			break
 		}
-		_, c := s.pending.Pop()
+		_, task := s.pending.Pop()
 		s.emitBefore(when)
-		s.applyComplete(c.task, c.server)
+		s.finish(task)
 	}
 	s.emitBefore(to)
 	if to > s.clockMax {
@@ -172,15 +180,33 @@ func (s *Sampler) emitBefore(t core.Time) {
 	}
 }
 
-func (s *Sampler) applyComplete(task, server int) {
-	if server >= 0 && server < s.m && s.queue[server] > 0 {
-		s.queue[server]--
+// count puts task on server's queue. The task is counted nowhere: it has
+// just arrived, or the handoff or failover that took it off its last queue
+// came first.
+func (s *Sampler) count(task, server int) {
+	pos, ok := s.posOf[task]
+	if !ok || server < 0 || server >= s.m {
+		return
 	}
-	s.markFinished(task)
+	s.on[pos], s.gen[pos] = server, s.failovers[server]
+	s.queue[server]++
 }
 
-func (s *Sampler) markFinished(task int) {
+// uncount takes the task at arrival position pos off its server's queue,
+// unless a failover of that server has already emptied the queue.
+func (s *Sampler) uncount(pos int) {
+	if j := s.on[pos]; j >= 0 {
+		if s.gen[pos] == s.failovers[j] {
+			s.queue[j]--
+		}
+		s.on[pos] = -1
+	}
+}
+
+// finish retires a completed, dropped, shed or rejected task.
+func (s *Sampler) finish(task int) {
 	if pos, ok := s.posOf[task]; ok && !s.finished[pos] {
+		s.uncount(pos)
 		s.finished[pos] = true
 		s.inFlight--
 		s.backlog--
@@ -188,8 +214,8 @@ func (s *Sampler) markFinished(task int) {
 }
 
 // Observe implements Sink. It applies the base stream, the tasks overload
-// control rejects or sheds, and the membership changes; the other overload
-// events and the hedge and resilience events do not move it.
+// control rejects or sheds, the handoffs and the membership changes; the
+// other overload events and the hedge and resilience events do not move it.
 func (s *Sampler) Observe(e Event) {
 	switch e.Kind {
 	case Arrival:
@@ -198,29 +224,39 @@ func (s *Sampler) Observe(e Event) {
 		s.arrived = append(s.arrived, e.Task)
 		s.releases = append(s.releases, e.At)
 		s.finished = append(s.finished, false)
+		s.on = append(s.on, -1)
+		s.gen = append(s.gen, 0)
 		s.inFlight++
 		s.backlog++
 	case Dispatch:
 		s.advance(e.At)
-		if e.Server >= 0 && e.Server < s.m {
-			s.queue[e.Server]++
-		}
+		s.count(e.Task, e.Server)
 	case Complete:
 		// The fault-free simulator reports completions at dispatch with a
-		// future end; buffer and apply in time order.
-		s.pending.Push(e.At, sampDone{task: e.Task, server: e.Server})
+		// future end; buffer and apply in time order. A copy's completion
+		// names the copy's server, but the task is counted on its primary's.
+		s.pending.Push(e.At, e.Task)
 	case Drop, Reject, Shed:
 		// A dropped, rejected or shed task leaves the system unfinished.
 		s.advance(e.At)
-		s.markFinished(e.Task)
-	case Retry, ScaleUp, Handoff:
+		s.finish(e.Task)
+	case Handoff:
+		// A drained slot's task leaves its queue; the re-dispatch that
+		// follows counts it on its new server.
+		s.advance(e.At)
+		if pos, ok := s.posOf[e.Task]; ok {
+			s.uncount(pos)
+		}
+	case Retry, ScaleUp:
 		// A scale-up changes the membership only at its join.
 		s.advance(e.At)
 	case Failover:
-		// A crashing server loses its whole queue.
+		// A crashing server loses its whole queue: the tasks it counted are
+		// counted nowhere until they are dispatched again.
 		s.advance(e.At)
 		if e.Server >= 0 && e.Server < s.m {
 			s.queue[e.Server] = 0
+			s.failovers[e.Server]++
 		}
 	case Join, ScaleDown:
 		s.advance(e.At)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"testing"
 
 	"flowsched/internal/core"
@@ -165,5 +166,59 @@ func TestSamplerDrop(t *testing.T) {
 	}
 	if got[1].Backlog != 0 || got[1].MaxAge != 0 {
 		t.Errorf("post-drop sample %+v, want empty backlog", got[1])
+	}
+}
+
+// TestSamplerQueueCountsEachTaskOnce feeds the sampler a hand-written stream
+// in which tasks leave their queues every way the engine reports: a drop
+// after a failover (the failover already emptied the queue), a completion
+// by a hedge copy (the task is counted on its primary's server, not the
+// copy's), a shed from a queue and a handoff that parks the task until a
+// later dispatch.
+func TestSamplerQueueCountsEachTaskOnce(t *testing.T) {
+	s, err := NewSampler(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hooks(s)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 0, 0, 0, 10)
+	h.OnArrival(1, 0)
+	h.OnDispatch(1, 0, 0, 10, 20)
+	h.OnFailover(0, 1, 2)
+	h.OnArrival(2, 1)
+	h.OnDispatch(2, 0, 1, 1, 5)
+	h.OnDrop(0, 0, 2)
+	h.OnDispatch(1, 1, 2, 2, 8)
+	h.OnHedge(1, 1, 2, 3, 3, 4)
+	h.OnComplete(1, 2, 0, 10, 4)
+	h.OnHedgeCancel(1, 1, 4, true)
+	h.OnHedgeWin(1, 2, true, 4)
+	h.OnArrival(3, 4)
+	h.OnDispatch(3, 2, 4, 4, 9)
+	h.OnComplete(2, 0, 1, 4, 5)
+	h.OnArrival(4, 5)
+	h.OnDispatch(4, 1, 5, 8, 9)
+	h.OnShed(4, 1, 5, 6, "watermark")
+	h.OnHandoff(3, 2, 6)
+	h.OnDispatch(3, 1, 7, 7, 9)
+	h.OnComplete(3, 1, 4, 5, 9)
+	h.OnDone(9)
+	want := []struct {
+		queue   []int
+		backlog int
+	}{
+		{[]int{2, 0, 0}, 2}, {[]int{1, 0, 0}, 3}, {[]int{1, 1, 0}, 2}, {[]int{1, 1, 0}, 2},
+		{[]int{1, 0, 1}, 2}, {[]int{0, 1, 1}, 2}, {[]int{0, 0, 0}, 1}, {[]int{0, 1, 0}, 1},
+		{[]int{0, 1, 0}, 1}, {[]int{0, 0, 0}, 0},
+	}
+	got := s.Samples()
+	if len(got) != len(want) {
+		t.Fatalf("got %d samples, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if g := got[i]; !reflect.DeepEqual(g.Queue, w.queue) || g.Backlog != w.backlog {
+			t.Errorf("t=%v: queues %v backlog %d, want %v and %d", g.Time, g.Queue, g.Backlog, w.queue, w.backlog)
+		}
 	}
 }

@@ -381,29 +381,32 @@ func TestReadyTreeAllInf(t *testing.T) {
 // TestEFTLoopNegativeZeroRelease: a release of −0 passes Validate and ties
 // with machines free at +0. Three unit tasks released then on m = 3 go to
 // machines 0, 1, 2 under EFT-Min and 2, 1, 0 under EFT-Max, as in the
-// generic loop; the sign bit must not lift the descent's threshold above
-// the busy machines.
+// generic loop, whether their sets are full (the tree descent) or {0, 1, 2}
+// (the member scan); the sign bit must lift neither the descent's threshold
+// nor the member keys above the busy machines.
 func TestEFTLoopNegativeZeroRelease(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	tasks := make([]core.Task, 3)
-	for i := range tasks {
-		tasks[i] = core.Task{Release: negZero, Proc: 1}
-	}
-	inst := core.NewInstance(3, tasks)
-	for _, tc := range []struct {
-		pair equivPair
-		want []int
-	}{
-		{equivPairs(0)[0], []int{0, 1, 2}},
-		{equivPairs(0)[1], []int{2, 1, 0}},
-	} {
-		tc.pair.check(t, inst)
-		s, _, err := Run(inst, tc.pair.opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, set := range []core.ProcSet{nil, core.Interval(0, 2)} {
+		tasks := make([]core.Task, 3)
+		for i := range tasks {
+			tasks[i] = core.Task{Release: negZero, Proc: 1, Set: set}
 		}
-		if !reflect.DeepEqual(s.Machine, tc.want) {
-			t.Errorf("%s: machines %v, want %v", tc.pair.label, s.Machine, tc.want)
+		inst := core.NewInstance(3, tasks)
+		for _, tc := range []struct {
+			pair equivPair
+			want []int
+		}{
+			{equivPairs(0)[0], []int{0, 1, 2}},
+			{equivPairs(0)[1], []int{2, 1, 0}},
+		} {
+			tc.pair.check(t, inst)
+			s, _, err := Run(inst, tc.pair.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(s.Machine, tc.want) {
+				t.Errorf("%s, set %v: machines %v, want %v", tc.pair.label, set, s.Machine, tc.want)
+			}
 		}
 	}
 }

@@ -111,23 +111,49 @@ func (t *readyTree) build() {
 }
 
 // memberPick is pick for a restricted task: the first (or, with last, the
-// last) member of set, in set order, whose completion time is at most
-// max(r, min over set) — the machine MinTie (MaxTie) takes from eftTieSet's
-// candidates. A member already free at r wins outright; otherwise the
-// earliest-finishing member does.
+// last) member of set whose completion time is at most max(r, min over
+// set), the machine MinTie (MaxTie) takes from eftTieSet's candidates. By
+// Eq. (2) that is the member of earliest start max(C_j, r), so the scan
+// keeps the first minimum (Min, update on <) or the last (Max, on <=) of
+// the start keys max(Float64bits(C_j), Float64bits(max(r, 0))). The keys
+// order as the starts do (completions are never −0 or NaN, and max(r, 0)
+// maps a −0 release to +0; see readyTree), so the pick needs no float
+// compare and no exit for a member free at r: the compiler keeps the
+// running minimum with CMOVs.
+//
+// The scan also checks set as core.ProcSet.ValidOn(len(comp)) does and
+// returns −1 for a set that fails. The range guard stands in for comp's
+// bounds check; order, an OR of every j − prev − 1, turns negative when a
+// member does not increase.
 func memberPick(set core.ProcSet, r core.Time, comp []core.Time, last bool) int {
-	best := -1
-	for x := range set {
-		if last {
-			x = len(set) - 1 - x
+	floor := math.Float64bits(max(r, 0))
+	best, pick := uint64(math.MaxUint64), -1
+	prev, order := -1, 0
+	if last {
+		for _, j := range set {
+			if uint(j) >= uint(len(comp)) {
+				return -1
+			}
+			order |= j - prev - 1
+			prev = j
+			if k := max(math.Float64bits(comp[j]), floor); k <= best {
+				best, pick = k, j
+			}
 		}
-		j := set[x]
-		if comp[j] <= r {
-			return j
-		}
-		if best < 0 || comp[j] < comp[best] {
-			best = j
+	} else {
+		for _, j := range set {
+			if uint(j) >= uint(len(comp)) {
+				return -1
+			}
+			order |= j - prev - 1
+			prev = j
+			if k := max(math.Float64bits(comp[j]), floor); k < best {
+				best, pick = k, j
+			}
 		}
 	}
-	return best
+	if order < 0 {
+		return -1
+	}
+	return pick
 }

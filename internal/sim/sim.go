@@ -135,9 +135,16 @@ func stretchOf(flow, proc core.Time) core.Time {
 //
 // Every EFTRouter, whatever its tie-break and whatever the tasks' sets, is
 // dispatched by the EFT loop, which keeps completion times in a readyTree
-// and no completion events: full-set tasks pick in O(log m). Its schedules
-// are byte-identical to the generic loop's (TestEFTLoopEquivalence,
+// and no completion events: full-set tasks pick in O(log m), restricted
+// ones by a branch-free minimum over their members. Its schedules are
+// byte-identical to the generic loop's (TestEFTLoopEquivalence,
 // FuzzRouterEquivalence).
+//
+// Run makes one pass over the tasks. It checks each task with
+// core.Task.ValidAt and core.ProcSet.ValidOn in the iteration that
+// dispatches it, before the router reads it, and on the first invalid task
+// returns "sim: " and the error of inst.Validate, with no schedule. An
+// instance is thus checked in full on every call, as Validate checks it.
 func Run(inst *core.Instance, router Router) (*core.Schedule, *Metrics, error) {
 	return RunProbed(inst, router, nil)
 }
@@ -150,18 +157,26 @@ func Run(inst *core.Instance, router Router) (*core.Schedule, *Metrics, error) {
 // A nil probe is exactly Run: every hook sits behind a nil guard, so the
 // unobserved hot path stays allocation-free (TestProbeNilRunAllocs;
 // benchreg's SimRunEFT is the nil-probe run).
+//
+// A task's three events are sent together when it is dispatched. So when
+// task i is invalid, or the router picks a server task i may not run on,
+// the probe has seen the events of tasks 0..i−1, nothing of task i and no
+// OnDone.
 func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Schedule, *Metrics, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("sim: %w", err)
+	if inst.M < 1 {
+		return nil, nil, invalid(inst)
 	}
 	if r, ok := router.(Resettable); ok {
 		r.Reset()
 	}
+	n := inst.N()
 	o := &output{
-		sched: core.NewSchedule(inst),
+		// Every entry is written by the loop, and an error returns no
+		// schedule, so the slices need none of NewSchedule's fill.
+		sched: &core.Schedule{Inst: inst, Machine: make([]int, n), Start: make([]core.Time, n)},
 		metrics: &Metrics{
-			Flows:     make([]core.Time, inst.N()),
-			Stretches: make([]core.Time, inst.N()),
+			Flows:     make([]core.Time, n),
+			Stretches: make([]core.Time, n),
 			Busy:      make([]core.Time, inst.M),
 		},
 		probe: probe,
@@ -188,11 +203,18 @@ func eftLoop(router Router) (EFTRouter, bool) {
 	return r, ok
 }
 
+// invalid is the error of a run whose dispatch loop met an invalid task:
+// Validate's, which names that task and the check it breaks.
+func invalid(inst *core.Instance) error {
+	return fmt.Errorf("sim: %w", inst.Validate())
+}
+
 // runEFT dispatches an EFTRouter run. EFT reads nothing but completion
 // times, so the loop keeps them in a readyTree and keeps no completion
 // events. Min and Max (nil is Min) take the first and the last machine of
 // the tie set directly; any other tie-break is handed the candidates
-// eftTieSet builds, as EFTRouter.Pick does.
+// eftTieSet builds, as EFTRouter.Pick does. memberPick checks a restricted
+// set as it scans it; the other paths check it first.
 func (o *output) runEFT(inst *core.Instance, router EFTRouter) error {
 	m, tie := inst.M, router.Tie
 	tree := newReadyTree(m)
@@ -202,21 +224,29 @@ func (o *output) runEFT(inst *core.Instance, router EFTRouter) error {
 	if _, isMin := tie.(sched.MinTie); tie != nil && !isMin && !isMax {
 		st = &State{M: m, Completion: comp}
 	}
-	for i, task := range inst.Tasks {
-		if o.probe != nil {
-			o.probe.OnArrival(i, task.Release)
+	prev := core.Time(0)
+	for i := range inst.Tasks {
+		task := &inst.Tasks[i]
+		if !task.ValidAt(i, prev) {
+			return invalid(inst)
 		}
+		prev = task.Release
 		var j int
 		switch {
 		case st != nil:
-			j = tie.Pick(eftTieSet(st, task, comp))
+			if !task.Set.ValidOn(m) {
+				return invalid(inst)
+			}
+			j = tie.Pick(eftTieSet(st, *task, comp))
 			if j < 0 || j >= m || !task.Eligible(j) {
 				return pickError(router, i, j, task)
 			}
 		case task.Set == nil:
 			j = tree.pick(task.Release, isMax)
 		default:
-			j = memberPick(task.Set, task.Release, comp, isMax)
+			if j = memberPick(task.Set, task.Release, comp, isMax); j < 0 {
+				return invalid(inst)
+			}
 		}
 		tree.set(j, o.dispatch(i, j, task, comp[j]))
 	}
@@ -233,7 +263,13 @@ func (o *output) runGeneric(inst *core.Instance, router Router) error {
 	st := &State{M: m, Completion: make([]core.Time, m), QueueLen: make([]int, m)}
 	var completions eventq.Queue[int] // payload: server index
 	completions.Reserve(reserveFor(inst.N()))
-	for i, task := range inst.Tasks {
+	prev := core.Time(0)
+	for i := range inst.Tasks {
+		task := &inst.Tasks[i]
+		if !task.ValidAt(i, prev) || !task.Set.ValidOn(m) {
+			return invalid(inst)
+		}
+		prev = task.Release
 		st.Now = task.Release
 		for completions.Len() > 0 {
 			if when, _ := completions.Peek(); when > st.Now {
@@ -242,10 +278,7 @@ func (o *output) runGeneric(inst *core.Instance, router Router) error {
 			_, server := completions.Pop()
 			st.QueueLen[server]--
 		}
-		if o.probe != nil {
-			o.probe.OnArrival(i, task.Release)
-		}
-		j := router.Pick(st, task)
+		j := router.Pick(st, *task)
 		if j < 0 || j >= m || !task.Eligible(j) {
 			return pickError(router, i, j, task)
 		}
@@ -266,9 +299,9 @@ type output struct {
 }
 
 // dispatch records task i on server j, which frees up at ready, and returns
-// the task's completion time. The probe sees the dispatch and, eagerly, the
-// completion.
-func (o *output) dispatch(i, j int, task core.Task, ready core.Time) core.Time {
+// the task's completion time. The probe sees the task's arrival, its
+// dispatch and, eagerly, its completion.
+func (o *output) dispatch(i, j int, task *core.Task, ready core.Time) core.Time {
 	start := max(ready, task.Release)
 	end := start + task.Proc
 	o.sched.Assign(i, j, start)
@@ -279,6 +312,7 @@ func (o *output) dispatch(i, j int, task core.Task, ready core.Time) core.Time {
 		o.metrics.Makespan = end
 	}
 	if o.probe != nil {
+		o.probe.OnArrival(i, task.Release)
 		o.probe.OnDispatch(i, j, task.Release, start, end)
 		o.probe.OnComplete(i, j, task.Release, task.Proc, end)
 	}
@@ -286,8 +320,8 @@ func (o *output) dispatch(i, j int, task core.Task, ready core.Time) core.Time {
 }
 
 // pickError reports that the router picked server j, which task i may not
-// run on. (Validate has already rejected tasks with no server at all.)
-func pickError(router Router, i, j int, task core.Task) error {
+// run on. (The loop has already rejected tasks with no server at all.)
+func pickError(router Router, i, j int, task *core.Task) error {
 	return fmt.Errorf("sim: router %s picked invalid server M%d for task %d (set %v)",
 		router.Name(), j+1, i, task.Set)
 }

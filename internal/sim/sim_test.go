@@ -145,23 +145,14 @@ func TestRunRejectsBadRouter(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidInstance: an instance without machines is rejected
+// before any task is read, with Validate's error.
 func TestRunRejectsInvalidInstance(t *testing.T) {
-	inst := &core.Instance{M: 0}
-	if _, _, err := Run(inst, EFTRouter{}); err == nil {
-		t.Fatal("expected validation error")
-	}
-}
-
-// TestRunRejectsMalformedSets: a processing set with a member out of range
-// anywhere in it, a duplicate or a descending pair is a validation error,
-// under the EFT loop and the generic loop alike, not an index panic.
-func TestRunRejectsMalformedSets(t *testing.T) {
-	for _, set := range []core.ProcSet{{0, 5, 2}, {1, 1}, {2, 1}} {
-		inst := core.NewInstance(3, []core.Task{{Release: 0, Proc: 1, Set: set}})
-		for _, r := range []Router{EFTRouter{}, JSQRouter{}} {
-			if _, _, err := Run(inst, r); err == nil {
-				t.Errorf("set %v under %s: Run accepted the instance", set, r.Name())
-			}
+	inst := &core.Instance{M: 0, Tasks: []core.Task{{Release: 1, Proc: 1}}}
+	want := "sim: " + inst.Validate().Error()
+	for _, r := range validateRouters() {
+		if _, _, err := Run(inst, r); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", r.Name(), err, want)
 		}
 	}
 }

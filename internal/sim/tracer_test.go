@@ -447,7 +447,10 @@ func TestStackProbeAllocs(t *testing.T) {
 // mix, whose admission bound and shedder reject and shed tasks, under a
 // Sampler: a rejected or shed task leaves the system, so the backlog drains
 // to 0 by the makespan and the in-flight watermark never exceeds the run's
-// Fmax.
+// Fmax. The mix also completes tasks by their hedge copies and hands off
+// the queues of drained slots; each unfinished task counts on one queue at
+// most, so Σ queues ≤ Backlog in every sample, and once the makespan has
+// passed every queue is empty and no server is busy.
 func TestSamplerRetiresOverloadDispositions(t *testing.T) {
 	inst := stackInstance(2000, 4242)
 	sampler, err := obs.NewSampler(inst.M, 1)
@@ -460,8 +463,9 @@ func TestSamplerRetiresOverloadDispositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if em.RejectedCount() == 0 || em.ShedCount() == 0 {
-		t.Fatalf("stack mix rejected %d and shed %d tasks; the test needs both", em.RejectedCount(), em.ShedCount())
+	if em.RejectedCount() == 0 || em.ShedCount() == 0 || em.HedgeWinsCopy == 0 || em.Handoffs == 0 {
+		t.Fatalf("stack mix rejected %d tasks, shed %d, won %d by copy and handed off %d; the test needs all four",
+			em.RejectedCount(), em.ShedCount(), em.HedgeWinsCopy, em.Handoffs)
 	}
 	samples := sampler.Samples()
 	if last := samples[len(samples)-1]; last.Backlog != 0 {
@@ -469,6 +473,25 @@ func TestSamplerRetiresOverloadDispositions(t *testing.T) {
 	}
 	if peak, at := sampler.PeakMaxAge(); peak > em.MaxFlow() {
 		t.Errorf("peak in-flight age %v at t=%v exceeds Fmax %v", peak, at, em.MaxFlow())
+	}
+	after := 0
+	for _, sm := range samples {
+		sum := 0
+		for _, q := range sm.Queue {
+			sum += q
+		}
+		if sum > sm.Backlog {
+			t.Fatalf("t=%v: Σ queues %d > backlog %d (queues %v)", sm.Time, sum, sm.Backlog, sm.Queue)
+		}
+		if sm.Time >= em.Makespan {
+			after++
+			if sum != 0 || sm.Busy != 0 {
+				t.Fatalf("t=%v after the makespan %v: queues %v, busy %d, want all 0", sm.Time, em.Makespan, sm.Queue, sm.Busy)
+			}
+		}
+	}
+	if after == 0 {
+		t.Fatalf("no sample at or after the makespan %v", em.Makespan)
 	}
 }
 
