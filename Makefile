@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzElasticMembership -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzHedgedDispatch -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzBreakerStateMachine -fuzztime=30s ./internal/resilience/
+	$(GO) test -fuzz=FuzzAuditMatchesSortedScan -fuzztime=30s ./internal/audit/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

@@ -312,7 +312,13 @@ func Audit(inst *core.Instance, s *core.Schedule, opts Options) *Report {
 	return r
 }
 
-// auditInvariants runs the invariant checks and builds the raw report.
+// auditInvariants runs the invariant checks and builds the raw report. One
+// pass over the tasks makes every per-task check and, through overlapScan,
+// the overlap check; the overlaps it finds are added after the per-task
+// violations, in machine order, as a per-machine sort would list them.
+// Then come the hedge and resilience checks, the certified lower bound and
+// the Proposition 1 spot-check. A clean fault-free audit allocates nothing
+// per task and sorts nothing.
 func auditInvariants(inst *core.Instance, s *core.Schedule, opts Options) *Report {
 	r := &Report{}
 	limit := opts.MaxViolations
@@ -462,12 +468,8 @@ func auditInvariants(inst *core.Instance, s *core.Schedule, opts Options) *Repor
 		}
 	}
 
-	// Per-task checks; executions collected for the per-machine overlap scan.
-	type exec struct {
-		id         int
-		start, end core.Time
-	}
-	perMachine := make([][]exec, m)
+	// Per-task checks, the overlap check riding along.
+	scan := newOverlapScan(m)
 	anyDropped := false
 	anyBroken := false // an unassigned/unfinishable task poisons Fmax reasoning
 	var fmax core.Time
@@ -531,18 +533,13 @@ func auditInvariants(inst *core.Instance, s *core.Schedule, opts Options) *Repor
 					return r
 				}
 			}
-		} else if !task.Eligible(j) {
+		} else if !inSet(task.Set, j) {
 			if !add(Violation{Invariant: InvEligible, Task: i, Machine: j,
 				Detail: fmt.Sprintf("machine not in processing set %v", task.Set)}) {
 				return r
 			}
 		}
-		var comp core.Time
-		if segs != nil {
-			comp = faults.FinishTime(segs[j], start, task.Proc)
-		} else {
-			comp = start + task.Proc
-		}
+		comp := finish(segs, j, start, task.Proc)
 		if opts.Completions != nil {
 			if obs := opts.Completions[i]; math.Abs(obs-comp) > tol(comp) {
 				if !add(Violation{Invariant: InvCompletion, Task: i, Machine: j,
@@ -576,20 +573,10 @@ func auditInvariants(inst *core.Instance, s *core.Schedule, opts Options) *Repor
 				}
 			}
 		}
-		perMachine[j] = append(perMachine[j], exec{id: i, start: start, end: comp})
+		scan.next(i, j, start, comp)
 	}
-
-	for j, execs := range perMachine {
-		sort.Slice(execs, func(a, b int) bool { return execs[a].start < execs[b].start })
-		for x := 1; x < len(execs); x++ {
-			prev, cur := execs[x-1], execs[x]
-			if cur.start < prev.end-tol(prev.end) {
-				if !add(Violation{Invariant: InvOverlap, Task: cur.id, Machine: j,
-					Detail: fmt.Sprintf("starts at %v while task %d runs until %v", cur.start, prev.id, prev.end)}) {
-					return r
-				}
-			}
-		}
+	if !scan.report(inst, s, segs, excluded, add) {
+		return r
 	}
 
 	if opts.Hedge != nil {
@@ -835,6 +822,147 @@ func auditResilience(inst *core.Instance, s *core.Schedule, ri *ResilienceInfo,
 		}
 	}
 	return true
+}
+
+// finish is a task's completion: start + proc, or the slowdown-adjusted
+// faults.FinishTime under a plan's gray failures.
+func finish(segs [][]faults.Slowdown, j int, start, proc core.Time) core.Time {
+	if segs != nil {
+		return faults.FinishTime(segs[j], start, proc)
+	}
+	return start + proc
+}
+
+// inSet is core.ProcSet.Contains, the same binary search written out
+// without sort.SearchInts's closure.
+func inSet(set core.ProcSet, j int) bool {
+	if set == nil {
+		return true
+	}
+	lo, hi := 0, len(set)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if set[h] < j {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo < len(set) && set[lo] == j
+}
+
+// overlapScan is the overlap check in one pass over the tasks. An
+// immediate-dispatch schedule without faults runs each machine's tasks in
+// task order, so each execution is checked against its machine's
+// predecessor when the pass reaches it, and the overlaps found wait in found
+// until the per-task checks are done. A machine whose starts fail to
+// increase strictly in task order (retries, handoffs and hedge copies can
+// reorder a machine; equal starts too, as sort.Slice does not keep ties in
+// order) falls back to sorting its executions by start, which the report
+// collects in a second pass. Either way the overlaps come out in machine
+// order, each machine's by start, as a sort of every machine lists them.
+type overlapScan struct {
+	tail     []execTail  // per machine: the last execution in task order
+	found    []Violation // overlaps found in the pass, in task order
+	fallback int         // machines that need the sorted scan
+}
+
+type execTail struct {
+	task       int // −1 before the machine's first execution
+	start, end core.Time
+	sorted     bool // starts fail to increase strictly: sort the machine
+}
+
+func newOverlapScan(m int) *overlapScan {
+	o := &overlapScan{tail: make([]execTail, m)}
+	for j := range o.tail {
+		o.tail[j].task = -1
+	}
+	return o
+}
+
+// next records task i's execution [start, end) on machine j.
+func (o *overlapScan) next(i, j int, start, end core.Time) {
+	t := &o.tail[j]
+	switch {
+	case t.sorted:
+		return
+	case t.task >= 0 && start <= t.start:
+		t.sorted = true
+		o.fallback++
+		return
+	case t.task >= 0 && start < t.end-tol(t.end):
+		o.found = append(o.found, overlapViolation(i, j, start, t.task, t.end))
+	}
+	t.task, t.start, t.end = i, start, end
+}
+
+// report adds the overlaps in machine order. A machine that fell back has
+// its executions collected again — the tasks the per-task checks let
+// through, with the same completions — and sorted by start; what found
+// holds for it is dropped. It reports false when the violation limit was
+// hit.
+func (o *overlapScan) report(inst *core.Instance, s *core.Schedule, segs [][]faults.Slowdown,
+	excluded func(int) (bool, string), add func(Violation) bool) bool {
+	if len(o.found) == 0 && o.fallback == 0 {
+		return true
+	}
+	var perMachine [][]exec
+	if o.fallback > 0 {
+		perMachine = make([][]exec, len(o.tail))
+		for i := range inst.Tasks {
+			j := s.Machine[i]
+			if j < 0 || j >= len(o.tail) || !o.tail[j].sorted {
+				continue
+			}
+			start := s.Start[i]
+			if out, _ := excluded(i); out || math.IsNaN(start) || math.IsInf(start, 0) {
+				continue
+			}
+			perMachine[j] = append(perMachine[j], exec{id: i, start: start, end: finish(segs, j, start, inst.Tasks[i].Proc)})
+		}
+	}
+	// A stable sort by machine keeps each machine's overlaps in task order,
+	// which is start order on a machine that did not fall back.
+	sort.SliceStable(o.found, func(a, b int) bool { return o.found[a].Machine < o.found[b].Machine })
+	k := 0
+	for j, t := range o.tail {
+		if t.sorted && !sortedOverlaps(j, perMachine[j], add) {
+			return false
+		}
+		for ; k < len(o.found) && o.found[k].Machine == j; k++ {
+			if !t.sorted && !add(o.found[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// exec is one execution in a machine's sorted overlap scan.
+type exec struct {
+	id         int
+	start, end core.Time
+}
+
+// sortedOverlaps sorts machine j's executions by start and checks each
+// against the one before it.
+func sortedOverlaps(j int, execs []exec, add func(Violation) bool) bool {
+	sort.Slice(execs, func(a, b int) bool { return execs[a].start < execs[b].start })
+	for x := 1; x < len(execs); x++ {
+		prev, cur := execs[x-1], execs[x]
+		if cur.start < prev.end-tol(prev.end) {
+			if !add(overlapViolation(cur.id, j, cur.start, prev.id, prev.end)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func overlapViolation(task, j int, start core.Time, prev int, prevEnd core.Time) Violation {
+	return Violation{Invariant: InvOverlap, Task: task, Machine: j,
+		Detail: fmt.Sprintf("starts at %v while task %d runs until %v", start, prev, prevEnd)}
 }
 
 func slowNote(segs [][]faults.Slowdown, j int) string {

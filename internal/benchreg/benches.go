@@ -51,6 +51,7 @@ func init() {
 	Register("SimRunGuardedAdmitSteady", benchSimRunGuardedAdmitSteady)
 	Register("OutlierEject", benchOutlierEject)
 	Register("AuditSchedule", benchAuditSchedule)
+	Register("AuditScheduleFullSet", benchAuditScheduleFullSet)
 	Register("SchedEFTRun", benchSchedEFTRun)
 	Register("SchedFIFORun", benchSchedFIFORun)
 	Register("StatsSummarize", benchStatsSummarize)
@@ -433,15 +434,29 @@ func benchOutlierEject(b *testing.B) {
 	}
 }
 
-// benchAuditSchedule pins the invariant auditor's overhead on a
-// paper-shaped 1000-task schedule (restricted sets, so the FIFO-equivalence
-// spot-check is skipped by shape). The certified lower bound is one sweep
-// keeping a running minimum per distinct set, O(n·c + |sets|²·m) with c = 2
-// for these k-rings, so it no longer dominates the per-task invariant
-// checks; a slide back to the O(n²·sets) window scan would multiply this
-// entry's ns/op several hundredfold.
+// benchAuditSchedule pins the default audit of a paper-shaped 1000-task
+// EFT-Min schedule with k = 3 ring sets: the certified lower bound and the
+// invariant scan, with the FIFO ≡ EFT spot-check skipped by shape. The
+// bound's set index finds a task's set through a first-member memo without
+// building a key, and its sweep keeps a running minimum per distinct set,
+// O(n·c + |sets|²·m) with c = 2 for these rings; the invariant scan checks
+// overlaps in the same pass as the per-task checks. Neither allocates per
+// task: a slide back to per-machine execution lists shows here as
+// allocations, and one back to the O(n²·sets) window scan multiplies ns/op
+// several hundredfold.
 func benchAuditSchedule(b *testing.B) {
-	inst := restrictedInstance(15, 3, 1000)
+	benchAudit(b, restrictedInstance(15, 3, 1000))
+}
+
+// benchAuditScheduleFullSet is benchAuditSchedule on full sets (m = 15,
+// 1000 unit tasks at load 0.8), the only entry on the Proposition 1
+// spot-check's path: the audit re-runs sched.EFT and sched.FIFO and
+// compares their Fmax, about two thirds of its time.
+func benchAuditScheduleFullSet(b *testing.B) {
+	benchAudit(b, fullSetInstance(15, 1000, 0.8))
+}
+
+func benchAudit(b *testing.B, inst *core.Instance) {
 	s, _, err := sim.Run(inst, sim.EFTRouter{})
 	if err != nil {
 		b.Fatal(err)

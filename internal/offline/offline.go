@@ -14,7 +14,6 @@
 package offline
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -43,7 +42,8 @@ import (
 // holding a task restricted to S can open or close S's best window, so each
 // task updates just the sets containing its own. The cost is O(n·c +
 // |sets|²·m) time, c the number of distinct sets containing a task's set (2
-// for the paper's k-rings), with O(|sets|) allocations.
+// for the paper's k-rings); the allocations depend on the distinct sets,
+// not on n.
 func LowerBound(inst *core.Instance) core.Time {
 	if inst.N() == 0 {
 		return 0
@@ -66,62 +66,105 @@ type distinctSet struct {
 	work      core.Time // P_S: work of the tasks restricted to S released so far
 	min       core.Time // min of P_S(a⁻) − |S|·a over S's release-group starts a
 	group     int       // first task of the last release group that touched S
+	r         core.Time // that group's release
 	supersets []int32   // the distinct sets containing S, the full set first
 }
 
+// window is S's best window ending at the release group that touched it
+// last: (P_S(r) − |S|·r − min) / |S|.
+func (d *distinctSet) window() core.Time { return (d.work - d.size*d.r - d.min) / d.size }
+
 // indexSets maps every task to the index of its distinct processing set —
 // 0 is the full machine set, shared by nil and explicit full sets — and
-// builds the sets with their superset lists. Set 0 heads every list: the
-// m-machine interval bound counts every task.
+// builds the sets, in order of first occurrence, with their superset lists.
+// Set 0 heads every list: the m-machine interval bound counts every task.
+//
+// No key is built per task. The last distinct set seen with the task's
+// first member is tried first: a k-ring family has one set per first
+// member, so this memo hits on almost every task. On a miss the set's hash
+// finds the distinct sets that share it, chained newest first through
+// chain. A hash only shortlists; ProcSet.Equal decides every match, so
+// equal sets share one index and a collision costs a compare, never a wrong
+// index. The memo is consulted only for a non-empty set whose first member
+// is in range, as LowerBound takes unvalidated instances.
 func indexSets(inst *core.Instance) ([]int32, []distinctSet) {
-	procSets := []core.ProcSet{core.Interval(0, inst.M-1)}
-	ids := make(map[string]int32)
-	var key []byte
-	encode := func(s core.ProcSet) []byte {
-		key = key[:0]
-		for _, j := range s {
-			key = binary.AppendUvarint(key, uint64(j))
-		}
-		return key
-	}
-	ids[string(encode(procSets[0]))] = 0
+	m := inst.M
+	procSets := []core.ProcSet{core.Interval(0, m-1)}
+	byHash := map[uint64]int32{hashSet(procSets[0]): 0} // a hash → its newest set
+	chain := []int32{-1}                                // the set before id with id's hash, or −1
+	byFirst := make([]int32, m)                         // 1 + the last set seen by first member; 0 for none
 	idx := make([]int32, inst.N())
-	for i, t := range inst.Tasks {
-		if t.Set == nil {
+	for i := range inst.Tasks {
+		set := inst.Tasks[i].Set
+		if set == nil {
 			continue // the full set, index 0
 		}
-		k := encode(t.Set)
-		id, ok := ids[string(k)]
+		first := -1
+		if len(set) > 0 && uint(set[0]) < uint(m) {
+			first = set[0]
+			if c := byFirst[first] - 1; c >= 0 && procSets[c].Equal(set) {
+				idx[i] = c
+				continue
+			}
+		}
+		h := hashSet(set)
+		id, ok := byHash[h]
 		if !ok {
+			id = -1
+		}
+		head := id
+		for id >= 0 && !procSets[id].Equal(set) {
+			id = chain[id]
+		}
+		if id < 0 {
 			id = int32(len(procSets))
-			ids[string(k)] = id
-			procSets = append(procSets, t.Set)
+			byHash[h] = id
+			chain = append(chain, head)
+			procSets = append(procSets, set)
+		}
+		if first >= 0 {
+			byFirst[first] = id + 1
 		}
 		idx[i] = id
 	}
 
+	// All superset lists share one backing array: each list is complete
+	// before the next starts, so a list cut from an outgrown array keeps
+	// its contents.
 	sets := make([]distinctSet, len(procSets))
+	var lists []int32
 	for ti, t := range procSets {
-		supersets := []int32{0}
+		from := len(lists)
+		lists = append(lists, 0)
 		for si := 1; si < len(procSets); si++ {
 			if si == ti || t.SubsetOf(procSets[si]) {
-				supersets = append(supersets, int32(si))
+				lists = append(lists, int32(si))
 			}
 		}
-		sets[ti] = distinctSet{size: core.Time(len(t)), min: math.Inf(1), group: -1, supersets: supersets}
+		sets[ti] = distinctSet{size: core.Time(len(t)), min: math.Inf(1), group: -1, supersets: lists[from:len(lists):len(lists)]}
 	}
 	return idx, sets
 }
 
+// hashSet is FNV-1a over a set's members, the shortlist key of indexSets.
+func hashSet(s core.ProcSet) uint64 {
+	h := uint64(14695981039346656037)
+	for _, j := range s {
+		h = (h ^ uint64(j)) * 1099511628211
+	}
+	return h
+}
+
 // sweep evaluates the bounds in one pass over the tasks in release order;
-// idx[i] is task i's index into sets (nil puts every task in set 0).
+// idx[i] is task i's index into sets (nil puts every task in set 0). A
+// set's window ending at the group that touched it last is evaluated when
+// the next group touches it, or after the pass: its work and that group's
+// release r are unchanged in between.
 func sweep(inst *core.Instance, idx []int32, sets []distinctSet) core.Time {
 	var lb core.Time
-	touched := make([]int32, 0, len(sets))
 	tasks := inst.Tasks
 	for i := 0; i < len(tasks); {
 		g, r := i, tasks[i].Release
-		touched = touched[:0]
 		for ; i < len(tasks) && tasks[i].Release == r; i++ {
 			p := tasks[i].Proc
 			if p > lb {
@@ -134,19 +177,24 @@ func sweep(inst *core.Instance, idx []int32, sets []distinctSet) core.Time {
 			for _, s := range sets[t].supersets {
 				d := &sets[s]
 				if d.group != g {
+					if d.group >= 0 {
+						if f := d.window(); f > lb {
+							lb = f
+						}
+					}
 					// r starts a window of S: P_S(r⁻) is the work before this group.
-					d.group = g
+					d.group, d.r = g, r
 					if v := d.work - d.size*r; v < d.min {
 						d.min = v
 					}
-					touched = append(touched, s)
 				}
 				d.work += p
 			}
 		}
-		for _, s := range touched {
-			d := &sets[s]
-			if f := (d.work - d.size*r - d.min) / d.size; f > lb {
+	}
+	for s := range sets {
+		if d := &sets[s]; d.group >= 0 {
+			if f := d.window(); f > lb {
 				lb = f
 			}
 		}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"flowsched/internal/core"
 )
@@ -110,20 +111,70 @@ func (e *EFT) TieSet(r core.Time, set core.ProcSet) []int {
 	return e.candidates
 }
 
-// Dispatch implements Online.
+// Dispatch implements Online. Under MinTie and MaxTie (and a nil Tie) it
+// makes one pass over the set: by Eq. (2) the machines of U'_i are those of
+// earliest start max(C_j, r), so it keeps the first member of least start
+// key (Min, updating on <) or the last (Max, on <=), the key being the
+// Float64bits of max(C_j, r) with a release that is not positive taken as
+// +0. Completions are positive or +0 for tasks of positive processing time,
+// and such floats order as their bits, so the pick takes no float compare
+// and is the machine Tie.Pick(TieSet(r, set)) returns. Other tie-breaks
+// pick from TieSet.
 func (e *EFT) Dispatch(t core.Task) Decision {
-	u := e.TieSet(t.Release, t.Set)
-	tie := e.Tie
-	if tie == nil {
-		tie = MinTie{}
+	var j int
+	switch e.Tie.(type) {
+	case nil, MinTie:
+		j = e.earliest(t.Release, t.Set, false)
+	case MaxTie:
+		j = e.earliest(t.Release, t.Set, true)
+	default:
+		j = e.Tie.Pick(e.TieSet(t.Release, t.Set))
 	}
-	j := tie.Pick(u)
 	start := e.completion[j]
 	if t.Release > start {
 		start = t.Release
 	}
 	e.completion[j] = start + t.Proc
 	return Decision{Machine: j, Start: start}
+}
+
+// earliest is the first (or, with last, the last) machine of set — every
+// machine when set is nil — of least start key; see Dispatch. It returns −1
+// for an empty set. A nil set ranges over the completions directly: reading
+// them through a list of every machine made full-set runs about 10% slower.
+func (e *EFT) earliest(r core.Time, set core.ProcSet, last bool) int {
+	var floor uint64 // a NaN release is floored too, as TieSet ignores it
+	if r > 0 {
+		floor = math.Float64bits(r)
+	}
+	best, pick := uint64(math.MaxUint64), -1
+	switch {
+	case set == nil && last:
+		for j, c := range e.completion {
+			if k := max(math.Float64bits(c), floor); k <= best {
+				best, pick = k, j
+			}
+		}
+	case set == nil:
+		for j, c := range e.completion {
+			if k := max(math.Float64bits(c), floor); k < best {
+				best, pick = k, j
+			}
+		}
+	case last:
+		for _, j := range set {
+			if k := max(math.Float64bits(e.completion[j]), floor); k <= best {
+				best, pick = k, j
+			}
+		}
+	default:
+		for _, j := range set {
+			if k := max(math.Float64bits(e.completion[j]), floor); k < best {
+				best, pick = k, j
+			}
+		}
+	}
+	return pick
 }
 
 // Run implements Algorithm.

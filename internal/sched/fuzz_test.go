@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"flowsched/internal/core"
@@ -9,7 +11,8 @@ import (
 // FuzzEFTDispatch decodes raw bytes into a small instance and checks that
 // every scheduler produces a feasible schedule: EFT never assigns outside
 // the processing set, before the release, or overlapping, no matter how the
-// instance is shaped.
+// instance is shaped. At every task, EFT-Min's and EFT-Max's one-pass pick
+// must be the machine their tie-break picks from TieSet.
 func FuzzEFTDispatch(f *testing.F) {
 	f.Add([]byte{3, 5, 0, 1, 7, 2, 2, 9, 1, 4})
 	f.Add([]byte{1, 1, 0, 0})
@@ -51,6 +54,7 @@ func FuzzEFTDispatch(f *testing.F) {
 		if err := inst.Validate(); err != nil {
 			t.Fatalf("generated instance invalid: %v", err)
 		}
+		checkDispatchMatchesTieSet(t, inst.M, inst.Tasks)
 		for _, alg := range []Algorithm{
 			NewEFT(MinTie{}),
 			NewEFT(MaxTie{}),
@@ -65,4 +69,44 @@ func FuzzEFTDispatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkDispatchMatchesTieSet feeds the tasks to EFT-Min and EFT-Max and
+// fails unless each Dispatch picks Tie.Pick(TieSet(r, set)), read from the
+// same completions just before it.
+func checkDispatchMatchesTieSet(t *testing.T, m int, tasks []core.Task) {
+	t.Helper()
+	for _, tie := range []TieBreak{MinTie{}, MaxTie{}} {
+		e := NewEFT(tie)
+		e.Reset(m)
+		for i, task := range tasks {
+			want := tie.Pick(e.TieSet(task.Release, task.Set))
+			if d := e.Dispatch(task); d.Machine != want {
+				t.Fatalf("EFT-%s, task %d (r=%v, set %v): Dispatch picks M%d, TieSet's pick is M%d",
+					tie.Name(), i, task.Release, task.Set, d.Machine+1, want+1)
+			}
+		}
+	}
+}
+
+// TestEFTDispatchMatchesTieSet runs the fuzzer's pick check on tie-heavy
+// random instances, restricted and not, whose releases include −0 and, fed
+// to Dispatch directly, NaN and negative values.
+func TestEFTDispatchMatchesTieSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	odd := []core.Time{math.Copysign(0, -1), math.NaN(), -2, math.Inf(1)}
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + rng.Intn(12)
+		tasks := make([]core.Task, 1+rng.Intn(80))
+		for i := range tasks {
+			tasks[i] = core.Task{Release: float64(i / (1 + rng.Intn(2*m))), Proc: float64(1 + rng.Intn(3))}
+			if rng.Intn(3) > 0 {
+				tasks[i].Set = core.MustRingInterval(rng.Intn(m), 1+rng.Intn(m), m)
+			}
+			if rng.Intn(20) == 0 {
+				tasks[i].Release = odd[rng.Intn(len(odd))]
+			}
+		}
+		checkDispatchMatchesTieSet(t, m, tasks)
+	}
 }

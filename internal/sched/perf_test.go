@@ -75,7 +75,8 @@ func fifoTiedInstance(m, n int, rng *rand.Rand) *core.Instance {
 }
 
 // TestFIFOEquivalenceWithSeed pins the release-cursor FIFO loop to the
-// original event loop across tie-break policies, on real and integer
+// original event loop across tie-break policies — Min, Max and a seeded
+// Rand, which sees the idle machines as a slice — on real and integer
 // releases.
 func TestFIFOEquivalenceWithSeed(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
@@ -87,17 +88,21 @@ func TestFIFOEquivalenceWithSeed(t *testing.T) {
 		} else {
 			inst = fifoTiedInstance(m, 300, rng)
 		}
-		for _, tie := range []TieBreak{MinTie{}, MaxTie{}} {
-			got, err := (&FIFO{Tie: tie}).Run(inst)
+		for _, tie := range []func() TieBreak{
+			func() TieBreak { return MinTie{} },
+			func() TieBreak { return MaxTie{} },
+			func() TieBreak { return RandTie{Rng: rand.New(rand.NewSource(seed))} },
+		} {
+			got, err := (&FIFO{Tie: tie()}).Run(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := seedFIFORun(tie, inst)
+			want, err := seedFIFORun(tie(), inst)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Machine, want.Machine) || !reflect.DeepEqual(got.Start, want.Start) {
-				t.Fatalf("seed %d, tie %s: optimized FIFO diverged from seed implementation", seed, tie.Name())
+				t.Fatalf("seed %d, tie %s: optimized FIFO diverged from seed implementation", seed, tie().Name())
 			}
 		}
 	}

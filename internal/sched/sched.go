@@ -34,10 +34,12 @@ type Algorithm interface {
 }
 
 // RunOnline feeds every task of the instance, in release order, to an
-// immediate-dispatch scheduler and collects the resulting schedule.
+// immediate-dispatch scheduler and collects the resulting schedule. Every
+// task is assigned, so the schedule skips NewSchedule's unassigned fill.
 func RunOnline(alg Online, inst *core.Instance) *core.Schedule {
 	alg.Reset(inst.M)
-	s := core.NewSchedule(inst)
+	n := inst.N()
+	s := &core.Schedule{Inst: inst, Machine: make([]int, n), Start: make([]core.Time, n)}
 	for i, t := range inst.Tasks {
 		d := alg.Dispatch(t)
 		s.Assign(i, d.Machine, d.Start)
