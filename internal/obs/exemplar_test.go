@@ -86,8 +86,8 @@ func TestHistogramProbeExemplars(t *testing.T) {
 	if _, task := p.Stretch.QuantileExemplar(1); task != 4 {
 		t.Fatalf("stretch tail exemplar = T%d, want T4", task)
 	}
-	// Zero-proc completions mirror sim.stretchOf (stretch 0) and land in the
-	// zero bucket with the task attached.
+	// A zero-proc completion (no engine sends one) counts as stretch 0 and
+	// lands in the zero bucket with the task attached.
 	h.OnComplete(7, 0, 0, 0, 1)
 	if _, task := p.Stretch.QuantileExemplar(0); task != 7 {
 		t.Fatalf("zero-proc stretch exemplar = T%d, want T7", task)

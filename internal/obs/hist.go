@@ -6,11 +6,6 @@ import (
 	"math"
 )
 
-// DefaultGrowth is the default per-bucket growth factor of a Histogram:
-// 2^(1/8) ≈ 1.0905, eight buckets per doubling (≈ 4.4% worst-case quantile
-// error, see Quantile).
-var DefaultGrowth = math.Pow(2, 0.125)
-
 // Histogram is a streaming log-bucketed (HDR-style) histogram: bucket i
 // counts observations in [base·g^i, base·g^(i+1)), so memory is
 // O(log_g(max/min)) regardless of how many values are observed — huge runs
@@ -21,13 +16,9 @@ var DefaultGrowth = math.Pow(2, 0.125)
 // (a cursor that Observe keeps current), so a query moves the cursor: a
 // histogram, unlike a frozen snapshot, is not safe for concurrent queries.
 //
-// The zero value is not usable; construct with NewHistogram or
-// NewHistogramGrowth.
+// Every histogram grows its buckets by the same factor (growth). The zero
+// value is an empty histogram, as NewHistogram returns.
 type Histogram struct {
-	growth  float64
-	logG    float64
-	logBase float64
-
 	counts []uint64 // counts[i] is bucket lo+i
 	lo     int      // bucket index of counts[0]
 	zeros  uint64   // observations ≤ 0
@@ -82,36 +73,29 @@ const exZeroBucket = math.MinInt
 // moderate.
 const histBase = 1e-12
 
-// NewHistogram returns a histogram with the DefaultGrowth bucket scheme.
-func NewHistogram() *Histogram {
-	h, _ := NewHistogramGrowth(DefaultGrowth)
-	return h
-}
+// growth is every histogram's per-bucket growth factor: 2^(1/8) ≈ 1.0905,
+// eight buckets per doubling (≈ 4.4% worst-case quantile error, see
+// Quantile). logGrowth and logBase are the logs of growth and histBase that
+// bucket indices and representatives are computed from.
+var (
+	growth    = math.Pow(2, 0.125)
+	logGrowth = math.Log(growth)
+	logBase   = math.Log(histBase)
+)
 
-// NewHistogramGrowth returns a histogram whose buckets grow by the given
-// factor (must exceed 1). Smaller factors mean finer quantiles and more
-// buckets: relative quantile error is at most √growth − 1.
-func NewHistogramGrowth(growth float64) (*Histogram, error) {
-	if !(growth > 1) || math.IsInf(growth, 0) {
-		return nil, fmt.Errorf("obs: histogram growth factor must be > 1, got %v", growth)
-	}
-	return &Histogram{
-		growth:  growth,
-		logG:    math.Log(growth),
-		logBase: math.Log(histBase),
-	}, nil
-}
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Growth returns the per-bucket growth factor.
-func (h *Histogram) Growth() float64 { return h.growth }
+func (h *Histogram) Growth() float64 { return growth }
 
 // RelativeError returns the documented worst-case relative error of
 // Quantile: √growth − 1.
-func (h *Histogram) RelativeError() float64 { return math.Sqrt(h.growth) - 1 }
+func (h *Histogram) RelativeError() float64 { return math.Sqrt(growth) - 1 }
 
 // bucketOf returns the bucket index of a positive value.
 func (h *Histogram) bucketOf(v float64) int {
-	return int(math.Floor((math.Log(v) - h.logBase) / h.logG))
+	return int(math.Floor((math.Log(v) - logBase) / logGrowth))
 }
 
 // Observe records one value.
@@ -290,7 +274,7 @@ func (h *Histogram) quantile(q float64) (float64, int) {
 		c.b++
 	}
 	if c.repB != c.b {
-		c.repB, c.rep = c.b, math.Exp(h.logBase+(float64(c.b)+0.5)*h.logG)
+		c.repB, c.rep = c.b, math.Exp(logBase+(float64(c.b)+0.5)*logGrowth)
 	}
 	return h.clamp(c.rep), c.b
 }
@@ -329,7 +313,7 @@ type HistogramProbe struct {
 	Stretch *Histogram // stretch (C_i − r_i) / p_i
 }
 
-// NewHistogramProbe returns a sink with DefaultGrowth histograms.
+// NewHistogramProbe returns a sink with two empty histograms.
 func NewHistogramProbe() *HistogramProbe {
 	return &HistogramProbe{Flow: NewHistogram(), Stretch: NewHistogram()}
 }
@@ -346,6 +330,6 @@ func (p *HistogramProbe) Observe(e Event) {
 	if proc > 0 {
 		p.Stretch.ObserveExemplar(flow/proc, e.Task)
 	} else {
-		p.Stretch.ObserveExemplar(0, e.Task) // mirrors sim.stretchOf: zero-proc stretch is 0
+		p.Stretch.ObserveExemplar(0, e.Task) // no engine sends p ≤ 0; a hand-fed one counts as stretch 0
 	}
 }

@@ -8,18 +8,6 @@ import (
 	"testing"
 )
 
-func TestHistogramGrowthValidation(t *testing.T) {
-	for _, g := range []float64{0, 1, 0.5, -2, math.Inf(1), math.NaN()} {
-		if _, err := NewHistogramGrowth(g); err == nil {
-			t.Errorf("NewHistogramGrowth(%v) accepted, want error", g)
-		}
-	}
-	h, err := NewHistogramGrowth(2)
-	if err != nil || h.Growth() != 2 {
-		t.Fatalf("NewHistogramGrowth(2) = %v, %v", h, err)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
@@ -155,7 +143,7 @@ func fullWalkQuantile(h *Histogram, q float64) (float64, int) {
 		cum := h.zeros
 		for i, c := range h.counts {
 			if cum += c; cum > rank {
-				v = h.clamp(math.Exp(h.logBase + (float64(h.lo+i)+0.5)*h.logG))
+				v = h.clamp(math.Exp(logBase + (float64(h.lo+i)+0.5)*logGrowth))
 				e = exemplar{}
 				if j := h.lo + i - h.exLo; h.ex != nil && j >= 0 && j < len(h.ex) {
 					e = h.ex[j]

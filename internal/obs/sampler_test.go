@@ -222,3 +222,32 @@ func TestSamplerQueueCountsEachTaskOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestSamplerIgnoresOutOfOrderArrivals: the sampler indexes tasks by id, so
+// it applies only the arrival of the next id. A repeated or skipped id, and
+// the later events of a task whose arrival was ignored, leave the samples
+// as they would be without them.
+func TestSamplerIgnoresOutOfOrderArrivals(t *testing.T) {
+	s, err := NewSampler(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hooks(s)
+	h.OnArrival(0, 0)
+	h.OnDispatch(0, 0, 0, 0, 2)
+	h.OnArrival(0, 0) // repeated
+	h.OnArrival(2, 0) // skips id 1
+	h.OnDispatch(2, 1, 0, 0, 3)
+	h.OnComplete(0, 0, 0, 2, 2)
+	h.OnComplete(2, 1, 0, 3, 3)
+	h.OnDone(3)
+	want := []Sample{
+		{Time: 0, Queue: []int{1, 0}, Backlog: 1, Busy: 1, Members: 2},
+		{Time: 1, Queue: []int{1, 0}, Backlog: 1, MaxAge: 1, Busy: 1, Members: 2},
+		{Time: 2, Queue: []int{0, 0}, Members: 2},
+		{Time: 3, Queue: []int{0, 0}, Members: 2},
+	}
+	if got := s.Samples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("samples = %+v, want %+v", got, want)
+	}
+}

@@ -43,7 +43,6 @@ type Arena struct {
 	// their nil fields, exactly as a fresh run would.
 	metrics    ElasticMetrics
 	flows      []core.Time
-	stretches  []core.Time
 	busy       []core.Time
 	attempts   []int
 	dropped    []bool
@@ -121,7 +120,6 @@ func (a *Arena) Reset(n, m int) {
 	}
 
 	a.flows = resliceZero(a.flows, n)
-	a.stretches = resliceZero(a.stretches, n)
 	a.busy = resliceZero(a.busy, m)
 	a.attempts = resliceZero(a.attempts, n)
 	a.dropped = resliceZero(a.dropped, n)

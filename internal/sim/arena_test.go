@@ -206,8 +206,6 @@ func diffElastic(s1, s2 *core.Schedule, m1, m2 *ElasticMetrics) string {
 		return "schedule starts"
 	case !sameTimes(m1.Flows, m2.Flows):
 		return "flows"
-	case !sameTimes(m1.Stretches, m2.Stretches):
-		return "stretches"
 	case !sameTimes(m1.Busy, m2.Busy):
 		return "busy"
 	case !eqTime(m1.Makespan, m2.Makespan):

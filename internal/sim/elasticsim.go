@@ -193,12 +193,11 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	a.metrics = ElasticMetrics{
 		OverloadMetrics: OverloadMetrics{
 			FaultMetrics: FaultMetrics{
-				Metrics:  Metrics{Flows: a.flows, Stretches: a.stretches, Busy: a.busy},
+				Metrics:  Metrics{Flows: a.flows, Busy: a.busy, tasks: inst.Tasks},
 				Attempts: a.attempts,
 				Dropped:  a.dropped,
 				Parked:   a.parkedBits,
 				plan:     plan,
-				releases: a.releases,
 			},
 		},
 	}
@@ -510,7 +509,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 					metrics.HedgeWinsCopy++
 				}
 				metrics.Flows[rid] = when - t.Release
-				metrics.Stretches[rid] = stretchOf(when-t.Release, t.Proc)
 				sched.Assign(rid, srv, curStart[id])
 				if metrics.Dispatched != nil {
 					metrics.Dispatched[rid] = hd.copyAt[rid]
@@ -555,7 +553,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	drop := func(id int, now core.Time) {
 		metrics.Dropped[id] = true
 		metrics.Flows[id] = now - inst.Tasks[id].Release
-		metrics.Stretches[id] = stretchOf(metrics.Flows[id], inst.Tasks[id].Proc)
 		sched.Assign(id, -1, math.NaN())
 		if probe != nil {
 			probe.OnDrop(id, inst.Tasks[id].Release, now)
@@ -568,7 +565,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		metrics.Shed[id] = true
 		metrics.Reason[id] = reason
 		metrics.Flows[id] = now - inst.Tasks[id].Release
-		metrics.Stretches[id] = stretchOf(metrics.Flows[id], inst.Tasks[id].Proc)
 		sched.Assign(id, -1, math.NaN())
 		if ov.op != nil {
 			ov.op.OnShed(id, server, inst.Tasks[id].Release, now, reason)
@@ -668,7 +664,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		a.enqueue(j, id, start, end, busy)
 		sched.Assign(id, j, start)
 		metrics.Flows[id] = end - task.Release
-		metrics.Stretches[id] = stretchOf(end-task.Release, task.Proc)
 		if probe != nil {
 			probe.OnDispatch(id, j, now, start, end)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,22 +163,28 @@ func TestUnrestrictedRouterPaths(t *testing.T) {
 	}
 }
 
+// TestSteadyStateMaxFlowEdges: on one machine the flows are 4, 1 and 2, so
+// the whole run's maximum (4) differs from every tail's. A negative or NaN
+// skip is the whole run, and skip ≥ 1 leaves nothing.
 func TestSteadyStateMaxFlowEdges(t *testing.T) {
 	inst := core.NewInstance(1, []core.Task{
-		{Release: 0, Proc: 1},
-		{Release: 0, Proc: 1},
+		{Release: 0, Proc: 4},
+		{Release: 4, Proc: 1},
+		{Release: 4, Proc: 1},
 	})
 	_, m, err := Run(inst, EFTRouter{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SteadyStateMaxFlow(-1) != m.MaxFlow() {
-		t.Fatalf("negative skip should clamp to 0")
-	}
-	if m.SteadyStateMaxFlow(1.5) != 0 {
-		t.Fatalf("skip ≥ 1 should return 0")
-	}
-	if m.SteadyStateMaxFlow(0.5) != 2 {
-		t.Fatalf("second half max = %v", m.SteadyStateMaxFlow(0.5))
+	for _, c := range []struct {
+		skip float64
+		want core.Time
+	}{
+		{math.NaN(), 4}, {math.Inf(-1), 4}, {-1, 4}, {0, 4}, {0.5, 2}, {0.9, 2},
+		{1, 0}, {1.5, 0}, {math.Inf(1), 0},
+	} {
+		if got := m.SteadyStateMaxFlow(c.skip); got != c.want {
+			t.Errorf("SteadyStateMaxFlow(%v) = %v, want %v", c.skip, got, c.want)
+		}
 	}
 }

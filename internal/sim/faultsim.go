@@ -87,9 +87,9 @@ func (p RetryPolicy) delay(attempts int) core.Time {
 }
 
 // FaultMetrics extends Metrics with the robustness observables of a faulty
-// run. Flows/Stretches of a dropped request measure the time from release
-// until the drop decision (the latency of the failure response), not a
-// completion.
+// run. The flow of a dropped request, and so its stretch, measures the time
+// from release until the drop decision (the latency of the failure
+// response), not a completion.
 type FaultMetrics struct {
 	Metrics
 	Attempts []int       // per-request dispatch attempts (≥ 1 unless parked forever)
@@ -98,8 +98,7 @@ type FaultMetrics struct {
 	Downtime []core.Time // per-server down time within [0, Horizon)
 	Horizon  core.Time   // observation horizon (makespan, or plan end when longer)
 
-	plan     *faults.Plan
-	releases []core.Time
+	plan *faults.Plan
 }
 
 // DroppedCount returns the number of requests that were dropped.
@@ -149,8 +148,8 @@ func (m *FaultMetrics) RecoverySpikeMaxFlow(window core.Time) core.Time {
 		}
 		return false
 	}
-	for i, r := range m.releases {
-		if m.Dropped[i] || !inSpike(r) {
+	for i, t := range m.tasks {
+		if m.Dropped[i] || !inSpike(t.Release) {
 			continue
 		}
 		if m.Flows[i] > mx {

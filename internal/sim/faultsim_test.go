@@ -88,7 +88,6 @@ func TestRunFaultyEmptyPlanEquivalence(t *testing.T) {
 					t.Fatalf("trial %d %s: schedules differ", trial, kind)
 				}
 				if !reflect.DeepEqual(m1.Flows, m2.Flows) ||
-					!reflect.DeepEqual(m1.Stretches, m2.Stretches) ||
 					!reflect.DeepEqual(m1.Busy, m2.Busy) ||
 					m1.Makespan != m2.Makespan {
 					t.Fatalf("trial %d %s: metrics differ", trial, kind)
@@ -409,20 +408,6 @@ func TestRouterReuseAcrossRuns(t *testing.T) {
 			t.Fatal("reused NoisyEFTRouter diverged: stale beliefs not reset")
 		}
 	})
-}
-
-// TestStretchGuard: zero or negative processing times do not poison the
-// stretch aggregate with Inf/NaN.
-func TestStretchGuard(t *testing.T) {
-	if got := stretchOf(5, 0); got != 0 {
-		t.Errorf("stretchOf(5, 0) = %v, want 0", got)
-	}
-	if got := stretchOf(5, -1); got != 0 {
-		t.Errorf("stretchOf(5, -1) = %v, want 0", got)
-	}
-	if got := stretchOf(6, 2); got != 3 {
-		t.Errorf("stretchOf(6, 2) = %v, want 3", got)
-	}
 }
 
 // TestFaultyRunsAreDeterministic: the same instance, plan and seeds give

@@ -93,7 +93,6 @@ func (a *Arena) retime(inst *core.Instance, slow [][]faults.Slowdown, j int, now
 		if id < n {
 			a.sched.Assign(id, j, start)
 			metrics.Flows[id] = end - task.Release
-			metrics.Stretches[id] = stretchOf(end-task.Release, task.Proc)
 		}
 		cur = end
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -550,6 +551,48 @@ func TestRunAllocsConstant(t *testing.T) {
 			t.Errorf("%s: %v allocs per Run of %d tasks: per-task dispatch allocates", router.Name(), avg, inst.N())
 		}
 	}
+}
+
+// TestRunOutputAllocs pins what Run allocates per task: the schedule's
+// Machine and Start and the metrics' Flows, 8 bytes each, and nothing else
+// that grows with n. The bound allows an eighth more for the allocator's
+// size classes (2.4% at these n) and 128 bytes per machine for the ready
+// tree, Busy and the result headers; a fourth per-task vector exceeds it at
+// both sizes. The runs are on m = 15 wrapping ring arcs (eftLoopInstance's
+// family 1); TotalAlloc reads 25,248 and 246,432 bytes per Run at n = 10³
+// and 10⁴, with or without the race detector, give or take a stray
+// runtime allocation.
+func TestRunOutputAllocs(t *testing.T) {
+	const m = 15
+	for _, n := range []int{1000, 10000} {
+		inst := eftLoopInstance(m, n, 1, rand.New(rand.NewSource(int64(n))))
+		for _, router := range []EFTRouter{{Tie: sched.MinTie{}}, {Tie: sched.MaxTie{}}} {
+			got := bytesPerRun(5, func() {
+				if _, _, err := Run(inst, router); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s, n = %d: %d bytes per Run", router.Name(), n, got)
+			if limit := uint64(3*8*n*9/8 + 128*m); got > limit {
+				t.Errorf("%s, n = %d: %d bytes per Run, want at most %d (three 8-byte vectors per task)",
+					router.Name(), n, got, limit)
+			}
+		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one call of f allocates, averaged over
+// runs calls after a warm-up call, on one P as testing.AllocsPerRun counts.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // --- Bugfix satellites ----------------------------------------------------

@@ -69,12 +69,17 @@ type Resettable interface {
 	Reset()
 }
 
-// Metrics aggregates a simulation run.
+// Metrics aggregates a simulation run. The engines record each request's
+// flow and nothing that follows from it: a stretch F_i / p_i is derived
+// from Flows and the run's tasks when MaxStretch or MeanStretch asks, so
+// those two read the instance the run was given, which must not have
+// changed since.
 type Metrics struct {
-	Flows     []core.Time // per-request flow time, indexed by task ID
-	Stretches []core.Time // per-request stretch F_i / p_i
-	Busy      []core.Time // per-server total busy time
-	Makespan  core.Time
+	Flows    []core.Time // per-request flow time, indexed by task ID
+	Busy     []core.Time // per-server total busy time
+	Makespan core.Time
+
+	tasks []core.Task // the run's tasks, set by the engine that built m
 }
 
 // MaxFlow returns the maximum response time of the run.
@@ -87,17 +92,29 @@ func (m *Metrics) MeanFlow() core.Time { return stats.Mean(m.Flows) }
 func (m *Metrics) FlowQuantile(q float64) core.Time { return stats.Quantile(m.Flows, q) }
 
 // MaxStretch returns max_i F_i / p_i.
-func (m *Metrics) MaxStretch() core.Time { return stats.Max(m.Stretches) }
+func (m *Metrics) MaxStretch() core.Time { return stats.Max(m.stretches()) }
 
 // MeanStretch returns the mean stretch.
-func (m *Metrics) MeanStretch() core.Time { return stats.Mean(m.Stretches) }
+func (m *Metrics) MeanStretch() core.Time { return stats.Mean(m.stretches()) }
+
+// stretches returns F_i / p_i in task order, or nothing for a Metrics that
+// no engine built. Both engines reject p ≤ 0 before they record a task, and
+// a task they never ran (rejected, or parked forever) has flow and stretch 0.
+func (m *Metrics) stretches() []core.Time {
+	s := make([]core.Time, len(m.tasks))
+	for i := range m.tasks {
+		s[i] = m.Flows[i] / m.tasks[i].Proc
+	}
+	return s
+}
 
 // SteadyStateMaxFlow returns the maximum flow among requests after the
-// warm-up prefix (skip ∈ [0,1) as a fraction of the run). The paper's
-// protocol relies on 10 000 tasks being "sufficient to reach a steady
-// state"; this lets callers check that claim (see TestSteadyState).
+// warm-up prefix (skip ∈ [0,1) as a fraction of the run; a negative or NaN
+// skip means the whole run, and skip ≥ 1 returns 0). The paper's protocol
+// relies on 10 000 tasks being "sufficient to reach a steady state"; this
+// lets callers check that claim (see TestSteadyState).
 func (m *Metrics) SteadyStateMaxFlow(skip float64) core.Time {
-	if skip < 0 {
+	if !(skip >= 0) {
 		skip = 0
 	}
 	if skip >= 1 {
@@ -118,16 +135,6 @@ func (m *Metrics) Utilization() float64 {
 		total += b
 	}
 	return total / (m.Makespan * core.Time(len(m.Busy)))
-}
-
-// stretchOf returns flow/proc, the stretch of a request. Zero-proc tasks
-// (e.g. trace-derived writes) have undefined stretch; it is reported as 0
-// instead of poisoning MeanStretch with ±Inf/NaN.
-func stretchOf(flow, proc core.Time) core.Time {
-	if proc <= 0 {
-		return 0
-	}
-	return flow / proc
 }
 
 // Run simulates the instance under the router and returns the resulting
@@ -175,9 +182,9 @@ func RunProbed(inst *core.Instance, router Router, probe obs.Probe) (*core.Sched
 		// schedule, so the slices need none of NewSchedule's fill.
 		sched: &core.Schedule{Inst: inst, Machine: make([]int, n), Start: make([]core.Time, n)},
 		metrics: &Metrics{
-			Flows:     make([]core.Time, n),
-			Stretches: make([]core.Time, n),
-			Busy:      make([]core.Time, inst.M),
+			Flows: make([]core.Time, n),
+			Busy:  make([]core.Time, inst.M),
+			tasks: inst.Tasks,
 		},
 		probe: probe,
 	}
@@ -306,7 +313,6 @@ func (o *output) dispatch(i, j int, task *core.Task, ready core.Time) core.Time 
 	end := start + task.Proc
 	o.sched.Assign(i, j, start)
 	o.metrics.Flows[i] = end - task.Release
-	o.metrics.Stretches[i] = stretchOf(end-task.Release, task.Proc)
 	o.metrics.Busy[j] += task.Proc
 	if end > o.metrics.Makespan {
 		o.metrics.Makespan = end
