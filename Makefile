@@ -119,6 +119,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzHedgedDispatch -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzBreakerStateMachine -fuzztime=30s ./internal/resilience/
 	$(GO) test -fuzz=FuzzAuditMatchesSortedScan -fuzztime=30s ./internal/audit/
+	$(GO) test -fuzz=FuzzValidateMatchesSortedScan -fuzztime=30s ./internal/core/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./... && $(GO) tool cover -func=cover.out | tail -1

@@ -612,16 +612,15 @@ func auditInvariants(inst *core.Instance, s *core.Schedule, opts Options) *Repor
 	// Proposition 1 spot-check: on unrestricted instances FIFO and EFT-Min
 	// must agree on Fmax. This audits the instance/algorithm pair rather
 	// than the given schedule — a canary that the equivalence the paper
-	// proves still holds on this workload shape.
+	// proves still holds on this workload shape. The instance is validated
+	// once, and both schedulers run without their own checks.
 	if !opts.SkipFIFOEquiv && opts.Membership == nil && n > 0 && unrestricted(inst) {
-		es, err1 := sched.NewEFT(sched.MinTie{}).Run(inst)
-		fs, err2 := (&sched.FIFO{Tie: sched.MinTie{}}).Run(inst)
-		switch {
-		case err1 != nil || err2 != nil:
+		eft, fifo := sched.NewEFT(sched.MinTie{}), &sched.FIFO{Tie: sched.MinTie{}}
+		if err := inst.Validate(); err != nil {
 			add(Violation{Invariant: InvFIFOEquiv, Task: -1, Machine: -1,
-				Detail: fmt.Sprintf("spot-check failed to run: eft=%v fifo=%v", err1, err2)})
-		default:
-			ef, ff := es.MaxFlow(), fs.MaxFlow()
+				Detail: fmt.Sprintf("spot-check failed to run: eft=%s: %v fifo=%s: %v", eft.Name(), err, fifo.Name(), err)})
+		} else {
+			ef, ff := sched.RunOnline(eft, inst).MaxFlow(), fifo.RunUnchecked(inst).MaxFlow()
 			if math.Abs(ef-ff) > tol(ef) {
 				add(Violation{Invariant: InvFIFOEquiv, Task: -1, Machine: -1,
 					Detail: fmt.Sprintf("EFT Fmax %v ≠ FIFO Fmax %v (Proposition 1)", ef, ff)})

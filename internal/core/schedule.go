@@ -106,6 +106,14 @@ func (s *Schedule) MaxStretch() Time {
 //   - no task starts before its release time,
 //   - tasks on the same machine do not overlap (non-preemptive, one task at
 //     a time).
+//
+// The first task that breaks one of the first two rules is reported. Only
+// when every task keeps them is an overlap reported: the first one, by
+// machine and then by start, of a scan of each machine's tasks sorted by
+// start. The per-task pass already compares each task with the previous
+// task on its machine, so that scan runs only when some machine's starts
+// do not strictly increase in ID order or an overlap is found. A schedule
+// an immediate-dispatch engine built is checked in O(m) memory.
 func (s *Schedule) Validate() error { return s.validate(false) }
 
 // ValidatePartial checks feasibility like Validate but tolerates unassigned
@@ -120,8 +128,14 @@ func (s *Schedule) validate(allowUnassigned bool) error {
 	if len(s.Machine) != n || len(s.Start) != n {
 		return fmt.Errorf("schedule: assignment arrays sized %d/%d, want %d", len(s.Machine), len(s.Start), n)
 	}
-	byMachine := make([][]int, s.Inst.M)
-	for i, t := range s.Inst.Tasks {
+	// last[j] is 1 + the previous task on machine j (0 for none). While
+	// every machine's starts increase strictly in ID order, each machine's
+	// tasks in ID order are its tasks sorted by start, and comparing each
+	// task with its predecessor is the sorted scan.
+	last := make([]int, s.Inst.M)
+	sorted := true
+	for i := range s.Inst.Tasks {
+		t := &s.Inst.Tasks[i]
 		j := s.Machine[i]
 		if allowUnassigned && (j < 0 || math.IsNaN(s.Start[i])) {
 			if j != -1 || !math.IsNaN(s.Start[i]) {
@@ -141,10 +155,22 @@ func (s *Schedule) validate(allowUnassigned bool) error {
 		if s.Start[i] < t.Release-eps {
 			return fmt.Errorf("task %d: starts at %v before release %v", i, s.Start[i], t.Release)
 		}
-		byMachine[j] = append(byMachine[j], i)
+		if prev := last[j] - 1; prev >= 0 && !(s.Start[i] > s.Start[prev] && s.Completion(prev) <= s.Start[i]+eps) {
+			sorted = false
+		}
+		last[j] = i + 1
 	}
-	for j, ids := range byMachine {
-		sort.Slice(ids, func(a, b int) bool { return s.Start[ids[a]] < s.Start[ids[b]] })
+	if sorted {
+		return nil
+	}
+	return s.overlapScan()
+}
+
+// overlapScan sorts each machine's assigned tasks by start and reports the
+// first pair, by machine and then by start, in which a task ends after the
+// next one starts.
+func (s *Schedule) overlapScan() error {
+	for j, ids := range s.MachineTasks() {
 		for x := 1; x < len(ids); x++ {
 			prev, cur := ids[x-1], ids[x]
 			if s.Completion(prev) > s.Start[cur]+eps {

@@ -207,6 +207,48 @@ func TestMembershipEligibleBothSidesOfInstant(t *testing.T) {
 	}
 }
 
+// TestMembershipEligibleMatchesSnapshot: on random histories of 15 and 100
+// slots, Eligible accepts j exactly when j lies in the effective set of a
+// freshly built snapshot on either side of the instant, and on 15 slots it
+// allocates nothing.
+func TestMembershipEligibleMatchesSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, capacity := range []int{15, 100} {
+		ms := &Membership{Capacity: capacity, Initial: capacity / 2}
+		members := ms.Initial
+		for c := 0; c < 40; c++ {
+			j := rng.Intn(capacity)
+			join := rng.Intn(2) == 0
+			ms.Changes = append(ms.Changes, Change{At: core.Time(c / 2), Machine: j, Join: join, Members: members})
+		}
+		for trial := 0; trial < 500; trial++ {
+			var set core.ProcSet
+			if rng.Intn(4) > 0 {
+				set = core.MustRingInterval(rng.Intn(capacity), 1+rng.Intn(capacity), capacity)
+			}
+			at, j := core.Time(rng.Intn(24)), rng.Intn(capacity)
+			want := false
+			for _, strict := range []bool{false, true} {
+				active := make([]bool, capacity)
+				k := ms.fillActive(active, at, strict)
+				if set != nil {
+					k = len(set)
+				}
+				eff := Effective(active, RingStart(set, capacity), k, nil)
+				want = want || (len(eff) > 0 && eff.Contains(j))
+			}
+			if got := ms.Eligible(set, at, j); got != want {
+				t.Fatalf("capacity %d: Eligible(%v, %v, %d) = %v, snapshot says %v", capacity, set, at, j, got, want)
+			}
+		}
+	}
+	ms := &Membership{Capacity: 15, Initial: 12, Changes: []Change{{At: 3, Machine: 4, Members: 11}}}
+	set := core.MustRingInterval(13, 3, 15)
+	if allocs := testing.AllocsPerRun(20, func() { ms.Eligible(set, 3, 1) }); allocs != 0 {
+		t.Errorf("Eligible allocated %v times per call on 15 slots", allocs)
+	}
+}
+
 func TestMembershipJSONRoundTrip(t *testing.T) {
 	ms := &Membership{Capacity: 5, Initial: 2, Changes: []Change{
 		{At: 1.5, Machine: 2, Join: true, Members: 3},

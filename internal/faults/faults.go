@@ -171,17 +171,21 @@ func (p *Plan) AnyDownAt(t core.Time) bool {
 }
 
 // Downtime returns each server's total down time, clipped to the horizon
-// [0, horizon). Overlapping outages are merged first.
+// [0, horizon). Overlapping outages are merged first; a healthy plan skips
+// the normalization walk.
 func (p *Plan) Downtime(horizon core.Time) []core.Time {
-	return p.DowntimeInto(nil, horizon)
+	if len(p.Outages) > 0 {
+		p = p.Normalize()
+	}
+	return p.NormalDowntimeInto(nil, horizon)
 }
 
-// DowntimeInto is Downtime with a caller-provided buffer: buf is resliced to
-// M (reallocating only when its capacity is short), zeroed and filled. A
-// healthy plan skips the normalization walk entirely, which keeps the
-// simulator's per-run finalization allocation-free when an arena supplies
-// the buffer.
-func (p *Plan) DowntimeInto(buf []core.Time, horizon core.Time) []core.Time {
+// NormalDowntimeInto is Downtime for a plan Normalize returned, written into
+// a caller-provided buffer: buf is resliced to M (reallocating only when its
+// capacity is short), zeroed and filled. It sums the outages as they stand,
+// so the simulator's per-run finalization, which passes the plan it
+// normalized on entry and an arena's buffer, allocates nothing.
+func (p *Plan) NormalDowntimeInto(buf []core.Time, horizon core.Time) []core.Time {
 	down := buf
 	if cap(down) < p.M {
 		down = make([]core.Time, p.M)
@@ -191,10 +195,7 @@ func (p *Plan) DowntimeInto(buf []core.Time, horizon core.Time) []core.Time {
 			down[j] = 0
 		}
 	}
-	if len(p.Outages) == 0 {
-		return down
-	}
-	for _, o := range p.Normalize().Outages {
+	for _, o := range p.Outages {
 		from, until := o.From, o.Until
 		if until > horizon {
 			until = horizon

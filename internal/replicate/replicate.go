@@ -18,11 +18,48 @@ import (
 
 // Strategy maps a primary machine to the processing set of its keys on a
 // cluster of m machines.
+//
+// Set must be a function of (u, m): every call with the same pair returns
+// an equal set (RandomK draws its sets once and memoizes them). The
+// generators of internal/workload rely on it. They ask for each primary's
+// set once, through a Table, and every task of that primary shares the one
+// set. A set a strategy returns is an immutable value: neither the
+// strategy nor a task holding it may change its members in place.
 type Strategy interface {
 	Name() string
 	// Set returns the processing set I_k(u) for primary machine u (0-based)
 	// on m machines. Implementations must return a set containing u.
 	Set(u, m int) core.ProcSet
+}
+
+// Table memoizes a strategy's sets for the primaries 0..m−1 of one cluster.
+// It is filled lazily: Set(u) asks the strategy on u's first use and hands
+// that same set to every later call. A generator keeps one Table for the
+// instance it builds, so its tasks share at most m sets and a strategy that
+// draws (RandomK) draws in first-use order, as a call per task would.
+type Table struct {
+	strategy Strategy
+	m        int
+	sets     []tableEntry
+}
+
+type tableEntry struct {
+	set core.ProcSet // nil is a valid set: every machine
+	ok  bool
+}
+
+// NewTable returns an empty table of the strategy's sets on m machines.
+func NewTable(s Strategy, m int) Table {
+	return Table{strategy: s, m: m, sets: make([]tableEntry, m)}
+}
+
+// Set returns the strategy's set for primary u, which must lie in [0, m).
+func (t *Table) Set(u int) core.ProcSet {
+	e := &t.sets[u]
+	if !e.ok {
+		e.set, e.ok = t.strategy.Set(u, t.m), true
+	}
+	return e.set
 }
 
 // None is the no-replication strategy: |M_i| = 1.

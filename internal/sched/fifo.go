@@ -48,6 +48,12 @@ func (f *FIFO) Run(inst *core.Instance) (*core.Schedule, error) {
 			return nil, fmt.Errorf("%s: task %d has a processing set restriction %v; FIFO requires unrestricted tasks", f.Name(), t.ID, t.Set)
 		}
 	}
+	return f.RunUnchecked(inst), nil
+}
+
+// RunUnchecked is Run without its two checks, for a caller that has made
+// them: inst must be valid, and every task's set nil or the full interval.
+func (f *FIFO) RunUnchecked(inst *core.Instance) *core.Schedule {
 	pickLast := false
 	var cands []int // the sorted idle machines, for other tie-breaks
 	switch f.Tie.(type) {
@@ -102,7 +108,7 @@ func (f *FIFO) Run(inst *core.Instance) (*core.Schedule, error) {
 			next++
 		}
 	}
-	return s, nil
+	return s
 }
 
 // machineSet is a bitset of machine indices.

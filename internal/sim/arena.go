@@ -47,7 +47,7 @@ type Arena struct {
 	attempts   []int
 	dropped    []bool
 	parkedBits []bool
-	releases   []core.Time
+	releases   []core.Time // the tasks' releases, on runs with a shedder
 	downtime   []core.Time
 	rejected   []bool
 	shedded    []bool
@@ -124,7 +124,6 @@ func (a *Arena) Reset(n, m int) {
 	a.attempts = resliceZero(a.attempts, n)
 	a.dropped = resliceZero(a.dropped, n)
 	a.parkedBits = resliceZero(a.parkedBits, n)
-	a.releases = grow(a.releases, n) // filled from the instance before use
 
 	a.live = grow(a.live, m)
 	for j := 0; j < m; j++ {

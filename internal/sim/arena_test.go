@@ -159,7 +159,8 @@ func pinAllocs(t *testing.T, ceiling float64, run func()) {
 // TestRunFaultyAllocs pins the reused-arena engine at nil layers: an
 // explicit empty plan and a nil one (the engine substitutes faults.Empty)
 // keep the same steady-state ceiling. A nil probe is part of the contract:
-// tracing is pay-for-use, so the unobserved path allocates no more.
+// tracing is pay-for-use, so the unobserved path allocates no more. Without
+// a shedder the arena keeps no copy of the releases either.
 func TestRunFaultyAllocs(t *testing.T) {
 	inst := allocInstance(2000, 0.8)
 	for _, tc := range []struct {
@@ -173,7 +174,37 @@ func TestRunFaultyAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			if arena.releases != nil {
+				t.Errorf("a run without a shedder copied %d releases", len(arena.releases))
+			}
 		})
+	}
+}
+
+// TestRunStackArmedAllocs pins a reused arena's run of the stack link mix
+// (every link armed, no probe) at 57 allocations, the same at n = 2,000 and
+// 20,000. The run normalizes its 40-outage plan once, on entry: the
+// finalization's downtime and RecoverySpikeMaxFlow read that plan, and
+// normalizing it again per run cost 38 allocations more.
+func TestRunStackArmedAllocs(t *testing.T) {
+	for _, n := range []int{2000, 20000} {
+		inst := stackInstance(n, 47)
+		horizon := inst.Tasks[n-1].Release
+		cfgs := make([]Config, 6) // configs carry per-run state: one per run
+		for i := range cfgs {
+			cfgs[i] = stackMix(horizon, 47)
+		}
+		arena := NewArena()
+		next := 0
+		allocs := testing.AllocsPerRun(len(cfgs)-1, func() {
+			if _, _, err := arena.Run(inst, EFTRouter{}, cfgs[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if allocs > 57 {
+			t.Errorf("n = %d: %v allocations per run, ceiling 57", n, allocs)
+		}
 	}
 }
 

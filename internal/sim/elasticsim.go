@@ -202,9 +202,6 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		},
 	}
 	metrics := &a.metrics
-	for i, t := range inst.Tasks {
-		a.releases[i] = t.Release
-	}
 
 	live := a.live
 	// slow holds each server's effective gray-failure segments; nil when the
@@ -253,6 +250,12 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 		ov.op, _ = probe.(obs.OverloadObserver)
 		a.shedding = ocfg.Shedder.Enabled()
 		if a.shedding {
+			// The releases of the tasks, read by lowerFloor and the
+			// watermark scan; runs without a shedder never copy them.
+			a.releases = grow(a.releases, n)
+			for i := range inst.Tasks {
+				a.releases[i] = inst.Tasks[i].Release
+			}
 			if ov.cands == nil {
 				ov.cands = make([]overload.Candidate, 0, 16)
 			}
@@ -1417,7 +1420,7 @@ func (a *Arena) Run(inst *core.Instance, router Router, cfg Config) (*core.Sched
 	if end := plan.End(); end > metrics.Horizon {
 		metrics.Horizon = end
 	}
-	a.downtime = plan.DowntimeInto(a.downtime, metrics.Horizon)
+	a.downtime = plan.NormalDowntimeInto(a.downtime, metrics.Horizon)
 	metrics.Downtime = a.downtime
 	if el != nil {
 		metrics.MachineHours = el.ms.MachineHours(metrics.Horizon)

@@ -98,7 +98,7 @@ type FaultMetrics struct {
 	Downtime []core.Time // per-server down time within [0, Horizon)
 	Horizon  core.Time   // observation horizon (makespan, or plan end when longer)
 
-	plan *faults.Plan
+	plan *faults.Plan // the run's plan, normalized
 }
 
 // DroppedCount returns the number of requests that were dropped.
@@ -139,7 +139,7 @@ func (m *FaultMetrics) Availability() float64 { return m.plan.Availability(m.Hor
 // excluded (their pseudo-flow is reported through DropRate instead).
 func (m *FaultMetrics) RecoverySpikeMaxFlow(window core.Time) core.Time {
 	var mx core.Time
-	outages := m.plan.Normalize().Outages
+	outages := m.plan.Outages
 	inSpike := func(r core.Time) bool {
 		for _, o := range outages {
 			if r >= o.From && r < o.Until+window {
