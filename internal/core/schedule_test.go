@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -41,6 +44,56 @@ func TestNewInstanceStableOnTies(t *testing.T) {
 	keys := []int{inst.Tasks[0].Key, inst.Tasks[1].Key, inst.Tasks[2].Key}
 	if keys[0] != 10 || keys[1] != 20 || keys[2] != 30 {
 		t.Fatalf("tie order not preserved: %v", keys)
+	}
+}
+
+// TestAdoptInstanceMatchesStableSort: AdoptInstance, and NewInstance
+// through it, build the instance that a stable sort of a copy with fresh
+// IDs builds — for slices in release order or not, with ties, NaN
+// releases and stale IDs, past the 20-task blocks of the sort — in the
+// slice they are given, and on a slice in release order allocate only the
+// Instance.
+func TestAdoptInstanceMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		tasks := make([]Task, rng.Intn(100))
+		r := 0.0
+		for i := range tasks {
+			if rng.Intn(3) > 0 {
+				r += float64(rng.Intn(3))
+			}
+			tasks[i] = Task{ID: rng.Intn(7), Release: r, Proc: 1, Key: i}
+			if trial%3 == 2 && rng.Intn(10) == 0 {
+				// No neighbour of a NaN is out of order with it, so the
+				// drop after it is an inversion no adjacent pair shows.
+				tasks[i].Release = math.NaN()
+				r -= 3
+			}
+		}
+		if trial%2 == 1 {
+			rng.Shuffle(len(tasks), func(i, j int) { tasks[i], tasks[j] = tasks[j], tasks[i] })
+		}
+		sorted := make([]Task, len(tasks))
+		copy(sorted, tasks)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Release < sorted[j].Release })
+		for i := range sorted {
+			sorted[i].ID = i
+		}
+		want := &Instance{M: 4, Tasks: sorted}
+		adopted := make([]Task, len(tasks))
+		copy(adopted, tasks)
+		got := AdoptInstance(4, adopted)
+		// reflect.DeepEqual calls NaN unequal to itself, so compare the bits.
+		if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) || fmt.Sprintf("%#v", NewInstance(4, tasks)) != fmt.Sprintf("%#v", want) {
+			t.Fatalf("trial %d: instance differs from the stable sort's", trial)
+		}
+		if len(adopted) > 0 && &got.Tasks[0] != &adopted[0] {
+			t.Fatalf("trial %d: AdoptInstance copied the slice", trial)
+		}
+	}
+	sorted := NewInstance(2, []Task{{Release: 0, Proc: 1}, {Release: 1, Proc: 1}, {Release: 1, Proc: 1}}).Tasks
+	if allocs := testing.AllocsPerRun(10, func() { AdoptInstance(2, sorted) }); allocs != 1 {
+		t.Errorf("AdoptInstance of a slice in release order: %.0f allocations, want 1", allocs)
 	}
 }
 
