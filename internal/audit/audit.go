@@ -899,34 +899,55 @@ func (o *overlapScan) next(i, j int, start, end core.Time) {
 // report adds the overlaps in machine order. A machine that fell back has
 // its executions collected again — the tasks the per-task checks let
 // through, with the same completions — and sorted by start; what found
-// holds for it is dropped. It reports false when the violation limit was
-// hit.
+// holds for it is dropped. The collection is one slice of task ids, sized
+// by a counting pass and grouped by machine in task order. It reports false
+// when the violation limit was hit.
 func (o *overlapScan) report(inst *core.Instance, s *core.Schedule, segs [][]faults.Slowdown,
 	excluded func(int) (bool, string), add func(Violation) bool) bool {
 	if len(o.found) == 0 && o.fallback == 0 {
 		return true
 	}
-	var perMachine [][]exec
+	// from[j] ends up where machine j's ids start, and from[j+1] where they
+	// end: it counts each machine's executions, sums them into segment
+	// ends, and the fill, walking the tasks backwards, steps each end down
+	// to its segment's start.
+	var ids, from []int
 	if o.fallback > 0 {
-		perMachine = make([][]exec, len(o.tail))
-		for i := range inst.Tasks {
+		fallbackMachine := func(i int) int {
 			j := s.Machine[i]
 			if j < 0 || j >= len(o.tail) || !o.tail[j].sorted {
-				continue
+				return -1
 			}
 			start := s.Start[i]
 			if out, _ := excluded(i); out || math.IsNaN(start) || math.IsInf(start, 0) {
-				continue
+				return -1
 			}
-			perMachine[j] = append(perMachine[j], exec{id: i, start: start, end: finish(segs, j, start, inst.Tasks[i].Proc)})
+			return j
+		}
+		from = make([]int, len(o.tail)+1)
+		for i := range inst.Tasks {
+			if j := fallbackMachine(i); j >= 0 {
+				from[j]++
+			}
+		}
+		for j := 1; j <= len(o.tail); j++ {
+			from[j] += from[j-1]
+		}
+		ids = make([]int, from[len(o.tail)])
+		for i := len(inst.Tasks) - 1; i >= 0; i-- {
+			if j := fallbackMachine(i); j >= 0 {
+				from[j]--
+				ids[from[j]] = i
+			}
 		}
 	}
+	end := func(j, i int) core.Time { return finish(segs, j, s.Start[i], inst.Tasks[i].Proc) }
 	// A stable sort by machine keeps each machine's overlaps in task order,
 	// which is start order on a machine that did not fall back.
 	sort.SliceStable(o.found, func(a, b int) bool { return o.found[a].Machine < o.found[b].Machine })
 	k := 0
 	for j, t := range o.tail {
-		if t.sorted && !sortedOverlaps(j, perMachine[j], add) {
+		if t.sorted && !sortedOverlaps(j, ids[from[j]:from[j+1]], s.Start, end, add) {
 			return false
 		}
 		for ; k < len(o.found) && o.found[k].Machine == j; k++ {
@@ -938,20 +959,14 @@ func (o *overlapScan) report(inst *core.Instance, s *core.Schedule, segs [][]fau
 	return true
 }
 
-// exec is one execution in a machine's sorted overlap scan.
-type exec struct {
-	id         int
-	start, end core.Time
-}
-
-// sortedOverlaps sorts machine j's executions by start and checks each
-// against the one before it.
-func sortedOverlaps(j int, execs []exec, add func(Violation) bool) bool {
-	sort.Slice(execs, func(a, b int) bool { return execs[a].start < execs[b].start })
-	for x := 1; x < len(execs); x++ {
-		prev, cur := execs[x-1], execs[x]
-		if cur.start < prev.end-tol(prev.end) {
-			if !add(overlapViolation(cur.id, j, cur.start, prev.id, prev.end)) {
+// sortedOverlaps sorts ids, the tasks machine j executes, by start and
+// checks each against the one before it, which ends at end(j, id).
+func sortedOverlaps(j int, ids []int, start []core.Time, end func(j, i int) core.Time, add func(Violation) bool) bool {
+	sort.Slice(ids, func(a, b int) bool { return start[ids[a]] < start[ids[b]] })
+	for x := 1; x < len(ids); x++ {
+		prev, cur := ids[x-1], ids[x]
+		if prevEnd := end(j, prev); start[cur] < prevEnd-tol(prevEnd) {
+			if !add(overlapViolation(cur, j, start[cur], prev, prevEnd)) {
 				return false
 			}
 		}

@@ -254,7 +254,7 @@ func (h *Histogram) quantile(q float64) (float64, int) {
 	if h.count == 0 {
 		return 0, exZeroBucket
 	}
-	if q < 0 {
+	if !(q >= 0) { // a NaN q clamps to 0, as a negative one does
 		q = 0
 	}
 	if q > 1 {

@@ -93,6 +93,26 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileClamps: Quantile and QuantileExemplar clamp q to
+// [0, 1], a NaN q to 0, so every row reads the p0 or p100 value and task.
+func TestHistogramQuantileClamps(t *testing.T) {
+	h := NewHistogram()
+	for i, v := range []float64{1, 10, 100, 1000} {
+		h.ObserveExemplar(v, i+1)
+	}
+	for _, c := range []struct{ q, as float64 }{
+		{-1, 0}, {2, 1}, {math.NaN(), 0}, {math.Inf(-1), 0}, {math.Inf(1), 1},
+	} {
+		wantV, wantTask := h.QuantileExemplar(c.as)
+		if v := h.Quantile(c.q); v != wantV {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, v, wantV)
+		}
+		if v, task := h.QuantileExemplar(c.q); v != wantV || task != wantTask {
+			t.Errorf("QuantileExemplar(%v) = (%v, T%d), want (%v, T%d)", c.q, v, task, wantV, wantTask)
+		}
+	}
+}
+
 func TestHistogramWriteProm(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {

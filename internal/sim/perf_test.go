@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 
 	"flowsched/internal/core"
+	"flowsched/internal/obs"
 	"flowsched/internal/sched"
 )
 
@@ -157,7 +158,9 @@ type equivPair struct {
 }
 
 // check runs inst under both routers and requires byte-identical schedules
-// and metrics.
+// and metrics, and on both sides a makespan equal to the latest completion:
+// the two loops share the makespan fold, so a fault in it would pass the
+// comparison.
 func (p equivPair) check(t *testing.T, inst *core.Instance) {
 	t.Helper()
 	sOpt, mOpt, err := Run(inst, p.opt)
@@ -170,6 +173,21 @@ func (p equivPair) check(t *testing.T, inst *core.Instance) {
 	}
 	sameSchedule(t, p.label, sOpt, sRef)
 	sameMetrics(t, p.label, mOpt, mRef)
+	checkMakespan(t, p.label, sOpt, mOpt)
+	checkMakespan(t, p.label+" (reference)", sRef, mRef)
+}
+
+// checkMakespan requires a run's makespan to be, bit for bit, its latest
+// completion max_i(Start_i + p_i), or 0 for a run with no task.
+func checkMakespan(t *testing.T, label string, s *core.Schedule, m *Metrics) {
+	t.Helper()
+	latest := core.Time(0)
+	for i, task := range s.Inst.Tasks {
+		latest = max(latest, s.Start[i]+task.Proc)
+	}
+	if math.Float64bits(m.Makespan) != math.Float64bits(latest) {
+		t.Fatalf("%s: makespan %v, latest completion %v", label, m.Makespan, latest)
+	}
 }
 
 // tieHeavy floors every release to an integer and makes every task
@@ -259,6 +277,72 @@ func TestEFTLoopOverflow(t *testing.T) {
 		}
 		if !reflect.DeepEqual(s.Machine, tc.want) {
 			t.Errorf("%s: machines %v, want %v", tc.pair.label, s.Machine, tc.want)
+		}
+	}
+}
+
+// doneSink records the makespan of every done event a run sends.
+type doneSink struct{ makespans []core.Time }
+
+func (d *doneSink) Observe(e obs.Event) {
+	if e.Kind == obs.Done {
+		d.makespans = append(d.makespans, e.At)
+	}
+}
+
+// TestRunMakespanIsLatestCompletion: both loops set the makespan once,
+// after the last dispatch, from the machines' final completion times. Under
+// EFT-Min, EFT-Max, EFT-Rand, JSQ and round-robin it must equal
+// max_i(Start_i + p_i) bit for bit, and the probe's one done event must
+// carry the same value, on the five eftLoopInstance families and on: no
+// task, a machine that never runs, a run whose last machine finishes last,
+// completions that overflow to +Inf, and −0 releases.
+func TestRunMakespanIsLatestCompletion(t *testing.T) {
+	type instCase struct {
+		name string
+		inst *core.Instance
+	}
+	var cases []instCase
+	for _, m := range []int{1, 17} {
+		for family := 0; family < 5; family++ {
+			cases = append(cases, instCase{fmt.Sprintf("m=%d family=%d", m, family),
+				eftLoopInstance(m, 200, family, rand.New(rand.NewSource(int64(m*10+family))))})
+		}
+	}
+	idle := make([]core.Task, 6) // machine 3 is in no set
+	for i := range idle {
+		idle[i] = core.Task{Release: core.Time(i) / 4, Proc: 1 + core.Time(i%3), Set: core.Interval(0, 2)}
+	}
+	overflow := make([]core.Task, 8) // TestEFTLoopOverflow's instance
+	for i := range overflow {
+		overflow[i] = core.Task{Release: 1e308, Proc: 1e308}
+	}
+	negZero := make([]core.Task, 3)
+	for i := range negZero {
+		negZero[i] = core.Task{Release: math.Copysign(0, -1), Proc: 1}
+	}
+	cases = append(cases,
+		instCase{"no task", core.NewInstance(3, nil)},
+		instCase{"idle machine", core.NewInstance(4, idle)},
+		instCase{"last machine last", core.NewInstance(3, []core.Task{
+			{Release: 0, Proc: 1}, {Release: 0, Proc: 1}, {Release: 0.5, Proc: 10, Set: core.NewProcSet(2)}})},
+		instCase{"overflow", core.NewInstance(5, overflow)},
+		instCase{"-0 releases", core.NewInstance(3, negZero)},
+	)
+	for _, c := range cases {
+		routers := []Router{EFTRouter{}, EFTRouter{Tie: sched.MaxTie{}},
+			EFTRouter{Tie: sched.RandTie{Rng: rand.New(rand.NewSource(1))}}, JSQRouter{}, &RoundRobinRouter{}}
+		for _, router := range routers {
+			label := c.name + ", " + router.Name()
+			done := &doneSink{}
+			s, m, err := RunProbed(c.inst, router, obs.Multi(done))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			checkMakespan(t, label, s, m)
+			if len(done.makespans) != 1 || math.Float64bits(done.makespans[0]) != math.Float64bits(m.Makespan) {
+				t.Fatalf("%s: done events carry %v, want one with makespan %v", label, done.makespans, m.Makespan)
+			}
 		}
 	}
 }

@@ -257,6 +257,7 @@ func (o *output) runEFT(inst *core.Instance, router EFTRouter) error {
 		}
 		tree.set(j, o.dispatch(i, j, task, comp[j]))
 	}
+	o.finish(comp)
 	return nil
 }
 
@@ -294,6 +295,7 @@ func (o *output) runGeneric(inst *core.Instance, router Router) error {
 		st.QueueLen[j]++
 		completions.Push(end, j)
 	}
+	o.finish(st.Completion)
 	return nil
 }
 
@@ -307,16 +309,13 @@ type output struct {
 
 // dispatch records task i on server j, which frees up at ready, and returns
 // the task's completion time. The probe sees the task's arrival, its
-// dispatch and, eagerly, its completion.
+// dispatch and, eagerly, its completion. The makespan waits for finish.
 func (o *output) dispatch(i, j int, task *core.Task, ready core.Time) core.Time {
 	start := max(ready, task.Release)
 	end := start + task.Proc
 	o.sched.Assign(i, j, start)
 	o.metrics.Flows[i] = end - task.Release
 	o.metrics.Busy[j] += task.Proc
-	if end > o.metrics.Makespan {
-		o.metrics.Makespan = end
-	}
 	if o.probe != nil {
 		o.probe.OnArrival(i, task.Release)
 		o.probe.OnDispatch(i, j, task.Release, start, end)
@@ -324,6 +323,13 @@ func (o *output) dispatch(i, j int, task *core.Task, ready core.Time) core.Time 
 	}
 	return end
 }
+
+// finish sets the run's makespan once, after the last dispatch, to the
+// latest of comp, the machines' final completion times. A machine's
+// completions never decrease (end = max(C_j, r) + p ≥ C_j, also when p is
+// below half an ulp of the start or the sum overflows to +Inf), so that is
+// the run's latest completion, and 0 for a run with no task.
+func (o *output) finish(comp []core.Time) { o.metrics.Makespan = stats.Max(comp) }
 
 // pickError reports that the router picked server j, which task i may not
 // run on. (The loop has already rejected tasks with no server at all.)

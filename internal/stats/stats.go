@@ -42,9 +42,10 @@ func Quantile(xs []float64, q float64) float64 {
 }
 
 // quantileSorted is Quantile on an already-sorted non-empty sample; callers
-// needing several quantiles sort once and share the copy.
+// needing several quantiles sort once and share the copy. A NaN q clamps
+// to 0, as a negative one does.
 func quantileSorted(sorted []float64, q float64) float64 {
-	if q < 0 {
+	if !(q >= 0) {
 		q = 0
 	}
 	if q > 1 {

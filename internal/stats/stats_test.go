@@ -46,9 +46,13 @@ func TestQuantile(t *testing.T) {
 	if !almost(Quantile([]float64{7}, 0.3), 7) {
 		t.Errorf("singleton quantile")
 	}
-	// Clamping.
-	if !almost(Quantile(xs, -1), 10) || !almost(Quantile(xs, 2), 50) {
-		t.Errorf("clamp wrong")
+	// Clamping: below 0 and NaN read the minimum, above 1 the maximum.
+	for _, c := range []struct{ q, want float64 }{
+		{-1, 10}, {2, 50}, {math.NaN(), 10}, {math.Inf(-1), 10}, {math.Inf(1), 50},
+	} {
+		if got := Quantile(xs, c.q); !almost(got, c.want) {
+			t.Errorf("Quantile(xs, %v) = %v, want %v", c.q, got, c.want)
+		}
 	}
 }
 

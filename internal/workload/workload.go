@@ -114,26 +114,6 @@ func Generate(cfg Config, rng *rand.Rand) (*core.Instance, error) {
 	return core.AdoptInstance(cfg.M, tasks), nil
 }
 
-// UnitBatches builds a deterministic instance that releases, at each integer
-// time 0..rounds-1, one unit task per entry of batch, where batch[i] gives
-// the processing set of the i-th task of the round (nil = unrestricted).
-// Tasks within a round keep the order of batch. This is the building block
-// of the adversary streams.
-func UnitBatches(m, rounds int, batch []core.ProcSet) *core.Instance {
-	var tasks []core.Task
-	for t := 0; t < rounds; t++ {
-		for _, set := range batch {
-			tasks = append(tasks, core.Task{
-				Release: core.Time(t),
-				Proc:    1,
-				Set:     set.Clone(),
-				Key:     -1,
-			})
-		}
-	}
-	return core.NewInstance(m, tasks)
-}
-
 // AverageLoad returns the cluster load λ/m implied by a rate, as a fraction
 // (1.0 = 100%).
 func AverageLoad(rate float64, m int) float64 { return rate / float64(m) }

@@ -112,24 +112,6 @@ func TestGenerateCustomProc(t *testing.T) {
 	}
 }
 
-func TestUnitBatches(t *testing.T) {
-	batch := []core.ProcSet{core.NewProcSet(0), core.NewProcSet(1), nil}
-	inst := UnitBatches(2, 3, batch)
-	if inst.N() != 9 {
-		t.Fatalf("n = %d, want 9", inst.N())
-	}
-	if err := inst.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Round 1 (tasks 3..5) released at t=1, in batch order.
-	if inst.Tasks[3].Release != 1 || !inst.Tasks[3].Set.Equal(core.NewProcSet(0)) {
-		t.Fatalf("round structure broken: %+v", inst.Tasks[3])
-	}
-	if inst.Tasks[5].Set != nil {
-		t.Fatalf("nil set should stay unrestricted")
-	}
-}
-
 func TestLoadHelpers(t *testing.T) {
 	if RateForLoad(0.9, 15) != 13.5 {
 		t.Fatalf("RateForLoad wrong")
