@@ -157,8 +157,8 @@ func benchSimRunEFTMaxFullSet(b *testing.B) {
 }
 
 // benchSimRunEFTMinFullSetM1000 is perfbench's scale point (m = 10³,
-// load 0.95, full sets, EFT-Min) at a tenth of its n: ten-level ready-tree
-// descents over a tree of 2,048 keys.
+// load 0.95, full sets, EFT-Min) at a tenth of its n: five-level ready-tree
+// descents over 1,024 leaves, four children per node.
 func benchSimRunEFTMinFullSetM1000(b *testing.B) {
 	benchSimRun(b, fullSetInstance(1000, 100_000, 0.95), sim.EFTRouter{})
 }

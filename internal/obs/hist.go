@@ -10,7 +10,10 @@ import (
 // counts observations in [base·g^i, base·g^(i+1)), so memory is
 // O(log_g(max/min)) regardless of how many values are observed — huge runs
 // no longer need the full Metrics.Flows slice retained to answer quantile
-// queries. Observations ≤ 0 land in a dedicated zero bucket.
+// queries. Observations ≤ 0 land in a dedicated zero bucket below every
+// log bucket, and +Inf, a flow whose completion overflowed, in a dedicated
+// bucket above them: log buckets hold finite values only, so their count
+// stays bounded whatever is observed.
 //
 // Quantile resumes its bucket walk from where the previous query stopped
 // (a cursor that Observe keeps current), so a query moves the cursor: a
@@ -22,16 +25,19 @@ type Histogram struct {
 	counts []uint64 // counts[i] is bucket lo+i
 	lo     int      // bucket index of counts[0]
 	zeros  uint64   // observations ≤ 0
+	infs   uint64   // observations of +Inf
 
 	// ex mirrors counts bucket-for-bucket (ex[i] is bucket exLo+i) and holds
 	// each bucket's exemplar: the task behind the largest value observed in
 	// it. Lazily allocated by the first ObserveExemplar and re-aligned to
 	// counts on demand, nil on the plain Observe path; memory is bounded by
-	// the bucket count. The zero bucket's exemplar lives in exZero.
+	// the bucket count. The zero and +Inf buckets' exemplars live in exZero
+	// and exInf.
 	ex     []exemplar
 	exLo   int
 	exZero exemplar
-	exN    int // buckets carrying an exemplar, zero bucket included
+	exInf  exemplar
+	exN    int // buckets carrying an exemplar, zero and +Inf buckets included
 
 	count    uint64
 	sum      float64
@@ -64,9 +70,13 @@ type exemplar struct {
 	ok   bool
 }
 
-// exZeroBucket stands in for the zero bucket in QuantileExemplar's rank
-// walk; real bucket indices of positive values never reach it.
-const exZeroBucket = math.MinInt
+// exZeroBucket and exInfBucket stand in for the zero and the +Inf bucket
+// in QuantileExemplar's rank walk; bucket indices of positive finite values
+// lie within about ±9,000 and never reach them.
+const (
+	exZeroBucket = math.MinInt
+	exInfBucket  = math.MaxInt
+)
 
 // histBase is the lower edge of bucket 0; values this small are far below
 // any meaningful flow time, so the bucket index of real observations stays
@@ -93,7 +103,7 @@ func (h *Histogram) Growth() float64 { return growth }
 // Quantile: √growth − 1.
 func (h *Histogram) RelativeError() float64 { return math.Sqrt(growth) - 1 }
 
-// bucketOf returns the bucket index of a positive value.
+// bucketOf returns the bucket index of a positive finite value.
 func (h *Histogram) bucketOf(v float64) int {
 	return int(math.Floor((math.Log(v) - logBase) / logGrowth))
 }
@@ -102,7 +112,7 @@ func (h *Histogram) bucketOf(v float64) int {
 func (h *Histogram) Observe(v float64) { h.observe(v) }
 
 // observe records one value and returns its bucket index, or ok = false
-// for a value in the zero bucket.
+// and exZeroBucket or exInfBucket for a value outside the log buckets.
 func (h *Histogram) observe(v float64) (idx int, ok bool) {
 	h.count++
 	h.sum += v
@@ -113,9 +123,16 @@ func (h *Histogram) observe(v float64) (idx int, ok bool) {
 		h.maxSeen = v
 	}
 	h.observed = true
-	if v <= 0 || math.IsNaN(v) {
+	// One unsigned compare keeps every value outside (0, MaxFloat64] off
+	// the finite path: ±0, negatives, NaNs and ±Inf have bits − 1 at or
+	// above MaxFloat64's bits.
+	if math.Float64bits(v)-1 >= math.Float64bits(math.MaxFloat64) {
+		if math.IsInf(v, 1) {
+			h.infs++
+			return exInfBucket, false
+		}
 		h.zeros++
-		return 0, false
+		return exZeroBucket, false
 	}
 	idx = h.bucketOf(v)
 	if h.counts == nil {
@@ -148,7 +165,11 @@ func (h *Histogram) observe(v float64) (idx int, ok bool) {
 func (h *Histogram) ObserveExemplar(v float64, task int) {
 	idx, ok := h.observe(v)
 	if !ok {
-		h.setExemplar(&h.exZero, v, task)
+		e := &h.exZero
+		if idx == exInfBucket {
+			e = &h.exInf
+		}
+		h.setExemplar(e, v, task)
 		return
 	}
 	if h.exLo != h.lo || len(h.ex) != len(h.counts) {
@@ -185,12 +206,14 @@ func (h *Histogram) QuantileExemplar(q float64) (float64, int) {
 	if h.count == 0 || h.exN == 0 {
 		return v, -1
 	}
-	e := h.exZero
-	if idx != exZeroBucket {
-		e = exemplar{}
-		if i := idx - h.exLo; h.ex != nil && i >= 0 && i < len(h.ex) {
-			e = h.ex[i]
-		}
+	var e exemplar
+	switch i := idx - h.exLo; {
+	case idx == exZeroBucket:
+		e = h.exZero
+	case idx == exInfBucket:
+		e = h.exInf
+	case h.ex != nil && i >= 0 && i < len(h.ex):
+		e = h.ex[i]
 	}
 	if e.ok {
 		return v, e.task
@@ -228,13 +251,14 @@ func (h *Histogram) Max() float64 {
 	return h.maxSeen
 }
 
-// Buckets returns the number of allocated buckets — the memory bound.
+// Buckets returns the number of allocated log buckets — the memory bound.
 func (h *Histogram) Buckets() int { return len(h.counts) }
 
 // Quantile returns an approximation of the q-quantile (q clamped to [0,1];
-// 0 when empty): the log-bucket representative — the geometric midpoint of
-// the bucket's edges, clamped to the observed [Min, Max] — of the order
-// statistic of rank ⌊q·(Count−1)⌋. The representative is within a factor
+// 0 when empty; +Inf when the rank falls among +Inf observations): the
+// log-bucket representative — the geometric midpoint of the bucket's
+// edges, clamped to the observed [Min, Max] — of the order statistic of
+// rank ⌊q·(Count−1)⌋. The representative is within a factor
 // √growth of every value in its bucket, so the result is within relative
 // error √growth − 1 of that order statistic; the exact (interpolated)
 // quantile lies between ranks ⌊q·(Count−1)⌋ and ⌈q·(Count−1)⌉, one
@@ -246,7 +270,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // quantile returns Quantile(q) and the bucket the order statistic falls in
-// (exZeroBucket for the zero bucket or an empty histogram). It moves the
+// (exZeroBucket for the zero bucket or an empty histogram, exInfBucket for
+// the +Inf bucket, the top ranks). It moves the
 // cursor to that bucket: down while observations below it outnumber the
 // rank, then up while the rank lies past it. The bucket holding the rank is
 // unique, so the cursor lands where a walk from the lowest bucket would.
@@ -264,7 +289,10 @@ func (h *Histogram) quantile(q float64) (float64, int) {
 	if rank < h.zeros {
 		return h.clamp(0), exZeroBucket
 	}
-	r, c := rank-h.zeros, &h.cur // rank among the positive observations
+	if rank >= h.count-h.infs {
+		return math.Inf(1), exInfBucket
+	}
+	r, c := rank-h.zeros, &h.cur // rank among the positive finite observations
 	for c.below > r {
 		c.b--
 		c.below -= h.counts[c.b-h.lo]

@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -150,7 +151,8 @@ func TestHistogramProbeStretch(t *testing.T) {
 
 // fullWalkQuantile is Quantile as a walk from the lowest bucket on every
 // query, with the exemplar bucket QuantileExemplar reads: the reference
-// the resumable cursor must match bit for bit.
+// the resumable cursor must match bit for bit. The top ranks, as many as
+// there are +Inf observations, read +Inf and the +Inf bucket's exemplar.
 func fullWalkQuantile(h *Histogram, q float64) (float64, int) {
 	if h.count == 0 {
 		return 0, -1
@@ -159,7 +161,9 @@ func fullWalkQuantile(h *Histogram, q float64) (float64, int) {
 	rank := uint64(math.Floor(q * float64(h.count-1)))
 	e := h.exZero
 	v := h.clamp(0)
-	if rank >= h.zeros {
+	if rank >= h.count-h.infs {
+		e, v = h.exInf, math.Inf(1)
+	} else if rank >= h.zeros {
 		cum := h.zeros
 		for i, c := range h.counts {
 			if cum += c; cum > rank {
@@ -226,6 +230,60 @@ func TestHistogramQuantileCursor(t *testing.T) {
 					t.Fatalf("seed %d obs %d: QuantileExemplar(%v) = %v, task %d; want %v, task %d",
 						seed, i, q, gotV, gotTask, want, wantTask)
 				}
+			}
+		}
+	}
+}
+
+// TestHistogramInfinity: a flow that overflowed to +Inf is counted in the
+// +Inf bucket, above the log buckets, whether it comes after the finite
+// values, before them or alone. The log buckets and their exemplars are
+// those of the finite values alone, so Buckets stays bounded; a rank among
+// the +Inf observations reads +Inf with the first +Inf task as exemplar,
+// and every other rank reads its finite order statistic within the
+// documented error.
+func TestHistogramInfinity(t *testing.T) {
+	inf := math.Inf(1)
+	type rank struct {
+		q, x float64 // x: the order statistic of rank ⌊q·(Count−1)⌋
+		task int
+	}
+	for _, c := range []struct {
+		name string
+		vals []float64
+		want []rank
+	}{
+		{"finite then +Inf", []float64{0.5, 1, 2, 4, inf, inf},
+			[]rank{{0, 0.5, 0}, {0.5, 2, 2}, {1, inf, 4}}},
+		{"+Inf then finite", []float64{inf, inf, 0.5, 1, 2, 4},
+			[]rank{{0, 0.5, 2}, {0.5, 2, 4}, {1, inf, 0}}},
+		{"+Inf only", []float64{inf, inf},
+			[]rank{{0, inf, 0}, {0.5, inf, 0}, {1, inf, 0}}},
+	} {
+		h, finite := NewHistogram(), NewHistogram()
+		for i, v := range c.vals {
+			h.ObserveExemplar(v, i)
+			if !math.IsInf(v, 1) {
+				finite.ObserveExemplar(v, i)
+			}
+		}
+		if h.Buckets() != finite.Buckets() || h.lo != finite.lo || !reflect.DeepEqual(h.counts, finite.counts) ||
+			!reflect.DeepEqual(h.ex, finite.ex) {
+			t.Errorf("%s: log buckets %v from %d (%d), want the finite values' %v from %d (%d)",
+				c.name, h.counts, h.lo, h.Buckets(), finite.counts, finite.lo, finite.Buckets())
+		}
+		if h.Count() != len(c.vals) || h.Max() != inf {
+			t.Errorf("%s: count %d, max %v", c.name, h.Count(), h.Max())
+		}
+		for _, w := range c.want {
+			wantV, wantTask := fullWalkQuantile(h, w.q)
+			v, task := h.QuantileExemplar(w.q)
+			if q := h.Quantile(w.q); math.Float64bits(q) != math.Float64bits(v) || math.Float64bits(v) != math.Float64bits(wantV) || task != wantTask {
+				t.Errorf("%s: Quantile(%v) = %v, QuantileExemplar = %v, task %d; full walk %v, task %d",
+					c.name, w.q, q, v, task, wantV, wantTask)
+			}
+			if ok := v == w.x || !math.IsInf(w.x, 1) && math.Abs(v-w.x) <= w.x*h.RelativeError(); !ok || task != w.task {
+				t.Errorf("%s: q=%v reads %v, task %d; want %v, task %d", c.name, w.q, v, task, w.x, w.task)
 			}
 		}
 	}

@@ -1520,7 +1520,7 @@ func (a *Arena) place(inst *core.Instance, router Router, slow [][]faults.Slowdo
 	view.Set = cands
 	view.Release = now
 	if a.memberEFT && cands != nil {
-		j = memberPick(cands, now, a.st.Completion, a.eftLast)
+		j, _ = memberPick(cands, now, a.st.Completion, a.eftLast)
 	} else {
 		j = router.Pick(&a.st, view)
 	}

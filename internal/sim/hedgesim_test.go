@@ -569,3 +569,23 @@ func TestHedgeTriggerDeferredOffGrayServers(t *testing.T) {
 		t.Fatalf("trigSeq = %v: want task 0's trigger deferred and task 1's pushed", a.hd.trigSeq)
 	}
 }
+
+// TestHedgeQuantileOverflow: the engine's own flow histogram, which the
+// quantile trigger reads, takes a completion whose flow overflowed to +Inf
+// (task 2 ends past the largest float) without panicking, and the run still
+// completes every task.
+func TestHedgeQuantileOverflow(t *testing.T) {
+	inst := core.NewInstance(2, []core.Task{
+		{Release: 0, Proc: 1}, {Release: 0.5, Proc: 1}, {Release: 1e308, Proc: 1e308}, {Release: 1e308, Proc: 1},
+	})
+	if err := inst.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, m, err := NewArena().Run(inst, EFTRouter{}, Config{Hedge: &hedge.Config{Quantile: 0.5, MinSamples: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil || m.DroppedCount() != 0 || !math.IsInf(m.Flows[2], 1) {
+		t.Errorf("schedule %v, %d dropped, flows %v", err, m.DroppedCount(), m.Flows)
+	}
+}

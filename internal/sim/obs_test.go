@@ -310,3 +310,24 @@ func TestSamplerMatchesQueueProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestRunProbedHistogramOverflow: a valid instance whose second task ends
+// past the largest float has flow +Inf. The histogram sink counts it in its
+// +Inf bucket instead of indexing a log bucket by it, which panicked
+// (makeslice: len out of range).
+func TestRunProbedHistogramOverflow(t *testing.T) {
+	inst := core.NewInstance(1, []core.Task{{Release: 0, Proc: 1}, {Release: 1e308, Proc: 1e308}})
+	if err := inst.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	hp := obs.NewHistogramProbe()
+	if _, _, err := RunProbed(inst, EFTRouter{}, obs.Multi(hp)); err != nil {
+		t.Fatal(err)
+	}
+	if q, task := hp.Flow.QuantileExemplar(1); !math.IsInf(q, 1) || task != 1 {
+		t.Errorf("flow p100 = %v, task %d; want +Inf, task 1", q, task)
+	}
+	if q := hp.Flow.Quantile(0); q != 1 {
+		t.Errorf("flow p0 = %v, want 1", q)
+	}
+}

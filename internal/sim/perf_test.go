@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -347,14 +346,71 @@ func TestRunMakespanIsLatestCompletion(t *testing.T) {
 	}
 }
 
+// pick is pickStart's machine alone, the form the tree tests compare with
+// the linear rule.
+func (t *readyTree) pick(r core.Time, last bool) int {
+	j, _ := t.pickStart(r, last)
+	return j
+}
+
+// linearTie is the linear EFT rule: the first and the last member of set
+// in U = { j : C_j ≤ max(r, min over set of C) }.
+func linearTie(comp []core.Time, set []int, r core.Time) (first, last int) {
+	thr := comp[set[0]]
+	for _, j := range set {
+		thr = min(thr, comp[j])
+	}
+	thr = max(thr, r)
+	first = -1
+	for _, j := range set {
+		if comp[j] <= thr {
+			if first < 0 {
+				first = j
+			}
+			last = j
+		}
+	}
+	return first, last
+}
+
+// picksMatchLinearRule reports whether both descents of tree and both
+// member scans of sub reach the machines of linearTie, each with the start
+// max(C_j, r) that dispatch schedules from, bit for bit.
+func picksMatchLinearRule(tree *readyTree, sub core.ProcSet, r core.Time) bool {
+	comp := tree.leaves()
+	all := make([]int, len(comp))
+	for j := range all {
+		all[j] = j
+	}
+	match := func(j int, start core.Time, want int) bool {
+		return j == want && math.Float64bits(start) == math.Float64bits(max(comp[j], r))
+	}
+	for _, c := range []struct {
+		set  []int
+		pick func(last bool) (int, core.Time)
+	}{
+		{all, func(last bool) (int, core.Time) { return tree.pickStart(r, last) }},
+		{sub, func(last bool) (int, core.Time) { return memberPick(sub, r, comp, last) }},
+	} {
+		first, last := linearTie(comp, c.set, r)
+		j0, s0 := c.pick(false)
+		j1, s1 := c.pick(true)
+		if !match(j0, s0, first) || !match(j1, s1, last) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestReadyTreeMatchesLinearRule checks the tree's descents and the member
 // scan against the linear EFT rule, U = { j : C_j ≤ max(r, min C) } with
-// the first or the last of U chosen, on random completion vectors full of
-// ties and +Inf leaves. Up to 4m updates, ties and +Inf among them, come
-// before the first descent, which builds the lazily kept minima. The
-// completions include the ends of the key range (+0, the largest finite
-// time, +Inf) and releases include −0; one draw in ten takes m up to 1,100,
-// so that 10- and 11-level trees with uneven padding are covered.
+// the first or the last of U chosen, and each pick's start against
+// max(C_j, r), on random completion vectors full of ties and +Inf leaves.
+// Up to 4m updates, ties and +Inf among them, come before the first
+// descent, which builds the lazily kept minima. The completions include the
+// ends of the key range (+0, the largest finite time, +Inf) and releases
+// include −0; one draw in ten takes m up to 1,100, so that five- and
+// six-level four-way trees with uneven padding are covered.
 func TestReadyTreeMatchesLinearRule(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -364,27 +420,6 @@ func TestReadyTreeMatchesLinearRule(t *testing.T) {
 		}
 		tree := newReadyTree(m)
 		comp := make([]core.Time, m)
-		// linear returns the first and last member of set (nil: all
-		// machines) in U.
-		linear := func(set []int, r core.Time) (first, last int) {
-			thr := comp[set[0]]
-			for _, j := range set {
-				thr = min(thr, comp[j])
-			}
-			thr = max(thr, r)
-			first = -1
-			for _, j := range set {
-				if comp[j] <= thr {
-					if first < 0 {
-						first = j
-					}
-					last = j
-				}
-			}
-			return first, last
-		}
-		all := rng.Perm(m)
-		sort.Ints(all)
 		set := func(j int, c core.Time) {
 			comp[j] = c
 			tree.set(j, c)
@@ -427,16 +462,11 @@ func TestReadyTreeMatchesLinearRule(t *testing.T) {
 			case 1, 2, 3:
 				r = rng.Float64() * 5
 			}
-			first, last := linear(all, r)
-			if tree.pick(r, false) != first || tree.pick(r, true) != last || tree.stale {
+			sub := core.NewProcSet(rng.Perm(m)[:1+rng.Intn(m)]...)
+			if !picksMatchLinearRule(tree, sub, r) || tree.stale {
 				return false // the first descent builds the minima once
 			}
 			if !reflect.DeepEqual(tree.leaves(), comp) {
-				return false
-			}
-			sub := core.NewProcSet(rng.Perm(m)[:1+rng.Intn(m)]...)
-			first, last = linear(sub, r)
-			if memberPick(sub, r, comp, false) != first || memberPick(sub, r, comp, true) != last {
 				return false
 			}
 		}
@@ -461,6 +491,76 @@ func TestReadyTreeAllInf(t *testing.T) {
 			t.Errorf("r=%v: picks %d and %d, want 0 and %d", r, first, last, m-1)
 		}
 	}
+}
+
+// TestReadyTreeBoundaries runs the tree at every four-way boundary, where
+// a level is added or the padding changes: m = 4^l − 1, 4^l and 4^l + 1,
+// and the scale point's m = 10³. The completions are all equal, all +Inf,
+// or random with ties, +0 and the largest finite time, and the releases
+// include −0. Both descents must reach the linear rule's machines with the
+// start max(C_j, r), bit for bit, and so must memberPick on random sets;
+// then the same after random updates to the built tree. The test also pins
+// the descent depth, ⌈log₄ m⌉ levels: the machine-independent work count
+// of a full-set pick.
+func TestReadyTreeBoundaries(t *testing.T) {
+	depth := map[int]int{15: 2, 256: 4, 1000: 5, 1025: 6}
+	releases := []core.Time{math.Copysign(0, -1), 0, 0.5, 1, 1.5, 2, 3.25, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(4))
+	random := func() core.Time {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.MaxFloat64
+		case 2, 3:
+			return core.Time(rng.Intn(4)) // ties
+		}
+		return rng.Float64() * 4
+	}
+	for _, m := range []int{1, 2, 3, 4, 5, 15, 16, 17, 63, 64, 65, 255, 256, 257, 1000, 1023, 1024, 1025} {
+		levels := 0
+		for s := 1; s < m; s *= 4 {
+			levels++
+		}
+		for _, fill := range []struct {
+			name string
+			c    func() core.Time
+		}{
+			{"equal", func() core.Time { return 1.5 }},
+			{"+Inf", func() core.Time { return math.Inf(1) }},
+			{"random", random},
+		} {
+			tree := newReadyTree(m)
+			if got := treeDepth(tree); got != levels || depth[m] != 0 && got != depth[m] {
+				t.Fatalf("m=%d: descent of %d levels, want %d (pinned: %d)", m, got, levels, depth[m])
+			}
+			for j := 0; j < m; j++ {
+				tree.set(j, fill.c())
+			}
+			for round := 0; round < 2; round++ {
+				for _, r := range releases {
+					sub := core.NewProcSet(rng.Perm(m)[:1+rng.Intn(m)]...)
+					if !picksMatchLinearRule(tree, sub, r) {
+						t.Fatalf("m=%d, %s completions, round %d, r=%v: a pick or its start differs from the linear rule",
+							m, fill.name, round, r)
+					}
+				}
+				for u := 0; u < 2*m; u++ { // updates to the built tree
+					tree.set(rng.Intn(m), random())
+				}
+			}
+		}
+	}
+}
+
+// treeDepth counts the levels of a descent of tree: the steps from the
+// root to a leaf, each to one of four children.
+func treeDepth(tree *readyTree) int {
+	levels := 0
+	for i := 1; i < tree.size; i *= 4 {
+		levels++
+	}
+	return levels
 }
 
 // TestEFTLoopNegativeZeroRelease: a release of −0 passes Validate and ties
@@ -507,7 +607,7 @@ func TestReadyTreeAllocFree(t *testing.T) {
 			r += 0.05
 			j := tree.pick(r, i%2 == 0)
 			tree.set(j, max(r, tree.leaves()[j])+1)
-			j = memberPick(set, r, tree.leaves(), i%2 == 1)
+			j, _ = memberPick(set, r, tree.leaves(), i%2 == 1)
 			tree.set(j, max(r, tree.leaves()[j])+1)
 		}
 	})
@@ -556,19 +656,29 @@ func TestFastPathGate(t *testing.T) {
 
 // FuzzRouterEquivalence drives the optimized and reference routers over
 // fuzz-shaped instances and requires byte-identical schedules. intReleases
-// makes the instance tie-heavy (integer releases, unit tasks). The top eight
-// m8 values draw m from [1,000, 1,100] instead of [1, 16], so the fuzzer also
-// reaches the 10- and 11-level ready trees of the scale point (m = 10³).
+// makes the instance tie-heavy (integer releases, unit tasks). Most m8
+// values draw m from [1, 16], trees of up to two levels. Three bands of
+// eight draw larger m, so the fuzzer reaches every depth of the four-way
+// ready tree: [33, 96] crosses 64 (three and four levels), [225, 288]
+// crosses 256 (four and five), and [1,000, 1,100] holds the scale point
+// (m = 10³, five levels) and crosses 1,024 (six).
 func FuzzRouterEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(50), false)
 	f.Add(int64(7), uint8(1), uint8(10), false)
 	f.Add(int64(42), uint8(12), uint8(200), false)
 	f.Add(int64(3), uint8(5), uint8(120), true)
 	f.Add(int64(77), uint8(0xFF), uint8(255), false)
+	f.Add(int64(32), uint8(0xE8), uint8(240), true) // m = 65
+	f.Add(int64(32), uint8(0xF0), uint8(240), true) // m = 257
 	f.Fuzz(func(t *testing.T, seed int64, m8, n8 uint8, intReleases bool) {
 		m := 1 + int(m8)%16
-		if m8 >= 0xF8 {
+		switch {
+		case m8 >= 0xF8:
 			m = 1000 + int(uint64(seed)%101)
+		case m8 >= 0xF0:
+			m = 225 + int(uint64(seed)%64)
+		case m8 >= 0xE8:
+			m = 33 + int(uint64(seed)%64)
 		}
 		n := 1 + int(n8)
 		rng := rand.New(rand.NewSource(seed))

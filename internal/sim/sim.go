@@ -219,9 +219,10 @@ func invalid(inst *core.Instance) error {
 // runEFT dispatches an EFTRouter run. EFT reads nothing but completion
 // times, so the loop keeps them in a readyTree and keeps no completion
 // events. Min and Max (nil is Min) take the first and the last machine of
-// the tie set directly; any other tie-break is handed the candidates
-// eftTieSet builds, as EFTRouter.Pick does. memberPick checks a restricted
-// set as it scans it; the other paths check it first.
+// the tie set directly, and the pick returns the task's start with it; any
+// other tie-break is handed the candidates eftTieSet builds, as
+// EFTRouter.Pick does, and the loop computes the start. memberPick checks
+// a restricted set as it scans it; the other paths check it first.
 func (o *output) runEFT(inst *core.Instance, router EFTRouter) error {
 	m, tie := inst.M, router.Tie
 	tree := newReadyTree(m)
@@ -239,6 +240,7 @@ func (o *output) runEFT(inst *core.Instance, router EFTRouter) error {
 		}
 		prev = task.Release
 		var j int
+		var start core.Time
 		switch {
 		case st != nil:
 			if !task.Set.ValidOn(m) {
@@ -248,14 +250,15 @@ func (o *output) runEFT(inst *core.Instance, router EFTRouter) error {
 			if j < 0 || j >= m || !task.Eligible(j) {
 				return pickError(router, i, j, task)
 			}
+			start = max(comp[j], task.Release)
 		case task.Set == nil:
-			j = tree.pick(task.Release, isMax)
+			j, start = tree.pickStart(task.Release, isMax)
 		default:
-			if j = memberPick(task.Set, task.Release, comp, isMax); j < 0 {
+			if j, start = memberPick(task.Set, task.Release, comp, isMax); j < 0 {
 				return invalid(inst)
 			}
 		}
-		tree.set(j, o.dispatch(i, j, task, comp[j]))
+		tree.set(j, o.dispatch(i, j, task, start))
 	}
 	o.finish(comp)
 	return nil
@@ -290,7 +293,7 @@ func (o *output) runGeneric(inst *core.Instance, router Router) error {
 		if j < 0 || j >= m || !task.Eligible(j) {
 			return pickError(router, i, j, task)
 		}
-		end := o.dispatch(i, j, task, st.Completion[j])
+		end := o.dispatch(i, j, task, max(st.Completion[j], task.Release))
 		st.Completion[j] = end
 		st.QueueLen[j]++
 		completions.Push(end, j)
@@ -307,11 +310,11 @@ type output struct {
 	probe   obs.Probe
 }
 
-// dispatch records task i on server j, which frees up at ready, and returns
-// the task's completion time. The probe sees the task's arrival, its
-// dispatch and, eagerly, its completion. The makespan waits for finish.
-func (o *output) dispatch(i, j int, task *core.Task, ready core.Time) core.Time {
-	start := max(ready, task.Release)
+// dispatch records task i on server j from start, max(C_j, r_i) by Eq.
+// (2), and returns the task's completion time. The probe sees the task's
+// arrival, its dispatch and, eagerly, its completion. The makespan waits
+// for finish.
+func (o *output) dispatch(i, j int, task *core.Task, start core.Time) core.Time {
 	end := start + task.Proc
 	o.sched.Assign(i, j, start)
 	o.metrics.Flows[i] = end - task.Release
